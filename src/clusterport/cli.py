@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 when every configured check passes, 1 when a check fails,
-2 for unusable arguments or configuration.
+2 for unusable arguments or configuration, or a report that cannot be
+written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -65,10 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sample, with_input=True)
     p_sample.add_argument("--trials", type=int, default=16000)
 
-    p_derive = sub.add_parser("derive", help="brute-force the correction table")
+    p_derive = sub.add_parser("derive", help="derive the correction table from the simulator")
     _add_common(p_derive, with_input=False)
 
-    p_verify = sub.add_parser("verify", help="check the built-in table against brute force")
+    p_verify = sub.add_parser("verify", help="check the built-in table against the derivation")
     _add_common(p_verify, with_input=False)
 
     return parser
@@ -94,6 +96,17 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+def _write_atomically(path: Path, data: bytes) -> None:
+    """Write through a sibling temp file, so ``path`` never holds half a report."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -109,7 +122,12 @@ def main(argv=None) -> int:
         return 1
     data = emit_report(report)
     if args.out is not None:
-        args.out.write_bytes(data)
+        try:
+            _write_atomically(args.out, data)
+        except OSError as exc:
+            print(f"clusterport: cannot write report to {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

@@ -5,8 +5,9 @@ flows from the 64-bit seed through a fixed substream key, so rerunning a
 config reproduces the report byte for byte in any format.
 
 Substream keys: random input k uses default_rng([seed, 0, k]), Monte Carlo
-trial t uses default_rng([seed, 1, t]), probe sets use [seed, 2, scheme].
-Trials therefore sample identically whether executed serially or not.
+trial t uses default_rng([seed, 1, t]).  Trials therefore sample
+identically whether executed serially or not.  Derivation and verification
+are exact and draw nothing, so the seed only appears in their config.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7)
     report = run(cfg)
@@ -30,7 +31,6 @@ from .protocol import (
     Scheme,
     apply_correction,
     assemble_total,
-    default_probes,
     derive_corrections,
     random_input,
     run_branch,
@@ -232,14 +232,13 @@ def run_montecarlo(cfg: RunConfig) -> Report:
 
 
 def run_derivation(cfg: RunConfig) -> Report:
-    """Brute-force the correction table for the configured scheme."""
+    """Derive the correction table for the configured scheme."""
     if cfg.mode != "derive":
         raise ValueError(f"run_derivation needs mode 'derive', got {cfg.mode!r}")
-    probes = default_probes(cfg.scheme, seed=cfg.seed)
     rows = []
     sizes = []
     for o13, o26 in _ALL_PAIRS:
-        derived = derive_corrections(cfg.scheme, o13, o26, probes)
+        derived = derive_corrections(cfg.scheme, o13, o26)
         listed = table_lookup(cfg.scheme, o13, o26)
         rows.append(
             {
@@ -263,7 +262,7 @@ def run_verification(cfg: RunConfig) -> Report:
     """Compare the built-in correction table against the derived one."""
     if cfg.mode != "verify":
         raise ValueError(f"run_verification needs mode 'verify', got {cfg.mode!r}")
-    table = verify_tables(cfg.scheme, probes=default_probes(cfg.scheme, seed=cfg.seed))
+    table = verify_tables(cfg.scheme)
     rows = []
     tally = {"exact-up-to-global-phase": 0, "subspace-only": 0, "mismatch": 0}
     for e in table.entries:

@@ -14,14 +14,18 @@ a branch-specific correction on the receiver's pair restores the input:
 * Scheme.ARBITRARY - any two-qubit input, a controlled-phase on (4, 5)
   followed by one Pauli per output qubit.
 
-``derive_corrections`` rediscovers the correction for any branch by brute
-force over the 16 Pauli pairs, which is how ``verify_tables`` checks the
-hard-coded tables against the simulator instead of trusting them.
+The protocol is linear in the input, so each branch is a fixed 4x4 map
+from (1, 2) to (4, 5) (``branch_maps``, built from the simulator).
+``derive_corrections`` rediscovers the correction for any branch from that
+map over the 16 Pauli pairs, exactly for every input of the scheme, which
+is how ``verify_tables`` checks the hard-coded tables against the simulator
+instead of trusting them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,9 +47,6 @@ OUTPUT_RELABELING = {1: 4, 2: 5}
 COEFF_TOL = 1e-9
 CORRECTION_TOL = 1e-10
 PAULI_NAMES = ("I", "X", "Y", "Z")
-
-_PROBE_SEED = 1851
-_N_RANDOM_PROBES = 10
 
 
 class Scheme(enum.IntEnum):
@@ -257,80 +258,89 @@ def random_input(scheme: Scheme, rng: np.random.Generator) -> InputState:
     return InputState(scheme, tuple(complex(x) for x in c))
 
 
-def degenerate_inputs(scheme: Scheme) -> list[InputState]:
-    """The basis-aligned inputs with a single nonzero coefficient."""
-    k = 2 if Scheme(scheme) is Scheme.SPECIAL else 4
-    out = []
-    for i in range(k):
-        coeffs = [0j] * k
-        coeffs[i] = 1.0 + 0j
-        out.append(InputState(scheme, tuple(coeffs)))
-    return out
+# Input families on (1, 2): the basis states plus (|00> + |j>)/sqrt(2) for
+# j = 1..3, and |00>, |11> and their sum for the scheme-1 span.  A map that
+# keeps each input of a family unchanged up to a scalar is that scalar times
+# the identity on the family's span: the basis states force it diagonal, the
+# superpositions with |00> force equal diagonal entries.
+FULL_FAMILY = np.vstack([np.eye(4), (np.eye(4)[0] + np.eye(4)[1:]) / math.sqrt(2.0)])
+SUBSPACE_FAMILY = FULL_FAMILY[[0, 3, 6]]
+FULL_FAMILY.setflags(write=False)
+SUBSPACE_FAMILY.setflags(write=False)
+
+_PAULI_PAIRS = tuple((p4, p5) for p4 in PAULI_NAMES for p5 in PAULI_NAMES)
+# kron(P4, P5) for each pair in _PAULI_PAIRS order (particle 4 is the more
+# significant bit of every (4, 5) register), in one call to keep import cheap.
+_PAULI_STACK = np.stack([PAULIS[name] for name in PAULI_NAMES])
+_PAIR_OPS = np.einsum("aij,bkl->abikjl", _PAULI_STACK, _PAULI_STACK).reshape(16, 4, 4)
+_CZ_DIAG = np.array([1, 1, 1, -1], dtype=np.complex128)
 
 
-def default_probes(scheme: Scheme, seed: int = _PROBE_SEED) -> list[InputState]:
-    """Probe inputs for brute-force derivation: random draws plus every
-    degenerate input, so coincidental fidelity-1 survivors are ruled out."""
-    rng = np.random.default_rng([seed, 2, int(scheme)])
-    probes = [random_input(scheme, rng) for _ in range(_N_RANDOM_PROBES)]
-    return probes + degenerate_inputs(scheme)
+@functools.cache
+def branch_maps() -> np.ndarray:
+    """The 16 branch maps, ``branch_maps()[i, j]`` for the outcomes
+    (BELL_OUTCOMES[i], BELL_OUTCOMES[j]).
+
+    Each is the 4x4 map from the input on (1, 2) to the uncorrected output
+    on (4, 5), unnormalized, so |K v|^2 is the branch probability of input
+    v.  The protocol is linear in its input, so projecting the four basis
+    inputs through the simulator fixes every map; nothing is read from the
+    tables.  Built on first use and shared read-only afterwards.
+    """
+    maps = np.empty((4, 4, 4, 4), dtype=np.complex128)
+    for col, basis in enumerate(np.eye(4)):
+        total = assemble_total(InputState(Scheme.ARBITRARY, tuple(basis)))
+        for i, o13 in enumerate(BELL_OUTCOMES):
+            for j, o26 in enumerate(BELL_OUTCOMES):
+                prob, remainder = collapse_branch(total, o13, o26)
+                maps[i, j, :, col] = math.sqrt(prob) * remainder.amps
+    maps.setflags(write=False)
+    return maps
 
 
-def _restricted_probes(seed: int = _PROBE_SEED) -> list[InputState]:
-    """Arbitrary-scheme probes confined to the span of |00> and |11>."""
-    rng = np.random.default_rng([seed, 2, 3])
-    probes = []
-    for _ in range(_N_RANDOM_PROBES):
-        a, d = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        n = math.sqrt(abs(a) ** 2 + abs(d) ** 2)
-        probes.append(InputState(Scheme.ARBITRARY, (a / n, 0j, 0j, d / n)))
-    probes.append(InputState(Scheme.ARBITRARY, (1, 0, 0, 0)))
-    probes.append(InputState(Scheme.ARBITRARY, (0, 0, 0, 1)))
-    return probes
+def worst_fidelities(maps: np.ndarray, inputs) -> np.ndarray:
+    """For each 4x4 map M in the stack ``maps``, the minimum over ``inputs``
+    (amplitude vectors on (1, 2)) of the fidelity between M v and v."""
+    v = np.asarray(inputs, dtype=np.complex128)
+    if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] != 4:
+        raise ValueError("inputs must be a non-empty list of 4-amplitude vectors")
+    out = np.einsum("pij,nj->pni", maps, v)
+    overlap = np.abs(np.einsum("ni,pni->pn", v.conj(), out)) ** 2
+    norms = np.linalg.norm(out, axis=2) ** 2 * np.linalg.norm(v, axis=1) ** 2
+    return (overlap / norms).min(axis=1)
 
 
-def pauli_pair_fidelities(o13: BellOutcome, o26: BellOutcome, probes, cz_first: bool):
+def pauli_pair_fidelities(o13: BellOutcome, o26: BellOutcome, inputs, cz_first: bool):
     """Worst-case fidelity of every Pauli-pair repair for one branch.
 
-    For each candidate (p4, p5) the value is the minimum, over the probe
-    inputs, of the post-repair fidelity against the relabeled input.  With
-    ``cz_first`` the controlled-phase runs before the Pauli pair.
+    ``inputs`` holds amplitude vectors on (1, 2).  For each candidate
+    (p4, p5) the value is the minimum, over those inputs, of the
+    post-repair fidelity against the input.  With ``cz_first`` the
+    controlled-phase runs before the Pauli pair.
     """
-    if not probes:
-        raise ValueError("at least one probe input is required")
-    worst = {(p4, p5): math.inf for p4 in PAULI_NAMES for p5 in PAULI_NAMES}
-    for probe in probes:
-        _, remainder = collapse_branch(assemble_total(probe), o13, o26)
-        base = apply_cz(remainder, 4, 5) if cz_first else remainder
-        target = target_state(probe)
-        for p4 in PAULI_NAMES:
-            after4 = base if p4 == "I" else apply_single(base, 4, PAULIS[p4])
-            for p5 in PAULI_NAMES:
-                out = after4 if p5 == "I" else apply_single(after4, 5, PAULIS[p5])
-                f = fidelity(target, out)
-                if f < worst[(p4, p5)]:
-                    worst[(p4, p5)] = f
-    return worst
+    k = branch_maps()[BELL_OUTCOMES.index(o13), BELL_OUTCOMES.index(o26)]
+    if cz_first:
+        k = _CZ_DIAG[:, None] * k
+    return dict(zip(_PAULI_PAIRS, worst_fidelities(_PAIR_OPS @ k, inputs).tolist()))
 
 
-def derive_corrections(scheme: Scheme, o13: BellOutcome, o26: BellOutcome, probes=None):
-    """Brute-force the correction set for one branch.
+def derive_corrections(scheme: Scheme, o13: BellOutcome, o26: BellOutcome):
+    """Derive the correction set for one branch.
 
     Enumerates all 16 Pauli pairs (with the CZ step fixed by the scheme)
-    and keeps those whose worst probe fidelity reaches 1 - CORRECTION_TOL.
-    An empty result cannot come from a bad branch, only from a bug, so it
-    raises instead of returning.
+    and keeps those whose worst fidelity over the scheme's input family
+    reaches 1 - CORRECTION_TOL, which makes them exact for every input of
+    the scheme.  An empty result cannot come from a bad branch, only from a
+    bug, so it raises instead of returning.
     """
     scheme = Scheme(scheme)
-    if probes is None:
-        probes = default_probes(scheme)
     cz = scheme is Scheme.ARBITRARY
-    worst = pauli_pair_fidelities(o13, o26, probes, cz_first=cz)
+    family = SUBSPACE_FAMILY if scheme is Scheme.SPECIAL else FULL_FAMILY
+    worst = pauli_pair_fidelities(o13, o26, family, cz_first=cz)
     found = [
         CorrectionOp(p4, p5, cz_first=cz)
-        for p4 in PAULI_NAMES
-        for p5 in PAULI_NAMES
-        if worst[(p4, p5)] >= 1.0 - CORRECTION_TOL
+        for (p4, p5), f in worst.items()
+        if f >= 1.0 - CORRECTION_TOL
     ]
     if not found:
         raise RuntimeError(
@@ -346,14 +356,14 @@ VERDICT_MISMATCH = "mismatch"
 
 @dataclass(frozen=True)
 class TableEntry:
-    """Comparison of one table cell against the brute-force derivation.
+    """Comparison of one table cell against the derivation.
 
     ``verdict`` is exact-up-to-global-phase when every listed correction
-    is rediscovered on the scheme's own probes, subspace-only when it only
-    survives probes confined to the |00>/|11> span, mismatch otherwise.
+    is rediscovered on the scheme's own input family, subspace-only when it
+    only works on the |00>/|11> span, mismatch otherwise.
     ``subspace_only`` flags listed corrections that stop working on
     arbitrary inputs even with the CZ step included (populated for
-    Scheme.SPECIAL, whose own probes never exercise |01> or |10>).
+    Scheme.SPECIAL, whose own inputs never exercise |01> or |10>).
     """
 
     outcome13: BellOutcome
@@ -374,27 +384,25 @@ class TableReport:
         return all(e.verdict == VERDICT_EXACT for e in self.entries)
 
 
-def verify_tables(scheme: Scheme, probes=None) -> TableReport:
-    """Check every cell of the scheme's correction table by brute force."""
+def verify_tables(scheme: Scheme) -> TableReport:
+    """Check every cell of the scheme's correction table against derivation."""
     scheme = Scheme(scheme)
-    native = probes if probes is not None else default_probes(scheme)
-    full = default_probes(Scheme.ARBITRARY)
     entries = []
     for o13 in BELL_OUTCOMES:
         for o26 in BELL_OUTCOMES:
-            derived = tuple(derive_corrections(scheme, o13, o26, native))
+            derived = tuple(derive_corrections(scheme, o13, o26))
             listed = tuple(table_lookup(scheme, o13, o26))
             if all(op in derived for op in listed):
                 verdict = VERDICT_EXACT
             elif scheme is Scheme.ARBITRARY:
-                w = pauli_pair_fidelities(o13, o26, _restricted_probes(), cz_first=True)
+                w = pauli_pair_fidelities(o13, o26, SUBSPACE_FAMILY, cz_first=True)
                 ok = all(w[(op.p4, op.p5)] >= 1.0 - CORRECTION_TOL for op in listed)
                 verdict = VERDICT_SUBSPACE if ok else VERDICT_MISMATCH
             else:
                 verdict = VERDICT_MISMATCH
             subspace = ()
             if scheme is Scheme.SPECIAL:
-                w_full = pauli_pair_fidelities(o13, o26, full, cz_first=True)
+                w_full = pauli_pair_fidelities(o13, o26, FULL_FAMILY, cz_first=True)
                 subspace = tuple(
                     op for op in listed if w_full[(op.p4, op.p5)] < 1.0 - CORRECTION_TOL
                 )

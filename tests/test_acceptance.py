@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+import dense_oracle
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
@@ -19,7 +20,6 @@ from clusterport import (
     apply_cz,
     assemble_total,
     collapse_branch,
-    default_probes,
     emit_report,
     fidelity,
     pauli_pair_fidelities,
@@ -28,6 +28,7 @@ from clusterport import (
     run_montecarlo,
     verify_tables,
 )
+from clusterport.protocol import SUBSPACE_FAMILY
 
 ALL_PAIRS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
 
@@ -86,7 +87,7 @@ def test_branch_probabilities_uniform():
 
 
 def test_arbitrary_scheme_table_rederived():
-    # brute force over Pauli pairs must rediscover the full-input table
+    # derivation over Pauli pairs must rediscover the full-input table
     # exactly, with a unique survivor per branch
     start = time.perf_counter()
     report = verify_tables(Scheme.ARBITRARY)
@@ -102,19 +103,20 @@ def test_arbitrary_scheme_table_rederived():
 
 def test_restricted_scheme_table_verified():
     # every listed repair, both alternatives of the dual cells included,
-    # must survive the restricted probes; at least one dual cell must be
+    # must survive the restricted input family exactly and the dense brute
+    # force on seeded restricted probes; at least one dual cell must be
     # shown NOT to generalize to arbitrary inputs
-    probes = default_probes(Scheme.SPECIAL)
+    probes = dense_oracle.scheme_probes(Scheme.SPECIAL, 1851)
     report = verify_tables(Scheme.SPECIAL)
     listed_total = 0
     worst = 1.0
     for entry in report.entries:
-        w = pauli_pair_fidelities(
-            entry.outcome13, entry.outcome26, probes, cz_first=False
-        )
+        pair = (entry.outcome13, entry.outcome26)
+        exact = pauli_pair_fidelities(*pair, SUBSPACE_FAMILY, cz_first=False)
+        dense = dense_oracle.pair_fidelities(*pair, probes, cz_first=False)
         for op in entry.listed:
             listed_total += 1
-            worst = min(worst, w[(op.p4, op.p5)])
+            worst = min(worst, exact[(op.p4, op.p5)], dense[(op.p4, op.p5)])
     dual_subspace = any(len(e.listed) == 2 and e.subspace_only for e in report.entries)
     check(
         "restricted-input table verified, dual entries included",
@@ -165,7 +167,7 @@ def test_cz_step_required():
             break
     broken = 0
     for o13, o26 in ALL_PAIRS:
-        w = pauli_pair_fidelities(o13, o26, [probe], cz_first=False)
+        w = pauli_pair_fidelities(o13, o26, [probe.coeffs], cz_first=False)
         if max(w.values()) < 1 - 1e-6:
             broken += 1
     check(

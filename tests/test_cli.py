@@ -150,6 +150,35 @@ class TestMain:
         doc = json.loads(dest.read_text())
         assert doc["schema"] == 1
 
+    def test_out_into_missing_directory_exit_2(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "report.json"
+        code, out, err = run_main(capsys, "derive", "--scheme", "2", "--out", str(dest))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"clusterport: cannot write report to {dest}: ")
+        assert "Traceback" not in err
+        assert not dest.parent.exists()
+
+    def test_out_onto_directory_exit_2_leaves_nothing(self, capsys, tmp_path):
+        dest = tmp_path / "taken"
+        dest.mkdir()
+        code, _, err = run_main(capsys, "verify", "--scheme", "1", "--out", str(dest))
+        assert code == 2
+        assert "cannot write report" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(dest.iterdir()) == []
+
+    def test_out_replaces_existing_file_whole(self, capsys, tmp_path):
+        dest = tmp_path / "report.csv"
+        dest.write_text("stale\n" * 1000)
+        code, _, _ = run_main(
+            capsys, "derive", "--scheme", "2", "--format", "csv", "--out", str(dest)
+        )
+        assert code == 0
+        assert dest.read_text().startswith("outcome13,outcome26,derived,listed\n")
+        assert "stale" not in dest.read_text()
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
     def test_same_seed_same_stdout(self, capsys):
         _, first, _ = run_main(
             capsys, "sample", "--scheme", "1", "--trials", "100",

@@ -1,21 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
+import dense_oracle
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
-    InputState,
     Scheme,
     apply_correction,
     assemble_total,
     collapse_branch,
-    default_probes,
     derive_corrections,
     fidelity,
     pauli_pair_fidelities,
+    random_input,
     table_lookup,
     target_state,
     verify_tables,
+)
+from clusterport.protocol import (
+    FULL_FAMILY,
+    SUBSPACE_FAMILY,
+    branch_maps,
+    worst_fidelities,
 )
 
 PHI_P = BellOutcome.PHI_PLUS
@@ -24,6 +32,7 @@ PSI_P = BellOutcome.PSI_PLUS
 PSI_M = BellOutcome.PSI_MINUS
 
 ALL_PAIRS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
+FAMILY = {Scheme.ARBITRARY: FULL_FAMILY, Scheme.SPECIAL: SUBSPACE_FAMILY}
 
 # Multiplying both Paulis of a pair by Z changes the repair only by a global
 # phase on the alpha|00> + delta|11> subspace, swapping I<->Z and X<->Y.
@@ -72,8 +81,6 @@ class TestTableLookup:
         assert len(pairs) == 16
 
     def test_both_dual_alternatives_restore_input(self, rng):
-        from clusterport import random_input
-
         state = random_input(Scheme.SPECIAL, rng)
         target = target_state(state)
         for o13, o26 in ALL_PAIRS:
@@ -107,18 +114,92 @@ class TestDeriveCorrections:
             assert len(derived) == 1
             assert (derived[0].p4, derived[0].p5) == (listed[0].p4, listed[0].p5)
 
-    def test_empty_probes_rejected(self):
+    def test_empty_or_malformed_inputs_rejected(self):
         with pytest.raises(ValueError):
             pauli_pair_fidelities(PHI_P, PHI_P, [], cz_first=False)
         with pytest.raises(ValueError):
-            derive_corrections(Scheme.SPECIAL, PHI_P, PHI_P, probes=[])
+            pauli_pair_fidelities(PHI_P, PHI_P, [[0.6, 0.8]], cz_first=False)
+        with pytest.raises(ValueError):
+            pauli_pair_fidelities(PHI_P, PHI_P, [0.5, 0.5, 0.5, 0.5], cz_first=False)
 
-    def test_probe_sets_are_deterministic(self):
-        a = default_probes(Scheme.ARBITRARY)
-        b = default_probes(Scheme.ARBITRARY)
-        assert [s.coeffs for s in a] == [s.coeffs for s in b]
-        assert len(a) == 14  # ten random draws plus four basis states
-        assert len(default_probes(Scheme.SPECIAL)) == 12
+    def test_input_families(self):
+        full, sub = FULL_FAMILY, SUBSPACE_FAMILY
+        assert full.shape == (7, 4) and sub.shape == (3, 4)
+        for family in (full, sub):
+            np.testing.assert_allclose(np.linalg.norm(family, axis=1), 1.0, atol=1e-15)
+            assert not family.flags.writeable
+        assert not sub[:, 1:3].any()  # confined to the |00>/|11> span
+
+
+class TestBranchMaps:
+    def test_maps_reproduce_dense_branches(self, rng):
+        # linearity: the unnormalized dense remainder of any input is K_b v
+        maps = branch_maps()
+        assert not maps.flags.writeable
+        for _ in range(5):
+            state = random_input(Scheme.ARBITRARY, rng)
+            v = np.array(state.coeffs)
+            total = assemble_total(state)
+            for i, o13 in enumerate(BELL_OUTCOMES):
+                for j, o26 in enumerate(BELL_OUTCOMES):
+                    p, remainder = collapse_branch(total, o13, o26)
+                    np.testing.assert_allclose(
+                        maps[i, j] @ v, math.sqrt(p) * remainder.amps, atol=1e-14
+                    )
+
+    def test_every_map_is_a_quarter_unitary(self):
+        for k in branch_maps().reshape(16, 4, 4):
+            np.testing.assert_allclose(16 * k.conj().T @ k, np.eye(4), atol=1e-14)
+
+
+class TestInputFamilyProof:
+    def test_full_family_rejects_unequal_phases(self):
+        # a diagonal map keeps every basis state up to a scalar, so the
+        # basis states alone would accept it; the superpositions do not
+        maps = np.stack([np.diag([1, 1, 1, -1]), np.diag([1, 1j, 1, 1])]).astype(complex)
+        basis = FULL_FAMILY[:4]
+        np.testing.assert_allclose(worst_fidelities(maps, basis), 1.0, atol=1e-15)
+        assert (worst_fidelities(maps, FULL_FAMILY) < 0.6).all()
+
+    def test_subspace_family_rejects_unequal_phases(self):
+        # the |01> and |10> entries do not act on the scheme-1 span
+        maps = np.diag([1, 0.3, -0.7j, -1]).astype(complex)[None]
+        ends = SUBSPACE_FAMILY[:2]
+        np.testing.assert_allclose(worst_fidelities(maps, ends), 1.0, atol=1e-15)
+        assert worst_fidelities(maps, SUBSPACE_FAMILY)[0] < 1e-15
+
+    def test_scalar_identity_accepted(self):
+        maps = (np.exp(0.4j) * np.eye(4))[None]
+        for scheme in Scheme:
+            np.testing.assert_allclose(worst_fidelities(maps, FAMILY[scheme]), 1.0)
+
+
+# (scheme whose input family is derived on, dense probes standing for that
+# family); the scheme-1 family is checked against both probe sets the brute
+# force used for it
+_ORACLE_FAMILIES = {
+    "full": (Scheme.ARBITRARY, lambda seed: dense_oracle.scheme_probes(Scheme.ARBITRARY, seed)),
+    "special": (Scheme.SPECIAL, lambda seed: dense_oracle.scheme_probes(Scheme.SPECIAL, seed)),
+    "subspace": (Scheme.SPECIAL, dense_oracle.subspace_probes),
+}
+
+
+class TestExactAgainstDenseOracle:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("cz", [False, True], ids=["pauli", "cz"])
+    @pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
+    def test_derived_sets_match(self, family, cz, seed):
+        scheme, probes_for = _ORACLE_FAMILIES[family]
+        probes = probes_for(seed)
+        for o13, o26 in ALL_PAIRS:
+            expected = dense_oracle.surviving_pairs(
+                dense_oracle.pair_fidelities(o13, o26, probes, cz)
+            )
+            worst = pauli_pair_fidelities(o13, o26, FAMILY[scheme], cz)
+            assert dense_oracle.surviving_pairs(worst) == expected
+            if cz is (scheme is Scheme.ARBITRARY):
+                derived = {(op.p4, op.p5) for op in derive_corrections(scheme, o13, o26)}
+                assert derived == expected
 
 
 class TestVerifyTables:
@@ -153,7 +234,7 @@ class TestVerifyTables:
     def test_subspace_only_spot_check(self):
         # branch (Phi+, Phi+), repair I on 4 / Z on 5: perfect on the
         # restricted family, fidelity 0 on the uniform superposition
-        probe = [InputState.arbitrary(0.5, 0.5, 0.5, 0.5)]
+        probe = [[0.5, 0.5, 0.5, 0.5]]
         worst = pauli_pair_fidelities(PHI_P, PHI_P, probe, cz_first=True)
         assert worst[("I", "Z")] == pytest.approx(0.0, abs=1e-12)
         assert worst[("I", "I")] == pytest.approx(1.0, abs=1e-12)
@@ -162,8 +243,11 @@ class TestVerifyTables:
 class TestCzNecessity:
     def test_no_pauli_pair_suffices_without_cz(self):
         # dropping the controlled-phase step leaves every branch broken:
-        # no Pauli pair reaches worst-case fidelity anywhere near 1
-        probes = default_probes(Scheme.ARBITRARY)
+        # no Pauli pair reaches worst-case fidelity anywhere near 1, on the
+        # exact input family and on the dense brute force alike
+        probes = dense_oracle.scheme_probes(Scheme.ARBITRARY, 1851)
         for o13, o26 in ALL_PAIRS:
-            worst = pauli_pair_fidelities(o13, o26, probes, cz_first=False)
-            assert max(worst.values()) < 1 - 1e-6
+            exact = pauli_pair_fidelities(o13, o26, FULL_FAMILY, False)
+            dense = dense_oracle.pair_fidelities(o13, o26, probes, cz_first=False)
+            assert max(exact.values()) < 1 - 1e-6
+            assert max(dense.values()) < 1 - 1e-6

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -257,3 +258,41 @@ class TestReportObject:
     def test_passed_defaults_false_without_aggregate(self):
         r = Report(enum_cfg(), (), (), {})
         assert not r.passed
+
+
+# SHA-256 of derive/verify reports as the probe-based derivation wrote them;
+# the exact derivation must reproduce every byte
+_PINNED_DIGESTS = {
+    ("derive", 1, "json", 0): "901e67af8b77b49410dccc7a076685f7c4e0a5194d78fafa02a7d9f556a1a763",
+    ("derive", 1, "json", 7): "15c86b22f9aef0f1f05a58d7c8d57456cbe465fe028ac6e65117ee61f49ecafc",
+    ("derive", 1, "csv", 0): "eddbf167dfb14810d4ec74f3a57b98824924b3e6e3f334cc367c40329b281705",
+    ("derive", 1, "csv", 7): "eddbf167dfb14810d4ec74f3a57b98824924b3e6e3f334cc367c40329b281705",
+    ("derive", 1, "text", 0): "030cb82d96cfd2f79e18a7e828735872953cede1874e249595e0a0f4bbd0d796",
+    ("derive", 1, "text", 7): "6b56ec93ee508b454b08f1f0c2cab202b45a7d7be6d53fafd6032f2b29caeb25",
+    ("derive", 2, "json", 0): "9420f6df455cb805fc27eb8c50ccefce356626ca137d0e0c6b9adfce297fdaf0",
+    ("derive", 2, "json", 7): "07a5e1bc89f1abee9d6f3f215361d69c906a02f01f665c6a75d9d306211014d3",
+    ("derive", 2, "csv", 0): "546cbfb6d0b53225222030d599ab02a1b5cab71728cf5562731edf2ea279d64a",
+    ("derive", 2, "csv", 7): "546cbfb6d0b53225222030d599ab02a1b5cab71728cf5562731edf2ea279d64a",
+    ("derive", 2, "text", 0): "881295041728f5b62b2ce0bbb7b2d4419e47018180d56b88e56577452dd7206b",
+    ("derive", 2, "text", 7): "ffac94b82e3dea6f2c10b7294a9f5b0f5838e9f1a2cb0cea72900a70896b2465",
+    ("verify", 1, "json", 0): "5cfb05236754616ecb9dbece05b994597ab309775d8f31477480d02ff2e0ba02",
+    ("verify", 1, "json", 7): "2edc367f382410f6f70ef629f579b9f1a80faf24b92c3d2f36bf7672b0308644",
+    ("verify", 1, "csv", 0): "58e910938ba634d2205f85374882673fb78d91b03476496c38e3d6aaf4c28ad8",
+    ("verify", 1, "csv", 7): "58e910938ba634d2205f85374882673fb78d91b03476496c38e3d6aaf4c28ad8",
+    ("verify", 1, "text", 0): "99037e73a2256827a938072c7ade7e31d39a76be49ac176fd8cf17218dbbe0e1",
+    ("verify", 1, "text", 7): "6f3a85adab133480da45dd6d583ca6b7db3f4389102227edd58010c92798b6a6",
+    ("verify", 2, "json", 0): "c28abc34c5dce94cc9aa22c4f77d70b41e77e278b4600fbeb9f70a96bfdc92ef",
+    ("verify", 2, "json", 7): "1cc858a679d955d876d9d8aeb6bb8ae9e569d83f8e9ee30707c72812c3ee0384",
+    ("verify", 2, "csv", 0): "3612859f45dfb03a01faaa44ea84e36bb886a24f0a034fb8d0405763ffc1df27",
+    ("verify", 2, "csv", 7): "3612859f45dfb03a01faaa44ea84e36bb886a24f0a034fb8d0405763ffc1df27",
+    ("verify", 2, "text", 0): "559da2dfe663f5d7e0637a02124c841d7c369fd1e9021036388bf634ac8c5504",
+    ("verify", 2, "text", 7): "32cc4c707df646550ab35171eb00c7151d91b7c32770d9c5fb70e6cbbb9e5137",
+}
+
+
+class TestPinnedReportDigests:
+    @pytest.mark.parametrize("key", sorted(_PINNED_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+    def test_derive_verify_bytes_unchanged(self, key):
+        mode, scheme, fmt, seed = key
+        cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed, output_format=fmt)
+        assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_DIGESTS[key]
