@@ -96,11 +96,23 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def _write_atomically(path: Path, data: bytes) -> None:
-    """Write through a sibling temp file, so ``path`` never holds half a report."""
+def _write_report(path: Path, data: bytes) -> None:
+    """Write the report to ``path``.
+
+    A new or regular file is written through a sibling temp file that is
+    then renamed over it, keeping its mode, so ``path`` never holds half a
+    report.  Anything else (a symlink, a device such as /dev/null, a FIFO)
+    is written through in place: renaming over it would replace the link or
+    the device node instead of writing to it.
+    """
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        path.write_bytes(data)
+        return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
+        if path.exists():
+            os.chmod(tmp, path.stat().st_mode & 0o7777)
         os.replace(tmp, path)
     except OSError:
         tmp.unlink(missing_ok=True)
@@ -123,7 +135,7 @@ def main(argv=None) -> int:
     data = emit_report(report)
     if args.out is not None:
         try:
-            _write_atomically(args.out, data)
+            _write_report(args.out, data)
         except OSError as exc:
             print(f"clusterport: cannot write report to {args.out}: {exc.strerror or exc}",
                   file=sys.stderr)

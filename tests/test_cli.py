@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -178,6 +180,55 @@ class TestMain:
         assert dest.read_text().startswith("outcome13,outcome26,derived,listed\n")
         assert "stale" not in dest.read_text()
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    def test_out_keeps_existing_file_mode(self, capsys, tmp_path):
+        dest = tmp_path / "report.csv"
+        dest.write_text("stale\n")
+        dest.chmod(0o640)
+        code, _, _ = run_main(
+            capsys, "derive", "--scheme", "2", "--format", "csv", "--out", str(dest)
+        )
+        assert code == 0
+        assert stat.S_IMODE(dest.stat().st_mode) == 0o640
+        assert dest.read_text().startswith("outcome13,outcome26,derived,listed\n")
+
+    def test_out_through_symlink_writes_its_target(self, capsys, tmp_path):
+        target = tmp_path / "real.csv"
+        target.write_text("stale\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, _, _ = run_main(
+            capsys, "derive", "--scheme", "2", "--format", "csv", "--out", str(link)
+        )
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().startswith("outcome13,outcome26,derived,listed\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_into_fifo_writes_through(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # A non-blocking reader lets the writer open the pipe; the report
+        # fits in the pipe buffer, so nothing blocks.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_main(
+                capsys, "derive", "--scheme", "1", "--format", "csv", "--out", str(fifo)
+            )
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert data.startswith(b"outcome13,outcome26,derived,listed\n")
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_out_to_dev_null_leaves_the_device(self, capsys):
+        code, out, err = run_main(capsys, "derive", "--scheme", "1", "--out", "/dev/null")
+        assert code == 0 and out == "" and err == ""
+        assert stat.S_ISCHR(os.lstat("/dev/null").st_mode)
 
     def test_same_seed_same_stdout(self, capsys):
         _, first, _ = run_main(
