@@ -8,6 +8,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -49,7 +50,9 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool) -> None:
         p.add_argument("--tol", type=float, default=1e-10, help="fidelity check tolerance")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="clusterport",
         description="Simulate two-qubit teleportation over a four-qubit cluster channel.",
@@ -120,8 +123,7 @@ def _write_report(path: Path, data: bytes) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from(args)
     except ValueError as exc:

@@ -5,9 +5,15 @@ flows from the 64-bit seed through a fixed substream key, so rerunning a
 config reproduces the report byte for byte in any format.
 
 Substream keys: random input k uses default_rng([seed, 0, k]), Monte Carlo
-trial t uses default_rng([seed, 1, t]).  Trials therefore sample
-identically whether executed serially or not.  Derivation and verification
-are exact and draw nothing, so the seed only appears in their config.
+trial t uses default_rng([seed, 1, t]).  Each trial draws two uniforms from
+its substream: the first picks the outcome on (1, 3) from its marginal, the
+second the outcome on (2, 6) from the row conditioned on the first.  Trials
+therefore sample identically whether executed serially or not.  Derivation
+and verification are exact and draw nothing, so the seed only appears in
+their config.
+
+Every mode reads the 16 branch maps of ``protocol.branch_maps``; none
+rebuilds the six-qubit state per input or per trial.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7)
     report = run(cfg)
@@ -24,21 +30,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import BELL_OUTCOMES, BellOutcome, sample_bell
+from .measurement import BELL_OUTCOMES, BellOutcome, draw_index
 from .protocol import (
+    OUTPUT_LABELS,
     CorrectionOp,
     InputState,
     Scheme,
-    apply_correction,
-    assemble_total,
+    branch_maps,
     derive_corrections,
+    map_inputs,
     random_input,
-    run_branch,
     table_lookup,
-    target_state,
     verify_tables,
 )
-from .statevec import fidelity, format_state
+from .statevec import _trusted, format_state
 
 MODES = ("enumerate", "sample", "derive", "verify")
 FORMATS = ("json", "csv", "text")
@@ -116,7 +121,7 @@ class Report:
     inputs: tuple[InputSummary, ...]
     aggregates: dict
     verdicts: tuple[dict, ...] | None = None
-    schema: int = 1
+    schema: int = 2
 
     @property
     def passed(self) -> bool:
@@ -138,36 +143,39 @@ def _configured_inputs(cfg: RunConfig) -> list[InputState]:
     return _drawn_inputs(cfg, cfg.random_inputs)
 
 
+def _repaired_branches(scheme: Scheme, inputs: list[InputState]):
+    """Every branch of every input, repaired by the table's first listed
+    correction: the corrections in ``_ALL_PAIRS`` order, then probabilities,
+    fidelities and display forms of the outputs, indexed [input][branch]."""
+    ops = [table_lookup(scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS]
+    repaired = np.stack([op.matrix() for op in ops]) @ branch_maps().reshape(16, 4, 4)
+    out, fids = map_inputs(repaired, [s.amps for s in inputs])
+    probs = (out.real * out.real + out.imag * out.imag).sum(axis=2)
+    unit = out / np.sqrt(probs)[..., None]
+    states = [[format_state(_trusted(OUTPUT_LABELS, vec)) for vec in row] for row in unit]
+    return ops, probs.tolist(), fids.tolist(), states
+
+
 def run_enumeration(cfg: RunConfig) -> Report:
-    """Deterministically execute all 16 branches for every input."""
+    """Evaluate all 16 branches for every input."""
     if cfg.mode != "enumerate":
         raise ValueError(f"run_enumeration needs mode 'enumerate', got {cfg.mode!r}")
     inputs = _configured_inputs(cfg)
-    branches: list[BranchRecord] = []
-    summaries: list[InputSummary] = []
-    for k, state in enumerate(inputs):
-        fids = []
-        total = 0.0
-        for o13, o26 in _ALL_PAIRS:
-            r = run_branch(state, o13, o26)
-            branches.append(
-                BranchRecord(
-                    k, o13, o26, r.probability, r.fidelity, r.correction,
-                    format_state(r.corrected_state),
-                )
-            )
-            fids.append(r.fidelity)
-            total += r.probability
-        summaries.append(InputSummary(state.coeffs, total, min(fids)))
+    ops, probs, fids, states = _repaired_branches(cfg.scheme, inputs)
+    branches = [
+        BranchRecord(k, o13, o26, probs[k][b], fids[k][b], ops[b], states[k][b])
+        for k in range(len(inputs))
+        for b, (o13, o26) in enumerate(_ALL_PAIRS)
+    ]
+    summaries = [InputSummary(s.coeffs, sum(p), min(f)) for s, p, f in zip(inputs, probs, fids)]
     min_fid = min(s.min_fidelity for s in summaries)
     worst_total = max((s.total_probability for s in summaries), key=lambda t: abs(t - 1.0))
-    probs = [b.probability for b in branches]
     aggregates = {
         "num_inputs": len(inputs),
         "min_fidelity": min_fid,
         "total_probability_worst": worst_total,
-        "branch_probability_min": min(probs),
-        "branch_probability_max": max(probs),
+        "branch_probability_min": min(map(min, probs)),
+        "branch_probability_max": max(map(max, probs)),
         "pass": (min_fid >= 1.0 - cfg.fidelity_tol)
         and (abs(worst_total - 1.0) <= TOTAL_PROB_TOL),
     }
@@ -175,48 +183,31 @@ def run_enumeration(cfg: RunConfig) -> Report:
 
 
 def run_montecarlo(cfg: RunConfig) -> Report:
-    """Sample the protocol end to end ``trials`` times."""
+    """Sample the two measurement outcomes ``trials`` times."""
     if cfg.mode != "sample":
         raise ValueError(f"run_montecarlo needs mode 'sample', got {cfg.mode!r}")
     state = _configured_inputs(cfg)[0]
-    total = assemble_total(state)
-    target = target_state(state)
-    op_of = {pair: table_lookup(cfg.scheme, *pair)[0] for pair in _ALL_PAIRS}
-    counts: dict = {pair: 0 for pair in _ALL_PAIRS}
-    prob_of: dict = {}
-    min_fid_of: dict = {}
-    state_of: dict = {}
-    min_fid = math.inf
+    ops, probs, fids, states = _repaired_branches(cfg.scheme, [state])
+    joint = np.reshape(probs[0], (4, 4))
+    marginal = joint.sum(axis=1)
+    counts = [0] * 16
     for t in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, 1, t])
-        o13, first = sample_bell(total, 1, 3, rng)
-        o26, second = sample_bell(first.remainder, 2, 6, rng)
-        op = op_of[(o13, o26)]
-        corrected = apply_correction(second.remainder, op)
-        fid = fidelity(target, corrected)
-        pair = (o13, o26)
-        counts[pair] += 1
-        if pair not in prob_of:
-            prob_of[pair] = first.probability * second.probability
-            state_of[pair] = format_state(corrected)
-            min_fid_of[pair] = fid
-        elif fid < min_fid_of[pair]:
-            min_fid_of[pair] = fid
-        if fid < min_fid:
-            min_fid = fid
+        i = draw_index(marginal, rng.random())
+        counts[4 * i + draw_index(joint[i], rng.random())] += 1
     branches = tuple(
         BranchRecord(
-            0, o13, o26, prob_of[(o13, o26)], min_fid_of[(o13, o26)],
-            op_of[(o13, o26)], state_of[(o13, o26)],
-            count=counts[(o13, o26)], frequency=counts[(o13, o26)] / cfg.trials,
+            0, o13, o26, probs[0][b], fids[0][b], ops[b], states[0][b],
+            count=counts[b], frequency=counts[b] / cfg.trials,
         )
-        for (o13, o26) in _ALL_PAIRS
-        if counts[(o13, o26)] > 0
+        for b, (o13, o26) in enumerate(_ALL_PAIRS)
+        if counts[b] > 0
     )
+    min_fid = min(r.fidelity for r in branches)
     p = 1.0 / 16.0
     sigma = math.sqrt(p * (1.0 - p) / cfg.trials)
-    max_dev = max(abs(counts[pair] / cfg.trials - p) for pair in _ALL_PAIRS)
-    summary = InputSummary(state.coeffs, sum(prob_of.values()), min_fid)
+    max_dev = max(abs(n / cfg.trials - p) for n in counts)
+    summary = InputSummary(state.coeffs, sum(r.probability for r in branches), min_fid)
     aggregates = {
         "trials": cfg.trials,
         "min_fidelity": min_fid,

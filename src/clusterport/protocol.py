@@ -1,4 +1,5 @@
-"""End-to-end executors for the two cluster-channel teleportation schemes.
+"""The two cluster-channel teleportation schemes: channel, branches,
+branch maps and correction tables.
 
 Particle numbering: the sender holds the unknown two-qubit state on
 particles (1, 2) plus channel particles 3 and 6; the receiver holds
@@ -15,7 +16,8 @@ a branch-specific correction on the receiver's pair restores the input:
   followed by one Pauli per output qubit.
 
 The protocol is linear in the input, so each branch is a fixed 4x4 map
-from (1, 2) to (4, 5) (``branch_maps``, built from the simulator).
+from (1, 2) to (4, 5) (``branch_maps``, built once from the simulator),
+and every run mode evaluates these maps instead of the six-qubit state.
 ``derive_corrections`` rediscovers the correction for any branch from that
 map over the 16 Pauli pairs, exactly for every input of the scheme, which
 is how ``verify_tables`` checks the hard-coded tables against the simulator
@@ -33,12 +35,11 @@ import numpy as np
 
 from .gates import PAULIS, apply_cz, apply_single
 from .measurement import BELL_OUTCOMES, BellOutcome, project_bell
-from .statevec import StateVector, fidelity, relabel, tensor
+from .statevec import StateVector, relabel, tensor
 
 INPUT_LABELS = (1, 2)
 CHANNEL_LABELS = (3, 4, 5, 6)
 OUTPUT_LABELS = (4, 5)
-MEASURED_PAIRS = ((1, 3), (2, 6))
 
 # The claim under test is that particles (4, 5) finish in the input state,
 # so the input is relabeled onto the output particles before any comparison.
@@ -102,6 +103,14 @@ class InputState:
             raise ValueError("cannot renormalize all-zero coefficients")
         return cls(scheme, tuple(c / n for c in vals))
 
+    @property
+    def amps(self) -> np.ndarray:
+        """Amplitudes over |00>, |01>, |10>, |11> of particles (1, 2)."""
+        if self.scheme is Scheme.SPECIAL:
+            alpha, delta = self.coeffs
+            return np.array((alpha, 0j, 0j, delta))
+        return np.array(self.coeffs, dtype=np.complex128)
+
 
 @dataclass(frozen=True)
 class CorrectionOp:
@@ -122,18 +131,11 @@ class CorrectionOp:
         pair = f"{self.p4}{self.p5}"
         return f"CZ+{pair}" if self.cz_first else pair
 
-
-@dataclass(frozen=True)
-class TrialResult:
-    """One executed branch: the two outcomes, the joint probability, the
-    corrected output on (4, 5), and its fidelity against the input."""
-
-    outcome13: BellOutcome
-    outcome26: BellOutcome
-    probability: float
-    corrected_state: StateVector
-    fidelity: float
-    correction: CorrectionOp
+    def matrix(self) -> np.ndarray:
+        """The repair as a 4x4 matrix on (4, 5): the Pauli pair after the
+        optional controlled-phase."""
+        m = _PAIR_OPS[_PAULI_PAIRS.index((self.p4, self.p5))]
+        return m * _CZ_DIAG if self.cz_first else m
 
 
 def cluster_state() -> StateVector:
@@ -146,12 +148,7 @@ def cluster_state() -> StateVector:
 
 def make_input(state: InputState) -> StateVector:
     """The input coefficients as a state on particles (1, 2)."""
-    if state.scheme is Scheme.SPECIAL:
-        alpha, delta = state.coeffs
-        amps = (alpha, 0j, 0j, delta)
-    else:
-        amps = state.coeffs
-    return StateVector(INPUT_LABELS, np.array(amps, dtype=np.complex128))
+    return StateVector(INPUT_LABELS, state.amps)
 
 
 def target_state(state: InputState) -> StateVector:
@@ -187,17 +184,6 @@ def apply_correction(s: StateVector, op: CorrectionOp) -> StateVector:
     if op.p5 != "I":
         out = apply_single(out, 5, PAULIS[op.p5])
     return out
-
-
-def run_branch(state: InputState, o13: BellOutcome, o26: BellOutcome) -> TrialResult:
-    """Execute one branch end to end with the table's listed correction.
-
-    When a cell lists two equivalent corrections the first one is applied.
-    """
-    prob, remainder = collapse_branch(assemble_total(state), o13, o26)
-    op = table_lookup(state.scheme, o13, o26)[0]
-    corrected = apply_correction(remainder, op)
-    return TrialResult(o13, o26, prob, corrected, fidelity(target_state(state), corrected), op)
 
 
 _PHI_P, _PHI_M, _PSI_P, _PSI_M = BELL_OUTCOMES
@@ -298,16 +284,23 @@ def branch_maps() -> np.ndarray:
     return maps
 
 
-def worst_fidelities(maps: np.ndarray, inputs) -> np.ndarray:
-    """For each 4x4 map M in the stack ``maps``, the minimum over ``inputs``
-    (amplitude vectors on (1, 2)) of the fidelity between M v and v."""
+def map_inputs(maps: np.ndarray, inputs):
+    """Apply every 4x4 map M in the stack ``maps`` to every amplitude vector
+    v on (1, 2) in ``inputs``: ``(out, fid)`` with ``out[n, p]`` = M_p v_n and
+    ``fid[n, p]`` the fidelity of that output, normalized, against v_n."""
     v = np.asarray(inputs, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] != 4:
         raise ValueError("inputs must be a non-empty list of 4-amplitude vectors")
-    out = np.einsum("pij,nj->pni", maps, v)
-    overlap = np.abs(np.einsum("ni,pni->pn", v.conj(), out)) ** 2
-    norms = np.linalg.norm(out, axis=2) ** 2 * np.linalg.norm(v, axis=1) ** 2
-    return (overlap / norms).min(axis=1)
+    out = np.einsum("pij,nj->npi", maps, v)
+    overlap = np.abs(np.einsum("ni,npi->np", v.conj(), out)) ** 2
+    return out, overlap / np.linalg.norm(out, axis=2) ** 2
+
+
+def worst_fidelities(maps: np.ndarray, inputs) -> np.ndarray:
+    """For each 4x4 map M in the stack ``maps``, the minimum over ``inputs``
+    (amplitude vectors on (1, 2)) of the fidelity between M v and v."""
+    fid = map_inputs(maps, inputs)[1] / np.linalg.norm(np.asarray(inputs), axis=1)[:, None] ** 2
+    return fid.min(axis=0)
 
 
 def pauli_pair_fidelities(o13: BellOutcome, o26: BellOutcome, inputs, cz_first: bool):

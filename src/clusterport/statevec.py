@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_QUBITS = 8
-
 # Vectors whose norm falls below this cannot be normalized: asking for it
 # means an impossible measurement branch escaped its caller.
 ZERO_NORM_FLOOR = 1e-12
@@ -42,8 +40,6 @@ class StateVector:
             raise ValueError(f"duplicate qubit labels: {labels}")
         if any(q < 1 for q in labels):
             raise ValueError(f"qubit labels must be positive integers: {labels}")
-        if len(labels) > MAX_QUBITS:
-            raise ValueError(f"register of {len(labels)} qubits exceeds the cap of {MAX_QUBITS}")
         amps = np.array(self.amps, dtype=np.complex128)
         if amps.ndim != 1 or amps.size != 2 ** len(labels):
             raise ValueError(
@@ -113,29 +109,10 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def reorder(s: StateVector, labels) -> StateVector:
-    """The same state with its register listed in a different order."""
-    new = tuple(int(q) for q in labels)
-    if sorted(new) != sorted(s.labels):
-        raise ValueError(f"{new} is not a permutation of {s.labels}")
-    if new == s.labels:
-        return s
-    axes = [s.labels.index(q) for q in new]
-    amps = s.amps.reshape((2,) * s.n_qubits).transpose(axes).reshape(-1)
-    return _trusted(new, np.ascontiguousarray(amps))
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
-    """Squared overlap |<a|b>|^2, insensitive to global phase.
-
-    The registers must cover the same label set; ``b`` is reordered to
-    ``a``'s ordering internally, callers never permute by hand.
-    """
-    if a.labels != b.labels:
-        if sorted(a.labels) != sorted(b.labels):
-            raise ValueError(f"registers differ: {a.labels} vs {b.labels}")
-        b = reorder(b, a.labels)
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
+    """Squared overlap |<a|b>|^2, insensitive to global phase, for registers
+    listed in the same order."""
+    return float(abs(inner(a, b)) ** 2)
 
 
 def normalize(a: StateVector) -> StateVector:

@@ -1,29 +1,80 @@
-"""Dense per-branch brute force, kept in the tests as the reference that the
-exact branch-map derivation is compared against.
+"""Dense per-branch simulation, kept in the tests as the reference that the
+branch-map core of every mode is compared against.
 
-Each probe input is assembled into the six-qubit state, projected onto one
-branch and repaired gate by gate, so nothing here reads ``branch_maps``.
+Each input is assembled into the six-qubit state, projected onto one branch
+(or sampled pair by pair) and repaired gate by gate, so nothing here reads
+``branch_maps``.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from clusterport import (
+    BELL_OUTCOMES,
+    CorrectionOp,
     InputState,
     Scheme,
+    StateVector,
+    apply_correction,
     apply_cz,
     apply_single,
     assemble_total,
     collapse_branch,
     fidelity,
+    format_state,
     random_input,
+    sample_bell,
+    table_lookup,
     target_state,
 )
 from clusterport.gates import PAULIS
 from clusterport.protocol import CORRECTION_TOL, PAULI_NAMES
 
 N_RANDOM_PROBES = 10
+
+
+class Branch(NamedTuple):
+    """One branch executed end to end with the table's first listed repair."""
+
+    probability: float
+    corrected_state: StateVector
+    fidelity: float
+    correction: CorrectionOp
+
+
+def run_branch(state, o13, o26):
+    """Project the six-qubit state onto one branch and repair it gate by gate."""
+    prob, remainder = collapse_branch(assemble_total(state), o13, o26)
+    op = table_lookup(state.scheme, o13, o26)[0]
+    corrected = apply_correction(remainder, op)
+    return Branch(prob, corrected, fidelity(target_state(state), corrected), op)
+
+
+def assert_record_matches(state, rec):
+    """A branch result (a BranchRecord or its report fields) agrees with
+    ``run_branch``: probability and fidelity within 1e-14, the same
+    correction and the same display form of the output."""
+    dense = run_branch(state, rec.outcome13, rec.outcome26)
+    assert abs(rec.probability - dense.probability) <= 1e-14
+    assert abs(rec.fidelity - dense.fidelity) <= 1e-14
+    assert str(rec.correction) == str(dense.correction)
+    assert rec.state == format_state(dense.corrected_state)
+
+
+def sample_counts(state, seed, trials):
+    """Outcome-pair counts of ``trials`` dense Monte Carlo trials: trial t
+    samples (1, 3) and then (2, 6) from the six-qubit state with
+    default_rng([seed, 1, t])."""
+    total = assemble_total(state)
+    counts = {(a, b): 0 for a in BELL_OUTCOMES for b in BELL_OUTCOMES}
+    for t in range(trials):
+        rng = np.random.default_rng([seed, 1, t])
+        o13, first = sample_bell(total, 1, 3, rng)
+        o26, _ = sample_bell(first.remainder, 2, 6, rng)
+        counts[(o13, o26)] += 1
+    return counts
 
 
 def _basis_inputs(scheme):

@@ -1,9 +1,13 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
 
+import dense_oracle
 from clusterport import (
+    BellOutcome,
+    InputState,
     Report,
     RunConfig,
     Scheme,
@@ -14,6 +18,7 @@ from clusterport import (
     run_montecarlo,
     run_verification,
 )
+from clusterport.cli import main
 
 
 def enum_cfg(**kw):
@@ -172,7 +177,7 @@ class TestJsonFormat:
     def test_top_level_shape(self):
         doc = json.loads(emit_report(run(enum_cfg()), "json"))
         assert list(doc) == ["schema", "config", "branches", "aggregates", "verdicts"]
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["verdicts"] is None
         assert doc["config"]["mode"] == "enumerate"
         assert doc["config"]["scheme"] == 1
@@ -260,29 +265,30 @@ class TestReportObject:
         assert not r.passed
 
 
-# SHA-256 of derive/verify reports as the probe-based derivation wrote them;
-# the exact derivation must reproduce every byte
+# SHA-256 of derive/verify reports as the probe-based derivation wrote them
+# (JSON with its "schema":1 token replaced by "schema":2); the exact
+# derivation must reproduce every byte
 _PINNED_DIGESTS = {
-    ("derive", 1, "json", 0): "901e67af8b77b49410dccc7a076685f7c4e0a5194d78fafa02a7d9f556a1a763",
-    ("derive", 1, "json", 7): "15c86b22f9aef0f1f05a58d7c8d57456cbe465fe028ac6e65117ee61f49ecafc",
+    ("derive", 1, "json", 0): "bc0af63cca73947b46eab95d7c240e75b96f1a1397d7e33497b762875717a51b",
+    ("derive", 1, "json", 7): "c1746ccc7fb513914e1e30f8901981a356292f5c0a528e4562082bf01abe8eff",
     ("derive", 1, "csv", 0): "eddbf167dfb14810d4ec74f3a57b98824924b3e6e3f334cc367c40329b281705",
     ("derive", 1, "csv", 7): "eddbf167dfb14810d4ec74f3a57b98824924b3e6e3f334cc367c40329b281705",
     ("derive", 1, "text", 0): "030cb82d96cfd2f79e18a7e828735872953cede1874e249595e0a0f4bbd0d796",
     ("derive", 1, "text", 7): "6b56ec93ee508b454b08f1f0c2cab202b45a7d7be6d53fafd6032f2b29caeb25",
-    ("derive", 2, "json", 0): "9420f6df455cb805fc27eb8c50ccefce356626ca137d0e0c6b9adfce297fdaf0",
-    ("derive", 2, "json", 7): "07a5e1bc89f1abee9d6f3f215361d69c906a02f01f665c6a75d9d306211014d3",
+    ("derive", 2, "json", 0): "2d711fa195dfd34f5a68cfbc23387b7c11ed865a2638cb0cfbc7ddc63b0842cf",
+    ("derive", 2, "json", 7): "bce368c124a5b675411ad72a13cdd9ad9be45ca650f641387fd6710c55e0eac9",
     ("derive", 2, "csv", 0): "546cbfb6d0b53225222030d599ab02a1b5cab71728cf5562731edf2ea279d64a",
     ("derive", 2, "csv", 7): "546cbfb6d0b53225222030d599ab02a1b5cab71728cf5562731edf2ea279d64a",
     ("derive", 2, "text", 0): "881295041728f5b62b2ce0bbb7b2d4419e47018180d56b88e56577452dd7206b",
     ("derive", 2, "text", 7): "ffac94b82e3dea6f2c10b7294a9f5b0f5838e9f1a2cb0cea72900a70896b2465",
-    ("verify", 1, "json", 0): "5cfb05236754616ecb9dbece05b994597ab309775d8f31477480d02ff2e0ba02",
-    ("verify", 1, "json", 7): "2edc367f382410f6f70ef629f579b9f1a80faf24b92c3d2f36bf7672b0308644",
+    ("verify", 1, "json", 0): "dc5cd99856c35d0456af96637cfb575e5e1ae276e7bca0d08fe8ef10705b5b13",
+    ("verify", 1, "json", 7): "5049bff3e804140ac4a1d5617b822fc95cceef1ad0ebb2aad136fa910ea5ef15",
     ("verify", 1, "csv", 0): "58e910938ba634d2205f85374882673fb78d91b03476496c38e3d6aaf4c28ad8",
     ("verify", 1, "csv", 7): "58e910938ba634d2205f85374882673fb78d91b03476496c38e3d6aaf4c28ad8",
     ("verify", 1, "text", 0): "99037e73a2256827a938072c7ade7e31d39a76be49ac176fd8cf17218dbbe0e1",
     ("verify", 1, "text", 7): "6f3a85adab133480da45dd6d583ca6b7db3f4389102227edd58010c92798b6a6",
-    ("verify", 2, "json", 0): "c28abc34c5dce94cc9aa22c4f77d70b41e77e278b4600fbeb9f70a96bfdc92ef",
-    ("verify", 2, "json", 7): "1cc858a679d955d876d9d8aeb6bb8ae9e569d83f8e9ee30707c72812c3ee0384",
+    ("verify", 2, "json", 0): "25218cfdae1503c2b83db63c1428e434dc040889d96277e77b551f35f32e87cf",
+    ("verify", 2, "json", 7): "c4516a0ac0d0748ff991c172628cf83ff8ea6aa88e9901642c5b606a39771cde",
     ("verify", 2, "csv", 0): "3612859f45dfb03a01faaa44ea84e36bb886a24f0a034fb8d0405763ffc1df27",
     ("verify", 2, "csv", 7): "3612859f45dfb03a01faaa44ea84e36bb886a24f0a034fb8d0405763ffc1df27",
     ("verify", 2, "text", 0): "559da2dfe663f5d7e0637a02124c841d7c369fd1e9021036388bf634ac8c5504",
@@ -296,3 +302,86 @@ class TestPinnedReportDigests:
         mode, scheme, fmt, seed = key
         cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed, output_format=fmt)
         assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_DIGESTS[key]
+
+
+# SHA-256 of enumerate/sample text reports (default inputs and trials) as the
+# per-branch six-qubit simulation wrote them; the branch-map core must
+# reproduce every byte
+_PINNED_TEXT_DIGESTS = {
+    ("enumerate", 1, 0): "c5990b56ddfcb3e3f9213b82733a83fee8721d7f704f25ac418027e4c55db52b",
+    ("enumerate", 1, 7): "cff610e1d35d96335c10b5524cfa5e9a41af2e5bb3b64d753ed181b0ce242798",
+    ("enumerate", 2, 0): "d5adbb2a19db26c68eeb7e9359147908eb3477bf7d0052e2e65ee9ab47210edc",
+    ("enumerate", 2, 7): "bd41cb835adf1a8c03dd22b745b09f0195027b2dd43ecdb43a56c0f44e3b5928",
+    ("sample", 1, 0): "f3bb59b8819a38e3dd2975a500b75ef394931f089a7702583a83b6a53156f707",
+    ("sample", 1, 7): "ff9561f00365f829f7609f4b3ce3f766f813ec4145c2bb168ad71e811fdc1b79",
+    ("sample", 2, 0): "2afa1d09fae32307c74b4c34b20fdb664e7179a5d85f86bec2ec0c33bdcbe159",
+    ("sample", 2, 7): "8fcae49ed8eaa98b8256612fb2527ed3ab2e4dd31d024cf8b6853e302efb55f8",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_PINNED_TEXT_DIGESTS), ids=lambda k: "-".join(map(str, k))
+)
+def test_enumerate_sample_text_unchanged(key):
+    mode, scheme, seed = key
+    cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed)
+    assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_TEXT_DIGESTS[key]
+
+
+def basis_coeffs(scheme):
+    k = 2 if scheme is Scheme.SPECIAL else 4
+    return [",".join("1" if i == j else "0" for j in range(k)) for i in range(k)]
+
+
+class TestAgainstDenseOracle:
+    """Enumerate and sample evaluate the branch maps; the dense six-qubit
+    simulation must agree record for record and count for count."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_enumerate_records(self, scheme, seed):
+        report = run_enumeration(
+            RunConfig(scheme=scheme, mode="enumerate", random_inputs=6, seed=seed)
+        )
+        assert len(report.branches) == 96
+        for rec in report.branches:
+            state = InputState(scheme, report.inputs[rec.input_index].coeffs)
+            dense_oracle.assert_record_matches(state, rec)
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_sample_counts(self, scheme, seed):
+        report = run_montecarlo(RunConfig(scheme=scheme, mode="sample", trials=800, seed=seed))
+        state = InputState(scheme, report.inputs[0].coeffs)
+        dense = dense_oracle.sample_counts(state, seed, 800)
+        counts = {(b.outcome13, b.outcome26): b.count for b in report.branches}
+        assert {pair: counts.get(pair, 0) for pair in dense} == dense
+        for rec in report.branches:
+            dense_oracle.assert_record_matches(state, rec)
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    def test_degenerate_inputs_via_coeffs(self, scheme, tmp_path, capsys):
+        for text in basis_coeffs(scheme):
+            state = InputState(scheme, tuple(complex(t) for t in text.split(",")))
+            for mode in ("enumerate", "sample"):
+                out = tmp_path / f"{mode}.json"
+                argv = [mode, "--scheme", str(int(scheme)), "--coeffs", text,
+                        "--seed", "3", "--format", "json", "--out", str(out)]
+                if mode == "sample":
+                    argv += ["--trials", "500"]
+                assert main(argv) == 0
+                doc = json.loads(out.read_text())
+                assert [complex(c) for c in doc["config"]["coeffs"]] == list(state.coeffs)
+                if mode == "enumerate":
+                    assert len(doc["branches"]) == 16
+                counts = {}
+                for raw in doc["branches"]:
+                    rec = SimpleNamespace(**raw)
+                    rec.outcome13 = BellOutcome(rec.outcome13)
+                    rec.outcome26 = BellOutcome(rec.outcome26)
+                    dense_oracle.assert_record_matches(state, rec)
+                    counts[(rec.outcome13, rec.outcome26)] = raw.get("count")
+                if mode == "sample":
+                    dense_counts = dense_oracle.sample_counts(state, 3, 500)
+                    assert {p: counts.get(p, 0) for p in dense_counts} == dense_counts
+        assert capsys.readouterr().out == ""

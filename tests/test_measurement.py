@@ -9,10 +9,10 @@ from clusterport import (
     cluster_state,
     inner,
     project_bell,
-    reorder,
     sample_bell,
     tensor,
 )
+from clusterport.measurement import draw_index
 from clusterport.protocol import InputState, assemble_total
 from conftest import random_state
 
@@ -147,7 +147,8 @@ class TestProjectBell:
                 if r.remainder is None:
                     continue
                 rebuilt = tensor(bell_vector(o, 1, 2), r.remainder)
-                again = project_bell(reorder(rebuilt, s.labels), 1, 2, o)
+                assert rebuilt.labels == s.labels
+                again = project_bell(rebuilt, 1, 2, o)
                 assert again.probability == pytest.approx(1.0, abs=1e-12)
 
     def test_remainder_keeps_label_order(self, rng):
@@ -218,3 +219,27 @@ class TestSampleBell:
         for o in BELL_OUTCOMES:
             sigma = np.sqrt(max(probs[o] * (1 - probs[o]), 1e-9) / n)
             assert abs(counts[o] / n - probs[o]) <= 5 * sigma + 1e-9
+
+
+class TestDrawIndex:
+    def test_cumulative_boundaries(self):
+        w = np.array([0.25, 0.25, 0.25, 0.25])
+        assert [draw_index(w, u) for u in (0.0, 0.2499, 0.25, 0.5, 0.99)] == [0, 0, 1, 2, 3]
+
+    def test_any_scale(self):
+        w = np.array([1.0, 3.0])
+        assert draw_index(w, 0.2) == draw_index(w / 64, 0.2) == 0
+        assert draw_index(w, 0.3) == draw_index(w / 64, 0.3) == 1
+
+    def test_zero_weights_never_drawn(self):
+        w = np.array([0.5, 0.0, 0.5, 0.0])
+        drawn = {draw_index(w, u) for u in np.linspace(0.0, 1.0, 101)}
+        assert drawn == {0, 2}
+
+    def test_sample_bell_uses_the_rule(self, rng):
+        s = random_state(rng, (1, 2, 3))
+        probs = np.array(list(bell_probabilities(s, 1, 2).values()))
+        for t in range(50):
+            u = np.random.default_rng([4, t]).random()
+            outcome, _ = sample_bell(s, 1, 2, np.random.default_rng([4, t]))
+            assert outcome is BELL_OUTCOMES[draw_index(probs, u)]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import dense_oracle
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
     InputState,
+    RunConfig,
     Scheme,
     StateVector,
     apply_correction,
@@ -13,12 +15,14 @@ from clusterport import (
     cluster_state,
     collapse_branch,
     fidelity,
+    format_state,
     make_input,
     random_input,
-    run_branch,
+    run_enumeration,
     table_lookup,
     target_state,
 )
+from clusterport.protocol import branch_maps
 
 PHI_P = BellOutcome.PHI_PLUS
 PHI_M = BellOutcome.PHI_MINUS
@@ -168,17 +172,33 @@ class TestCollapseSigns:
         np.testing.assert_allclose(remainder.amps, expected.amps, atol=1e-12)
 
 
-class TestRunBranch:
+def enumerated(state):
+    """The 16 enumerate records of one fixed input, keyed by outcome pair."""
+    cfg = RunConfig(scheme=state.scheme, mode="enumerate", input_coeffs=state.coeffs)
+    report = run_enumeration(cfg)
+    assert len(report.branches) == 16
+    return {(r.outcome13, r.outcome26): r for r in report.branches}, report.inputs[0]
+
+
+class TestEnumeratedBranches:
+    """Branches evaluated from the branch maps, checked against closed forms
+    and the dense executor."""
+
     def test_phi_phi_worked_example(self):
         # scheme 1, both measurements Phi+: remainder is alpha|00> - delta|11>
-        # and either listed repair restores the input
+        # and the listed repair restores the input
         state = InputState.special(0.6, 0.8)
         prob, remainder = collapse_branch(assemble_total(state), PHI_P, PHI_P)
         assert prob == pytest.approx(1 / 16, abs=1e-12)
         np.testing.assert_allclose(remainder.amps, [0.6, 0, 0, -0.8], atol=1e-12)
-        result = run_branch(state, PHI_P, PHI_P)
-        assert str(result.correction) == "IZ"
-        assert result.fidelity == pytest.approx(1.0, abs=1e-12)
+        k = branch_maps()[0, 0]
+        np.testing.assert_allclose(4 * k @ state.amps, [0.6, 0, 0, -0.8], atol=1e-15)
+        r = enumerated(state)[0][(PHI_P, PHI_P)]
+        assert str(r.correction) == "IZ"
+        assert r.probability == pytest.approx(1 / 16, abs=1e-15)
+        assert r.fidelity == pytest.approx(1.0, abs=1e-15)
+        assert r.state == "0.6|00> + 0.8|11>"
+        dense_oracle.assert_record_matches(state, r)
 
     def test_scheme2_worked_example(self):
         # scheme 2, (Phi+, Phi-): after the controlled-phase the state is
@@ -187,22 +207,28 @@ class TestRunBranch:
         _, remainder = collapse_branch(assemble_total(state), PHI_P, PHI_M)
         swept = apply_cz(remainder, 4, 5)
         np.testing.assert_allclose(swept.amps, [0.5, -0.5, 0.5, -0.5], atol=1e-12)
-        result = run_branch(state, PHI_P, PHI_M)
-        assert str(result.correction) == "CZ+IZ"
-        assert result.fidelity == pytest.approx(1.0, abs=1e-12)
+        k = branch_maps()[0, 1]
+        np.testing.assert_allclose(4 * (k @ state.amps) * [1, 1, 1, -1], swept.amps, atol=1e-15)
+        r = enumerated(state)[0][(PHI_P, PHI_M)]
+        assert str(r.correction) == "CZ+IZ"
+        assert r.fidelity == pytest.approx(1.0, abs=1e-15)
+        assert r.state == "0.5|00> + 0.5|01> + 0.5|10> + 0.5|11>"
+        dense_oracle.assert_record_matches(state, r)
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
     def test_all_branches_perfect(self, scheme, rng):
         for _ in range(5):
             state = random_input(scheme, rng)
-            total = 0.0
+            records, summary = enumerated(state)
+            shown = format_state(target_state(state))
             for o13, o26 in ALL_PAIRS:
-                r = run_branch(state, o13, o26)
+                r = records[(o13, o26)]
                 assert r.probability == pytest.approx(1 / 16, abs=1e-12)
                 assert r.fidelity >= 1 - 1e-10
-                assert r.corrected_state.labels == (4, 5)
-                total += r.probability
-            assert total == pytest.approx(1.0, abs=1e-12)
+                assert r.state == shown
+                dense_oracle.assert_record_matches(state, r)
+            assert summary.total_probability == pytest.approx(1.0, abs=1e-12)
+            assert summary.min_fidelity >= 1 - 1e-10
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
     def test_degenerate_inputs_still_work(self, scheme):
@@ -211,23 +237,31 @@ class TestRunBranch:
             coeffs = [0j] * k
             coeffs[i] = 1.0
             state = InputState(scheme, tuple(coeffs))
-            for o13, o26 in ALL_PAIRS:
-                r = run_branch(state, o13, o26)
+            records, _ = enumerated(state)
+            for r in records.values():
                 assert r.probability == pytest.approx(1 / 16, abs=1e-12)
                 assert r.fidelity >= 1 - 1e-10
+                assert r.state == format_state(target_state(state))
+                dense_oracle.assert_record_matches(state, r)
 
-    def test_output_equals_input_up_to_phase_only(self, rng):
+    @pytest.mark.parametrize("o13,o26", ALL_PAIRS)
+    def test_output_equals_input_up_to_phase_only(self, o13, o26, rng):
         # the corrected amplitudes may differ from the input by a global
         # phase (repairs containing Y contribute one), never by more
         state = random_input(Scheme.ARBITRARY, rng)
-        r = run_branch(state, PSI_M, PHI_P)
-        target = target_state(state)
-        phase = r.corrected_state.amps[np.argmax(np.abs(target.amps))]
-        phase /= target.amps[np.argmax(np.abs(target.amps))]
+        op = table_lookup(Scheme.ARBITRARY, o13, o26)[0]
+        k = branch_maps()[BELL_OUTCOMES.index(o13), BELL_OUTCOMES.index(o26)]
+        out = op.matrix() @ k @ state.amps
+        out /= np.linalg.norm(out)
+        v = state.amps
+        lead = np.argmax(np.abs(v))
+        phase = out[lead] / v[lead]
         assert abs(abs(phase) - 1) < 1e-12
-        np.testing.assert_allclose(
-            r.corrected_state.amps, phase * target.amps, atol=1e-12
-        )
+        np.testing.assert_allclose(out, phase * v, atol=1e-12)
+        dense = dense_oracle.run_branch(state, o13, o26).corrected_state.amps
+        dense_phase = dense[lead] / v[lead]
+        np.testing.assert_allclose(out * dense_phase / phase, dense, atol=1e-12)
+        assert enumerated(state)[0][(o13, o26)].correction == op
 
 
 class TestCorrectionApplication:

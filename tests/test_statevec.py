@@ -11,7 +11,6 @@ from clusterport import (
     inner,
     normalize,
     relabel,
-    reorder,
     tensor,
 )
 from conftest import random_state
@@ -42,10 +41,6 @@ class TestConstruction:
     def test_amplitude_count_must_match(self):
         with pytest.raises(ValueError):
             StateVector((1, 2), np.array([1.0, 0.0]))
-
-    def test_register_cap(self):
-        with pytest.raises(ValueError):
-            StateVector(tuple(range(1, 10)), np.zeros(512))
 
     def test_nonfinite_amplitudes_rejected(self):
         with pytest.raises(ValueError):
@@ -107,12 +102,6 @@ class TestTensor:
         assert left.labels == right.labels
         np.testing.assert_allclose(left.amps, right.amps, atol=1e-12)
 
-    def test_total_size_capped(self):
-        a = StateVector(tuple(range(1, 6)), np.eye(32)[0])
-        b = StateVector(tuple(range(6, 11)), np.eye(32)[0])
-        with pytest.raises(ValueError):
-            tensor(a, b)
-
 
 class TestInner:
     def test_requires_same_order(self):
@@ -145,17 +134,13 @@ class TestFidelity:
             b = StateVector(a.labels, a.amps * phase)
             assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
 
-    def test_reorders_internally(self):
-        # |0>_1 |1>_2 listed as (2, 1) is the same physical state
+    def test_register_order_must_match(self):
+        # |0>_1 |1>_2 listed as (2, 1) is the same physical state, but
+        # callers compare registers listed in one order only
         a = basis_state((1, 2), (0, 1))
         b = basis_state((2, 1), (1, 0))
-        assert fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_reorder_random(self, rng):
-        for _ in range(20):
-            a = random_state(rng, (1, 2, 3))
-            perm = tuple(rng.permutation(a.labels))
-            assert fidelity(a, reorder(a, perm)) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError):
+            fidelity(a, b)
 
     def test_label_set_must_match(self):
         with pytest.raises(ValueError):
@@ -163,7 +148,7 @@ class TestFidelity:
 
     def test_symmetric(self, rng):
         a = random_state(rng, (1, 2))
-        b = random_state(rng, (2, 1))
+        b = random_state(rng, (1, 2))
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
 
 
@@ -183,17 +168,7 @@ class TestNormalize:
             normalize(StateVector((1,), np.zeros(2)))
 
 
-class TestReorderRelabel:
-    def test_reorder_moves_amplitudes(self):
-        s = basis_state((1, 2), (0, 1))
-        r = reorder(s, (2, 1))
-        assert r.labels == (2, 1)
-        assert r.amps[2] == 1.0
-
-    def test_reorder_requires_permutation(self):
-        with pytest.raises(ValueError):
-            reorder(basis_state((1, 2), (0, 0)), (1, 3))
-
+class TestRelabel:
     def test_relabel_keeps_amplitudes(self, rng):
         s = random_state(rng, (1, 2))
         r = relabel(s, {1: 4, 2: 5})
