@@ -4,13 +4,13 @@ A report is a deterministic function of its RunConfig: every random draw
 flows from the 64-bit seed through a fixed substream key, so rerunning a
 config reproduces the report byte for byte in any format.
 
-Substream keys: random input k uses default_rng([seed, 0, k]), Monte Carlo
-trial t uses default_rng([seed, 1, t]).  Each trial draws two uniforms from
-its substream: the first picks the outcome on (1, 3) from its marginal, the
+Substream keys: random input k uses default_rng([seed, 0, k]); all Monte
+Carlo trials share default_rng([seed, 1]), trial t reading its doubles 2t
+and 2t+1: the first picks the outcome on (1, 3) from its marginal, the
 second the outcome on (2, 6) from the row conditioned on the first.  Trials
-therefore sample identically whether executed serially or not.  Derivation
-and verification are exact and draw nothing, so the seed only appears in
-their config.
+are drawn SAMPLE_BLOCK at a time; counts depend on neither the block size
+nor, for the first N trials, the trial count.  Derivation and verification
+are exact and draw nothing, so the seed only appears in their config.
 
 Every mode reads the 16 branch maps of ``protocol.branch_maps``; none
 rebuilds the six-qubit state per input or per trial.
@@ -52,6 +52,9 @@ TOTAL_PROB_TOL = 1e-9
 CSV_COLUMNS = ("outcome13", "outcome26", "probability", "fidelity", "correction")
 
 _ALL_PAIRS = tuple((a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES)
+
+SAMPLE_BLOCK = 2048  # trials drawn at once; counts do not depend on it
+CHI2_ALPHA = 1e-9  # false-alarm rate of the chi-square test that gates sampling
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ class Report:
     inputs: tuple[InputSummary, ...]
     aggregates: dict
     verdicts: tuple[dict, ...] | None = None
-    schema: int = 2
+    schema: int = 3
 
     @property
     def passed(self) -> bool:
@@ -182,6 +185,18 @@ def run_enumeration(cfg: RunConfig) -> Report:
     return Report(cfg, tuple(branches), tuple(summaries), aggregates)
 
 
+def chi2_sf(x: float, dof: int) -> float:
+    """P(X >= x) for X chi-square distributed with an odd number ``dof`` of
+    degrees of freedom and x >= 0: erfc plus the finite series of the
+    odd-dof tail (Abramowitz and Stegun 26.4.4)."""
+    total = math.erfc(math.sqrt(x / 2.0))
+    term = math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0)
+    for m in range(1, dof - 1, 2):
+        total += term
+        term *= x / (m + 2)
+    return min(total, 1.0)  # rounding can carry the sum a few ulps past 1
+
+
 def run_montecarlo(cfg: RunConfig) -> Report:
     """Sample the two measurement outcomes ``trials`` times."""
     if cfg.mode != "sample":
@@ -189,12 +204,16 @@ def run_montecarlo(cfg: RunConfig) -> Report:
     state = _configured_inputs(cfg)[0]
     ops, probs, fids, states = _repaired_branches(cfg.scheme, [state])
     joint = np.reshape(probs[0], (4, 4))
-    marginal = joint.sum(axis=1)
-    counts = [0] * 16
-    for t in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, 1, t])
-        i = draw_index(marginal, rng.random())
-        counts[4 * i + draw_index(joint[i], rng.random())] += 1
+    cum_marginal = joint.sum(axis=1).cumsum()
+    cum_rows = joint.cumsum(axis=1)
+    rng = np.random.default_rng([cfg.seed, 1])
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, cfg.trials, SAMPLE_BLOCK):
+        u = rng.random((min(SAMPLE_BLOCK, cfg.trials - start), 2))
+        i = draw_index(cum_marginal, u[:, 0])
+        j = draw_index(cum_rows.take(i, axis=0), u[:, 1])
+        counts += np.bincount(4 * i + j, minlength=16)
+    counts = counts.tolist()
     branches = tuple(
         BranchRecord(
             0, o13, o26, probs[0][b], fids[0][b], ops[b], states[0][b],
@@ -207,6 +226,9 @@ def run_montecarlo(cfg: RunConfig) -> Report:
     p = 1.0 / 16.0
     sigma = math.sqrt(p * (1.0 - p) / cfg.trials)
     max_dev = max(abs(n / cfg.trials - p) for n in counts)
+    expected = cfg.trials * p
+    chi2 = sum((n - expected) ** 2 / expected for n in counts)
+    chi2_p = chi2_sf(chi2, 15)
     summary = InputSummary(state.coeffs, sum(r.probability for r in branches), min_fid)
     aggregates = {
         "trials": cfg.trials,
@@ -217,7 +239,10 @@ def run_montecarlo(cfg: RunConfig) -> Report:
         "three_sigma": 3.0 * sigma,
         "max_frequency_deviation": max_dev,
         "within_three_sigma": max_dev <= 3.0 * sigma,
-        "pass": min_fid >= 1.0 - cfg.fidelity_tol,
+        "chi2": chi2,
+        "chi2_dof": 15,
+        "chi2_p_value": chi2_p,
+        "pass": min_fid >= 1.0 - cfg.fidelity_tol and chi2_p >= CHI2_ALPHA,
     }
     return Report(cfg, branches, (summary,), aggregates)
 

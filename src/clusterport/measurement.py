@@ -112,16 +112,15 @@ def sample_bell(s: StateVector, a: int, b: int, rng: np.random.Generator):
     rest, comps = _pair_components(s, a, b)
     # sums of |c|^2 are nonnegative exactly, no clipping needed
     probs = (comps.real * comps.real + comps.imag * comps.imag).sum(axis=1)
-    k = draw_index(probs, rng.random())
+    k = int(draw_index(probs.cumsum(), rng.random()))
     return BELL_OUTCOMES[k], _result_for(rest, comps[k], float(probs[k]))
 
 
-def draw_index(weights: np.ndarray, u: float) -> int:
-    """The index a uniform ``u`` in [0, 1) selects from nonnegative weights
-    of any positive total: the first whose cumulative weight exceeds u times
-    the total, stepping back past zero weights rounding could land on."""
-    cum = weights.cumsum()
-    k = min(int(cum.searchsorted(u * cum[-1], side="right")), len(weights) - 1)
-    while k > 0 and weights[k] == 0.0:
-        k -= 1
-    return k
+def draw_index(cum: np.ndarray, u) -> np.ndarray:
+    """Indices that uniforms ``u`` in [0, 1) select from cumulative weights
+    ``cum`` (one row, or one row per uniform): the first whose cumulative
+    weight exceeds u times the total, or, where rounding reaches the total,
+    the last index that still raises it, so zero weights are never drawn."""
+    cols, total = np.moveaxis(cum, -1, 0), cum[..., -1]
+    v = np.asarray(u) * total
+    return np.minimum(sum(c <= v for c in cols), sum(c < total for c in cols))

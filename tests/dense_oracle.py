@@ -64,13 +64,13 @@ def assert_record_matches(state, rec):
 
 
 def sample_counts(state, seed, trials):
-    """Outcome-pair counts of ``trials`` dense Monte Carlo trials: trial t
-    samples (1, 3) and then (2, 6) from the six-qubit state with
-    default_rng([seed, 1, t])."""
+    """Outcome-pair counts of ``trials`` dense Monte Carlo trials drawn from
+    one default_rng([seed, 1]) stream: each trial samples (1, 3) and then
+    (2, 6) from the six-qubit state, one uniform each."""
     total = assemble_total(state)
+    rng = np.random.default_rng([seed, 1])
     counts = {(a, b): 0 for a in BELL_OUTCOMES for b in BELL_OUTCOMES}
-    for t in range(trials):
-        rng = np.random.default_rng([seed, 1, t])
+    for _ in range(trials):
         o13, first = sample_bell(total, 1, 3, rng)
         o26, _ = sample_bell(first.remainder, 2, 6, rng)
         counts[(o13, o26)] += 1

@@ -150,7 +150,7 @@ class TestMain:
         assert code == 0
         assert out == ""
         doc = json.loads(dest.read_text())
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
 
     def test_out_into_missing_directory_exit_2(self, capsys, tmp_path):
         dest = tmp_path / "missing" / "report.json"

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import math
+import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import dense_oracle
 from clusterport import (
+    BELL_OUTCOMES,
     BellOutcome,
     InputState,
     Report,
@@ -18,7 +22,10 @@ from clusterport import (
     run_montecarlo,
     run_verification,
 )
+from clusterport import harness
 from clusterport.cli import main
+from clusterport.harness import SAMPLE_BLOCK, chi2_sf
+from clusterport.measurement import draw_index
 
 
 def enum_cfg(**kw):
@@ -141,8 +148,9 @@ class TestMonteCarlo:
         assert agg["max_frequency_deviation"] >= 0
 
     def test_trial_streams_independent_of_order(self):
-        # trial t draws from its own substream, so doubling the trial
-        # count must not change what the first trials observed
+        # trial t reads doubles 2t and 2t+1 of the one [seed, 1] stream, so
+        # doubling the trial count must not change what the first trials
+        # observed
         short = run_montecarlo(
             RunConfig(scheme=Scheme.SPECIAL, mode="sample", trials=50, seed=21)
         )
@@ -152,6 +160,102 @@ class TestMonteCarlo:
         short_counts = {(b.outcome13, b.outcome26): b.count for b in short.branches}
         long_counts = {(b.outcome13, b.outcome26): b.count for b in long.branches}
         assert all(long_counts[pair] >= n for pair, n in short_counts.items())
+
+    def test_chi2_bookkeeping(self):
+        cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=1600, seed=3)
+        report = run_montecarlo(cfg)
+        agg, counts = report.aggregates, cell_counts(report)
+        assert agg["chi2"] == pytest.approx(sum((n - 100) ** 2 / 100 for n in counts), rel=1e-12)
+        assert agg["chi2_dof"] == 15
+        assert agg["chi2_p_value"] == chi2_sf(agg["chi2"], 15)
+        assert agg["pass"] is (agg["chi2_p_value"] >= 1e-9)
+
+    def test_counts_independent_of_block_size(self, monkeypatch):
+        cfg = RunConfig(
+            scheme=Scheme.ARBITRARY, mode="sample", trials=3 * SAMPLE_BLOCK + 5, seed=4
+        )
+        default = cell_counts(run_montecarlo(cfg))
+        monkeypatch.setattr(harness, "SAMPLE_BLOCK", 3)
+        assert cell_counts(run_montecarlo(cfg)) == default
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    def test_counts_equal_a_scalar_loop_over_the_stream(self, scheme):
+        report = run_montecarlo(RunConfig(scheme=scheme, mode="sample", trials=3000, seed=8))
+        assert cell_counts(report) == scalar_loop_counts(report, 8, [3000])[0]
+
+    def test_prefix_stable_across_block_boundaries(self):
+        sizes = [SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1, 2 * SAMPLE_BLOCK + 3]
+        reports = [
+            run_montecarlo(RunConfig(scheme=Scheme.SPECIAL, mode="sample", trials=n, seed=21))
+            for n in sizes
+        ]
+        expected = scalar_loop_counts(reports[-1], 21, sizes)
+        assert [cell_counts(r) for r in reports] == expected
+
+    def test_memory_does_not_grow_with_trials(self):
+        cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=10**6, seed=1)
+        run_montecarlo(RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=1))  # cache the maps
+        tracemalloc.start()
+        try:
+            report = run_montecarlo(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(cell_counts(report)) == 10**6
+        assert peak < 4 * 2**20
+
+    def test_sampler_stuck_on_one_cell_fails(self, monkeypatch, capsys):
+        def stuck(cum, u):
+            return np.zeros(np.shape(u), dtype=np.intp)
+
+        monkeypatch.setattr(harness, "draw_index", stuck)
+        cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=2000, seed=0)
+        report = run_montecarlo(cfg)
+        assert cell_counts(report)[0] == 2000
+        assert report.aggregates["min_fidelity"] >= 1.0 - cfg.fidelity_tol
+        assert report.aggregates["chi2_p_value"] < 1e-9
+        assert not report.passed
+        assert main(["sample", "--scheme", "2", "--trials", "2000"]) == 1
+        assert capsys.readouterr().out.endswith("result: FAIL\n")
+
+
+def cell_counts(report):
+    """The 16 outcome-pair counts of a sample report, (1, 3) outcome major."""
+    counts = [0] * 16
+    for b in report.branches:
+        counts[4 * BELL_OUTCOMES.index(b.outcome13) + BELL_OUTCOMES.index(b.outcome26)] = b.count
+    return counts
+
+
+def scalar_loop_counts(report, seed, sizes):
+    """Counts after each of ``sizes`` trials of a plain loop that feeds
+    ``draw_index`` one uniform of default_rng([seed, 1]) at a time, using
+    the branch probabilities a sample report lists for all 16 pairs."""
+    assert len(report.branches) == 16
+    joint = np.array([b.probability for b in report.branches]).reshape(4, 4)
+    rng = np.random.default_rng([seed, 1])
+    counts, snapshots = [0] * 16, []
+    for t in range(1, max(sizes) + 1):
+        i = int(draw_index(joint.sum(axis=1).cumsum(), rng.random()))
+        j = int(draw_index(joint[i].cumsum(), rng.random()))
+        counts[4 * i + j] += 1
+        if t in sizes:
+            snapshots.append(list(counts))
+    return snapshots
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize("dof", [1, 3, 5, 7, 15, 31])
+    def test_matches_scipy(self, dof):
+        stats = pytest.importorskip("scipy.stats")
+        for x in (0.0, 1e-6, 0.3, 1.0, 4.5, 15.0, 30.0, 73.63, 150.0, 400.0):
+            assert chi2_sf(x, dof) == pytest.approx(stats.chi2.sf(x, dof), rel=1e-12, abs=1e-12)
+
+    def test_known_values(self):
+        assert chi2_sf(0.0, 15) == 1.0
+        assert chi2_sf(2.0, 1) == pytest.approx(math.erfc(1.0), rel=1e-15)
+        # the benchmark checker's 1e-9 limit for 16 cells
+        assert chi2_sf(73.63, 15) == pytest.approx(1e-9, rel=1e-6)
 
 
 class TestDeterminism:
@@ -177,7 +281,7 @@ class TestJsonFormat:
     def test_top_level_shape(self):
         doc = json.loads(emit_report(run(enum_cfg()), "json"))
         assert list(doc) == ["schema", "config", "branches", "aggregates", "verdicts"]
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         assert doc["verdicts"] is None
         assert doc["config"]["mode"] == "enumerate"
         assert doc["config"]["scheme"] == 1
@@ -266,29 +370,29 @@ class TestReportObject:
 
 
 # SHA-256 of derive/verify reports as the probe-based derivation wrote them
-# (JSON with its "schema":1 token replaced by "schema":2); the exact
+# (JSON with its "schema" token replaced by "schema":3); the exact
 # derivation must reproduce every byte
 _PINNED_DIGESTS = {
-    ("derive", 1, "json", 0): "bc0af63cca73947b46eab95d7c240e75b96f1a1397d7e33497b762875717a51b",
-    ("derive", 1, "json", 7): "c1746ccc7fb513914e1e30f8901981a356292f5c0a528e4562082bf01abe8eff",
+    ("derive", 1, "json", 0): "029b233d8c0ff4440c25d49b44a577f22f9a1faad9e2668f3e28ebf4e2849556",
+    ("derive", 1, "json", 7): "738d735ef8c3b13325d77e8ab3217054d5e33648d1bfa5791e3f4693cc281739",
     ("derive", 1, "csv", 0): "eddbf167dfb14810d4ec74f3a57b98824924b3e6e3f334cc367c40329b281705",
     ("derive", 1, "csv", 7): "eddbf167dfb14810d4ec74f3a57b98824924b3e6e3f334cc367c40329b281705",
     ("derive", 1, "text", 0): "030cb82d96cfd2f79e18a7e828735872953cede1874e249595e0a0f4bbd0d796",
     ("derive", 1, "text", 7): "6b56ec93ee508b454b08f1f0c2cab202b45a7d7be6d53fafd6032f2b29caeb25",
-    ("derive", 2, "json", 0): "2d711fa195dfd34f5a68cfbc23387b7c11ed865a2638cb0cfbc7ddc63b0842cf",
-    ("derive", 2, "json", 7): "bce368c124a5b675411ad72a13cdd9ad9be45ca650f641387fd6710c55e0eac9",
+    ("derive", 2, "json", 0): "4487787827109d967a799a512bb05843578daa08cb1acdcc650004076124a7dd",
+    ("derive", 2, "json", 7): "f0ae5b8ac13efcb1069e46c4febc86ba0b5baea0acf544a9ab4996210b49378a",
     ("derive", 2, "csv", 0): "546cbfb6d0b53225222030d599ab02a1b5cab71728cf5562731edf2ea279d64a",
     ("derive", 2, "csv", 7): "546cbfb6d0b53225222030d599ab02a1b5cab71728cf5562731edf2ea279d64a",
     ("derive", 2, "text", 0): "881295041728f5b62b2ce0bbb7b2d4419e47018180d56b88e56577452dd7206b",
     ("derive", 2, "text", 7): "ffac94b82e3dea6f2c10b7294a9f5b0f5838e9f1a2cb0cea72900a70896b2465",
-    ("verify", 1, "json", 0): "dc5cd99856c35d0456af96637cfb575e5e1ae276e7bca0d08fe8ef10705b5b13",
-    ("verify", 1, "json", 7): "5049bff3e804140ac4a1d5617b822fc95cceef1ad0ebb2aad136fa910ea5ef15",
+    ("verify", 1, "json", 0): "a8007ce54b71d66d9d843246d9d368986d43c91355533d53277c44b1115fb0ce",
+    ("verify", 1, "json", 7): "22f00cab242bfc8bd01909fca68a9ae92bb7ed2a8f7ec436e177083d51c20e40",
     ("verify", 1, "csv", 0): "58e910938ba634d2205f85374882673fb78d91b03476496c38e3d6aaf4c28ad8",
     ("verify", 1, "csv", 7): "58e910938ba634d2205f85374882673fb78d91b03476496c38e3d6aaf4c28ad8",
     ("verify", 1, "text", 0): "99037e73a2256827a938072c7ade7e31d39a76be49ac176fd8cf17218dbbe0e1",
     ("verify", 1, "text", 7): "6f3a85adab133480da45dd6d583ca6b7db3f4389102227edd58010c92798b6a6",
-    ("verify", 2, "json", 0): "25218cfdae1503c2b83db63c1428e434dc040889d96277e77b551f35f32e87cf",
-    ("verify", 2, "json", 7): "c4516a0ac0d0748ff991c172628cf83ff8ea6aa88e9901642c5b606a39771cde",
+    ("verify", 2, "json", 0): "28e9e4e067a4bd0eed78e9df73828faa3eeeedb87eafa9911f0945ebb6952263",
+    ("verify", 2, "json", 7): "ea474ef7b0f02e81e2c5c3f2b5318e02a6cc222d7fda0e89f2d1b8207150eb71",
     ("verify", 2, "csv", 0): "3612859f45dfb03a01faaa44ea84e36bb886a24f0a034fb8d0405763ffc1df27",
     ("verify", 2, "csv", 7): "3612859f45dfb03a01faaa44ea84e36bb886a24f0a034fb8d0405763ffc1df27",
     ("verify", 2, "text", 0): "559da2dfe663f5d7e0637a02124c841d7c369fd1e9021036388bf634ac8c5504",
@@ -304,18 +408,18 @@ class TestPinnedReportDigests:
         assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_DIGESTS[key]
 
 
-# SHA-256 of enumerate/sample text reports (default inputs and trials) as the
-# per-branch six-qubit simulation wrote them; the branch-map core must
-# reproduce every byte
+# SHA-256 of enumerate/sample text reports (default inputs and trials).  The
+# enumerate pins are as the per-branch six-qubit simulation wrote them; the
+# sample pins are as the single [seed, 1] stream (schema 3) first wrote them
 _PINNED_TEXT_DIGESTS = {
     ("enumerate", 1, 0): "c5990b56ddfcb3e3f9213b82733a83fee8721d7f704f25ac418027e4c55db52b",
     ("enumerate", 1, 7): "cff610e1d35d96335c10b5524cfa5e9a41af2e5bb3b64d753ed181b0ce242798",
     ("enumerate", 2, 0): "d5adbb2a19db26c68eeb7e9359147908eb3477bf7d0052e2e65ee9ab47210edc",
     ("enumerate", 2, 7): "bd41cb835adf1a8c03dd22b745b09f0195027b2dd43ecdb43a56c0f44e3b5928",
-    ("sample", 1, 0): "f3bb59b8819a38e3dd2975a500b75ef394931f089a7702583a83b6a53156f707",
-    ("sample", 1, 7): "ff9561f00365f829f7609f4b3ce3f766f813ec4145c2bb168ad71e811fdc1b79",
-    ("sample", 2, 0): "2afa1d09fae32307c74b4c34b20fdb664e7179a5d85f86bec2ec0c33bdcbe159",
-    ("sample", 2, 7): "8fcae49ed8eaa98b8256612fb2527ed3ab2e4dd31d024cf8b6853e302efb55f8",
+    ("sample", 1, 0): "75da4dbd271cc977f45e56496cc20cda822ae898498b02955a97a5a32f87025c",
+    ("sample", 1, 7): "453d69d7e96366a305aa9680413e436154e0e77499be8b67a224588de222a21d",
+    ("sample", 2, 0): "920e890f41c614e851d5a370cc3a4fb52f2e6d8ea6cac26a7aa8a09a0d928907",
+    ("sample", 2, 7): "2bcd149c638e29dbd99dc58ff7ad0654992a1aa6eeaa9d04baac01284ca35192",
 }
 
 

@@ -221,20 +221,44 @@ class TestSampleBell:
             assert abs(counts[o] / n - probs[o]) <= 5 * sigma + 1e-9
 
 
+def scalar_rule(weights, u):
+    """The selection rule written out for one uniform: searchsorted on the
+    cumulative weights, clamp, then step back past zero weights."""
+    cum = weights.cumsum()
+    k = min(int(cum.searchsorted(u * cum[-1], side="right")), len(weights) - 1)
+    while k > 0 and weights[k] == 0.0:
+        k -= 1
+    return k
+
+
 class TestDrawIndex:
     def test_cumulative_boundaries(self):
-        w = np.array([0.25, 0.25, 0.25, 0.25])
-        assert [draw_index(w, u) for u in (0.0, 0.2499, 0.25, 0.5, 0.99)] == [0, 0, 1, 2, 3]
+        cum = np.array([0.25, 0.25, 0.25, 0.25]).cumsum()
+        us = (0.0, 0.2499, 0.25, 0.5, 0.99)
+        assert [int(draw_index(cum, u)) for u in us] == [0, 0, 1, 2, 3]
+        assert draw_index(cum, np.array(us)).tolist() == [0, 0, 1, 2, 3]
 
     def test_any_scale(self):
-        w = np.array([1.0, 3.0])
-        assert draw_index(w, 0.2) == draw_index(w / 64, 0.2) == 0
-        assert draw_index(w, 0.3) == draw_index(w / 64, 0.3) == 1
+        cum = np.array([1.0, 3.0]).cumsum()
+        assert draw_index(cum, 0.2) == draw_index(cum / 64, 0.2) == 0
+        assert draw_index(cum, 0.3) == draw_index(cum / 64, 0.3) == 1
 
     def test_zero_weights_never_drawn(self):
-        w = np.array([0.5, 0.0, 0.5, 0.0])
-        drawn = {draw_index(w, u) for u in np.linspace(0.0, 1.0, 101)}
+        cum = np.array([0.5, 0.0, 0.5, 0.0]).cumsum()
+        drawn = set(draw_index(cum, np.linspace(0.0, 1.0, 101)).tolist())
         assert drawn == {0, 2}
+        # u * total rounds up to a subnormal total, past every cumulative weight
+        tiny = np.array([0.0, 3 * 5e-324, 0.0, 0.0])
+        assert 0.9 * tiny.sum() == tiny.sum()
+        assert int(draw_index(tiny.cumsum(), 0.9)) == scalar_rule(tiny, 0.9) == 1
+
+    def test_one_row_per_uniform(self, rng):
+        weights = rng.random((200, 4)) * (rng.random((200, 4)) < 0.7)
+        weights[:, 1] += 1e-3  # every row has a positive total
+        u = rng.random(200)
+        got = draw_index(weights.cumsum(axis=1), u).tolist()
+        assert got == [scalar_rule(w, x) for w, x in zip(weights, u)]
+        assert got == [int(draw_index(w.cumsum(), x)) for w, x in zip(weights, u)]
 
     def test_sample_bell_uses_the_rule(self, rng):
         s = random_state(rng, (1, 2, 3))
@@ -242,4 +266,4 @@ class TestDrawIndex:
         for t in range(50):
             u = np.random.default_rng([4, t]).random()
             outcome, _ = sample_bell(s, 1, 2, np.random.default_rng([4, t]))
-            assert outcome is BELL_OUTCOMES[draw_index(probs, u)]
+            assert outcome is BELL_OUTCOMES[scalar_rule(probs, u)]
