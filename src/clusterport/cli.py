@@ -63,14 +63,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_enum, with_input=True)
     p_enum.add_argument(
         "--random-inputs", type=int, default=100, dest="random_inputs",
-        help="number of seeded random inputs when --coeffs is absent",
+        help="seeded random inputs when --coeffs is absent (unbounded; memory grows with it)",
     )
 
     p_sample = sub.add_parser("sample", help="Monte Carlo over the measurement outcomes")
     _add_common(p_sample, with_input=True)
-    p_sample.add_argument("--trials", type=int, default=16000)
+    p_sample.add_argument("--trials", type=int, default=16000,
+                          help="Monte Carlo trials (unbounded: time grows, memory stays flat)")
 
-    p_derive = sub.add_parser("derive", help="derive the correction table from the simulator")
+    p_derive = sub.add_parser("derive", help="derive the correction table from the branch maps")
     _add_common(p_derive, with_input=False)
 
     p_verify = sub.add_parser("verify", help="check the built-in table against the derivation")

@@ -12,8 +12,9 @@ are drawn SAMPLE_BLOCK at a time; counts depend on neither the block size
 nor, for the first N trials, the trial count.  Derivation and verification
 are exact and draw nothing, so the seed only appears in their config.
 
-Every mode reads the 16 branch maps of ``protocol.branch_maps``; none
-rebuilds the six-qubit state per input or per trial.
+Every mode reads the 16 exact branch maps of ``protocol.branch_maps`` and
+simulates no six-qubit state; ``derive`` and ``verify`` certify repairs by
+integer equality (``protocol.certify``), with no tolerance.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7)
     report = run(cfg)
@@ -124,7 +125,7 @@ class Report:
     inputs: tuple[InputSummary, ...]
     aggregates: dict
     verdicts: tuple[dict, ...] | None = None
-    schema: int = 3
+    schema: int = 4
 
     @property
     def passed(self) -> bool:
@@ -152,8 +153,7 @@ def _repaired_branches(scheme: Scheme, inputs: list[InputState]):
     fidelities and display forms of the outputs, indexed [input][branch]."""
     ops = [table_lookup(scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS]
     repaired = np.stack([op.matrix() for op in ops]) @ branch_maps().reshape(16, 4, 4)
-    out, fids = map_inputs(repaired, [s.amps for s in inputs])
-    probs = (out.real * out.real + out.imag * out.imag).sum(axis=2)
+    out, probs, fids = map_inputs(repaired, [s.amps for s in inputs])
     unit = out / np.sqrt(probs)[..., None]
     states = [[format_state(_trusted(OUTPUT_LABELS, vec)) for vec in row] for row in unit]
     return ops, probs.tolist(), fids.tolist(), states
@@ -251,20 +251,16 @@ def run_derivation(cfg: RunConfig) -> Report:
     """Derive the correction table for the configured scheme."""
     if cfg.mode != "derive":
         raise ValueError(f"run_derivation needs mode 'derive', got {cfg.mode!r}")
-    rows = []
-    sizes = []
-    for o13, o26 in _ALL_PAIRS:
-        derived = derive_corrections(cfg.scheme, o13, o26)
-        listed = table_lookup(cfg.scheme, o13, o26)
-        rows.append(
-            {
-                "outcome13": o13.value,
-                "outcome26": o26.value,
-                "derived": [str(op) for op in derived],
-                "listed": [str(op) for op in listed],
-            }
-        )
-        sizes.append(len(derived))
+    rows = [
+        {
+            "outcome13": o13.value,
+            "outcome26": o26.value,
+            "derived": [str(op) for op in derive_corrections(cfg.scheme, o13, o26)],
+            "listed": [str(op) for op in table_lookup(cfg.scheme, o13, o26)],
+        }
+        for o13, o26 in _ALL_PAIRS
+    ]
+    sizes = [len(row["derived"]) for row in rows]
     aggregates = {
         "cells": len(rows),
         "unique_per_cell": all(n == 1 for n in sizes),
@@ -278,27 +274,24 @@ def run_verification(cfg: RunConfig) -> Report:
     """Compare the built-in correction table against the derived one."""
     if cfg.mode != "verify":
         raise ValueError(f"run_verification needs mode 'verify', got {cfg.mode!r}")
-    table = verify_tables(cfg.scheme)
-    rows = []
-    tally = {"exact-up-to-global-phase": 0, "subspace-only": 0, "mismatch": 0}
-    for e in table.entries:
-        tally[e.verdict] += 1
-        rows.append(
-            {
-                "outcome13": e.outcome13.value,
-                "outcome26": e.outcome26.value,
-                "verdict": e.verdict,
-                "derived": [str(op) for op in e.derived],
-                "listed": [str(op) for op in e.listed],
-                "subspace_only": [str(op) for op in e.subspace_only],
-            }
-        )
+    rows = [
+        {
+            "outcome13": e.outcome13.value,
+            "outcome26": e.outcome26.value,
+            "verdict": e.verdict,
+            "derived": [str(op) for op in e.derived],
+            "listed": [str(op) for op in e.listed],
+            "subspace_only": [str(op) for op in e.subspace_only],
+        }
+        for e in verify_tables(cfg.scheme).entries
+    ]
+    tally = [row["verdict"] for row in rows]
     aggregates = {
         "cells": len(rows),
-        "exact": tally["exact-up-to-global-phase"],
-        "subspace_only": tally["subspace-only"],
-        "mismatch": tally["mismatch"],
-        "pass": tally["mismatch"] == 0,
+        "exact": tally.count("exact-up-to-global-phase"),
+        "subspace_only": tally.count("subspace-only"),
+        "mismatch": tally.count("mismatch"),
+        "pass": "mismatch" not in tally,
     }
     return Report(cfg, (), (), aggregates, verdicts=tuple(rows))
 

@@ -31,16 +31,13 @@ class BellOutcome(enum.Enum):
 
 BELL_OUTCOMES = tuple(BellOutcome)
 
-_RSQ2 = 1.0 / np.sqrt(2.0)
-# Coefficient of |i>_a |j>_b in each Bell ket, indexed [i, j].
-_BELL_COEFFS = {
-    BellOutcome.PHI_PLUS: np.array([[_RSQ2, 0], [0, _RSQ2]], dtype=np.complex128),
-    BellOutcome.PHI_MINUS: np.array([[_RSQ2, 0], [0, -_RSQ2]], dtype=np.complex128),
-    BellOutcome.PSI_PLUS: np.array([[0, _RSQ2], [_RSQ2, 0]], dtype=np.complex128),
-    BellOutcome.PSI_MINUS: np.array([[0, _RSQ2], [-_RSQ2, 0]], dtype=np.complex128),
-}
-# Rows: conjugated Bell bras, flattened over the pair's (i, j) axes.
-_BELL_MAT = np.stack([_BELL_COEFFS[o] for o in BELL_OUTCOMES]).conj().reshape(4, 4)
+# sqrt(2) times the coefficient of |i>_a |j>_b in each Bell ket, indexed
+# [k, i, j] for BELL_OUTCOMES[k]: the one definition of the Bell basis.
+BELL_SIGNS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]).reshape(4, 2, 2)
+BELL_SIGNS.setflags(write=False)
+# Rows: the Bell bras, flattened over the pair's (i, j) axes; they are real,
+# so each row is also its ket.
+_BELL_MAT = BELL_SIGNS.reshape(4, 4) * (1.0 / np.sqrt(2.0)) + 0j
 _OUTCOME_INDEX = {o: k for k, o in enumerate(BELL_OUTCOMES)}
 
 
@@ -60,7 +57,7 @@ def bell_vector(outcome: BellOutcome, a: int, b: int) -> StateVector:
     """The Bell ket ``outcome`` over the two-qubit register (a, b)."""
     if a == b:
         raise ValueError("a Bell pair needs two distinct qubits")
-    return StateVector((a, b), _BELL_COEFFS[outcome].reshape(-1))
+    return StateVector((a, b), _BELL_MAT[_OUTCOME_INDEX[outcome]])
 
 
 def _pair_components(s: StateVector, a: int, b: int):

@@ -15,13 +15,14 @@ a branch-specific correction on the receiver's pair restores the input:
 * Scheme.ARBITRARY - any two-qubit input, a controlled-phase on (4, 5)
   followed by one Pauli per output qubit.
 
-The protocol is linear in the input, so each branch is a fixed 4x4 map
-from (1, 2) to (4, 5) (``branch_maps``, built once from the simulator),
-and every run mode evaluates these maps instead of the six-qubit state.
-``derive_corrections`` rediscovers the correction for any branch from that
-map over the 16 Pauli pairs, exactly for every input of the scheme, which
-is how ``verify_tables`` checks the hard-coded tables against the simulator
-instead of trusting them.
+The protocol is linear in the input, so each branch is a fixed 4x4 map K
+from (1, 2) to (4, 5) (``branch_maps``), contracted exactly from the
+integer sign tables of the channel and the Bell basis; 4K is a signed
+permutation.  Every run mode evaluates these maps.  A repair R fixes a
+branch exactly when R 4K is c times the identity on the scheme's inputs,
+c in {1, -1, i, -i} (``certify``): that integer equality is how
+``derive_corrections`` rediscovers the correction of any branch and how
+``verify_tables`` checks the hard-coded tables instead of trusting them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import PAULIS, apply_cz, apply_single
-from .measurement import BELL_OUTCOMES, BellOutcome, project_bell
+from .measurement import BELL_OUTCOMES, BELL_SIGNS, BellOutcome, project_bell
 from .statevec import StateVector, relabel, tensor
 
 INPUT_LABELS = (1, 2)
@@ -46,7 +47,6 @@ OUTPUT_LABELS = (4, 5)
 OUTPUT_RELABELING = {1: 4, 2: 5}
 
 COEFF_TOL = 1e-9
-CORRECTION_TOL = 1e-10
 PAULI_NAMES = ("I", "X", "Y", "Z")
 
 
@@ -55,6 +55,11 @@ class Scheme(enum.IntEnum):
 
     SPECIAL = 1      # restricted to the span of |00> and |11>
     ARBITRARY = 2    # any normalized two-qubit state
+
+
+def _norm(coeffs) -> float:
+    """Euclidean norm; math.hypot neither overflows nor underflows midway."""
+    return math.hypot(*(x for c in coeffs for x in (c.real, c.imag)))
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,8 @@ class InputState:
             )
         if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
             raise ValueError("coefficients must be finite")
-        norm_sq = sum(abs(c) ** 2 for c in coeffs)
+        norm = _norm(coeffs)
+        norm_sq = norm * norm
         if abs(norm_sq - 1.0) > COEFF_TOL:
             raise ValueError(f"coefficients not normalized: squared magnitudes sum to {norm_sq}")
         object.__setattr__(self, "scheme", scheme)
@@ -98,9 +104,12 @@ class InputState:
     def renormalized(cls, scheme: Scheme, coeffs) -> "InputState":
         """Build an input after scaling the coefficients to unit norm."""
         vals = [complex(c) for c in coeffs]
-        n = math.sqrt(sum(abs(c) ** 2 for c in vals))
-        if n < 1e-12:
+        top = max((max(abs(c.real), abs(c.imag)) for c in vals), default=0.0)
+        if top == 0:
             raise ValueError("cannot renormalize all-zero coefficients")
+        e = math.frexp(top)[1]  # exact scaling, so even a huge norm stays finite
+        vals = [complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in vals]
+        n = _norm(vals)
         return cls(scheme, tuple(c / n for c in vals))
 
     @property
@@ -138,12 +147,15 @@ class CorrectionOp:
         return m * _CZ_DIAG if self.cz_first else m
 
 
+# Twice the channel amplitude of |c d e f> on (3, 4, 5, 6), indexed
+# [c, d, e, f]: the one definition of the cluster channel.
+CLUSTER_SIGNS = np.array([1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, -1]).reshape(2, 2, 2, 2)
+CLUSTER_SIGNS.setflags(write=False)
+
+
 def cluster_state() -> StateVector:
     """The four-qubit channel on particles (3, 4, 5, 6)."""
-    amps = np.zeros(16, dtype=np.complex128)
-    amps[[0, 3, 12]] = 0.5
-    amps[15] = -0.5
-    return StateVector(CHANNEL_LABELS, amps)
+    return StateVector(CHANNEL_LABELS, CLUSTER_SIGNS.reshape(-1) / 2)
 
 
 def make_input(state: InputState) -> StateVector:
@@ -244,16 +256,6 @@ def random_input(scheme: Scheme, rng: np.random.Generator) -> InputState:
     return InputState(scheme, tuple(complex(x) for x in c))
 
 
-# Input families on (1, 2): the basis states plus (|00> + |j>)/sqrt(2) for
-# j = 1..3, and |00>, |11> and their sum for the scheme-1 span.  A map that
-# keeps each input of a family unchanged up to a scalar is that scalar times
-# the identity on the family's span: the basis states force it diagonal, the
-# superpositions with |00> force equal diagonal entries.
-FULL_FAMILY = np.vstack([np.eye(4), (np.eye(4)[0] + np.eye(4)[1:]) / math.sqrt(2.0)])
-SUBSPACE_FAMILY = FULL_FAMILY[[0, 3, 6]]
-FULL_FAMILY.setflags(write=False)
-SUBSPACE_FAMILY.setflags(write=False)
-
 _PAULI_PAIRS = tuple((p4, p5) for p4 in PAULI_NAMES for p5 in PAULI_NAMES)
 # kron(P4, P5) for each pair in _PAULI_PAIRS order (particle 4 is the more
 # significant bit of every (4, 5) register), in one call to keep import cheap.
@@ -267,78 +269,85 @@ def branch_maps() -> np.ndarray:
     """The 16 branch maps, ``branch_maps()[i, j]`` for the outcomes
     (BELL_OUTCOMES[i], BELL_OUTCOMES[j]).
 
-    Each is the 4x4 map from the input on (1, 2) to the uncorrected output
+    Each is the 4x4 map K from the input on (1, 2) to the uncorrected output
     on (4, 5), unnormalized, so |K v|^2 is the branch probability of input
-    v.  The protocol is linear in its input, so projecting the four basis
-    inputs through the simulator fixes every map; nothing is read from the
-    tables.  Built on first use and shared read-only afterwards.
+    v.  Contracting the cluster signs on (3, 4, 5, 6) with the Bell signs on
+    (1, 3) and (2, 6) gives 4K in integers, every entry -1, 0 or 1; nothing
+    is read from the tables or simulated.  Built once, shared read-only.
     """
-    maps = np.empty((4, 4, 4, 4), dtype=np.complex128)
-    for col, basis in enumerate(np.eye(4)):
-        total = assemble_total(InputState(Scheme.ARBITRARY, tuple(basis)))
-        for i, o13 in enumerate(BELL_OUTCOMES):
-            for j, o26 in enumerate(BELL_OUTCOMES):
-                prob, remainder = collapse_branch(total, o13, o26)
-                maps[i, j, :, col] = math.sqrt(prob) * remainder.amps
+    signs = np.einsum("iac,jbf,cdef->ijdeab", BELL_SIGNS, BELL_SIGNS, CLUSTER_SIGNS)
+    maps = signs.reshape(4, 4, 4, 4) / 4 + 0j
     maps.setflags(write=False)
     return maps
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Re and Im of <a|b> over the last axis, rounding every product on its
+    own (a complex multiply may fuse one product into its sum)."""
+    re = (a.real * b.real + a.imag * b.imag).sum(axis=-1)
+    im = (a.real * b.imag - a.imag * b.real).sum(axis=-1)
+    return re, im
+
+
 def map_inputs(maps: np.ndarray, inputs):
     """Apply every 4x4 map M in the stack ``maps`` to every amplitude vector
-    v on (1, 2) in ``inputs``: ``(out, fid)`` with ``out[n, p]`` = M_p v_n and
-    ``fid[n, p]`` the fidelity of that output, normalized, against v_n."""
+    v on (1, 2) in ``inputs``: ``(out, prob, fid)`` with ``out[n, p]`` = w =
+    M_p v_n, ``prob`` = <w|w> and ``fid`` = |<v|w>|^2 / (<v|v> <w|w>).  The
+    three sums are taken alike, so a certified repair (w = c v / 4) reads
+    exactly 1."""
     v = np.asarray(inputs, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] != 4:
         raise ValueError("inputs must be a non-empty list of 4-amplitude vectors")
     out = np.einsum("pij,nj->npi", maps, v)
-    overlap = np.abs(np.einsum("ni,npi->np", v.conj(), out)) ** 2
-    return out, overlap / np.linalg.norm(out, axis=2) ** 2
+    re, im = _dot(v[:, None, :], out)
+    prob = _dot(out, out)[0]
+    return out, prob, (re * re + im * im) / (_dot(v, v)[0][:, None] * prob)
 
 
-def worst_fidelities(maps: np.ndarray, inputs) -> np.ndarray:
-    """For each 4x4 map M in the stack ``maps``, the minimum over ``inputs``
-    (amplitude vectors on (1, 2)) of the fidelity between M v and v."""
-    fid = map_inputs(maps, inputs)[1] / np.linalg.norm(np.asarray(inputs), axis=1)[:, None] ** 2
-    return fid.min(axis=0)
+def certify(products: np.ndarray, scheme: Scheme) -> np.ndarray:
+    """For each matrix in the stack ``products`` (a repair times 4K, exact
+    Gaussian integers), whether it sends every basis input of ``scheme`` to
+    c times itself, c in {1, -1, i, -i}, with nothing leaking elsewhere:
+    the repair restores every input of the scheme up to the phase c."""
+    cols = [0, 3] if Scheme(scheme) is Scheme.SPECIAL else [0, 1, 2, 3]  # its basis inputs
+    c = products[..., 0, 0]  # |00> is an input of both schemes
+    scalar = (products[..., :, cols] == c[..., None, None] * np.eye(4)[:, cols]).all(axis=(-2, -1))
+    return scalar & (c.real ** 2 + c.imag ** 2 == 1)
+
+
+def _repair_products(o13: BellOutcome, o26: BellOutcome, cz_first: bool) -> np.ndarray:
+    """R 4K for one branch and each Pauli pair R in _PAULI_PAIRS order (after
+    the controlled-phase when ``cz_first``), exact in Gaussian integers."""
+    k = 4 * branch_maps()[BELL_OUTCOMES.index(o13), BELL_OUTCOMES.index(o26)]
+    return _PAIR_OPS @ (_CZ_DIAG[:, None] * k if cz_first else k)
 
 
 def pauli_pair_fidelities(o13: BellOutcome, o26: BellOutcome, inputs, cz_first: bool):
-    """Worst-case fidelity of every Pauli-pair repair for one branch.
+    """For each Pauli pair (p4, p5), its worst post-repair fidelity over
+    ``inputs`` (amplitude vectors on (1, 2)) on one branch, after the
+    controlled-phase when ``cz_first``."""
+    fid = map_inputs(_repair_products(o13, o26, cz_first) / 4, inputs)[2]
+    return dict(zip(_PAULI_PAIRS, fid.min(axis=0).tolist()))
 
-    ``inputs`` holds amplitude vectors on (1, 2).  For each candidate
-    (p4, p5) the value is the minimum, over those inputs, of the
-    post-repair fidelity against the input.  With ``cz_first`` the
-    controlled-phase runs before the Pauli pair.
-    """
-    k = branch_maps()[BELL_OUTCOMES.index(o13), BELL_OUTCOMES.index(o26)]
-    if cz_first:
-        k = _CZ_DIAG[:, None] * k
-    return dict(zip(_PAULI_PAIRS, worst_fidelities(_PAIR_OPS @ k, inputs).tolist()))
+
+def _certified_pairs(o13: BellOutcome, o26: BellOutcome, cz_first: bool, scheme: Scheme):
+    """The Pauli pairs (p4, p5) whose repair of one branch (after the
+    controlled-phase when ``cz_first``) ``certify`` accepts on ``scheme``."""
+    ok = certify(_repair_products(o13, o26, cz_first), scheme)
+    return [pair for pair, good in zip(_PAULI_PAIRS, ok) if good]
 
 
 def derive_corrections(scheme: Scheme, o13: BellOutcome, o26: BellOutcome):
-    """Derive the correction set for one branch.
-
-    Enumerates all 16 Pauli pairs (with the CZ step fixed by the scheme)
-    and keeps those whose worst fidelity over the scheme's input family
-    reaches 1 - CORRECTION_TOL, which makes them exact for every input of
-    the scheme.  An empty result cannot come from a bad branch, only from a
-    bug, so it raises instead of returning.
+    """Derive the correction set for one branch: every Pauli pair, with the
+    CZ step fixed by the scheme, that is certified on the scheme's inputs
+    and so exact for every one of them.  An empty result cannot come from a
+    bad branch, only from a bug, so it raises instead of returning.
     """
     scheme = Scheme(scheme)
     cz = scheme is Scheme.ARBITRARY
-    family = SUBSPACE_FAMILY if scheme is Scheme.SPECIAL else FULL_FAMILY
-    worst = pauli_pair_fidelities(o13, o26, family, cz_first=cz)
-    found = [
-        CorrectionOp(p4, p5, cz_first=cz)
-        for (p4, p5), f in worst.items()
-        if f >= 1.0 - CORRECTION_TOL
-    ]
+    found = [CorrectionOp(p4, p5, cz_first=cz) for p4, p5 in _certified_pairs(o13, o26, cz, scheme)]
     if not found:
-        raise RuntimeError(
-            f"no Pauli-pair repair found for branch ({o13.value}, {o26.value}); simulator bug"
-        )
+        raise RuntimeError(f"no Pauli-pair repair for branch ({o13.value}, {o26.value}); map bug")
     return found
 
 
@@ -352,11 +361,10 @@ class TableEntry:
     """Comparison of one table cell against the derivation.
 
     ``verdict`` is exact-up-to-global-phase when every listed correction
-    is rediscovered on the scheme's own input family, subspace-only when it
-    only works on the |00>/|11> span, mismatch otherwise.
-    ``subspace_only`` flags listed corrections that stop working on
-    arbitrary inputs even with the CZ step included (populated for
-    Scheme.SPECIAL, whose own inputs never exercise |01> or |10>).
+    is certified on the scheme's own inputs, subspace-only when it only
+    works on the |00>/|11> span, mismatch otherwise.  ``subspace_only``
+    flags listed corrections that fail on arbitrary inputs even after CZ
+    (populated for Scheme.SPECIAL, whose inputs never touch |01> or |10>).
     """
 
     outcome13: BellOutcome
@@ -380,24 +388,22 @@ class TableReport:
 def verify_tables(scheme: Scheme) -> TableReport:
     """Check every cell of the scheme's correction table against derivation."""
     scheme = Scheme(scheme)
+    cz = scheme is Scheme.ARBITRARY
     entries = []
     for o13 in BELL_OUTCOMES:
         for o26 in BELL_OUTCOMES:
             derived = tuple(derive_corrections(scheme, o13, o26))
             listed = tuple(table_lookup(scheme, o13, o26))
+            # the other certificate, after CZ: scheme-2 repairs on the
+            # |00>/|11> span alone, scheme-1 repairs on every input
+            other = _certified_pairs(o13, o26, True, Scheme.SPECIAL if cz else Scheme.ARBITRARY)
+            holds = [(op.p4, op.p5) in other for op in listed]
             if all(op in derived for op in listed):
                 verdict = VERDICT_EXACT
-            elif scheme is Scheme.ARBITRARY:
-                w = pauli_pair_fidelities(o13, o26, SUBSPACE_FAMILY, cz_first=True)
-                ok = all(w[(op.p4, op.p5)] >= 1.0 - CORRECTION_TOL for op in listed)
-                verdict = VERDICT_SUBSPACE if ok else VERDICT_MISMATCH
+            elif cz and all(holds):
+                verdict = VERDICT_SUBSPACE
             else:
                 verdict = VERDICT_MISMATCH
-            subspace = ()
-            if scheme is Scheme.SPECIAL:
-                w_full = pauli_pair_fidelities(o13, o26, FULL_FAMILY, cz_first=True)
-                subspace = tuple(
-                    op for op in listed if w_full[(op.p4, op.p5)] < 1.0 - CORRECTION_TOL
-                )
+            subspace = () if cz else tuple(op for op, ok in zip(listed, holds) if not ok)
             entries.append(TableEntry(o13, o26, derived, listed, verdict, subspace))
     return TableReport(scheme, tuple(entries))

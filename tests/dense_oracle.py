@@ -30,9 +30,12 @@ from clusterport import (
     target_state,
 )
 from clusterport.gates import PAULIS
-from clusterport.protocol import CORRECTION_TOL, PAULI_NAMES
+from clusterport.protocol import PAULI_NAMES
 
 N_RANDOM_PROBES = 10
+# A float brute force cannot certify anything exactly; a repair survives it
+# when its worst fidelity over the probes is this close to 1.
+SURVIVAL_TOL = 1e-10
 
 
 class Branch(NamedTuple):
@@ -118,5 +121,5 @@ def pair_fidelities(o13, o26, probes, cz_first):
 
 
 def surviving_pairs(worst):
-    """The Pauli pairs whose worst fidelity reaches 1 - CORRECTION_TOL."""
-    return {pair for pair, f in worst.items() if f >= 1.0 - CORRECTION_TOL}
+    """The Pauli pairs whose worst fidelity reaches 1 - SURVIVAL_TOL."""
+    return {pair for pair, f in worst.items() if f >= 1.0 - SURVIVAL_TOL}

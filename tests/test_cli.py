@@ -4,7 +4,9 @@ import stat
 
 import pytest
 
+from clusterport import harness
 from clusterport.cli import _parse_coeffs, build_parser, main
+from test_harness import wrong_table
 
 
 def run_main(capsys, *argv):
@@ -106,15 +108,46 @@ class TestMain:
         assert code == 2
         assert "trials" in err
 
-    def test_zero_tolerance_exit_1(self, capsys):
-        # seeded run with worst fidelity a few ulp below 1 (see the
-        # matching harness test); the report still prints, the code flips
+    def test_zero_tolerance_exit_0(self, capsys):
+        # every repaired fidelity is exactly 1, so a zero tolerance passes
+        for mode in ("enumerate", "sample"):
+            for scheme in ("1", "2"):
+                code, out, _ = run_main(
+                    capsys, mode, "--scheme", scheme, "--seed", "0", "--tol", "0",
+                )
+                assert code == 0
+                assert out.endswith("result: PASS\n")
+
+    def test_wrong_repair_exit_1(self, capsys, monkeypatch):
+        # a table whose repairs fail: the report still prints, the code flips
+        monkeypatch.setattr(harness, "table_lookup", wrong_table)
         code, out, _ = run_main(
-            capsys, "enumerate", "--scheme", "2", "--random-inputs", "5",
-            "--seed", "0", "--tol", "0",
+            capsys, "enumerate", "--scheme", "2", "--random-inputs", "5", "--seed", "0",
         )
         assert code == 1
         assert out.endswith("result: FAIL\n")
+
+    def test_huge_coeffs_exit_2(self, capsys):
+        code, _, err = run_main(capsys, "enumerate", "--scheme", "1", "--coeffs", "1e200,1")
+        assert code == 2
+        assert "not normalized" in err
+
+    @pytest.mark.parametrize(
+        "mode, scheme, coeffs, expected",
+        [
+            ("enumerate", "1", "1e200,1", [1, 0]),
+            ("sample", "2", "1e-200,0,0,0", [1, 0, 0, 0]),
+            ("enumerate", "2", "1e308,1e308j,-1e308,0", [0.5773502691896258, 0.5773502691896258j, -0.5773502691896258, 0]),
+        ],
+    )
+    def test_renormalize_extreme_magnitudes(self, capsys, mode, scheme, coeffs, expected):
+        code, out, _ = run_main(
+            capsys, mode, "--scheme", scheme, "--coeffs", coeffs,
+            "--renormalize", "--format", "json",
+        )
+        assert code == 0
+        parsed = [complex(c) for c in json.loads(out)["config"]["coeffs"]]
+        assert parsed == pytest.approx(expected, abs=1e-15)
 
     def test_sample_small_run(self, capsys):
         code, out, _ = run_main(
@@ -150,7 +183,7 @@ class TestMain:
         assert code == 0
         assert out == ""
         doc = json.loads(dest.read_text())
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
 
     def test_out_into_missing_directory_exit_2(self, capsys, tmp_path):
         dest = tmp_path / "missing" / "report.json"

@@ -1,7 +1,9 @@
-"""Property tests of the --coeffs parser."""
+"""Property tests of the --coeffs parser and of inputs at extreme magnitudes."""
 
 import contextlib
 import io
+import math
+import os
 import re
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from clusterport.cli import _parse_coeffs, main  # noqa: E402
 from clusterport.harness import format_complex  # noqa: E402
+from clusterport.protocol import COEFF_TOL  # noqa: E402
 
 coeff_lists = st.lists(st.complex_numbers(allow_nan=False), min_size=1, max_size=6)
 separators = st.sampled_from([",", " ", ", ", " ,", "\t", "\n", ",\t ", ",,", "  "])
@@ -58,3 +61,78 @@ def test_malformed_token_exits_2_without_traceback(token):
     assert exc.value.code == 2
     assert "argument --coeffs: could not parse" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def run_cli(mode, scheme, coeffs, *extra):
+    """Exit code and stderr of one ``cli.main`` call; the report goes to
+    the null device.  Any exception propagates and fails the test."""
+    text = ",".join(format_complex(c) for c in coeffs)
+    argv = [mode, "--scheme", str(scheme), f"--coeffs={text}", "--out", os.devnull, *extra]
+    if mode == "sample":
+        argv += ["--trials", "500"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+magnitudes = st.floats(min_value=1e-300, max_value=1e300)
+signs = st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / math.sqrt(2)])
+huge_or_tiny = st.tuples(magnitudes, signs).map(lambda ms: ms[0] * ms[1])
+modes = st.sampled_from(["enumerate", "sample"])
+
+
+def coeff_count(scheme):
+    return 2 if scheme == 1 else 4
+
+
+def unit_vectors(k):
+    """Unit vectors of ``k`` complex values."""
+    parts = st.tuples(st.floats(-1, 1), st.floats(-1, 1)).map(lambda ab: complex(*ab))
+    return st.lists(parts, min_size=k, max_size=k).filter(
+        lambda c: math.hypot(*map(abs, c)) > 0.1
+    ).map(lambda c: [x / math.hypot(*map(abs, c)) for x in c])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([1, 2]), modes, st.data())
+def test_extreme_magnitudes_exit_cleanly(scheme, mode, data):
+    coeffs = data.draw(st.lists(huge_or_tiny, min_size=coeff_count(scheme),
+                                max_size=coeff_count(scheme)))
+    code, err = run_cli(mode, scheme, coeffs)
+    assert code in (0, 2)
+    if code == 2:
+        assert "not normalized" in err
+    # scaled to unit norm, any such input teleports exactly
+    assert run_cli(mode, scheme, coeffs, "--renormalize", "--tol", "0")[0] == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([1, 2]), modes, st.data(), st.floats(-3 * COEFF_TOL, 3 * COEFF_TOL))
+def test_norm_near_coeff_tol(scheme, mode, data, excess):
+    # squared norm 1 + excess: accepted as given within COEFF_TOL, and
+    # then the fidelity is still exactly 1
+    unit = data.draw(unit_vectors(coeff_count(scheme)))
+    coeffs = [c * math.sqrt(1.0 + excess) for c in unit]
+    code, _ = run_cli(mode, scheme, coeffs, "--tol", "0")
+    assert code in (0, 2)
+    if abs(excess) < 0.99 * COEFF_TOL:
+        assert code == 0
+    elif abs(excess) > 1.01 * COEFF_TOL:
+        assert code == 2
+    assert run_cli(mode, scheme, coeffs, "--renormalize", "--tol", "0")[0] == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([1, 2]), modes, st.data(), st.floats(1e-13, 1e-11), signs, st.booleans())
+def test_near_degenerate_inputs(scheme, mode, data, tiny, phase, renormalize):
+    # one amplitude about 1e-12, the others carrying the rest of the norm
+    k = coeff_count(scheme)
+    rest = data.draw(unit_vectors(k - 1))
+    at = data.draw(st.integers(0, k - 1))
+    scale = math.sqrt(1.0 - tiny * tiny)
+    coeffs = [c * scale for c in rest]
+    coeffs.insert(at, tiny * phase)
+    extra = ["--renormalize"] if renormalize else []
+    assert run_cli(mode, scheme, coeffs, "--tol", "0", *extra)[0] == 0

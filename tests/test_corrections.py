@@ -19,12 +19,8 @@ from clusterport import (
     target_state,
     verify_tables,
 )
-from clusterport.protocol import (
-    FULL_FAMILY,
-    SUBSPACE_FAMILY,
-    branch_maps,
-    worst_fidelities,
-)
+from clusterport import protocol
+from clusterport.protocol import _certified_pairs, branch_maps, certify
 
 PHI_P = BellOutcome.PHI_PLUS
 PHI_M = BellOutcome.PHI_MINUS
@@ -32,7 +28,6 @@ PSI_P = BellOutcome.PSI_PLUS
 PSI_M = BellOutcome.PSI_MINUS
 
 ALL_PAIRS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
-FAMILY = {Scheme.ARBITRARY: FULL_FAMILY, Scheme.SPECIAL: SUBSPACE_FAMILY}
 
 # Multiplying both Paulis of a pair by Z changes the repair only by a global
 # phase on the alpha|00> + delta|11> subspace, swapping I<->Z and X<->Y.
@@ -122,14 +117,6 @@ class TestDeriveCorrections:
         with pytest.raises(ValueError):
             pauli_pair_fidelities(PHI_P, PHI_P, [0.5, 0.5, 0.5, 0.5], cz_first=False)
 
-    def test_input_families(self):
-        full, sub = FULL_FAMILY, SUBSPACE_FAMILY
-        assert full.shape == (7, 4) and sub.shape == (3, 4)
-        for family in (full, sub):
-            np.testing.assert_allclose(np.linalg.norm(family, axis=1), 1.0, atol=1e-15)
-            assert not family.flags.writeable
-        assert not sub[:, 1:3].any()  # confined to the |00>/|11> span
-
 
 class TestBranchMaps:
     def test_maps_reproduce_dense_branches(self, rng):
@@ -151,32 +138,76 @@ class TestBranchMaps:
         for k in branch_maps().reshape(16, 4, 4):
             np.testing.assert_allclose(16 * k.conj().T @ k, np.eye(4), atol=1e-14)
 
+    def test_quadrupled_maps_are_signed_permutations(self):
+        # 4K has integer entries -1, 0, 1 and (4K)^T (4K) = I holds exactly,
+        # so every branch has probability 1/16 for every input
+        m = 4 * branch_maps()
+        assert not m.imag.any()
+        signs = m.real.astype(int)
+        assert np.array_equal(signs, m.real)
+        assert set(np.unique(signs)) <= {-1, 0, 1}
+        for k in signs.reshape(16, 4, 4):
+            assert np.array_equal(k.T @ k, np.eye(4, dtype=int))
 
-class TestInputFamilyProof:
-    def test_full_family_rejects_unequal_phases(self):
-        # a diagonal map keeps every basis state up to a scalar, so the
-        # basis states alone would accept it; the superpositions do not
-        maps = np.stack([np.diag([1, 1, 1, -1]), np.diag([1, 1j, 1, 1])]).astype(complex)
-        basis = FULL_FAMILY[:4]
-        np.testing.assert_allclose(worst_fidelities(maps, basis), 1.0, atol=1e-15)
-        assert (worst_fidelities(maps, FULL_FAMILY) < 0.6).all()
+    def test_built_without_the_simulator(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("branch_maps called the dense simulator")
 
-    def test_subspace_family_rejects_unequal_phases(self):
-        # the |01> and |10> entries do not act on the scheme-1 span
-        maps = np.diag([1, 0.3, -0.7j, -1]).astype(complex)[None]
-        ends = SUBSPACE_FAMILY[:2]
-        np.testing.assert_allclose(worst_fidelities(maps, ends), 1.0, atol=1e-15)
-        assert worst_fidelities(maps, SUBSPACE_FAMILY)[0] < 1e-15
-
-    def test_scalar_identity_accepted(self):
-        maps = (np.exp(0.4j) * np.eye(4))[None]
-        for scheme in Scheme:
-            np.testing.assert_allclose(worst_fidelities(maps, FAMILY[scheme]), 1.0)
+        before = branch_maps()
+        for name in ("assemble_total", "collapse_branch", "project_bell", "tensor"):
+            monkeypatch.setattr(protocol, name, boom)
+        branch_maps.cache_clear()
+        try:
+            rebuilt = branch_maps()
+        finally:
+            branch_maps.cache_clear()
+        assert rebuilt is not before
+        assert np.array_equal(rebuilt, before)
+        assert not rebuilt.flags.writeable
 
 
-# (scheme whose input family is derived on, dense probes standing for that
-# family); the scheme-1 family is checked against both probe sets the brute
-# force used for it
+class TestCertificate:
+    PHASES = (1, -1, 1j, -1j)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_accepts_every_unit_phase(self, scheme):
+        stack = np.stack([c * np.eye(4) for c in self.PHASES])
+        assert certify(stack, scheme).tolist() == [True] * 4
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_rejects_scalars_off_the_unit_phases(self, scheme):
+        stack = np.stack([c * np.eye(4) for c in (0, 2, -2j, 1 + 1j)]).astype(complex)
+        assert not certify(stack, scheme).any()
+
+    def test_rejects_unequal_phases(self):
+        # a diagonal map keeps every basis state up to a scalar but is c I
+        # only when the scalars agree
+        stack = np.diag([1, 1, 1, -1])[None].astype(complex)
+        assert not certify(stack, Scheme.ARBITRARY).any()
+        assert not certify(stack, Scheme.SPECIAL).any()
+        stack = np.diag([1, 1j, 1, 1])[None].astype(complex)
+        assert not certify(stack, Scheme.ARBITRARY).any()
+
+    def test_scheme1_ignores_the_columns_outside_its_span(self):
+        # |01> and |10> are no scheme-1 input, so their columns are free
+        m = np.diag([-1j, 1, 0, -1j]).astype(complex)
+        m[0, 1] = 1
+        assert certify(m[None], Scheme.SPECIAL).all()
+        assert not certify(m[None], Scheme.ARBITRARY).any()
+
+    def test_rejects_a_scheme1_block_that_leaks(self):
+        # |00> stays put but |11> also feeds |01>: not c I on the span
+        leak = np.eye(4, dtype=complex)
+        leak[1, 3] = 1
+        # X on both qubits swaps |00> and |11>: the span is kept, the
+        # states are not
+        swap = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]).astype(complex)
+        assert not certify(np.stack([leak, swap]), Scheme.SPECIAL).any()
+
+
+# (scheme whose inputs the certificate ranges over, dense probes standing for
+# those inputs); the scheme-1 span is checked against both probe sets the
+# brute force used for it
 _ORACLE_FAMILIES = {
     "full": (Scheme.ARBITRARY, lambda seed: dense_oracle.scheme_probes(Scheme.ARBITRARY, seed)),
     "special": (Scheme.SPECIAL, lambda seed: dense_oracle.scheme_probes(Scheme.SPECIAL, seed)),
@@ -195,8 +226,7 @@ class TestExactAgainstDenseOracle:
             expected = dense_oracle.surviving_pairs(
                 dense_oracle.pair_fidelities(o13, o26, probes, cz)
             )
-            worst = pauli_pair_fidelities(o13, o26, FAMILY[scheme], cz)
-            assert dense_oracle.surviving_pairs(worst) == expected
+            assert set(_certified_pairs(o13, o26, cz, scheme)) == expected
             if cz is (scheme is Scheme.ARBITRARY):
                 derived = {(op.p4, op.p5) for op in derive_corrections(scheme, o13, o26)}
                 assert derived == expected
@@ -231,6 +261,12 @@ class TestVerifyTables:
             )
             assert entry.subspace_only == expected_flags
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_verify_and_derive_agree_in_every_cell(self, scheme):
+        for entry in verify_tables(scheme).entries:
+            derived = derive_corrections(scheme, entry.outcome13, entry.outcome26)
+            assert list(entry.derived) == derived
+
     def test_subspace_only_spot_check(self):
         # branch (Phi+, Phi+), repair I on 4 / Z on 5: perfect on the
         # restricted family, fidelity 0 on the uniform superposition
@@ -242,12 +278,14 @@ class TestVerifyTables:
 
 class TestCzNecessity:
     def test_no_pauli_pair_suffices_without_cz(self):
-        # dropping the controlled-phase step leaves every branch broken:
-        # no Pauli pair reaches worst-case fidelity anywhere near 1, on the
-        # exact input family and on the dense brute force alike
+        # dropping the controlled-phase step leaves every branch broken: no
+        # Pauli pair times 4K is c I, and no pair reaches a worst-case
+        # fidelity anywhere near 1 on the seeded probes, through the branch
+        # maps and through the dense brute force alike
         probes = dense_oracle.scheme_probes(Scheme.ARBITRARY, 1851)
         for o13, o26 in ALL_PAIRS:
-            exact = pauli_pair_fidelities(o13, o26, FULL_FAMILY, False)
+            assert _certified_pairs(o13, o26, False, Scheme.ARBITRARY) == []
+            exact = pauli_pair_fidelities(o13, o26, [p.amps for p in probes], False)
             dense = dense_oracle.pair_fidelities(o13, o26, probes, cz_first=False)
             assert max(exact.values()) < 1 - 1e-6
             assert max(dense.values()) < 1 - 1e-6

@@ -11,6 +11,7 @@ import dense_oracle
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
+    CorrectionOp,
     InputState,
     Report,
     RunConfig,
@@ -21,11 +22,20 @@ from clusterport import (
     run_enumeration,
     run_montecarlo,
     run_verification,
+    table_lookup,
 )
 from clusterport import harness
 from clusterport.cli import main
 from clusterport.harness import SAMPLE_BLOCK, chi2_sf
 from clusterport.measurement import draw_index
+
+
+def wrong_table(scheme, o13, o26):
+    """A correction table that repairs no branch of either scheme: it
+    applies the table's own repair with X on particle 4 multiplied in."""
+    op = table_lookup(scheme, o13, o26)[0]
+    flipped = {"I": "X", "X": "I", "Y": "Z", "Z": "Y"}[op.p4]
+    return [CorrectionOp(flipped, op.p5, cz_first=op.cz_first)]
 
 
 def enum_cfg(**kw):
@@ -106,15 +116,22 @@ class TestEnumeration:
         assert agg["branch_probability_min"] == pytest.approx(1 / 16, abs=1e-12)
         assert agg["branch_probability_max"] == pytest.approx(1 / 16, abs=1e-12)
 
-    def test_zero_tolerance_can_fail(self):
-        # seeded run whose worst fidelity sits a few ulp under 1, so a
-        # zero tolerance must flip the verdict
+    def test_zero_tolerance_passes_exactly(self):
+        # a certified repair returns the input times a phase and 1/4, so the
+        # fidelity is exactly 1 and even a zero tolerance passes
         cfg = RunConfig(
             scheme=Scheme.ARBITRARY, mode="enumerate",
             random_inputs=5, seed=0, fidelity_tol=0.0,
         )
         report = run_enumeration(cfg)
-        assert report.aggregates["min_fidelity"] < 1.0
+        assert report.aggregates["min_fidelity"] == 1.0
+        assert {b.fidelity for b in report.branches} == {1.0}
+        assert report.passed
+
+    def test_wrong_repair_fails(self, monkeypatch):
+        monkeypatch.setattr(harness, "table_lookup", wrong_table)
+        report = run_enumeration(enum_cfg())
+        assert report.aggregates["min_fidelity"] < 0.5
         assert not report.passed
 
     def test_run_dispatches_by_mode(self):
@@ -281,7 +298,7 @@ class TestJsonFormat:
     def test_top_level_shape(self):
         doc = json.loads(emit_report(run(enum_cfg()), "json"))
         assert list(doc) == ["schema", "config", "branches", "aggregates", "verdicts"]
-        assert doc["schema"] == 3
+        assert doc["schema"] == 4
         assert doc["verdicts"] is None
         assert doc["config"]["mode"] == "enumerate"
         assert doc["config"]["scheme"] == 1
@@ -351,12 +368,9 @@ class TestCsvAndText:
         assert out.endswith("result: PASS\n")
         assert "outcome13" in out
 
-    def test_text_fail_line(self):
-        cfg = RunConfig(
-            scheme=Scheme.ARBITRARY, mode="enumerate",
-            random_inputs=5, seed=0, fidelity_tol=0.0,
-        )
-        assert emit_report(run(cfg), "text").decode().endswith("result: FAIL\n")
+    def test_text_fail_line(self, monkeypatch):
+        monkeypatch.setattr(harness, "table_lookup", wrong_table)
+        assert emit_report(run(enum_cfg()), "text").decode().endswith("result: FAIL\n")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -370,29 +384,29 @@ class TestReportObject:
 
 
 # SHA-256 of derive/verify reports as the probe-based derivation wrote them
-# (JSON with its "schema" token replaced by "schema":3); the exact
+# (JSON with its "schema" token replaced by "schema":4); the exact
 # derivation must reproduce every byte
 _PINNED_DIGESTS = {
-    ("derive", 1, "json", 0): "029b233d8c0ff4440c25d49b44a577f22f9a1faad9e2668f3e28ebf4e2849556",
-    ("derive", 1, "json", 7): "738d735ef8c3b13325d77e8ab3217054d5e33648d1bfa5791e3f4693cc281739",
+    ("derive", 1, "json", 0): "d050080639322babded68bc1bd62d00210e80f2d53707067eb69a24ec2d908cd",
+    ("derive", 1, "json", 7): "005013df61e40e1928326b7532c3eb6c4c7d3c93182aaaaf6aeec0d00ac91e3d",
     ("derive", 1, "csv", 0): "eddbf167dfb14810d4ec74f3a57b98824924b3e6e3f334cc367c40329b281705",
     ("derive", 1, "csv", 7): "eddbf167dfb14810d4ec74f3a57b98824924b3e6e3f334cc367c40329b281705",
     ("derive", 1, "text", 0): "030cb82d96cfd2f79e18a7e828735872953cede1874e249595e0a0f4bbd0d796",
     ("derive", 1, "text", 7): "6b56ec93ee508b454b08f1f0c2cab202b45a7d7be6d53fafd6032f2b29caeb25",
-    ("derive", 2, "json", 0): "4487787827109d967a799a512bb05843578daa08cb1acdcc650004076124a7dd",
-    ("derive", 2, "json", 7): "f0ae5b8ac13efcb1069e46c4febc86ba0b5baea0acf544a9ab4996210b49378a",
+    ("derive", 2, "json", 0): "77402c15e271c56d396574c0829e87f63a8f7de6a035d4527fa87ec5e3255746",
+    ("derive", 2, "json", 7): "071aeba4d68257222fa91e287a23ff0f46d17cb8ab0e8f8c47204e6b3dfd470f",
     ("derive", 2, "csv", 0): "546cbfb6d0b53225222030d599ab02a1b5cab71728cf5562731edf2ea279d64a",
     ("derive", 2, "csv", 7): "546cbfb6d0b53225222030d599ab02a1b5cab71728cf5562731edf2ea279d64a",
     ("derive", 2, "text", 0): "881295041728f5b62b2ce0bbb7b2d4419e47018180d56b88e56577452dd7206b",
     ("derive", 2, "text", 7): "ffac94b82e3dea6f2c10b7294a9f5b0f5838e9f1a2cb0cea72900a70896b2465",
-    ("verify", 1, "json", 0): "a8007ce54b71d66d9d843246d9d368986d43c91355533d53277c44b1115fb0ce",
-    ("verify", 1, "json", 7): "22f00cab242bfc8bd01909fca68a9ae92bb7ed2a8f7ec436e177083d51c20e40",
+    ("verify", 1, "json", 0): "e82fc2b6004ac838b1ef49e170c9857d8ee0cb648ee2c6e88d5024feee38e86d",
+    ("verify", 1, "json", 7): "c43e4123ac5b2a0c90e7bb4e940acd1eacf8f482a431ba20b502ba4ff2ec8af1",
     ("verify", 1, "csv", 0): "58e910938ba634d2205f85374882673fb78d91b03476496c38e3d6aaf4c28ad8",
     ("verify", 1, "csv", 7): "58e910938ba634d2205f85374882673fb78d91b03476496c38e3d6aaf4c28ad8",
     ("verify", 1, "text", 0): "99037e73a2256827a938072c7ade7e31d39a76be49ac176fd8cf17218dbbe0e1",
     ("verify", 1, "text", 7): "6f3a85adab133480da45dd6d583ca6b7db3f4389102227edd58010c92798b6a6",
-    ("verify", 2, "json", 0): "28e9e4e067a4bd0eed78e9df73828faa3eeeedb87eafa9911f0945ebb6952263",
-    ("verify", 2, "json", 7): "ea474ef7b0f02e81e2c5c3f2b5318e02a6cc222d7fda0e89f2d1b8207150eb71",
+    ("verify", 2, "json", 0): "177529e9e8effb6500858bd86b46cbd27081fd6761fef8462c2ca6ae75966057",
+    ("verify", 2, "json", 7): "f98021e59fb4f8a661d3281fe9cc80738a40aa64fb8c84d5ec96ec38ea803fa7",
     ("verify", 2, "csv", 0): "3612859f45dfb03a01faaa44ea84e36bb886a24f0a034fb8d0405763ffc1df27",
     ("verify", 2, "csv", 7): "3612859f45dfb03a01faaa44ea84e36bb886a24f0a034fb8d0405763ffc1df27",
     ("verify", 2, "text", 0): "559da2dfe663f5d7e0637a02124c841d7c369fd1e9021036388bf634ac8c5504",
