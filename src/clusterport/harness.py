@@ -14,7 +14,10 @@ are exact and draw nothing, so the seed only appears in their config.
 
 Every mode reads the 16 exact branch maps of ``protocol.branch_maps`` and
 simulates no six-qubit state; ``derive`` and ``verify`` certify repairs by
-integer equality (``protocol.certify``), with no tolerance.
+integer equality (``protocol.certify``), with no tolerance.  Display forms
+come from one ``format_states`` call per run, and every report format
+writes its branch rows from a fixed template that formats each distinct
+outcome pair, correction, float and state once per report.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7)
     report = run(cfg)
@@ -24,6 +27,7 @@ integer equality (``protocol.certify``), with no tolerance.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -33,7 +37,6 @@ import numpy as np
 
 from .measurement import BELL_OUTCOMES, BellOutcome, draw_index
 from .protocol import (
-    OUTPUT_LABELS,
     CorrectionOp,
     InputState,
     Scheme,
@@ -44,7 +47,7 @@ from .protocol import (
     table_lookup,
     verify_tables,
 )
-from .statevec import _trusted, format_state
+from .statevec import format_states
 
 MODES = ("enumerate", "sample", "derive", "verify")
 FORMATS = ("json", "csv", "text")
@@ -154,8 +157,7 @@ def _repaired_branches(scheme: Scheme, inputs: list[InputState]):
     ops = [table_lookup(scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS]
     repaired = np.stack([op.matrix() for op in ops]) @ branch_maps().reshape(16, 4, 4)
     out, probs, fids = map_inputs(repaired, [s.amps for s in inputs])
-    unit = out / np.sqrt(probs)[..., None]
-    states = [[format_state(_trusted(OUTPUT_LABELS, vec)) for vec in row] for row in unit]
+    states = format_states(out / np.sqrt(probs)[..., None])
     return ops, probs.tolist(), fids.tolist(), states
 
 
@@ -248,7 +250,9 @@ def run_montecarlo(cfg: RunConfig) -> Report:
 
 
 def run_derivation(cfg: RunConfig) -> Report:
-    """Derive the correction table for the configured scheme."""
+    """Derive the correction table for the configured scheme.  A cell with
+    no certified repair is reported with an empty ``derived`` list and
+    fails the run."""
     if cfg.mode != "derive":
         raise ValueError(f"run_derivation needs mode 'derive', got {cfg.mode!r}")
     rows = [
@@ -356,23 +360,46 @@ def _config_dict(cfg: RunConfig) -> dict:
     }
 
 
-def _branch_dict(r: BranchRecord) -> dict:
-    d = {
-        "input": r.input_index,
-        "outcome13": r.outcome13.value,
-        "outcome26": r.outcome26.value,
-        "probability": r.probability,
-        "fidelity": r.fidelity,
-        "correction": str(r.correction),
-        "state": r.state,
-    }
-    if r.count is not None:
-        d["count"] = r.count
-        d["frequency"] = r.frequency
-    return d
+class _Fragments(dict):
+    """Formatted fragments by value, each value formatted once per report.
+    A zero is formatted every time: -0.0 == 0.0 as a key, but it prints
+    with its sign."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self._fmt = fmt
+
+    def __missing__(self, value):
+        text = self._fmt(value)
+        if value != 0:
+            self[value] = text
+        return text
 
 
-def _report_dict(report: Report) -> dict:
+def _json_branches(branches) -> str:
+    """The ``branches`` array, every row from one fixed template: outcome and
+    correction fragments are json.dumps'd constants, and each distinct
+    float and state is formatted once."""
+    heads = _Fragments(
+        lambda pair: f',"outcome13":{json.dumps(pair[0].value)}'
+        f',"outcome26":{json.dumps(pair[1].value)},"probability":'
+    )
+    corrections = _Fragments(lambda op: f',"correction":{json.dumps(str(op))},"state":')
+    floats = _Fragments(_format_float)
+    states = _Fragments(json.dumps)
+    rows = []
+    for r in branches:
+        row = (
+            f'{{"input":{r.input_index:d}{heads[r.outcome13, r.outcome26]}{floats[r.probability]}'
+            f',"fidelity":{floats[r.fidelity]}{corrections[r.correction]}{states[r.state]}'
+        )
+        if r.count is not None:
+            row += f',"count":{r.count:d},"frequency":{floats[r.frequency]}'
+        rows.append(row + "}")
+    return "[" + ",".join(rows) + "]"
+
+
+def _emit_json(report: Report) -> str:
     aggregates = dict(report.aggregates)
     aggregates["inputs"] = [
         {
@@ -382,17 +409,23 @@ def _report_dict(report: Report) -> dict:
         }
         for s in report.inputs
     ]
-    return {
-        "schema": report.schema,
-        "config": _config_dict(report.config),
-        "branches": [_branch_dict(b) for b in report.branches],
-        "aggregates": aggregates,
-        "verdicts": None if report.verdicts is None else list(report.verdicts),
-    }
+    verdicts = None if report.verdicts is None else list(report.verdicts)
+    return (
+        f'{{"schema":{_json_fragment(report.schema)}'
+        f',"config":{_json_fragment(_config_dict(report.config))}'
+        f',"branches":{_json_branches(report.branches)}'
+        f',"aggregates":{_json_fragment(aggregates)}'
+        f',"verdicts":{_json_fragment(verdicts)}}}\n'
+    )
 
 
-def _emit_json(report: Report) -> str:
-    return _json_fragment(_report_dict(report)) + "\n"
+@functools.cache
+def _csv_cells(*cells: str) -> str:
+    """``cells`` as csv.writer writes them in a row, without the line end
+    (only outcomes and corrections, a bounded set of strings)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
 
 
 def _emit_csv(report: Report) -> str:
@@ -413,16 +446,14 @@ def _emit_csv(report: Report) -> str:
             w.writerow(cells)
     else:
         w.writerow(CSV_COLUMNS)
-        for r in report.branches:
-            w.writerow(
-                (
-                    r.outcome13.value,
-                    r.outcome26.value,
-                    format(r.probability, ".17g"),
-                    format(r.fidelity, ".17g"),
-                    str(r.correction),
-                )
-            )
+        heads = _Fragments(lambda pair: _csv_cells(pair[0].value, pair[1].value))
+        corrections = _Fragments(lambda op: _csv_cells(str(op)))
+        floats = _Fragments(lambda x: format(x, ".17g"))
+        buf.writelines(
+            f"{heads[r.outcome13, r.outcome26]},{floats[r.probability]},"
+            f"{floats[r.fidelity]},{corrections[r.correction]}\n"
+            for r in report.branches
+        )
     return buf.getvalue()
 
 
@@ -440,10 +471,13 @@ def _emit_text(report: Report) -> str:
         if any(b.count is not None for b in report.branches):
             head += "  count  frequency"
         lines.append(head)
+        heads = _Fragments(lambda pair: f"{pair[0].value:<10}{pair[1].value:<10}")
+        corrections = _Fragments(str)
+        floats = _Fragments(lambda x: f"{x:<22.12g}")
         for b in report.branches:
             row = (
-                f"{b.outcome13.value:<10}{b.outcome26.value:<10}"
-                f"{b.probability:<22.12g}{b.fidelity:<22.12g}{b.correction!s}"
+                f"{heads[b.outcome13, b.outcome26]}{floats[b.probability]}"
+                f"{floats[b.fidelity]}{corrections[b.correction]}"
             )
             if b.count is not None:
                 row += f"  {b.count}  {b.frequency:.6g}"

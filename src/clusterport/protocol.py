@@ -340,15 +340,13 @@ def _certified_pairs(o13: BellOutcome, o26: BellOutcome, cz_first: bool, scheme:
 def derive_corrections(scheme: Scheme, o13: BellOutcome, o26: BellOutcome):
     """Derive the correction set for one branch: every Pauli pair, with the
     CZ step fixed by the scheme, that is certified on the scheme's inputs
-    and so exact for every one of them.  An empty result cannot come from a
-    bad branch, only from a bug, so it raises instead of returning.
+    and so exact for every one of them.  Every branch of both schemes has
+    one; an empty set means a bug in the maps or the certificate, and
+    callers report it as a failed cell.
     """
     scheme = Scheme(scheme)
     cz = scheme is Scheme.ARBITRARY
-    found = [CorrectionOp(p4, p5, cz_first=cz) for p4, p5 in _certified_pairs(o13, o26, cz, scheme)]
-    if not found:
-        raise RuntimeError(f"no Pauli-pair repair for branch ({o13.value}, {o26.value}); map bug")
-    return found
+    return [CorrectionOp(p4, p5, cz_first=cz) for p4, p5 in _certified_pairs(o13, o26, cz, scheme)]
 
 
 VERDICT_EXACT = "exact-up-to-global-phase"
@@ -362,7 +360,8 @@ class TableEntry:
 
     ``verdict`` is exact-up-to-global-phase when every listed correction
     is certified on the scheme's own inputs, subspace-only when it only
-    works on the |00>/|11> span, mismatch otherwise.  ``subspace_only``
+    works on the |00>/|11> span, mismatch otherwise, and always when
+    nothing is certified (``derived`` empty).  ``subspace_only``
     flags listed corrections that fail on arbitrary inputs even after CZ
     (populated for Scheme.SPECIAL, whose inputs never touch |01> or |10>).
     """
@@ -398,7 +397,9 @@ def verify_tables(scheme: Scheme) -> TableReport:
             # |00>/|11> span alone, scheme-1 repairs on every input
             other = _certified_pairs(o13, o26, True, Scheme.SPECIAL if cz else Scheme.ARBITRARY)
             holds = [(op.p4, op.p5) in other for op in listed]
-            if all(op in derived for op in listed):
+            if not derived:
+                verdict = VERDICT_MISMATCH  # nothing certified: nothing to match
+            elif all(op in derived for op in listed):
                 verdict = VERDICT_EXACT
             elif cz and all(holds):
                 verdict = VERDICT_SUBSPACE

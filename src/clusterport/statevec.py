@@ -128,26 +128,87 @@ def relabel(s: StateVector, mapping: dict) -> StateVector:
     return StateVector(new, s.amps)
 
 
-def format_state(s: StateVector, tol: float = 1e-9, digits: int = 6) -> str:
-    """Readable ket expansion for reports.
+def display_rotation(amps, tol: float = 1e-9):
+    """Rotate each vector along the last axis of ``amps`` so that its first
+    amplitude of modulus above ``tol`` is real and positive, to rounding.
 
-    Display only: the first nonzero amplitude is rotated to be real and
-    positive so equivalent states print identically.
+    Returns ``(shown, above)``: the rotated stack and the mask of amplitudes
+    above ``tol``.  A vector with nothing above ``tol`` is left as it is.
+    The phase and the products are taken in real arithmetic, one correctly
+    rounded operation each, so a vector rotates to the same bits on its own
+    as inside any stack.
     """
-    nz = np.flatnonzero(np.abs(s.amps) > tol)
-    if nz.size == 0:
+    amps = np.asarray(amps, dtype=np.complex128)
+    mod = np.hypot(amps.real, amps.imag)
+    above = mod > tol
+    first = above.argmax(axis=-1)[..., None]
+    lead = np.take_along_axis(amps, first, axis=-1)
+    live = above.any(axis=-1, keepdims=True)
+    r = np.where(live, np.take_along_axis(mod, first, axis=-1), 1.0)
+    # multiply by conj(lead) / |lead|; a vector with no lead by 1
+    c = np.where(live, lead.real / r, 1.0)
+    s = np.where(live, -lead.imag / r, 0.0)
+    shown = np.empty(amps.shape, dtype=np.complex128)
+    shown.real = amps.real * c - amps.imag * s
+    shown.imag = amps.real * s + amps.imag * c
+    return shown, above
+
+
+def _format_rotated(shown: np.ndarray, above: np.ndarray, tol: float, digits: int) -> str:
+    """Ket expansion of one vector rotated by ``display_rotation``, a term
+    for each amplitude where ``above`` holds."""
+    nz = np.flatnonzero(above).tolist()
+    if not nz:
         return "0"
-    lead = s.amps[nz[0]]
-    shown = s.amps * (abs(lead) / lead)
+    n_qubits = shown.size.bit_length() - 1
+    vals = shown.tolist()
     terms = []
     for i in nz:
-        c = shown[i]
+        c = vals[i]
         if abs(c.imag) <= tol:
             coeff = f"{c.real:.{digits}g}"
         elif abs(c.real) <= tol:
             coeff = f"{c.imag:.{digits}g}i"
         else:
             coeff = f"({c.real:.{digits}g}{c.imag:+.{digits}g}i)"
-        bits = format(int(i), f"0{s.n_qubits}b") if s.n_qubits else ""
+        bits = format(i, f"0{n_qubits}b") if n_qubits else ""
         terms.append(f"{coeff}|{bits}>")
     return " + ".join(terms)
+
+
+def format_state(s: StateVector, tol: float = 1e-9, digits: int = 6) -> str:
+    """Readable ket expansion for reports.
+
+    Display only: the first amplitude above ``tol`` is rotated to be real
+    and positive (``display_rotation``) so equivalent states print
+    identically; amplitudes at or below ``tol`` are left out, and a state
+    with none above it prints as ``0``.
+    """
+    shown, above = display_rotation(s.amps, tol)
+    return _format_rotated(shown, above, tol, digits)
+
+
+def format_states(amps, tol: float = 1e-9, digits: int = 6):
+    """``format_state`` of every vector along the last axis of ``amps``, as
+    nested lists shaped like the leading axes.
+
+    The whole stack is rotated at once, and each distinct rotated vector is
+    formatted once, keyed on the bytes of the vector and its mask: equal
+    keys give equal strings, so every entry is byte for byte the string
+    ``format_state`` gives for that vector alone.
+    """
+    shown, above = display_rotation(amps, tol)
+    n = shown.shape[-1]
+    rows = shown.reshape(-1, n)
+    masks = np.ascontiguousarray(above.reshape(-1, n))
+    raw = np.hstack((rows.view(np.uint8), masks.view(np.uint8)))
+    data, width = raw.tobytes(), raw.shape[1]
+    memo = {}
+    texts = []
+    for k in range(len(rows)):
+        key = data[k * width:(k + 1) * width]
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _format_rotated(rows[k], masks[k], tol, digits)
+        texts.append(text)
+    return np.array(texts, dtype=object).reshape(shown.shape[:-1]).tolist()

@@ -4,8 +4,9 @@ import stat
 
 import pytest
 
-from clusterport import harness
+from clusterport import harness, protocol
 from clusterport.cli import _parse_coeffs, build_parser, main
+from test_corrections import reject_everything
 from test_harness import wrong_table
 
 
@@ -173,6 +174,26 @@ class TestMain:
         lines = out.splitlines()
         assert lines[0] == "outcome13,outcome26,derived,listed"
         assert len(lines) == 17
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("mode", ["derive", "verify"])
+    def test_nothing_certified_writes_a_failing_report(self, capsys, tmp_path,
+                                                       monkeypatch, mode, fmt):
+        monkeypatch.setattr(protocol, "certify", reject_everything)
+        dest = tmp_path / f"report.{fmt}"
+        code, out, err = run_main(
+            capsys, mode, "--scheme", "2", "--format", fmt, "--out", str(dest),
+        )
+        assert code == 1
+        assert out == "" and err == ""
+        text = dest.read_text()
+        if fmt == "json":
+            doc = json.loads(text)
+            assert doc["aggregates"]["pass"] is False
+            assert [row["derived"] for row in doc["verdicts"]] == [[]] * 16
+        elif fmt == "text":
+            assert text.endswith("result: FAIL\n")
+            assert text.count("derived=  ") == 16
 
     def test_out_writes_file(self, capsys, tmp_path):
         dest = tmp_path / "report.json"

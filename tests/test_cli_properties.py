@@ -2,9 +2,11 @@
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
+import tempfile
 
 import pytest
 
@@ -12,9 +14,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from clusterport import Scheme, StateVector, format_state  # noqa: E402
 from clusterport.cli import _parse_coeffs, main  # noqa: E402
 from clusterport.harness import format_complex  # noqa: E402
 from clusterport.protocol import COEFF_TOL  # noqa: E402
+from test_harness import no_repair_table, repaired_outputs  # noqa: E402
 
 coeff_lists = st.lists(st.complex_numbers(allow_nan=False), min_size=1, max_size=6)
 separators = st.sampled_from([",", " ", ", ", " ,", "\t", "\n", ",\t ", ",,", "  "])
@@ -136,3 +140,30 @@ def test_near_degenerate_inputs(scheme, mode, data, tiny, phase, renormalize):
     coeffs.insert(at, tiny * phase)
     extra = ["--renormalize"] if renormalize else []
     assert run_cli(mode, scheme, coeffs, "--tol", "0", *extra)[0] == 0
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([1, 2]), st.data(), st.booleans(),
+       st.floats(1e-10, 1e-8) | st.just(0.0), st.integers(0, 2 ** 64 - 1))
+def test_json_state_is_format_state_of_each_output(scheme, data, unrepaired, tiny, seed):
+    # one --coeffs input with an amplitude near the display tolerance, or
+    # three drawn ones; certified repairs or none
+    argv = ["enumerate", "--scheme", str(scheme), "--format", "json", "--seed", str(seed)]
+    if data.draw(st.booleans()):
+        k = coeff_count(scheme)
+        coeffs = data.draw(unit_vectors(k))
+        coeffs[data.draw(st.integers(0, k - 1))] = tiny * data.draw(signs)
+        argv += ["--renormalize", "--coeffs=" + ",".join(format_complex(c) for c in coeffs)]
+    else:
+        argv += ["--random-inputs", "3"]
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        if unrepaired:
+            mp.setattr("clusterport.harness.table_lookup", no_repair_table)
+        out = os.path.join(tmp, "report.json")
+        assert main(argv + ["--out", out]) == (1 if unrepaired else 0)
+        with open(out) as f:
+            doc = json.load(f)
+        inputs = [[complex(c) for c in s["coeffs"]] for s in doc["aggregates"]["inputs"]]
+        unit = repaired_outputs(Scheme(scheme), inputs)
+    expected = [format_state(StateVector((4, 5), v)) for row in unit for v in row]
+    assert [b["state"] for b in doc["branches"]] == expected

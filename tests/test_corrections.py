@@ -38,6 +38,11 @@ def z_twin(pair):
     return (_Z_TWIN[pair[0]], _Z_TWIN[pair[1]])
 
 
+def reject_everything(products, scheme):
+    """A broken ``protocol.certify`` that certifies no repair at all."""
+    return np.zeros(products.shape[:-2], dtype=bool)
+
+
 class TestTableLookup:
     def test_scheme1_dual_cell(self):
         ops = table_lookup(Scheme.SPECIAL, PHI_P, PHI_P)
@@ -108,6 +113,14 @@ class TestDeriveCorrections:
             listed = table_lookup(Scheme.ARBITRARY, o13, o26)
             assert len(derived) == 1
             assert (derived[0].p4, derived[0].p5) == (listed[0].p4, listed[0].p5)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_nothing_certified_gives_empty_sets_and_mismatches(self, monkeypatch, scheme):
+        monkeypatch.setattr(protocol, "certify", reject_everything)
+        assert derive_corrections(scheme, PHI_P, PSI_M) == []
+        entries = verify_tables(scheme).entries
+        assert {e.verdict for e in entries} == {"mismatch"}
+        assert all(e.derived == () for e in entries)
 
     def test_empty_or_malformed_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -266,6 +279,12 @@ class TestVerifyTables:
         for entry in verify_tables(scheme).entries:
             derived = derive_corrections(scheme, entry.outcome13, entry.outcome26)
             assert list(entry.derived) == derived
+
+    def test_a_cell_with_nothing_derived_is_a_mismatch(self, monkeypatch):
+        # the scheme-2 repairs still pass the span-only certificate, which
+        # alone would make every cell subspace-only
+        monkeypatch.setattr(protocol, "derive_corrections", lambda *args: [])
+        assert {e.verdict for e in verify_tables(Scheme.ARBITRARY).entries} == {"mismatch"}
 
     def test_subspace_only_spot_check(self):
         # branch (Phi+, Phi+), repair I on 4 / Z on 5: perfect on the

@@ -11,12 +11,15 @@ import dense_oracle
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
+    BranchRecord,
     CorrectionOp,
     InputState,
     Report,
     RunConfig,
     Scheme,
+    StateVector,
     emit_report,
+    format_state,
     run,
     run_derivation,
     run_enumeration,
@@ -28,6 +31,7 @@ from clusterport import harness
 from clusterport.cli import main
 from clusterport.harness import SAMPLE_BLOCK, chi2_sf
 from clusterport.measurement import draw_index
+from clusterport.protocol import branch_maps, map_inputs
 
 
 def wrong_table(scheme, o13, o26):
@@ -261,6 +265,63 @@ def scalar_loop_counts(report, seed, sizes):
     return snapshots
 
 
+def repaired_outputs(scheme, coeff_rows):
+    """The normalized repaired output of every branch of every input, taken
+    the way ``run_enumeration`` takes it, with ``harness.table_lookup``."""
+    ops = [harness.table_lookup(scheme, o13, o26)[0] for o13, o26 in harness._ALL_PAIRS]
+    repaired = np.stack([op.matrix() for op in ops]) @ branch_maps().reshape(16, 4, 4)
+    out, probs, _ = map_inputs(repaired, [InputState(scheme, c).amps for c in coeff_rows])
+    return out / np.sqrt(probs)[..., None]
+
+
+def no_repair_table(scheme, o13, o26):
+    """A table that leaves every branch as measured (the CZ step aside), so
+    the outputs differ from branch to branch."""
+    return [CorrectionOp("I", "I", cz_first=scheme is Scheme.ARBITRARY)]
+
+
+class TestStateStrings:
+    """Each branch's ``state`` is format_state of its own output, whether or
+    not the repair is certified."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    @pytest.mark.parametrize("table", [None, wrong_table, no_repair_table])
+    def test_states_are_format_state_of_each_output(self, monkeypatch, scheme, table):
+        if table is not None:
+            monkeypatch.setattr(harness, "table_lookup", table)
+        report = run_enumeration(enum_cfg(scheme=scheme, random_inputs=5))
+        unit = repaired_outputs(scheme, [s.coeffs for s in report.inputs])
+        expected = [format_state(StateVector((4, 5), v)) for row in unit for v in row]
+        assert [r.state for r in report.branches] == expected
+        # a fixed Pauli error keeps one string per input; no repair does not
+        assert (len(set(expected)) > 5) is (table is no_repair_table)
+
+    def test_unrepaired_states_match_the_dense_simulation(self, monkeypatch):
+        monkeypatch.setattr(harness, "table_lookup", no_repair_table)
+        monkeypatch.setattr(dense_oracle, "table_lookup", no_repair_table)
+        report = run_enumeration(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=2))
+        for rec in report.branches:
+            state = InputState(Scheme.ARBITRARY, report.inputs[rec.input_index].coeffs)
+            dense_oracle.assert_record_matches(state, rec)
+
+
+class TestRowTemplates:
+    def test_signed_zeros_keep_their_sign(self):
+        # the per-report float cache must not hand 0.0 the text of -0.0
+        op = CorrectionOp("I", "Z")
+        pair = (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS)
+        rows = [BranchRecord(0, *pair, p, p, op, "0", count=1, frequency=p)
+                for p in (-0.0, 0.0, -0.0)]
+        report = Report(enum_cfg(), tuple(rows), (), {"pass": True})
+        doc = json.loads(emit_report(report, "json"))
+        assert [math.copysign(1, b["probability"]) for b in doc["branches"]] == [-1, 1, -1]
+        assert [math.copysign(1, b["frequency"]) for b in doc["branches"]] == [-1, 1, -1]
+        csv_rows = emit_report(report, "csv").decode().splitlines()[1:]
+        assert [row.split(",")[2] for row in csv_rows] == ["-0", "0", "-0"]
+        text_rows = emit_report(report, "text").decode().splitlines()[2:5]
+        assert [row.split()[2] for row in text_rows] == ["-0", "0", "-0"]
+
+
 class TestChiSquareTail:
     @pytest.mark.parametrize("dof", [1, 3, 5, 7, 15, 31])
     def test_matches_scipy(self, dof):
@@ -444,6 +505,38 @@ def test_enumerate_sample_text_unchanged(key):
     mode, scheme, seed = key
     cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed)
     assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_TEXT_DIGESTS[key]
+
+
+# SHA-256 of enumerate/sample JSON and CSV reports (default inputs and
+# trials) as schema 4 wrote them with one format_state call per branch and
+# one json.dumps per key; JSON is the only format that carries ``state``
+_PINNED_JSON_CSV_DIGESTS = {
+    ("enumerate", 1, "json", 0): "224ed6973b192c1ef00ce6bbe57bfb836b4375944e5ed947197d9380a01985fb",
+    ("enumerate", 1, "json", 7): "f1af8b23eefeb6d4d684394acb7ed82e9adecc544e48c338f00c9193bae8ab51",
+    ("enumerate", 1, "csv", 0): "5aff799c47e23322330251299d3858029c84712f89bde717836d6f086352ee9e",
+    ("enumerate", 1, "csv", 7): "308dc5a23dbe674b2cabe10c5dca3e5db86341c72d03b173c3d6a51cb1680b8c",
+    ("enumerate", 2, "json", 0): "fe200d9b7d3874faa0c692113f1e71c838ad7fc1a5123cda463eb53456c5019f",
+    ("enumerate", 2, "json", 7): "2a88d93a8e62f9a7a6095efd94b97a105b16077b8a015a534249839163867ce8",
+    ("enumerate", 2, "csv", 0): "6ee19dab4bac2ed7eb5e510ef1a67c8654194666d70a173e3b034e8d674ff239",
+    ("enumerate", 2, "csv", 7): "345f0c4af2e74bdc9f8b6f9a1ee6bfba2df464f14c597bcbe125d0b3c34bc53a",
+    ("sample", 1, "json", 0): "afded15065d9dcc0edd9b052a6411b5f6956d14694abf3528da8e4297fc9fa1b",
+    ("sample", 1, "json", 7): "38ad05301820c3388b0d41024ead0413286e5c908a7e0b2781d9fda6648a9fc8",
+    ("sample", 1, "csv", 0): "d83463c1325f7380855cdeae46f8f109396f26aff04d9ec233054ed7103ad88b",
+    ("sample", 1, "csv", 7): "d83463c1325f7380855cdeae46f8f109396f26aff04d9ec233054ed7103ad88b",
+    ("sample", 2, "json", 0): "bfa4a567173bb7df11abfac5a9e28bc8987f3dc6a9445f050011844cb5cab470",
+    ("sample", 2, "json", 7): "48bed2867e103173e5487177c89f67ab890364e0f70e648dfe9171a940105e6a",
+    ("sample", 2, "csv", 0): "4696d04cc815300e31b9d756236791e2acfbace5af82accabc86d647933e0106",
+    ("sample", 2, "csv", 7): "4696d04cc815300e31b9d756236791e2acfbace5af82accabc86d647933e0106",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_PINNED_JSON_CSV_DIGESTS), ids=lambda k: "-".join(map(str, k))
+)
+def test_enumerate_sample_json_csv_unchanged(key):
+    mode, scheme, fmt, seed = key
+    cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed, output_format=fmt)
+    assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_JSON_CSV_DIGESTS[key]
 
 
 def basis_coeffs(scheme):

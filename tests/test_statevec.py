@@ -13,6 +13,7 @@ from clusterport import (
     relabel,
     tensor,
 )
+from clusterport.statevec import display_rotation, format_states
 from conftest import random_state
 
 
@@ -192,3 +193,84 @@ class TestFormatState:
     def test_imaginary_part(self):
         s = StateVector((1,), np.array([0.6, 0.8j]))
         assert "0.8i|1>" in format_state(s)
+
+
+def per_vector(amps):
+    """format_state of every vector along the last axis, one at a time."""
+    flat = amps.reshape(-1, amps.shape[-1])
+    n = amps.shape[-1].bit_length() - 1
+    labels = tuple(range(1, n + 1))
+    texts = [format_state(StateVector(labels, v)) for v in flat]
+    return np.array(texts, dtype=object).reshape(amps.shape[:-1]).tolist()
+
+
+def gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestFormatStates:
+    """The stack formatter must give, entry for entry, the string
+    format_state gives for that vector alone."""
+
+    @pytest.mark.parametrize("shape", [(7, 16, 4), (5, 2), (3, 8), (1, 1, 4)])
+    def test_random_stacks(self, rng, shape):
+        amps = gaussian(rng, shape)
+        assert format_states(amps) == per_vector(amps)
+
+    def test_one_vector_gives_one_string(self, rng):
+        v = gaussian(rng, 4)
+        assert format_states(v) == format_state(StateVector((4, 5), v))
+
+    def test_unit_phases_print_alike(self, rng):
+        # c v for c in {1, -1, i, -i} rotates to the same bits, stacked or not
+        v = gaussian(rng, 4) / 4
+        amps = np.stack([c * v for c in (1, -1, 1j, -1j)])
+        texts = format_states(amps)
+        assert texts == per_vector(amps)
+        assert len(set(texts)) == 1
+
+    def test_zero_vector(self, rng):
+        amps = gaussian(rng, (3, 4))
+        amps[1] = 0
+        texts = format_states(amps)
+        assert texts[1] == "0"
+        assert texts == per_vector(amps)
+
+    @pytest.mark.parametrize("scale", [1 + 1e-6, 1 - 1e-6])
+    def test_amplitudes_at_the_tolerance(self, scale):
+        tiny = 1e-9 * scale
+        amps = np.array([
+            [tiny, 0.6, 0, 0.8],
+            [0.6, 1j * tiny, -tiny, 0.8],
+            [tiny, 0, 0, 0],
+            [tiny * (1 + 1j) / np.sqrt(2), 0.6j, 0, 0.8],
+        ])
+        texts = format_states(amps)
+        assert texts == per_vector(amps)
+        shown = texts[2] != "0"
+        assert shown is (scale > 1)
+        assert texts[0].startswith("1e-09|00>") is shown
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e-300, 1e300])
+    def test_extreme_scales(self, rng, scale):
+        amps = gaussian(rng, (4, 16, 4)) * scale
+        texts = format_states(amps)
+        assert texts == per_vector(amps)
+        if scale < 1e-9:
+            assert {t for row in texts for t in row} == {"0"}
+
+    def test_strided_input(self, rng):
+        amps = np.asfortranarray(gaussian(rng, (6, 4)))
+        assert format_states(amps) == per_vector(amps)
+        assert format_states(amps[::2]) == per_vector(amps[::2])
+
+    def test_rotation_makes_the_lead_real_and_positive(self, rng):
+        amps = gaussian(rng, (5, 4))
+        amps[2, 0] = 1e-12
+        shown, above = display_rotation(amps)
+        first = above.argmax(axis=-1)
+        lead = shown[np.arange(5), first]
+        assert np.all(lead.real > 0)
+        assert np.all(np.abs(lead.imag) <= 1e-15 * lead.real)
+        np.testing.assert_allclose(np.abs(shown), np.abs(amps), rtol=1e-15)
+        assert not above[2, 0]
