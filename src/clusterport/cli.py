@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_enum, with_input=True)
     p_enum.add_argument(
         "--random-inputs", type=int, default=100, dest="random_inputs",
-        help="seeded random inputs when --coeffs is absent (unbounded; memory grows with it)",
+        help="seeded random inputs when --coeffs is absent (unbounded; memory grows "
+        "with it, by 16 probabilities, fidelities and states per input)",
     )
 
     p_sample = sub.add_parser("sample", help="Monte Carlo over the measurement outcomes")

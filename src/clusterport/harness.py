@@ -14,10 +14,13 @@ are exact and draw nothing, so the seed only appears in their config.
 
 Every mode reads the 16 exact branch maps of ``protocol.branch_maps`` and
 simulates no six-qubit state; ``derive`` and ``verify`` certify repairs by
-integer equality (``protocol.certify``), with no tolerance.  Display forms
-come from one ``format_states`` call per run, and every report format
-writes its branch rows from a fixed template that formats each distinct
-outcome pair, correction, float and state once per report.
+integer equality (``protocol.certify``), with no tolerance.  A report keeps
+the branch results as the arrays they are computed as, indexed
+[input][cell] in ``_ALL_PAIRS`` cell order; display forms come from one
+``format_states`` call per run.  Every report format writes the rows of
+``Report.rows()`` from a fixed template: the outcome and correction text of
+each of the 16 cells is built once, and each distinct float and state is
+formatted once per report.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7)
     report = run(cfg)
@@ -27,15 +30,14 @@ outcome pair, correction, float and state once per report.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import BELL_OUTCOMES, BellOutcome, draw_index
+from .measurement import BELL_OUTCOMES, draw_index
 from .protocol import (
     CorrectionOp,
     InputState,
@@ -95,23 +97,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class BranchRecord:
-    """One branch of one input: outcomes, probability, post-correction
-    fidelity, the correction applied, and a display form of the output.
-    Sampling runs add how often the branch was drawn."""
-
-    input_index: int
-    outcome13: BellOutcome
-    outcome26: BellOutcome
-    probability: float
-    fidelity: float
-    correction: CorrectionOp
-    state: str
-    count: int | None = None
-    frequency: float | None = None
-
-
-@dataclass(frozen=True)
 class InputSummary:
     coeffs: tuple[complex, ...]
     total_probability: float
@@ -120,19 +105,34 @@ class InputSummary:
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of one run.  ``branches`` holds 16 records per enumerated
-    input, or one record per observed outcome pair when sampling."""
+    """Outcome of one run.  ``enumerate`` and ``sample`` reports keep their
+    branch results as computed, over 16 cells in ``BELL_OUTCOMES`` order,
+    the (1, 3) outcome major: ``corrections`` holds the repair applied in
+    each cell, ``probability``, ``fidelity`` and ``state`` are indexed
+    [input][cell], and ``count`` holds the 16 cell counts of a ``sample``
+    run.  ``derive`` and ``verify`` reports carry ``verdicts`` and no
+    branch results."""
 
     config: RunConfig
-    branches: tuple[BranchRecord, ...]
     inputs: tuple[InputSummary, ...]
     aggregates: dict
     verdicts: tuple[dict, ...] | None = None
+    corrections: tuple[CorrectionOp, ...] = ()
+    probability: list[list[float]] = field(default_factory=list)
+    fidelity: list[list[float]] = field(default_factory=list)
+    state: list[list[str]] = field(default_factory=list)
+    count: list[int] | None = None
     schema: int = 4
 
     @property
     def passed(self) -> bool:
         return bool(self.aggregates.get("pass", False))
+
+    def rows(self) -> list[tuple[int, int]]:
+        """The (input, cell) index of every branch row, input major and in
+        cell order; a ``sample`` report lists only the cells it drew."""
+        cells = [b for b in range(len(self.corrections)) if self.count is None or self.count[b]]
+        return [(k, b) for k in range(len(self.probability)) for b in cells]
 
 
 def _drawn_inputs(cfg: RunConfig, count: int) -> list[InputState]:
@@ -153,8 +153,8 @@ def _configured_inputs(cfg: RunConfig) -> list[InputState]:
 def _repaired_branches(scheme: Scheme, inputs: list[InputState]):
     """Every branch of every input, repaired by the table's first listed
     correction: the corrections in ``_ALL_PAIRS`` order, then probabilities,
-    fidelities and display forms of the outputs, indexed [input][branch]."""
-    ops = [table_lookup(scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS]
+    fidelities and display forms of the outputs, indexed [input][cell]."""
+    ops = tuple(table_lookup(scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS)
     repaired = np.stack([op.matrix() for op in ops]) @ branch_maps().reshape(16, 4, 4)
     out, probs, fids = map_inputs(repaired, [s.amps for s in inputs])
     states = format_states(out / np.sqrt(probs)[..., None])
@@ -167,11 +167,6 @@ def run_enumeration(cfg: RunConfig) -> Report:
         raise ValueError(f"run_enumeration needs mode 'enumerate', got {cfg.mode!r}")
     inputs = _configured_inputs(cfg)
     ops, probs, fids, states = _repaired_branches(cfg.scheme, inputs)
-    branches = [
-        BranchRecord(k, o13, o26, probs[k][b], fids[k][b], ops[b], states[k][b])
-        for k in range(len(inputs))
-        for b, (o13, o26) in enumerate(_ALL_PAIRS)
-    ]
     summaries = [InputSummary(s.coeffs, sum(p), min(f)) for s, p, f in zip(inputs, probs, fids)]
     min_fid = min(s.min_fidelity for s in summaries)
     worst_total = max((s.total_probability for s in summaries), key=lambda t: abs(t - 1.0))
@@ -184,7 +179,10 @@ def run_enumeration(cfg: RunConfig) -> Report:
         "pass": (min_fid >= 1.0 - cfg.fidelity_tol)
         and (abs(worst_total - 1.0) <= TOTAL_PROB_TOL),
     }
-    return Report(cfg, tuple(branches), tuple(summaries), aggregates)
+    return Report(
+        cfg, tuple(summaries), aggregates,
+        corrections=ops, probability=probs, fidelity=fids, state=states,
+    )
 
 
 def chi2_sf(x: float, dof: int) -> float:
@@ -216,26 +214,19 @@ def run_montecarlo(cfg: RunConfig) -> Report:
         j = draw_index(cum_rows.take(i, axis=0), u[:, 1])
         counts += np.bincount(4 * i + j, minlength=16)
     counts = counts.tolist()
-    branches = tuple(
-        BranchRecord(
-            0, o13, o26, probs[0][b], fids[0][b], ops[b], states[0][b],
-            count=counts[b], frequency=counts[b] / cfg.trials,
-        )
-        for b, (o13, o26) in enumerate(_ALL_PAIRS)
-        if counts[b] > 0
-    )
-    min_fid = min(r.fidelity for r in branches)
+    drawn = [b for b in range(16) if counts[b]]
+    min_fid = min(fids[0][b] for b in drawn)
     p = 1.0 / 16.0
     sigma = math.sqrt(p * (1.0 - p) / cfg.trials)
     max_dev = max(abs(n / cfg.trials - p) for n in counts)
     expected = cfg.trials * p
     chi2 = sum((n - expected) ** 2 / expected for n in counts)
     chi2_p = chi2_sf(chi2, 15)
-    summary = InputSummary(state.coeffs, sum(r.probability for r in branches), min_fid)
+    summary = InputSummary(state.coeffs, sum(probs[0][b] for b in drawn), min_fid)
     aggregates = {
         "trials": cfg.trials,
         "min_fidelity": min_fid,
-        "distinct_outcomes": len(branches),
+        "distinct_outcomes": len(drawn),
         "expected_frequency": p,
         "frequency_sigma": sigma,
         "three_sigma": 3.0 * sigma,
@@ -246,7 +237,10 @@ def run_montecarlo(cfg: RunConfig) -> Report:
         "chi2_p_value": chi2_p,
         "pass": min_fid >= 1.0 - cfg.fidelity_tol and chi2_p >= CHI2_ALPHA,
     }
-    return Report(cfg, branches, (summary,), aggregates)
+    return Report(
+        cfg, (summary,), aggregates,
+        corrections=ops, probability=probs, fidelity=fids, state=states, count=counts,
+    )
 
 
 def run_derivation(cfg: RunConfig) -> Report:
@@ -271,7 +265,7 @@ def run_derivation(cfg: RunConfig) -> Report:
         "max_set_size": max(sizes),
         "pass": all(n >= 1 for n in sizes),
     }
-    return Report(cfg, (), (), aggregates, verdicts=tuple(rows))
+    return Report(cfg, (), aggregates, verdicts=tuple(rows))
 
 
 def run_verification(cfg: RunConfig) -> Report:
@@ -297,7 +291,7 @@ def run_verification(cfg: RunConfig) -> Report:
         "mismatch": tally.count("mismatch"),
         "pass": "mismatch" not in tally,
     }
-    return Report(cfg, (), (), aggregates, verdicts=tuple(rows))
+    return Report(cfg, (), aggregates, verdicts=tuple(rows))
 
 
 _RUNNERS = {
@@ -376,25 +370,27 @@ class _Fragments(dict):
         return text
 
 
-def _json_branches(branches) -> str:
-    """The ``branches`` array, every row from one fixed template: outcome and
-    correction fragments are json.dumps'd constants, and each distinct
-    float and state is formatted once."""
-    heads = _Fragments(
-        lambda pair: f',"outcome13":{json.dumps(pair[0].value)}'
-        f',"outcome26":{json.dumps(pair[1].value)},"probability":'
-    )
-    corrections = _Fragments(lambda op: f',"correction":{json.dumps(str(op))},"state":')
+def _json_branches(report: Report) -> str:
+    """The ``branches`` array, every row from one fixed template: the outcome
+    and correction fragments of each cell are json.dumps'd once, and each
+    distinct float and state is formatted once."""
+    heads = [
+        f',"outcome13":{json.dumps(o13.value)},"outcome26":{json.dumps(o26.value)},"probability":'
+        for o13, o26 in _ALL_PAIRS
+    ]
+    tails = [f',"correction":{json.dumps(str(op))},"state":' for op in report.corrections]
     floats = _Fragments(_format_float)
     states = _Fragments(json.dumps)
+    probs, fids, texts, counts = report.probability, report.fidelity, report.state, report.count
+    trials = report.config.trials
     rows = []
-    for r in branches:
+    for k, b in report.rows():
         row = (
-            f'{{"input":{r.input_index:d}{heads[r.outcome13, r.outcome26]}{floats[r.probability]}'
-            f',"fidelity":{floats[r.fidelity]}{corrections[r.correction]}{states[r.state]}'
+            f'{{"input":{k:d}{heads[b]}{floats[probs[k][b]]}'
+            f',"fidelity":{floats[fids[k][b]]}{tails[b]}{states[texts[k][b]]}'
         )
-        if r.count is not None:
-            row += f',"count":{r.count:d},"frequency":{floats[r.frequency]}'
+        if counts is not None:
+            row += f',"count":{counts[b]:d},"frequency":{floats[counts[b] / trials]}'
         rows.append(row + "}")
     return "[" + ",".join(rows) + "]"
 
@@ -413,19 +409,10 @@ def _emit_json(report: Report) -> str:
     return (
         f'{{"schema":{_json_fragment(report.schema)}'
         f',"config":{_json_fragment(_config_dict(report.config))}'
-        f',"branches":{_json_branches(report.branches)}'
+        f',"branches":{_json_branches(report)}'
         f',"aggregates":{_json_fragment(aggregates)}'
         f',"verdicts":{_json_fragment(verdicts)}}}\n'
     )
-
-
-@functools.cache
-def _csv_cells(*cells: str) -> str:
-    """``cells`` as csv.writer writes them in a row, without the line end
-    (only outcomes and corrections, a bounded set of strings)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(cells)
-    return buf.getvalue()
 
 
 def _emit_csv(report: Report) -> str:
@@ -446,13 +433,15 @@ def _emit_csv(report: Report) -> str:
             w.writerow(cells)
     else:
         w.writerow(CSV_COLUMNS)
-        heads = _Fragments(lambda pair: _csv_cells(pair[0].value, pair[1].value))
-        corrections = _Fragments(lambda op: _csv_cells(str(op)))
+        cells = [
+            (o13.value, o26.value, str(op))
+            for (o13, o26), op in zip(_ALL_PAIRS, report.corrections)
+        ]
         floats = _Fragments(lambda x: format(x, ".17g"))
-        buf.writelines(
-            f"{heads[r.outcome13, r.outcome26]},{floats[r.probability]},"
-            f"{floats[r.fidelity]},{corrections[r.correction]}\n"
-            for r in report.branches
+        probs, fids = report.probability, report.fidelity
+        w.writerows(
+            (cells[b][0], cells[b][1], floats[probs[k][b]], floats[fids[k][b]], cells[b][2])
+            for k, b in report.rows()
         )
     return buf.getvalue()
 
@@ -466,21 +455,21 @@ def _emit_text(report: Report) -> str:
     for k, s in enumerate(report.inputs):
         coeffs = ", ".join(format_complex(c) for c in s.coeffs)
         lines.append(f"input {k}: {coeffs}")
-    if report.branches:
+    rows = report.rows()
+    if rows:
         head = f"{'outcome13':<10}{'outcome26':<10}{'probability':<22}{'fidelity':<22}correction"
-        if any(b.count is not None for b in report.branches):
+        counts, trials = report.count, cfg.trials
+        if counts is not None:
             head += "  count  frequency"
         lines.append(head)
-        heads = _Fragments(lambda pair: f"{pair[0].value:<10}{pair[1].value:<10}")
-        corrections = _Fragments(str)
+        heads = [f"{o13.value:<10}{o26.value:<10}" for o13, o26 in _ALL_PAIRS]
+        ops = [str(op) for op in report.corrections]
         floats = _Fragments(lambda x: f"{x:<22.12g}")
-        for b in report.branches:
-            row = (
-                f"{heads[b.outcome13, b.outcome26]}{floats[b.probability]}"
-                f"{floats[b.fidelity]}{corrections[b.correction]}"
-            )
-            if b.count is not None:
-                row += f"  {b.count}  {b.frequency:.6g}"
+        probs, fids = report.probability, report.fidelity
+        for k, b in rows:
+            row = f"{heads[b]}{floats[probs[k][b]]}{floats[fids[k][b]]}{ops[b]}"
+            if counts is not None:
+                row += f"  {counts[b]}  {counts[b] / trials:.6g}"
             lines.append(row)
     if report.verdicts is not None:
         for row in report.verdicts:

@@ -13,6 +13,7 @@ import numpy as np
 
 from clusterport import (
     BELL_OUTCOMES,
+    BellOutcome,
     CorrectionOp,
     InputState,
     Scheme,
@@ -37,6 +38,9 @@ N_RANDOM_PROBES = 10
 # when its worst fidelity over the probes is this close to 1.
 SURVIVAL_TOL = 1e-10
 
+# report cell order: the (1, 3) outcome major, the (2, 6) outcome minor
+CELLS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
+
 
 class Branch(NamedTuple):
     """One branch executed end to end with the table's first listed repair."""
@@ -55,15 +59,41 @@ def run_branch(state, o13, o26):
     return Branch(prob, corrected, fidelity(target_state(state), corrected), op)
 
 
-def assert_record_matches(state, rec):
-    """A branch result (a BranchRecord or its report fields) agrees with
-    ``run_branch``: probability and fidelity within 1e-14, the same
-    correction and the same display form of the output."""
-    dense = run_branch(state, rec.outcome13, rec.outcome26)
-    assert abs(rec.probability - dense.probability) <= 1e-14
-    assert abs(rec.fidelity - dense.fidelity) <= 1e-14
-    assert str(rec.correction) == str(dense.correction)
-    assert rec.state == format_state(dense.corrected_state)
+class Row(NamedTuple):
+    """One branch row of an enumerate or sample report."""
+
+    input_index: int
+    outcome13: BellOutcome
+    outcome26: BellOutcome
+    probability: float
+    fidelity: float
+    correction: CorrectionOp
+    state: str
+    count: int | None
+
+
+def report_rows(report):
+    """The branch rows of a report, in report order, read from its
+    [input][cell] results at the (input, cell) pairs of ``report.rows()``."""
+    return [
+        Row(
+            k, *CELLS[b], report.probability[k][b], report.fidelity[k][b],
+            report.corrections[b], report.state[k][b],
+            None if report.count is None else report.count[b],
+        )
+        for k, b in report.rows()
+    ]
+
+
+def assert_row_matches(state, row):
+    """A branch row (a ``Row`` or a JSON branch row with the same fields)
+    agrees with ``run_branch``: probability and fidelity within 1e-14, the
+    same correction and the same display form of the output."""
+    dense = run_branch(state, row.outcome13, row.outcome26)
+    assert abs(row.probability - dense.probability) <= 1e-14
+    assert abs(row.fidelity - dense.fidelity) <= 1e-14
+    assert str(row.correction) == str(dense.correction)
+    assert row.state == format_state(dense.corrected_state)
 
 
 def sample_counts(state, seed, trials):

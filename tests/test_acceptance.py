@@ -74,7 +74,8 @@ def test_branch_probabilities_uniform():
     for scheme in (Scheme.SPECIAL, Scheme.ARBITRARY):
         report = enumeration(scheme)
         worst_p = max(
-            worst_p, max(abs(b.probability - 1 / 16) for b in report.branches)
+            worst_p,
+            max(abs(r.probability - 1 / 16) for r in dense_oracle.report_rows(report)),
         )
         worst_total = max(
             worst_total, max(abs(s.total_probability - 1.0) for s in report.inputs)

@@ -11,7 +11,6 @@ import dense_oracle
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
-    BranchRecord,
     CorrectionOp,
     InputState,
     Report,
@@ -101,14 +100,16 @@ class TestRunConfig:
 class TestEnumeration:
     def test_record_layout(self):
         report = run_enumeration(enum_cfg(random_inputs=3))
-        assert len(report.branches) == 48
+        rows = dense_oracle.report_rows(report)
+        assert len(rows) == 48
         assert len(report.inputs) == 3
-        assert [b.input_index for b in report.branches[:17]] == [0] * 16 + [1]
+        assert [r.input_index for r in rows[:17]] == [0] * 16 + [1]
+        assert [(r.outcome13, r.outcome26) for r in rows[:16]] == dense_oracle.CELLS
         assert report.aggregates["num_inputs"] == 3
 
     def test_fixed_input_gives_one_block(self):
         report = run_enumeration(enum_cfg(input_coeffs=(0.6, 0.8)))
-        assert len(report.branches) == 16
+        assert len(dense_oracle.report_rows(report)) == 16
         assert report.inputs[0].coeffs == (0.6 + 0j, 0.8 + 0j)
 
     def test_pass_aggregates(self):
@@ -129,7 +130,7 @@ class TestEnumeration:
         )
         report = run_enumeration(cfg)
         assert report.aggregates["min_fidelity"] == 1.0
-        assert {b.fidelity for b in report.branches} == {1.0}
+        assert {r.fidelity for r in dense_oracle.report_rows(report)} == {1.0}
         assert report.passed
 
     def test_wrong_repair_fails(self, monkeypatch):
@@ -147,16 +148,17 @@ class TestMonteCarlo:
     def test_single_trial_single_record(self):
         cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=1, seed=5)
         report = run_montecarlo(cfg)
-        assert len(report.branches) == 1
-        b = report.branches[0]
-        assert b.count == 1 and b.frequency == 1.0
-        assert b.probability == pytest.approx(1 / 16, abs=1e-12)
+        (row,) = dense_oracle.report_rows(report)
+        assert row.count == 1
+        assert row.probability == pytest.approx(1 / 16, abs=1e-12)
         assert report.aggregates["distinct_outcomes"] == 1
+        (raw,) = json.loads(emit_report(report, "json"))["branches"]
+        assert raw["count"] == 1 and raw["frequency"] == 1.0
 
     def test_counts_total_trials(self):
         cfg = RunConfig(scheme=Scheme.SPECIAL, mode="sample", trials=400, seed=9)
         report = run_montecarlo(cfg)
-        assert sum(b.count for b in report.branches) == 400
+        assert sum(r.count for r in dense_oracle.report_rows(report)) == 400
         assert report.passed
 
     def test_sigma_bookkeeping(self):
@@ -178,8 +180,12 @@ class TestMonteCarlo:
         long = run_montecarlo(
             RunConfig(scheme=Scheme.SPECIAL, mode="sample", trials=100, seed=21)
         )
-        short_counts = {(b.outcome13, b.outcome26): b.count for b in short.branches}
-        long_counts = {(b.outcome13, b.outcome26): b.count for b in long.branches}
+        short_counts = {
+            (r.outcome13, r.outcome26): r.count for r in dense_oracle.report_rows(short)
+        }
+        long_counts = {
+            (r.outcome13, r.outcome26): r.count for r in dense_oracle.report_rows(long)
+        }
         assert all(long_counts[pair] >= n for pair, n in short_counts.items())
 
     def test_chi2_bookkeeping(self):
@@ -243,8 +249,8 @@ class TestMonteCarlo:
 def cell_counts(report):
     """The 16 outcome-pair counts of a sample report, (1, 3) outcome major."""
     counts = [0] * 16
-    for b in report.branches:
-        counts[4 * BELL_OUTCOMES.index(b.outcome13) + BELL_OUTCOMES.index(b.outcome26)] = b.count
+    for r in dense_oracle.report_rows(report):
+        counts[4 * BELL_OUTCOMES.index(r.outcome13) + BELL_OUTCOMES.index(r.outcome26)] = r.count
     return counts
 
 
@@ -252,8 +258,9 @@ def scalar_loop_counts(report, seed, sizes):
     """Counts after each of ``sizes`` trials of a plain loop that feeds
     ``draw_index`` one uniform of default_rng([seed, 1]) at a time, using
     the branch probabilities a sample report lists for all 16 pairs."""
-    assert len(report.branches) == 16
-    joint = np.array([b.probability for b in report.branches]).reshape(4, 4)
+    rows = dense_oracle.report_rows(report)
+    assert len(rows) == 16
+    joint = np.array([r.probability for r in rows]).reshape(4, 4)
     rng = np.random.default_rng([seed, 1])
     counts, snapshots = [0] * 16, []
     for t in range(1, max(sizes) + 1):
@@ -292,7 +299,7 @@ class TestStateStrings:
         report = run_enumeration(enum_cfg(scheme=scheme, random_inputs=5))
         unit = repaired_outputs(scheme, [s.coeffs for s in report.inputs])
         expected = [format_state(StateVector((4, 5), v)) for row in unit for v in row]
-        assert [r.state for r in report.branches] == expected
+        assert [r.state for r in dense_oracle.report_rows(report)] == expected
         # a fixed Pauli error keeps one string per input; no repair does not
         assert (len(set(expected)) > 5) is (table is no_repair_table)
 
@@ -300,26 +307,27 @@ class TestStateStrings:
         monkeypatch.setattr(harness, "table_lookup", no_repair_table)
         monkeypatch.setattr(dense_oracle, "table_lookup", no_repair_table)
         report = run_enumeration(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=2))
-        for rec in report.branches:
-            state = InputState(Scheme.ARBITRARY, report.inputs[rec.input_index].coeffs)
-            dense_oracle.assert_record_matches(state, rec)
+        for row in dense_oracle.report_rows(report):
+            state = InputState(Scheme.ARBITRARY, report.inputs[row.input_index].coeffs)
+            dense_oracle.assert_row_matches(state, row)
 
 
 class TestRowTemplates:
     def test_signed_zeros_keep_their_sign(self):
         # the per-report float cache must not hand 0.0 the text of -0.0
-        op = CorrectionOp("I", "Z")
-        pair = (BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS)
-        rows = [BranchRecord(0, *pair, p, p, op, "0", count=1, frequency=p)
-                for p in (-0.0, 0.0, -0.0)]
-        report = Report(enum_cfg(), tuple(rows), (), {"pass": True})
+        values = [-0.0, 0.0, -0.0] + [0.5] * 13
+        report = Report(
+            enum_cfg(), (), {"pass": True},
+            corrections=(CorrectionOp("I", "Z"),) * 16,
+            probability=[values], fidelity=[values], state=[["0"] * 16],
+        )
         doc = json.loads(emit_report(report, "json"))
-        assert [math.copysign(1, b["probability"]) for b in doc["branches"]] == [-1, 1, -1]
-        assert [math.copysign(1, b["frequency"]) for b in doc["branches"]] == [-1, 1, -1]
-        csv_rows = emit_report(report, "csv").decode().splitlines()[1:]
-        assert [row.split(",")[2] for row in csv_rows] == ["-0", "0", "-0"]
+        for key in ("probability", "fidelity"):
+            assert [math.copysign(1, b[key]) for b in doc["branches"][:3]] == [-1, 1, -1]
+        csv_rows = emit_report(report, "csv").decode().splitlines()[1:4]
+        assert [row.split(",")[2:4] for row in csv_rows] == [["-0", "-0"], ["0", "0"], ["-0", "-0"]]
         text_rows = emit_report(report, "text").decode().splitlines()[2:5]
-        assert [row.split()[2] for row in text_rows] == ["-0", "0", "-0"]
+        assert [row.split()[2:4] for row in text_rows] == [["-0", "-0"], ["0", "0"], ["-0", "-0"]]
 
 
 class TestChiSquareTail:
@@ -368,9 +376,11 @@ class TestJsonFormat:
     def test_floats_round_trip_exactly(self):
         report = run(enum_cfg(random_inputs=2))
         doc = json.loads(emit_report(report, "json"))
-        for rec, raw in zip(report.branches, doc["branches"]):
-            assert raw["probability"] == rec.probability
-            assert raw["fidelity"] == rec.fidelity
+        rows = dense_oracle.report_rows(report)
+        assert len(rows) == len(doc["branches"]) == 32
+        for row, raw in zip(rows, doc["branches"]):
+            assert raw["probability"] == row.probability
+            assert raw["fidelity"] == row.fidelity
         assert doc["aggregates"]["min_fidelity"] == report.aggregates["min_fidelity"]
 
     def test_coeffs_parse_back_as_complex(self):
@@ -438,9 +448,59 @@ class TestCsvAndText:
             emit_report(run(enum_cfg()), "yaml")
 
 
+class TestSparseSampleRows:
+    """A sample of few trials draws only some cells: every format lists the
+    same drawn cells, in cell order, with the same values."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    @pytest.mark.parametrize("seed", [0, 3, 7, 11, 19])
+    def test_formats_list_the_same_drawn_cells(self, scheme, seed):
+        trials = 5
+        report = run(RunConfig(scheme=scheme, mode="sample", trials=trials, seed=seed))
+        rows = dense_oracle.report_rows(report)
+        drawn = [b for b in range(16) if report.count[b]]
+        cells = [dense_oracle.CELLS[b] for b in drawn]
+        assert [(r.outcome13, r.outcome26) for r in rows] == cells
+        assert all(r.count >= 1 for r in rows) and sum(r.count for r in rows) == trials
+        assert report.aggregates["distinct_outcomes"] == len(rows) < 16
+
+        doc = json.loads(emit_report(report, "json"))
+        assert doc["aggregates"]["distinct_outcomes"] == len(rows)
+        assert len(doc["branches"]) == len(rows)
+        for row, raw in zip(rows, doc["branches"]):
+            assert raw["outcome13"] == row.outcome13.value
+            assert raw["outcome26"] == row.outcome26.value
+            assert raw["probability"] == row.probability
+            assert raw["fidelity"] == row.fidelity
+            assert raw["correction"] == str(row.correction)
+            assert raw["count"] == row.count
+            assert raw["frequency"] == row.count / trials
+
+        csv_rows = emit_report(report, "csv").decode().splitlines()[1:]
+        assert len(csv_rows) == len(rows)
+        for row, line in zip(rows, csv_rows):
+            o13, o26, prob, fid, op = line.split(",")
+            assert (o13, o26) == (row.outcome13.value, row.outcome26.value)
+            assert (float(prob), float(fid)) == (row.probability, row.fidelity)
+            assert op == str(row.correction)
+
+        lines = emit_report(report, "text").decode().splitlines()
+        head = lines.index(next(line for line in lines if line.startswith("outcome13")))
+        assert lines[head].endswith("count  frequency")
+        text_rows = lines[head + 1:head + 1 + len(rows)]
+        for row, line in zip(rows, text_rows):
+            assert line.split() == [
+                row.outcome13.value, row.outcome26.value,
+                f"{row.probability:.12g}", f"{row.fidelity:.12g}", str(row.correction),
+                str(row.count), f"{row.count / trials:.6g}",
+            ]
+        assert lines[head + 1 + len(rows)].startswith("trials=")
+        assert f" distinct_outcomes={len(rows)} " in lines[head + 1 + len(rows)]
+
+
 class TestReportObject:
     def test_passed_defaults_false_without_aggregate(self):
-        r = Report(enum_cfg(), (), (), {})
+        r = Report(enum_cfg(), (), {})
         assert not r.passed
 
 
@@ -554,10 +614,11 @@ class TestAgainstDenseOracle:
         report = run_enumeration(
             RunConfig(scheme=scheme, mode="enumerate", random_inputs=6, seed=seed)
         )
-        assert len(report.branches) == 96
-        for rec in report.branches:
-            state = InputState(scheme, report.inputs[rec.input_index].coeffs)
-            dense_oracle.assert_record_matches(state, rec)
+        rows = dense_oracle.report_rows(report)
+        assert len(rows) == 96
+        for row in rows:
+            state = InputState(scheme, report.inputs[row.input_index].coeffs)
+            dense_oracle.assert_row_matches(state, row)
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
     @pytest.mark.parametrize("seed", [0, 7, 42])
@@ -565,10 +626,11 @@ class TestAgainstDenseOracle:
         report = run_montecarlo(RunConfig(scheme=scheme, mode="sample", trials=800, seed=seed))
         state = InputState(scheme, report.inputs[0].coeffs)
         dense = dense_oracle.sample_counts(state, seed, 800)
-        counts = {(b.outcome13, b.outcome26): b.count for b in report.branches}
+        rows = dense_oracle.report_rows(report)
+        counts = {(r.outcome13, r.outcome26): r.count for r in rows}
         assert {pair: counts.get(pair, 0) for pair in dense} == dense
-        for rec in report.branches:
-            dense_oracle.assert_record_matches(state, rec)
+        for row in rows:
+            dense_oracle.assert_row_matches(state, row)
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
     def test_degenerate_inputs_via_coeffs(self, scheme, tmp_path, capsys):
@@ -587,11 +649,11 @@ class TestAgainstDenseOracle:
                     assert len(doc["branches"]) == 16
                 counts = {}
                 for raw in doc["branches"]:
-                    rec = SimpleNamespace(**raw)
-                    rec.outcome13 = BellOutcome(rec.outcome13)
-                    rec.outcome26 = BellOutcome(rec.outcome26)
-                    dense_oracle.assert_record_matches(state, rec)
-                    counts[(rec.outcome13, rec.outcome26)] = raw.get("count")
+                    row = SimpleNamespace(**raw)
+                    row.outcome13 = BellOutcome(row.outcome13)
+                    row.outcome26 = BellOutcome(row.outcome26)
+                    dense_oracle.assert_row_matches(state, row)
+                    counts[(row.outcome13, row.outcome26)] = raw.get("count")
                 if mode == "sample":
                     dense_counts = dense_oracle.sample_counts(state, 3, 500)
                     assert {p: counts.get(p, 0) for p in dense_counts} == dense_counts

@@ -173,11 +173,12 @@ class TestCollapseSigns:
 
 
 def enumerated(state):
-    """The 16 enumerate records of one fixed input, keyed by outcome pair."""
+    """The 16 enumerate rows of one fixed input, keyed by outcome pair."""
     cfg = RunConfig(scheme=state.scheme, mode="enumerate", input_coeffs=state.coeffs)
     report = run_enumeration(cfg)
-    assert len(report.branches) == 16
-    return {(r.outcome13, r.outcome26): r for r in report.branches}, report.inputs[0]
+    rows = dense_oracle.report_rows(report)
+    assert len(rows) == 16
+    return {(r.outcome13, r.outcome26): r for r in rows}, report.inputs[0]
 
 
 class TestEnumeratedBranches:
@@ -198,7 +199,7 @@ class TestEnumeratedBranches:
         assert r.probability == pytest.approx(1 / 16, abs=1e-15)
         assert r.fidelity == pytest.approx(1.0, abs=1e-15)
         assert r.state == "0.6|00> + 0.8|11>"
-        dense_oracle.assert_record_matches(state, r)
+        dense_oracle.assert_row_matches(state, r)
 
     def test_scheme2_worked_example(self):
         # scheme 2, (Phi+, Phi-): after the controlled-phase the state is
@@ -213,7 +214,7 @@ class TestEnumeratedBranches:
         assert str(r.correction) == "CZ+IZ"
         assert r.fidelity == pytest.approx(1.0, abs=1e-15)
         assert r.state == "0.5|00> + 0.5|01> + 0.5|10> + 0.5|11>"
-        dense_oracle.assert_record_matches(state, r)
+        dense_oracle.assert_row_matches(state, r)
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
     def test_all_branches_perfect(self, scheme, rng):
@@ -226,7 +227,7 @@ class TestEnumeratedBranches:
                 assert r.probability == pytest.approx(1 / 16, abs=1e-12)
                 assert r.fidelity >= 1 - 1e-10
                 assert r.state == shown
-                dense_oracle.assert_record_matches(state, r)
+                dense_oracle.assert_row_matches(state, r)
             assert summary.total_probability == pytest.approx(1.0, abs=1e-12)
             assert summary.min_fidelity >= 1 - 1e-10
 
@@ -242,7 +243,7 @@ class TestEnumeratedBranches:
                 assert r.probability == pytest.approx(1 / 16, abs=1e-12)
                 assert r.fidelity >= 1 - 1e-10
                 assert r.state == format_state(target_state(state))
-                dense_oracle.assert_record_matches(state, r)
+                dense_oracle.assert_row_matches(state, r)
 
     @pytest.mark.parametrize("o13,o26", ALL_PAIRS)
     def test_output_equals_input_up_to_phase_only(self, o13, o26, rng):
