@@ -14,13 +14,16 @@ are exact and draw nothing, so the seed only appears in their config.
 
 Every mode reads the 16 exact branch maps of ``protocol.branch_maps`` and
 simulates no six-qubit state; ``derive`` and ``verify`` certify repairs by
-integer equality (``protocol.certify``), with no tolerance.  A report keeps
-the branch results as the arrays they are computed as, indexed
-[input][cell] in ``_ALL_PAIRS`` cell order; display forms come from one
-``format_states`` call per run.  Every report format writes the rows of
+integer equality (``protocol.certify``), with no tolerance: one call
+certifies the whole 16-cell table, so ``derive`` makes one and ``verify``
+two, and nothing carries over between runs.  A report keeps the branch
+results as the arrays they are computed as, indexed [input][cell] in
+``_ALL_PAIRS`` cell order; display forms come from one ``format_states``
+call per run.  Every report format writes the rows of
 ``Report.rows()`` from a fixed template: the outcome and correction text of
 each of the 16 cells is built once, and each distinct float and state is
-formatted once per report.
+formatted once per report.  JSON verdict rows come from one template too,
+each distinct string json.dumps'd once.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7)
     report = run(cfg)
@@ -42,8 +45,8 @@ from .protocol import (
     CorrectionOp,
     InputState,
     Scheme,
+    _derived_table,
     branch_maps,
-    derive_corrections,
     map_inputs,
     random_input,
     table_lookup,
@@ -60,7 +63,11 @@ CSV_COLUMNS = ("outcome13", "outcome26", "probability", "fidelity", "correction"
 _ALL_PAIRS = tuple((a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES)
 
 SAMPLE_BLOCK = 2048  # trials drawn at once; counts do not depend on it
-CHI2_ALPHA = 1e-9  # false-alarm rate of the chi-square test that gates sampling
+# Threshold on the p-value of the chi-square test that gates sampling: its
+# false-alarm rate for many trials.  Counts are discrete, so at few trials
+# the exact rate differs: 0 below 5 trials, 16 * 16**-5 ~ 1.5e-5 at 5 (all
+# in one cell), and 2e-7 to 6e-6 for 6 to 30 trials.
+CHI2_ALPHA = 1e-9
 
 
 @dataclass(frozen=True)
@@ -253,10 +260,10 @@ def run_derivation(cfg: RunConfig) -> Report:
         {
             "outcome13": o13.value,
             "outcome26": o26.value,
-            "derived": [str(op) for op in derive_corrections(cfg.scheme, o13, o26)],
+            "derived": [str(op) for op in derived],
             "listed": [str(op) for op in table_lookup(cfg.scheme, o13, o26)],
         }
-        for o13, o26 in _ALL_PAIRS
+        for (o13, o26), derived in zip(_ALL_PAIRS, _derived_table(cfg.scheme))
     ]
     sizes = [len(row["derived"]) for row in rows]
     aggregates = {
@@ -374,6 +381,8 @@ def _json_branches(report: Report) -> str:
     """The ``branches`` array, every row from one fixed template: the outcome
     and correction fragments of each cell are json.dumps'd once, and each
     distinct float and state is formatted once."""
+    if not report.corrections:
+        return "[]"  # a derive or verify report: no branch rows, no template
     heads = [
         f',"outcome13":{json.dumps(o13.value)},"outcome26":{json.dumps(o26.value)},"probability":'
         for o13, o26 in _ALL_PAIRS
@@ -395,6 +404,24 @@ def _json_branches(report: Report) -> str:
     return "[" + ",".join(rows) + "]"
 
 
+def _json_verdicts(verdicts) -> str:
+    """The ``verdicts`` array, every row from one template: a row is a flat
+    object of strings and string lists, and each distinct string (key,
+    outcome, verdict or correction) is json.dumps'd once."""
+    if verdicts is None:
+        return "null"
+    texts = _Fragments(json.dumps)
+    rows = []
+    for row in verdicts:
+        fields = [
+            f"{texts[key]}:{texts[value]}" if isinstance(value, str)
+            else f"{texts[key]}:[{','.join([texts[v] for v in value])}]"
+            for key, value in row.items()
+        ]
+        rows.append("{" + ",".join(fields) + "}")
+    return "[" + ",".join(rows) + "]"
+
+
 def _emit_json(report: Report) -> str:
     aggregates = dict(report.aggregates)
     aggregates["inputs"] = [
@@ -405,13 +432,12 @@ def _emit_json(report: Report) -> str:
         }
         for s in report.inputs
     ]
-    verdicts = None if report.verdicts is None else list(report.verdicts)
     return (
         f'{{"schema":{_json_fragment(report.schema)}'
         f',"config":{_json_fragment(_config_dict(report.config))}'
         f',"branches":{_json_branches(report)}'
         f',"aggregates":{_json_fragment(aggregates)}'
-        f',"verdicts":{_json_fragment(verdicts)}}}\n'
+        f',"verdicts":{_json_verdicts(report.verdicts)}}}\n'
     )
 
 

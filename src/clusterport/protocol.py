@@ -23,12 +23,16 @@ branch exactly when R 4K is c times the identity on the scheme's inputs,
 c in {1, -1, i, -i} (``certify``): that integer equality is how
 ``derive_corrections`` rediscovers the correction of any branch and how
 ``verify_tables`` checks the hard-coded tables instead of trusting them.
+A certificate is one ``certify`` call on one stack that holds R 4K for all
+16 branches times all 16 Pauli pairs (``_table_certificate``): deriving a
+table takes one call, verifying it two, and nothing is kept between runs.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -240,12 +244,20 @@ _TABLE2 = {
 }
 
 
+# The tables as repairs, built once: table_lookup hands out fresh lists of
+# these shared (frozen) ops.
+_TABLE_REPAIRS = {
+    scheme: {
+        cell: tuple(CorrectionOp(p4, p5, cz_first=scheme is Scheme.ARBITRARY) for p4, p5 in pairs)
+        for cell, pairs in table.items()
+    }
+    for scheme, table in ((Scheme.SPECIAL, _TABLE1), (Scheme.ARBITRARY, _TABLE2))
+}
+
+
 def table_lookup(scheme: Scheme, o13: BellOutcome, o26: BellOutcome) -> list[CorrectionOp]:
     """The built-in correction(s) for one branch, first entry preferred."""
-    scheme = Scheme(scheme)
-    table = _TABLE1 if scheme is Scheme.SPECIAL else _TABLE2
-    cz = scheme is Scheme.ARBITRARY
-    return [CorrectionOp(p4, p5, cz_first=cz) for p4, p5 in table[(o13, o26)]]
+    return list(_TABLE_REPAIRS[Scheme(scheme)][(o13, o26)])
 
 
 def random_input(scheme: Scheme, rng: np.random.Generator) -> InputState:
@@ -262,6 +274,10 @@ _PAULI_PAIRS = tuple((p4, p5) for p4 in PAULI_NAMES for p5 in PAULI_NAMES)
 _PAULI_STACK = np.stack([PAULIS[name] for name in PAULI_NAMES])
 _PAIR_OPS = np.einsum("aij,bkl->abikjl", _PAULI_STACK, _PAULI_STACK).reshape(16, 4, 4)
 _CZ_DIAG = np.array([1, 1, 1, -1], dtype=np.complex128)
+# Every candidate repair in _PAULI_PAIRS order, without and with the CZ step.
+_PAIR_REPAIRS = {
+    cz: tuple(CorrectionOp(p4, p5, cz_first=cz) for p4, p5 in _PAULI_PAIRS) for cz in (False, True)
+}
 
 
 @functools.cache
@@ -315,6 +331,11 @@ def certify(products: np.ndarray, scheme: Scheme) -> np.ndarray:
     return scalar & (c.real ** 2 + c.imag ** 2 == 1)
 
 
+def _cell(o13: BellOutcome, o26: BellOutcome) -> int:
+    """Index of a branch in cell order, the (1, 3) outcome major."""
+    return 4 * BELL_OUTCOMES.index(o13) + BELL_OUTCOMES.index(o26)
+
+
 def _repair_products(o13: BellOutcome, o26: BellOutcome, cz_first: bool) -> np.ndarray:
     """R 4K for one branch and each Pauli pair R in _PAULI_PAIRS order (after
     the controlled-phase when ``cz_first``), exact in Gaussian integers."""
@@ -330,23 +351,47 @@ def pauli_pair_fidelities(o13: BellOutcome, o26: BellOutcome, inputs, cz_first: 
     return dict(zip(_PAULI_PAIRS, fid.min(axis=0).tolist()))
 
 
+def _table_certificate(cz_first: bool, scheme: Scheme) -> np.ndarray:
+    """One ``certify`` call on the whole table: ``[cell, pair]`` says whether
+    Pauli pair ``_PAULI_PAIRS[pair]`` (after the controlled-phase when
+    ``cz_first``) repairs branch ``cell`` on ``scheme``.  The stack holds R 4K
+    for all 16 branches times all 16 pairs."""
+    k = 4 * branch_maps().reshape(16, 4, 4)
+    if cz_first:
+        k = _CZ_DIAG[:, None] * k
+    # _PAIR_OPS @ k as one (64, 4) @ (4, 64) product, rows (pair, i) and
+    # columns (cell, l), viewed as [cell, pair, i, l]
+    products = _PAIR_OPS.reshape(64, 4) @ k.transpose(1, 0, 2).reshape(4, 64)
+    return certify(products.reshape(16, 4, 16, 4).transpose(2, 0, 1, 3), scheme)
+
+
 def _certified_pairs(o13: BellOutcome, o26: BellOutcome, cz_first: bool, scheme: Scheme):
     """The Pauli pairs (p4, p5) whose repair of one branch (after the
-    controlled-phase when ``cz_first``) ``certify`` accepts on ``scheme``."""
-    ok = certify(_repair_products(o13, o26, cz_first), scheme)
+    controlled-phase when ``cz_first``) ``certify`` accepts on ``scheme``:
+    one row of ``_table_certificate``."""
+    ok = _table_certificate(cz_first, scheme)[_cell(o13, o26)]
     return [pair for pair, good in zip(_PAULI_PAIRS, ok) if good]
 
 
-def derive_corrections(scheme: Scheme, o13: BellOutcome, o26: BellOutcome):
-    """Derive the correction set for one branch: every Pauli pair, with the
-    CZ step fixed by the scheme, that is certified on the scheme's inputs
-    and so exact for every one of them.  Every branch of both schemes has
-    one; an empty set means a bug in the maps or the certificate, and
-    callers report it as a failed cell.
-    """
+def _derived_table(scheme: Scheme) -> list[list[CorrectionOp]]:
+    """The derived correction set of every branch, in cell order, from one
+    certificate: every Pauli pair, with the CZ step fixed by the scheme,
+    that is certified on the scheme's inputs and so exact for every one of
+    them.  Every branch of both schemes has one; an empty set means a bug in
+    the maps or the certificate, and callers report it as a failed cell."""
     scheme = Scheme(scheme)
     cz = scheme is Scheme.ARBITRARY
-    return [CorrectionOp(p4, p5, cz_first=cz) for p4, p5 in _certified_pairs(o13, o26, cz, scheme)]
+    ops = _PAIR_REPAIRS[cz]
+    return [
+        [op for op, good in zip(ops, row) if good]
+        for row in _table_certificate(cz, scheme).tolist()
+    ]
+
+
+def derive_corrections(scheme: Scheme, o13: BellOutcome, o26: BellOutcome):
+    """Derive the correction set for one branch: its cell of
+    ``_derived_table``."""
+    return _derived_table(scheme)[_cell(o13, o26)]
 
 
 VERDICT_EXACT = "exact-up-to-global-phase"
@@ -388,23 +433,23 @@ def verify_tables(scheme: Scheme) -> TableReport:
     """Check every cell of the scheme's correction table against derivation."""
     scheme = Scheme(scheme)
     cz = scheme is Scheme.ARBITRARY
+    cells = itertools.product(BELL_OUTCOMES, repeat=2)
+    # the other certificate, after CZ: scheme-2 repairs on the |00>/|11>
+    # span alone, scheme-1 repairs on every input
+    others = _table_certificate(True, Scheme.SPECIAL if cz else Scheme.ARBITRARY).tolist()
     entries = []
-    for o13 in BELL_OUTCOMES:
-        for o26 in BELL_OUTCOMES:
-            derived = tuple(derive_corrections(scheme, o13, o26))
-            listed = tuple(table_lookup(scheme, o13, o26))
-            # the other certificate, after CZ: scheme-2 repairs on the
-            # |00>/|11> span alone, scheme-1 repairs on every input
-            other = _certified_pairs(o13, o26, True, Scheme.SPECIAL if cz else Scheme.ARBITRARY)
-            holds = [(op.p4, op.p5) in other for op in listed]
-            if not derived:
-                verdict = VERDICT_MISMATCH  # nothing certified: nothing to match
-            elif all(op in derived for op in listed):
-                verdict = VERDICT_EXACT
-            elif cz and all(holds):
-                verdict = VERDICT_SUBSPACE
-            else:
-                verdict = VERDICT_MISMATCH
-            subspace = () if cz else tuple(op for op, ok in zip(listed, holds) if not ok)
-            entries.append(TableEntry(o13, o26, derived, listed, verdict, subspace))
+    for (o13, o26), derived, other in zip(cells, _derived_table(scheme), others):
+        derived = tuple(derived)
+        listed = tuple(table_lookup(scheme, o13, o26))
+        holds = [other[_PAULI_PAIRS.index((op.p4, op.p5))] for op in listed]
+        if not derived:
+            verdict = VERDICT_MISMATCH  # nothing certified: nothing to match
+        elif all(op in derived for op in listed):
+            verdict = VERDICT_EXACT
+        elif cz and all(holds):
+            verdict = VERDICT_SUBSPACE
+        else:
+            verdict = VERDICT_MISMATCH
+        subspace = () if cz else tuple(op for op, ok in zip(listed, holds) if not ok)
+        entries.append(TableEntry(o13, o26, derived, listed, verdict, subspace))
     return TableReport(scheme, tuple(entries))

@@ -195,6 +195,35 @@ class TestMain:
             assert text.endswith("result: FAIL\n")
             assert text.count("derived=  ") == 16
 
+    @pytest.mark.parametrize("scheme", ["1", "2"])
+    @pytest.mark.parametrize("mode, allowed", [("derive", {1}), ("verify", {1, 2})])
+    def test_one_certificate_per_table(self, capsys, monkeypatch, mode, allowed, scheme):
+        # each certify call covers all 16 cells at once: derive needs its own
+        # certificate, verify at most one more
+        shapes = []
+        real = protocol.certify
+
+        def counting(products, s):
+            shapes.append(products.shape)
+            return real(products, s)
+
+        monkeypatch.setattr(protocol, "certify", counting)
+        code, _, _ = run_main(capsys, mode, "--scheme", scheme, "--format", "json")
+        assert code == 0
+        assert len(shapes) in allowed
+        assert set(shapes) == {(16, 16, 4, 4)}
+
+    def test_nothing_is_cached_between_runs(self, capsys, monkeypatch):
+        argv = ("derive", "--scheme", "2", "--format", "json")
+        passing = run_main(capsys, *argv)
+        assert passing[0] == 0
+        with monkeypatch.context() as mp:
+            mp.setattr(protocol, "certify", reject_everything)
+            code, out, _ = run_main(capsys, *argv)
+            assert code == 1
+            assert [row["derived"] for row in json.loads(out)["verdicts"]] == [[]] * 16
+        assert run_main(capsys, *argv) == passing
+
     def test_out_writes_file(self, capsys, tmp_path):
         dest = tmp_path / "report.json"
         code, out, _ = run_main(

@@ -153,7 +153,12 @@ def test_json_state_is_format_state_of_each_output(scheme, data, unrepaired, tin
         k = coeff_count(scheme)
         coeffs = data.draw(unit_vectors(k))
         coeffs[data.draw(st.integers(0, k - 1))] = tiny * data.draw(signs)
-        argv += ["--renormalize", "--coeffs=" + ",".join(format_complex(c) for c in coeffs)]
+        if not any(coeffs):
+            # a zero replaced the one nonzero amplitude: nothing to scale
+            code, err = run_cli("enumerate", scheme, coeffs, "--renormalize")
+            assert code == 2 and "all-zero" in err
+            return
+        argv +=["--renormalize", "--coeffs=" + ",".join(format_complex(c) for c in coeffs)]
     else:
         argv += ["--random-inputs", "3"]
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:

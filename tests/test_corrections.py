@@ -218,6 +218,21 @@ class TestCertificate:
         assert not certify(np.stack([leak, swap]), Scheme.SPECIAL).any()
 
 
+class TestTableCertificate:
+    @pytest.mark.parametrize("cz", [False, True], ids=["pauli", "cz"])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_every_row_is_the_per_cell_certificate(self, scheme, cz):
+        # the whole-table stack certifies each cell as a stack of its own
+        # 16 repairs would
+        table = protocol._table_certificate(cz, scheme)
+        assert table.shape == (16, 16)
+        cz_diag = np.diag([1, 1, 1, -1])
+        for cell, k in enumerate(branch_maps().reshape(16, 4, 4)):
+            repaired = cz_diag @ (4 * k) if cz else 4 * k
+            expected = certify(protocol._PAIR_OPS @ repaired, scheme)
+            assert table[cell].tolist() == expected.tolist()
+
+
 # (scheme whose inputs the certificate ranges over, dense probes standing for
 # those inputs); the scheme-1 span is checked against both probe sets the
 # brute force used for it
@@ -283,7 +298,7 @@ class TestVerifyTables:
     def test_a_cell_with_nothing_derived_is_a_mismatch(self, monkeypatch):
         # the scheme-2 repairs still pass the span-only certificate, which
         # alone would make every cell subspace-only
-        monkeypatch.setattr(protocol, "derive_corrections", lambda *args: [])
+        monkeypatch.setattr(protocol, "_derived_table", lambda scheme: [[] for _ in range(16)])
         assert {e.verdict for e in verify_tables(Scheme.ARBITRARY).entries} == {"mismatch"}
 
     def test_subspace_only_spot_check(self):
