@@ -4,21 +4,16 @@ verification CLI, and a dense state-vector simulator as a reference."""
 
 from .statevec import (
     StateVector,
-    basis_state,
     fidelity,
     format_state,
-    inner,
-    normalize,
     relabel,
     tensor,
 )
-from .gates import PAULIS, apply_cz, apply_single, pauli_matrix
+from .gates import PAULIS, apply_cz, apply_single
 from .measurement import (
     BELL_OUTCOMES,
     BellOutcome,
     ProjectionResult,
-    bell_probabilities,
-    bell_vector,
     project_bell,
     sample_bell,
 )
@@ -30,19 +25,15 @@ from .protocol import (
     CorrectionOp,
     InputState,
     Scheme,
-    TableEntry,
-    TableReport,
     apply_correction,
     assemble_total,
     cluster_state,
     collapse_branch,
-    derive_corrections,
     make_input,
     pauli_pair_fidelities,
     random_input,
     table_lookup,
     target_state,
-    verify_tables,
 )
 from .harness import (
     InputSummary,
@@ -60,22 +51,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "StateVector",
-    "basis_state",
     "fidelity",
     "format_state",
-    "inner",
-    "normalize",
     "relabel",
     "tensor",
     "PAULIS",
     "apply_cz",
     "apply_single",
-    "pauli_matrix",
     "BELL_OUTCOMES",
     "BellOutcome",
     "ProjectionResult",
-    "bell_probabilities",
-    "bell_vector",
     "project_bell",
     "sample_bell",
     "CHANNEL_LABELS",
@@ -85,19 +70,15 @@ __all__ = [
     "CorrectionOp",
     "InputState",
     "Scheme",
-    "TableEntry",
-    "TableReport",
     "apply_correction",
     "assemble_total",
     "cluster_state",
     "collapse_branch",
-    "derive_corrections",
     "make_input",
     "pauli_pair_fidelities",
     "random_input",
     "table_lookup",
     "target_state",
-    "verify_tables",
     "InputSummary",
     "Report",
     "RunConfig",

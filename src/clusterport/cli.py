@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .harness import FORMATS, RunConfig, emit_report, run
+from .harness import FORMATS, MAX_RANDOM_INPUTS, RunConfig, emit_report, run
 from .protocol import InputState, Scheme
 
 
@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_enum, with_input=True)
     p_enum.add_argument(
         "--random-inputs", type=int, default=100, dest="random_inputs",
-        help="seeded random inputs when --coeffs is absent (unbounded; memory grows "
-        "with it, by 16 probabilities, fidelities and states per input)",
+        help=f"seeded random inputs when --coeffs is absent (at most {MAX_RANDOM_INPUTS}; "
+        "memory grows with it, about 14 KB per input in a JSON report)",
     )
 
     p_sample = sub.add_parser("sample", help="Monte Carlo over the measurement outcomes")
@@ -149,8 +149,12 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
     else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        try:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        except OSError as exc:
+            print(f"clusterport: cannot write report: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

@@ -26,13 +26,6 @@ for _m in PAULIS.values():
 _PRECHECKED = {id(m) for m in PAULIS.values()}
 
 
-def pauli_matrix(label: str) -> np.ndarray:
-    try:
-        return PAULIS[label]
-    except KeyError:
-        raise ValueError(f"unknown Pauli label {label!r}, expected one of I, X, Y, Z") from None
-
-
 def _bit_mask(s: StateVector, label: int) -> int:
     return 1 << (s.n_qubits - 1 - s.position(label))
 

@@ -16,7 +16,9 @@ Every mode reads the 16 exact branch maps of ``protocol.branch_maps`` and
 simulates no six-qubit state; ``derive`` and ``verify`` certify repairs by
 integer equality (``protocol.certify``), with no tolerance: one call
 certifies the whole 16-cell table, so ``derive`` makes one and ``verify``
-two, and nothing carries over between runs.  A report keeps the branch
+two, and nothing carries over between runs.  Their rows are built here,
+from the derived table and, for ``verify``, the other certificate; the
+verdict strings are defined nowhere else.  A report keeps the branch
 results as the arrays they are computed as, indexed [input][cell] in
 ``_ALL_PAIRS`` cell order; display forms come from one ``format_states``
 call per run.  Every report format writes the rows of
@@ -42,15 +44,16 @@ import numpy as np
 
 from .measurement import BELL_OUTCOMES, draw_index
 from .protocol import (
+    _PAULI_PAIRS,
     CorrectionOp,
     InputState,
     Scheme,
     _derived_table,
+    _table_certificate,
     branch_maps,
     map_inputs,
     random_input,
     table_lookup,
-    verify_tables,
 )
 from .statevec import format_states
 
@@ -58,6 +61,10 @@ MODES = ("enumerate", "sample", "derive", "verify")
 FORMATS = ("json", "csv", "text")
 
 TOTAL_PROB_TOL = 1e-9
+# Cap on drawn enumerate inputs: a JSON enumerate peaks at about 14 KB per
+# input (16 probabilities, fidelities and states plus the report text), so
+# the cap bounds a run near 140 MB instead of growing until it is killed.
+MAX_RANDOM_INPUTS = 10_000
 CSV_COLUMNS = ("outcome13", "outcome26", "probability", "fidelity", "correction")
 
 _ALL_PAIRS = tuple((a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES)
@@ -97,6 +104,10 @@ class RunConfig:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
         if not isinstance(self.random_inputs, int) or self.random_inputs < 1:
             raise ValueError(f"random_inputs must be a positive integer, got {self.random_inputs!r}")
+        if self.random_inputs > MAX_RANDOM_INPUTS:
+            raise ValueError(
+                f"random_inputs must be at most {MAX_RANDOM_INPUTS}, got {self.random_inputs}"
+            )
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 0.0 <= self.fidelity_tol < 1.0:
@@ -276,20 +287,38 @@ def run_derivation(cfg: RunConfig) -> Report:
 
 
 def run_verification(cfg: RunConfig) -> Report:
-    """Compare the built-in correction table against the derived one."""
+    """Compare the built-in correction table against the derived one.
+
+    A cell is exact-up-to-global-phase when every listed repair is derived
+    (certified on the scheme's own inputs); for scheme 2, subspace-only when
+    the listed repairs are certified on the |00>/|11> span alone; mismatch
+    otherwise, and always when nothing is derived.  A scheme-1 row's
+    ``subspace_only`` lists the repairs that fail on arbitrary inputs even
+    after CZ (scheme-1 inputs never touch |01> or |10>)."""
     if cfg.mode != "verify":
         raise ValueError(f"run_verification needs mode 'verify', got {cfg.mode!r}")
-    rows = [
-        {
-            "outcome13": e.outcome13.value,
-            "outcome26": e.outcome26.value,
-            "verdict": e.verdict,
-            "derived": [str(op) for op in e.derived],
-            "listed": [str(op) for op in e.listed],
-            "subspace_only": [str(op) for op in e.subspace_only],
-        }
-        for e in verify_tables(cfg.scheme).entries
-    ]
+    cz = cfg.scheme is Scheme.ARBITRARY
+    # the other certificate, after CZ: scheme-2 repairs on the |00>/|11>
+    # span alone, scheme-1 repairs on every input
+    others = _table_certificate(True, Scheme.SPECIAL if cz else Scheme.ARBITRARY).tolist()
+    rows = []
+    for (o13, o26), derived, other in zip(_ALL_PAIRS, _derived_table(cfg.scheme), others):
+        listed = table_lookup(cfg.scheme, o13, o26)
+        holds = [other[_PAULI_PAIRS.index((op.p4, op.p5))] for op in listed]
+        if derived and all(op in derived for op in listed):
+            verdict = "exact-up-to-global-phase"
+        elif derived and cz and all(holds):
+            verdict = "subspace-only"
+        else:
+            verdict = "mismatch"
+        rows.append({
+            "outcome13": o13.value,
+            "outcome26": o26.value,
+            "verdict": verdict,
+            "derived": [str(op) for op in derived],
+            "listed": [str(op) for op in listed],
+            "subspace_only": [] if cz else [str(op) for op, ok in zip(listed, holds) if not ok],
+        })
     tally = [row["verdict"] for row in rows]
     aggregates = {
         "cells": len(rows),

@@ -53,13 +53,6 @@ class ProjectionResult:
     remainder: StateVector | None
 
 
-def bell_vector(outcome: BellOutcome, a: int, b: int) -> StateVector:
-    """The Bell ket ``outcome`` over the two-qubit register (a, b)."""
-    if a == b:
-        raise ValueError("a Bell pair needs two distinct qubits")
-    return StateVector((a, b), _BELL_MAT[_OUTCOME_INDEX[outcome]])
-
-
 def _pair_components(s: StateVector, a: int, b: int):
     """Contract qubits (a, b) against all four Bell bras at once.
 
@@ -88,15 +81,6 @@ def project_bell(s: StateVector, a: int, b: int, outcome: BellOutcome) -> Projec
     rest, comps = _pair_components(s, a, b)
     vec = comps[_OUTCOME_INDEX[outcome]]
     return _result_for(rest, vec, float(np.real(np.vdot(vec, vec))))
-
-
-def bell_probabilities(s: StateVector, a: int, b: int) -> dict[BellOutcome, float]:
-    """Born probabilities of the four outcomes for the pair (a, b)."""
-    _, comps = _pair_components(s, a, b)
-    return {
-        o: float(np.real(np.vdot(comps[k], comps[k])))
-        for k, o in enumerate(BELL_OUTCOMES)
-    }
 
 
 def sample_bell(s: StateVector, a: int, b: int, rng: np.random.Generator):

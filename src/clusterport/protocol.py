@@ -20,19 +20,19 @@ from (1, 2) to (4, 5) (``branch_maps``), contracted exactly from the
 integer sign tables of the channel and the Bell basis; 4K is a signed
 permutation.  Every run mode evaluates these maps.  A repair R fixes a
 branch exactly when R 4K is c times the identity on the scheme's inputs,
-c in {1, -1, i, -i} (``certify``): that integer equality is how
-``derive_corrections`` rediscovers the correction of any branch and how
-``verify_tables`` checks the hard-coded tables instead of trusting them.
-A certificate is one ``certify`` call on one stack that holds R 4K for all
-16 branches times all 16 Pauli pairs (``_table_certificate``): deriving a
-table takes one call, verifying it two, and nothing is kept between runs.
+c in {1, -1, i, -i} (``certify``).  A certificate is one ``certify`` call
+on one stack that holds R 4K for all 16 branches times all 16 Pauli pairs
+(``_table_certificate``); ``_derived_table`` reads the derived repairs of
+every branch off one.  ``harness`` builds the ``derive`` and ``verify``
+reports from these, so the hard-coded tables are checked, not trusted:
+deriving a table takes one call, verifying it two, and nothing is kept
+between runs.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -331,11 +331,6 @@ def certify(products: np.ndarray, scheme: Scheme) -> np.ndarray:
     return scalar & (c.real ** 2 + c.imag ** 2 == 1)
 
 
-def _cell(o13: BellOutcome, o26: BellOutcome) -> int:
-    """Index of a branch in cell order, the (1, 3) outcome major."""
-    return 4 * BELL_OUTCOMES.index(o13) + BELL_OUTCOMES.index(o26)
-
-
 def _repair_products(o13: BellOutcome, o26: BellOutcome, cz_first: bool) -> np.ndarray:
     """R 4K for one branch and each Pauli pair R in _PAULI_PAIRS order (after
     the controlled-phase when ``cz_first``), exact in Gaussian integers."""
@@ -365,14 +360,6 @@ def _table_certificate(cz_first: bool, scheme: Scheme) -> np.ndarray:
     return certify(products.reshape(16, 4, 16, 4).transpose(2, 0, 1, 3), scheme)
 
 
-def _certified_pairs(o13: BellOutcome, o26: BellOutcome, cz_first: bool, scheme: Scheme):
-    """The Pauli pairs (p4, p5) whose repair of one branch (after the
-    controlled-phase when ``cz_first``) ``certify`` accepts on ``scheme``:
-    one row of ``_table_certificate``."""
-    ok = _table_certificate(cz_first, scheme)[_cell(o13, o26)]
-    return [pair for pair, good in zip(_PAULI_PAIRS, ok) if good]
-
-
 def _derived_table(scheme: Scheme) -> list[list[CorrectionOp]]:
     """The derived correction set of every branch, in cell order, from one
     certificate: every Pauli pair, with the CZ step fixed by the scheme,
@@ -386,70 +373,3 @@ def _derived_table(scheme: Scheme) -> list[list[CorrectionOp]]:
         [op for op, good in zip(ops, row) if good]
         for row in _table_certificate(cz, scheme).tolist()
     ]
-
-
-def derive_corrections(scheme: Scheme, o13: BellOutcome, o26: BellOutcome):
-    """Derive the correction set for one branch: its cell of
-    ``_derived_table``."""
-    return _derived_table(scheme)[_cell(o13, o26)]
-
-
-VERDICT_EXACT = "exact-up-to-global-phase"
-VERDICT_SUBSPACE = "subspace-only"
-VERDICT_MISMATCH = "mismatch"
-
-
-@dataclass(frozen=True)
-class TableEntry:
-    """Comparison of one table cell against the derivation.
-
-    ``verdict`` is exact-up-to-global-phase when every listed correction
-    is certified on the scheme's own inputs, subspace-only when it only
-    works on the |00>/|11> span, mismatch otherwise, and always when
-    nothing is certified (``derived`` empty).  ``subspace_only``
-    flags listed corrections that fail on arbitrary inputs even after CZ
-    (populated for Scheme.SPECIAL, whose inputs never touch |01> or |10>).
-    """
-
-    outcome13: BellOutcome
-    outcome26: BellOutcome
-    derived: tuple[CorrectionOp, ...]
-    listed: tuple[CorrectionOp, ...]
-    verdict: str
-    subspace_only: tuple[CorrectionOp, ...] = ()
-
-
-@dataclass(frozen=True)
-class TableReport:
-    scheme: Scheme
-    entries: tuple[TableEntry, ...]
-
-    @property
-    def all_exact(self) -> bool:
-        return all(e.verdict == VERDICT_EXACT for e in self.entries)
-
-
-def verify_tables(scheme: Scheme) -> TableReport:
-    """Check every cell of the scheme's correction table against derivation."""
-    scheme = Scheme(scheme)
-    cz = scheme is Scheme.ARBITRARY
-    cells = itertools.product(BELL_OUTCOMES, repeat=2)
-    # the other certificate, after CZ: scheme-2 repairs on the |00>/|11>
-    # span alone, scheme-1 repairs on every input
-    others = _table_certificate(True, Scheme.SPECIAL if cz else Scheme.ARBITRARY).tolist()
-    entries = []
-    for (o13, o26), derived, other in zip(cells, _derived_table(scheme), others):
-        derived = tuple(derived)
-        listed = tuple(table_lookup(scheme, o13, o26))
-        holds = [other[_PAULI_PAIRS.index((op.p4, op.p5))] for op in listed]
-        if not derived:
-            verdict = VERDICT_MISMATCH  # nothing certified: nothing to match
-        elif all(op in derived for op in listed):
-            verdict = VERDICT_EXACT
-        elif cz and all(holds):
-            verdict = VERDICT_SUBSPACE
-        else:
-            verdict = VERDICT_MISMATCH
-        subspace = () if cz else tuple(op for op, ok in zip(listed, holds) if not ok)
-        entries.append(TableEntry(o13, o26, derived, listed, verdict, subspace))
-    return TableReport(scheme, tuple(entries))

@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Vectors whose norm falls below this cannot be normalized: asking for it
-# means an impossible measurement branch escaped its caller.
-ZERO_NORM_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -76,24 +72,6 @@ def _trusted(labels: tuple[int, ...], amps: np.ndarray) -> StateVector:
     return s
 
 
-def basis_state(labels, bits) -> StateVector:
-    """Computational basis ket |b_1 ... b_n> over the given labels."""
-    labels = tuple(labels)
-    bits = tuple(bits)
-    if not labels:
-        raise ValueError("a basis state needs at least one qubit")
-    if len(labels) != len(bits):
-        raise ValueError(f"{len(labels)} labels but {len(bits)} bits")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"bits must be 0 or 1: {bits}")
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    amps = np.zeros(2 ** len(labels), dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(labels, amps)
-
-
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; ``a``'s qubits become the high bits."""
     shared = set(a.labels) & set(b.labels)
@@ -102,24 +80,12 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.labels + b.labels, np.kron(a.amps, b.amps))
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b> for registers listed in the same order."""
-    if a.labels != b.labels:
-        raise ValueError(f"register mismatch: {a.labels} vs {b.labels}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 def fidelity(a: StateVector, b: StateVector) -> float:
     """Squared overlap |<a|b>|^2, insensitive to global phase, for registers
     listed in the same order."""
-    return float(abs(inner(a, b)) ** 2)
-
-
-def normalize(a: StateVector) -> StateVector:
-    n = a.norm()
-    if n <= ZERO_NORM_FLOOR:
-        raise ValueError("cannot normalize a vector of (near-)zero norm")
-    return StateVector(a.labels, a.amps / n)
+    if a.labels != b.labels:
+        raise ValueError(f"register mismatch: {a.labels} vs {b.labels}")
+    return float(abs(complex(np.vdot(a.amps, b.amps))) ** 2)
 
 
 def relabel(s: StateVector, mapping: dict) -> StateVector:

@@ -12,6 +12,14 @@ def random_state(rng, labels):
     return StateVector(tuple(labels), amps)
 
 
+def basis_ket(labels, bits):
+    """Computational basis ket |b_1 ... b_n> over ``labels``, written out
+    by hand: the first label owns the most significant bit."""
+    amps = np.zeros(2 ** len(labels), dtype=np.complex128)
+    amps[int("".join(map(str, bits)), 2)] = 1.0
+    return StateVector(tuple(labels), amps)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -26,9 +26,10 @@ from clusterport import (
     random_input,
     run_enumeration,
     run_montecarlo,
-    verify_tables,
+    run_verification,
+    table_lookup,
 )
-from clusterport.protocol import _certified_pairs
+from clusterport.protocol import _PAULI_PAIRS, _table_certificate
 
 ALL_PAIRS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
 
@@ -91,10 +92,10 @@ def test_arbitrary_scheme_table_rederived():
     # derivation over Pauli pairs must rediscover the full-input table
     # exactly, with a unique survivor per branch
     start = time.perf_counter()
-    report = verify_tables(Scheme.ARBITRARY)
+    rows = run_verification(RunConfig(scheme=Scheme.ARBITRARY, mode="verify")).verdicts
     elapsed = time.perf_counter() - start
-    exact = sum(e.verdict == "exact-up-to-global-phase" for e in report.entries)
-    unique = all(len(e.derived) == 1 for e in report.entries)
+    exact = sum(row["verdict"] == "exact-up-to-global-phase" for row in rows)
+    unique = all(len(row["derived"]) == 1 for row in rows)
     check(
         "full-input correction table rederived uniquely",
         exact == 16 and unique and elapsed < 1.0,
@@ -109,18 +110,17 @@ def test_restricted_scheme_table_verified():
     # probes; at least one dual cell must be shown NOT to generalize to
     # arbitrary inputs
     probes = dense_oracle.scheme_probes(Scheme.SPECIAL, 1851)
-    report = verify_tables(Scheme.SPECIAL)
+    rows = run_verification(RunConfig(scheme=Scheme.SPECIAL, mode="verify")).verdicts
+    certificate = _table_certificate(False, Scheme.SPECIAL)
     listed_total = certified = 0
     worst = 1.0
-    for entry in report.entries:
-        pair = (entry.outcome13, entry.outcome26)
-        exact = _certified_pairs(*pair, False, Scheme.SPECIAL)
+    for pair, exact in zip(ALL_PAIRS, certificate):
         dense = dense_oracle.pair_fidelities(*pair, probes, cz_first=False)
-        for op in entry.listed:
+        for op in table_lookup(Scheme.SPECIAL, *pair):
             listed_total += 1
-            certified += (op.p4, op.p5) in exact
+            certified += bool(exact[_PAULI_PAIRS.index((op.p4, op.p5))])
             worst = min(worst, dense[(op.p4, op.p5)])
-    dual_subspace = any(len(e.listed) == 2 and e.subspace_only for e in report.entries)
+    dual_subspace = any(len(row["listed"]) == 2 and row["subspace_only"] for row in rows)
     check(
         "restricted-input table verified, dual entries included",
         certified == listed_total == 24 and worst >= 1 - 1e-10 and dual_subspace,

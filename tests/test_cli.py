@@ -1,11 +1,14 @@
+import errno
 import json
 import os
 import stat
+import sys
 
 import pytest
 
 from clusterport import harness, protocol
 from clusterport.cli import _parse_coeffs, build_parser, main
+from clusterport.harness import MAX_RANDOM_INPUTS
 from test_corrections import reject_everything
 from test_harness import wrong_table
 
@@ -59,6 +62,12 @@ class TestParser:
         args = build_parser().parse_args(["enumerate", "--scheme", "1"])
         assert args.random_inputs == 100
 
+    def test_random_inputs_help_states_the_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["enumerate", "--help"])
+        assert exc.value.code == 0
+        assert f"at most {MAX_RANDOM_INPUTS}" in " ".join(capsys.readouterr().out.split())
+
 
 class TestMain:
     def test_enumerate_fixed_input_passes(self, capsys):
@@ -108,6 +117,35 @@ class TestMain:
         )
         assert code == 2
         assert "trials" in err
+
+    def test_random_inputs_above_cap_exit_2(self, capsys):
+        code, out, err = run_main(
+            capsys, "enumerate", "--scheme", "2", "--random-inputs", str(MAX_RANDOM_INPUTS + 1),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"clusterport: random_inputs must be at most {MAX_RANDOM_INPUTS}, got 10001\n"
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_stdout_write_failure_exit_2(self, capsys, monkeypatch, failing):
+        # a full disk behind stdout is an unwritable report, not a failed check
+        class FullBuffer:
+            def write(self, data):
+                if failing == "write":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return len(data)
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class FullStdout:
+            buffer = FullBuffer()
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(["derive", "--scheme", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"clusterport: cannot write report: {os.strerror(errno.ENOSPC)}\n"
 
     def test_zero_tolerance_exit_0(self, capsys):
         # every repaired fidelity is exactly 1, so a zero tolerance passes

@@ -7,20 +7,27 @@ import dense_oracle
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
+    CorrectionOp,
+    RunConfig,
     Scheme,
     apply_correction,
     assemble_total,
     collapse_branch,
-    derive_corrections,
     fidelity,
     pauli_pair_fidelities,
     random_input,
+    run,
     table_lookup,
     target_state,
-    verify_tables,
 )
-from clusterport import protocol
-from clusterport.protocol import _certified_pairs, branch_maps, certify
+from clusterport import harness, protocol
+from clusterport.protocol import (
+    _PAULI_PAIRS,
+    _derived_table,
+    _table_certificate,
+    branch_maps,
+    certify,
+)
 
 PHI_P = BellOutcome.PHI_PLUS
 PHI_M = BellOutcome.PHI_MINUS
@@ -41,6 +48,23 @@ def z_twin(pair):
 def reject_everything(products, scheme):
     """A broken ``protocol.certify`` that certifies no repair at all."""
     return np.zeros(products.shape[:-2], dtype=bool)
+
+
+def certified_pairs(cz, scheme, cell):
+    """The Pauli pairs that one row of the table certificate accepts."""
+    row = _table_certificate(cz, scheme)[cell]
+    return {pair for pair, good in zip(_PAULI_PAIRS, row) if good}
+
+
+def verify_rows(scheme):
+    return run(RunConfig(scheme=scheme, mode="verify")).verdicts
+
+
+def twins_only(scheme):
+    """A derived table that holds, in every cell, only the Z-twin of the
+    first listed repair."""
+    firsts = (table_lookup(scheme, o13, o26)[0] for o13, o26 in ALL_PAIRS)
+    return [[CorrectionOp(*z_twin((op.p4, op.p5)), cz_first=op.cz_first)] for op in firsts]
 
 
 class TestTableLookup:
@@ -92,24 +116,20 @@ class TestTableLookup:
 
 class TestDeriveCorrections:
     def test_scheme1_rediscovers_both_listed(self):
-        derived = derive_corrections(Scheme.SPECIAL, PHI_P, PHI_P)
+        derived = _derived_table(Scheme.SPECIAL)[ALL_PAIRS.index((PHI_P, PHI_P))]
         names = {str(op) for op in derived}
         assert {"IZ", "ZI"} <= names
 
     def test_scheme1_derived_set_is_listed_plus_twin(self):
         # on the restricted input family each survivor pairs with its
         # Z-twin, so every cell derives exactly two repairs
-        for o13, o26 in ALL_PAIRS:
-            derived = {
-                (op.p4, op.p5)
-                for op in derive_corrections(Scheme.SPECIAL, o13, o26)
-            }
+        for (o13, o26), cell in zip(ALL_PAIRS, _derived_table(Scheme.SPECIAL)):
+            derived = {(op.p4, op.p5) for op in cell}
             first = table_lookup(Scheme.SPECIAL, o13, o26)[0]
             assert derived == {(first.p4, first.p5), z_twin((first.p4, first.p5))}
 
     def test_scheme2_unique_per_cell(self):
-        for o13, o26 in ALL_PAIRS:
-            derived = derive_corrections(Scheme.ARBITRARY, o13, o26)
+        for (o13, o26), derived in zip(ALL_PAIRS, _derived_table(Scheme.ARBITRARY)):
             listed = table_lookup(Scheme.ARBITRARY, o13, o26)
             assert len(derived) == 1
             assert (derived[0].p4, derived[0].p5) == (listed[0].p4, listed[0].p5)
@@ -117,10 +137,10 @@ class TestDeriveCorrections:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_nothing_certified_gives_empty_sets_and_mismatches(self, monkeypatch, scheme):
         monkeypatch.setattr(protocol, "certify", reject_everything)
-        assert derive_corrections(scheme, PHI_P, PSI_M) == []
-        entries = verify_tables(scheme).entries
-        assert {e.verdict for e in entries} == {"mismatch"}
-        assert all(e.derived == () for e in entries)
+        assert _derived_table(scheme)[ALL_PAIRS.index((PHI_P, PSI_M))] == []
+        rows = verify_rows(scheme)
+        assert {row["verdict"] for row in rows} == {"mismatch"}
+        assert all(row["derived"] == [] for row in rows)
 
     def test_empty_or_malformed_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -250,30 +270,30 @@ class TestExactAgainstDenseOracle:
     def test_derived_sets_match(self, family, cz, seed):
         scheme, probes_for = _ORACLE_FAMILIES[family]
         probes = probes_for(seed)
-        for o13, o26 in ALL_PAIRS:
+        for cell, (o13, o26) in enumerate(ALL_PAIRS):
             expected = dense_oracle.surviving_pairs(
                 dense_oracle.pair_fidelities(o13, o26, probes, cz)
             )
-            assert set(_certified_pairs(o13, o26, cz, scheme)) == expected
+            assert certified_pairs(cz, scheme, cell) == expected
             if cz is (scheme is Scheme.ARBITRARY):
-                derived = {(op.p4, op.p5) for op in derive_corrections(scheme, o13, o26)}
+                derived = {(op.p4, op.p5) for op in _derived_table(scheme)[cell]}
                 assert derived == expected
 
 
 class TestVerifyTables:
     def test_scheme2_all_exact(self):
-        report = verify_tables(Scheme.ARBITRARY)
-        assert report.all_exact
-        assert len(report.entries) == 16
-        for entry in report.entries:
-            assert entry.verdict == "exact-up-to-global-phase"
-            assert len(entry.derived) == 1
-            assert entry.subspace_only == ()
+        report = run(RunConfig(scheme=Scheme.ARBITRARY, mode="verify"))
+        assert report.aggregates["exact"] == 16
+        assert len(report.verdicts) == 16
+        for row in report.verdicts:
+            assert row["verdict"] == "exact-up-to-global-phase"
+            assert len(row["derived"]) == 1
+            assert row["subspace_only"] == []
 
     def test_scheme1_all_exact_with_subspace_flags(self):
-        report = verify_tables(Scheme.SPECIAL)
-        assert report.all_exact
-        flagged = [e for e in report.entries if e.subspace_only]
+        rows = verify_rows(Scheme.SPECIAL)
+        assert {row["verdict"] for row in rows} == {"exact-up-to-global-phase"}
+        flagged = [row for row in rows if row["subspace_only"]]
         assert len(flagged) == 14
 
     def test_scheme1_universal_entries_match_scheme2_table(self):
@@ -281,25 +301,41 @@ class TestVerifyTables:
         # the controlled-phase included) exactly when it is the repair the
         # scheme-2 table assigns to the same branch; everything else is
         # confined to the restricted input family
-        report = verify_tables(Scheme.SPECIAL)
-        for entry in report.entries:
-            t2 = table_lookup(Scheme.ARBITRARY, entry.outcome13, entry.outcome26)[0]
-            expected_flags = tuple(
-                op for op in entry.listed if (op.p4, op.p5) != (t2.p4, t2.p5)
-            )
-            assert entry.subspace_only == expected_flags
+        for (o13, o26), row in zip(ALL_PAIRS, verify_rows(Scheme.SPECIAL)):
+            t2 = table_lookup(Scheme.ARBITRARY, o13, o26)[0]
+            listed = table_lookup(Scheme.SPECIAL, o13, o26)
+            assert row["listed"] == [str(op) for op in listed]
+            expected_flags = [str(op) for op in listed if (op.p4, op.p5) != (t2.p4, t2.p5)]
+            assert row["subspace_only"] == expected_flags
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_verify_and_derive_agree_in_every_cell(self, scheme):
-        for entry in verify_tables(scheme).entries:
-            derived = derive_corrections(scheme, entry.outcome13, entry.outcome26)
-            assert list(entry.derived) == derived
+        derived = run(RunConfig(scheme=scheme, mode="derive")).verdicts
+        for row, cell, derive_row in zip(verify_rows(scheme), _derived_table(scheme), derived):
+            assert row["derived"] == [str(op) for op in cell] == derive_row["derived"]
 
     def test_a_cell_with_nothing_derived_is_a_mismatch(self, monkeypatch):
         # the scheme-2 repairs still pass the span-only certificate, which
         # alone would make every cell subspace-only
-        monkeypatch.setattr(protocol, "_derived_table", lambda scheme: [[] for _ in range(16)])
-        assert {e.verdict for e in verify_tables(Scheme.ARBITRARY).entries} == {"mismatch"}
+        monkeypatch.setattr(harness, "_derived_table", lambda scheme: [[] for _ in range(16)])
+        assert {row["verdict"] for row in verify_rows(Scheme.ARBITRARY)} == {"mismatch"}
+
+    def test_scheme2_repair_left_underived_is_subspace_only(self, monkeypatch):
+        # a listed scheme-2 repair is still certified on the |00>/|11> span,
+        # so missing from the derived set it reads subspace-only and passes
+        monkeypatch.setattr(harness, "_derived_table", twins_only)
+        report = run(RunConfig(scheme=Scheme.ARBITRARY, mode="verify"))
+        assert {row["verdict"] for row in report.verdicts} == {"subspace-only"}
+        assert report.aggregates["subspace_only"] == 16
+        assert report.passed
+
+    def test_scheme1_repair_left_underived_is_a_mismatch(self, monkeypatch):
+        # scheme 1 has no narrower input family to fall back on
+        monkeypatch.setattr(harness, "_derived_table", twins_only)
+        report = run(RunConfig(scheme=Scheme.SPECIAL, mode="verify"))
+        assert {row["verdict"] for row in report.verdicts} == {"mismatch"}
+        assert report.aggregates["mismatch"] == 16
+        assert not report.passed
 
     def test_subspace_only_spot_check(self):
         # branch (Phi+, Phi+), repair I on 4 / Z on 5: perfect on the
@@ -317,8 +353,8 @@ class TestCzNecessity:
         # fidelity anywhere near 1 on the seeded probes, through the branch
         # maps and through the dense brute force alike
         probes = dense_oracle.scheme_probes(Scheme.ARBITRARY, 1851)
-        for o13, o26 in ALL_PAIRS:
-            assert _certified_pairs(o13, o26, False, Scheme.ARBITRARY) == []
+        for cell, (o13, o26) in enumerate(ALL_PAIRS):
+            assert certified_pairs(False, Scheme.ARBITRARY, cell) == set()
             exact = pauli_pair_fidelities(o13, o26, [p.amps for p in probes], False)
             dense = dense_oracle.pair_fidelities(o13, o26, probes, cz_first=False)
             assert max(exact.values()) < 1 - 1e-6

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from clusterport import PAULIS, apply_cz, apply_single, basis_state, pauli_matrix
+from clusterport import PAULIS, CorrectionOp, apply_cz, apply_single
 from clusterport.statevec import StateVector
-from conftest import random_state
+from conftest import basis_ket, random_state
 
 
 def random_unitary(rng):
@@ -14,10 +14,10 @@ def random_unitary(rng):
 
 class TestPauliMatrices:
     def test_entries(self):
-        np.testing.assert_array_equal(pauli_matrix("X"), [[0, 1], [1, 0]])
-        np.testing.assert_array_equal(pauli_matrix("Y"), [[0, -1j], [1j, 0]])
-        np.testing.assert_array_equal(pauli_matrix("Z"), [[1, 0], [0, -1]])
-        np.testing.assert_array_equal(pauli_matrix("I"), np.eye(2))
+        np.testing.assert_array_equal(PAULIS["X"], [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(PAULIS["Y"], [[0, -1j], [1j, 0]])
+        np.testing.assert_array_equal(PAULIS["Z"], [[1, 0], [0, -1]])
+        np.testing.assert_array_equal(PAULIS["I"], np.eye(2))
 
     def test_algebra(self):
         X, Y, Z = PAULIS["X"], PAULIS["Y"], PAULIS["Z"]
@@ -26,8 +26,9 @@ class TestPauliMatrices:
             np.testing.assert_allclose(PAULIS[p] @ PAULIS[p], np.eye(2), atol=1e-15)
 
     def test_unknown_label(self):
+        # a repair names its Paulis by label, and only I, X, Y, Z exist
         with pytest.raises(ValueError):
-            pauli_matrix("H")
+            CorrectionOp("H", "I")
 
     def test_constants_frozen(self):
         with pytest.raises(ValueError):
@@ -36,7 +37,7 @@ class TestPauliMatrices:
 
 class TestApplySingle:
     def test_bit_flip(self):
-        out = apply_single(basis_state((1,), (0,)), 1, PAULIS["X"])
+        out = apply_single(basis_ket((1,), (0,)), 1, PAULIS["X"])
         np.testing.assert_array_equal(out.amps, [0, 1])
 
     def test_z_on_labeled_qubit(self):
@@ -74,21 +75,21 @@ class TestApplySingle:
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
-            apply_single(basis_state((1,), (0,)), 1, np.array([[1, 0], [0, 2]]))
+            apply_single(basis_ket((1,), (0,)), 1, np.array([[1, 0], [0, 2]]))
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
-            apply_single(basis_state((1,), (0,)), 1, np.eye(3))
+            apply_single(basis_ket((1,), (0,)), 1, np.eye(3))
 
     def test_missing_label_rejected(self):
         with pytest.raises(ValueError):
-            apply_single(basis_state((1,), (0,)), 9, PAULIS["X"])
+            apply_single(basis_ket((1,), (0,)), 9, PAULIS["X"])
 
 
 class TestApplyCZ:
     def test_truth_table(self):
         for bits, sign in (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), -1)):
-            s = basis_state((1, 2), bits)
+            s = basis_ket((1, 2), bits)
             out = apply_cz(s, 1, 2)
             np.testing.assert_allclose(out.amps, sign * s.amps, atol=1e-15)
 
@@ -116,8 +117,8 @@ class TestApplyCZ:
 
     def test_same_qubit_rejected(self):
         with pytest.raises(ValueError):
-            apply_cz(basis_state((1, 2), (0, 0)), 1, 1)
+            apply_cz(basis_ket((1, 2), (0, 0)), 1, 1)
 
     def test_missing_label_rejected(self):
         with pytest.raises(ValueError):
-            apply_cz(basis_state((1, 2), (0, 0)), 1, 5)
+            apply_cz(basis_ket((1, 2), (0, 0)), 1, 5)

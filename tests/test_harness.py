@@ -28,7 +28,7 @@ from clusterport import (
 )
 from clusterport import harness
 from clusterport.cli import main
-from clusterport.harness import SAMPLE_BLOCK, chi2_sf
+from clusterport.harness import MAX_RANDOM_INPUTS, SAMPLE_BLOCK, chi2_sf
 from clusterport.measurement import draw_index
 from clusterport.protocol import branch_maps, map_inputs
 
@@ -68,6 +68,7 @@ class TestRunConfig:
             dict(trials=0),
             dict(trials=1.5),
             dict(random_inputs=0),
+            dict(random_inputs=MAX_RANDOM_INPUTS + 1),
             dict(seed=-1),
             dict(seed=2 ** 64),
             dict(fidelity_tol=1.0),
@@ -79,6 +80,10 @@ class TestRunConfig:
         base.update(kw)
         with pytest.raises(ValueError):
             RunConfig(**base)
+
+    def test_random_inputs_cap_constructs(self):
+        cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="enumerate", random_inputs=MAX_RANDOM_INPUTS)
+        assert cfg.random_inputs == MAX_RANDOM_INPUTS == 10_000
 
     def test_coeffs_validated_against_scheme(self):
         RunConfig(scheme=Scheme.SPECIAL, mode="enumerate", input_coeffs=(0.6, 0.8))

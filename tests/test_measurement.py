@@ -4,15 +4,14 @@ import pytest
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
-    bell_probabilities,
-    bell_vector,
+    StateVector,
     cluster_state,
-    inner,
+    fidelity,
     project_bell,
     sample_bell,
     tensor,
 )
-from clusterport.measurement import draw_index
+from clusterport.measurement import BELL_SIGNS, draw_index
 from clusterport.protocol import InputState, assemble_total
 from conftest import random_state
 
@@ -46,30 +45,40 @@ def projection_oracle(s, a, b, outcome):
     return prob, out
 
 
+def bell_ket(outcome, a, b):
+    """The Bell ket ``outcome`` over the register (a, b), from BELL_SIGNS."""
+    return StateVector((a, b), BELL_SIGNS[BELL_OUTCOMES.index(outcome)].reshape(4) / np.sqrt(2))
+
+
+def projected_probabilities(s, a, b):
+    """Each outcome's probability, one projection per outcome."""
+    return {o: project_bell(s, a, b, o).probability for o in BELL_OUTCOMES}
+
+
 class TestBellVectors:
     def test_phi_plus(self):
-        v = bell_vector(BellOutcome.PHI_PLUS, 1, 2)
+        v = bell_ket(BellOutcome.PHI_PLUS, 1, 2)
         np.testing.assert_allclose(v.amps, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
 
     def test_psi_minus(self):
-        v = bell_vector(BellOutcome.PSI_MINUS, 1, 2)
+        v = bell_ket(BellOutcome.PSI_MINUS, 1, 2)
         np.testing.assert_allclose(v.amps, np.array([0, 1, -1, 0]) / np.sqrt(2), atol=1e-15)
 
     def test_orthonormal(self):
-        kets = [bell_vector(o, 1, 2) for o in BELL_OUTCOMES]
+        kets = [bell_ket(o, 1, 2) for o in BELL_OUTCOMES]
         for i, a in enumerate(kets):
             for j, b in enumerate(kets):
                 expected = 1.0 if i == j else 0.0
-                assert inner(a, b) == pytest.approx(expected, abs=1e-12)
+                assert fidelity(a, b) == pytest.approx(expected, abs=1e-12)
 
-    def test_distinct_qubits_required(self):
+    def test_distinct_qubits_required(self, rng):
         with pytest.raises(ValueError):
-            bell_vector(BellOutcome.PHI_PLUS, 1, 1)
+            project_bell(random_state(rng, (1, 2)), 1, 1, BellOutcome.PHI_PLUS)
 
 
 class TestProjectBell:
     def test_bell_pair_self_projection(self):
-        v = bell_vector(BellOutcome.PHI_PLUS, 1, 2)
+        v = bell_ket(BellOutcome.PHI_PLUS, 1, 2)
         r = project_bell(v, 1, 2, BellOutcome.PHI_PLUS)
         assert r.probability == pytest.approx(1.0, abs=1e-12)
         assert r.remainder is not None and r.remainder.labels == ()
@@ -146,7 +155,7 @@ class TestProjectBell:
                 r = project_bell(s, 1, 2, o)
                 if r.remainder is None:
                     continue
-                rebuilt = tensor(bell_vector(o, 1, 2), r.remainder)
+                rebuilt = tensor(bell_ket(o, 1, 2), r.remainder)
                 assert rebuilt.labels == s.labels
                 again = project_bell(rebuilt, 1, 2, o)
                 assert again.probability == pytest.approx(1.0, abs=1e-12)
@@ -166,19 +175,13 @@ class TestProjectBell:
 class TestBellProbabilities:
     def test_sums_to_one(self, rng):
         s = random_state(rng, (1, 2, 3))
-        probs = bell_probabilities(s, 2, 3)
+        probs = projected_probabilities(s, 2, 3)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_projection(self, rng):
-        s = random_state(rng, (1, 2))
-        probs = bell_probabilities(s, 1, 2)
-        for o in BELL_OUTCOMES:
-            assert probs[o] == pytest.approx(project_bell(s, 1, 2, o).probability, abs=1e-14)
 
 
 class TestSampleBell:
     def test_deterministic_state_always_drawn(self, rng):
-        v = bell_vector(BellOutcome.PSI_MINUS, 1, 2)
+        v = bell_ket(BellOutcome.PSI_MINUS, 1, 2)
         for _ in range(20):
             outcome, result = sample_bell(v, 1, 2, rng)
             assert outcome is BellOutcome.PSI_MINUS
@@ -210,7 +213,7 @@ class TestSampleBell:
 
     def test_frequencies_track_born_rule(self):
         s = random_state(np.random.default_rng(77), (1, 2))
-        probs = bell_probabilities(s, 1, 2)
+        probs = projected_probabilities(s, 1, 2)
         counts = {o: 0 for o in BELL_OUTCOMES}
         n = 3000
         for t in range(n):
@@ -262,7 +265,7 @@ class TestDrawIndex:
 
     def test_sample_bell_uses_the_rule(self, rng):
         s = random_state(rng, (1, 2, 3))
-        probs = np.array(list(bell_probabilities(s, 1, 2).values()))
+        probs = np.array(list(projected_probabilities(s, 1, 2).values()))
         for t in range(50):
             u = np.random.default_rng([4, t]).random()
             outcome, _ = sample_bell(s, 1, 2, np.random.default_rng([4, t]))
