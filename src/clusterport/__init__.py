@@ -20,7 +20,6 @@ from .measurement import (
 from .protocol import (
     CHANNEL_LABELS,
     INPUT_LABELS,
-    OUTPUT_LABELS,
     OUTPUT_RELABELING,
     CorrectionOp,
     InputState,
@@ -65,7 +64,6 @@ __all__ = [
     "sample_bell",
     "CHANNEL_LABELS",
     "INPUT_LABELS",
-    "OUTPUT_LABELS",
     "OUTPUT_RELABELING",
     "CorrectionOp",
     "InputState",

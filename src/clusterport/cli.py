@@ -150,6 +150,8 @@ def main(argv=None) -> int:
             return 2
     else:
         try:
+            if sys.stdout is None:  # what Python leaves for a closed descriptor 1
+                raise OSError("stdout is closed")
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()
         except OSError as exc:

@@ -14,22 +14,24 @@ are exact and draw nothing, so the seed only appears in their config.
 
 Every mode reads the 16 exact branch maps of ``protocol.branch_maps`` and
 simulates no six-qubit state; ``derive`` and ``verify`` certify repairs by
-integer equality (``protocol.certify``), with no tolerance: one call
-certifies the whole 16-cell table, so ``derive`` makes one and ``verify``
-two, and nothing carries over between runs.  Their rows are built here,
-from the derived table and, for ``verify``, the other certificate; the
-verdict strings are defined nowhere else.  A report keeps the branch
+integer equality, with no tolerance: one ``protocol.certified_repairs``
+call certifies the whole 16-cell table, so ``derive`` makes one and
+``verify`` two, and nothing carries over between runs.  Their rows are
+built here, from the derived table and, for ``verify``, the other
+certificate; the verdict strings are defined nowhere else, and ``verify``
+passes only when every cell is exact.  A report keeps the branch
 results as the arrays they are computed as, indexed [input][cell] in
 ``_ALL_PAIRS`` cell order; display forms come from one ``format_states``
 call per run.  Every report format writes the rows of
 ``Report.rows()`` from a fixed template: the outcome and correction text of
 each of the 16 cells is built once, and each distinct float and state is
 formatted once per report.  JSON verdict rows come from one template too,
-each distinct string json.dumps'd once.
+each distinct string json.dumps'd once.  ``emit_report`` writes a report in
+its config's ``output_format`` and in no other.
 
-    cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7)
+    cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7, output_format="json")
     report = run(cfg)
-    sys.stdout.buffer.write(emit_report(report, "json"))
+    sys.stdout.buffer.write(emit_report(report))
 """
 
 from __future__ import annotations
@@ -44,13 +46,11 @@ import numpy as np
 
 from .measurement import BELL_OUTCOMES, draw_index
 from .protocol import (
-    _PAULI_PAIRS,
     CorrectionOp,
     InputState,
     Scheme,
-    _derived_table,
-    _table_certificate,
     branch_maps,
+    certified_repairs,
     map_inputs,
     random_input,
     table_lookup,
@@ -140,7 +140,7 @@ class Report:
     fidelity: list[list[float]] = field(default_factory=list)
     state: list[list[str]] = field(default_factory=list)
     count: list[int] | None = None
-    schema: int = 4
+    schema = 4  # unannotated: a class constant, not a constructor field
 
     @property
     def passed(self) -> bool:
@@ -267,6 +267,7 @@ def run_derivation(cfg: RunConfig) -> Report:
     fails the run."""
     if cfg.mode != "derive":
         raise ValueError(f"run_derivation needs mode 'derive', got {cfg.mode!r}")
+    derived_table = certified_repairs(cfg.scheme is Scheme.ARBITRARY, cfg.scheme)
     rows = [
         {
             "outcome13": o13.value,
@@ -274,7 +275,7 @@ def run_derivation(cfg: RunConfig) -> Report:
             "derived": [str(op) for op in derived],
             "listed": [str(op) for op in table_lookup(cfg.scheme, o13, o26)],
         }
-        for (o13, o26), derived in zip(_ALL_PAIRS, _derived_table(cfg.scheme))
+        for (o13, o26), derived in zip(_ALL_PAIRS, derived_table)
     ]
     sizes = [len(row["derived"]) for row in rows]
     aggregates = {
@@ -292,19 +293,22 @@ def run_verification(cfg: RunConfig) -> Report:
     A cell is exact-up-to-global-phase when every listed repair is derived
     (certified on the scheme's own inputs); for scheme 2, subspace-only when
     the listed repairs are certified on the |00>/|11> span alone; mismatch
-    otherwise, and always when nothing is derived.  A scheme-1 row's
-    ``subspace_only`` lists the repairs that fail on arbitrary inputs even
-    after CZ (scheme-1 inputs never touch |01> or |10>)."""
+    otherwise, and always when nothing is derived.  The run passes only when
+    every cell is exact: a subspace-only scheme-2 entry breaks the claim for
+    arbitrary inputs.  A scheme-1 row's ``subspace_only`` lists the repairs
+    that fail on arbitrary inputs even after CZ (scheme-1 inputs never touch
+    |01> or |10>)."""
     if cfg.mode != "verify":
         raise ValueError(f"run_verification needs mode 'verify', got {cfg.mode!r}")
     cz = cfg.scheme is Scheme.ARBITRARY
     # the other certificate, after CZ: scheme-2 repairs on the |00>/|11>
     # span alone, scheme-1 repairs on every input
-    others = _table_certificate(True, Scheme.SPECIAL if cz else Scheme.ARBITRARY).tolist()
+    others = certified_repairs(True, Scheme.SPECIAL if cz else Scheme.ARBITRARY)
     rows = []
-    for (o13, o26), derived, other in zip(_ALL_PAIRS, _derived_table(cfg.scheme), others):
+    for (o13, o26), derived, other in zip(_ALL_PAIRS, certified_repairs(cz, cfg.scheme), others):
         listed = table_lookup(cfg.scheme, o13, o26)
-        holds = [other[_PAULI_PAIRS.index((op.p4, op.p5))] for op in listed]
+        other_pairs = {(op.p4, op.p5) for op in other}
+        holds = [(op.p4, op.p5) in other_pairs for op in listed]
         if derived and all(op in derived for op in listed):
             verdict = "exact-up-to-global-phase"
         elif derived and cz and all(holds):
@@ -325,7 +329,7 @@ def run_verification(cfg: RunConfig) -> Report:
         "exact": tally.count("exact-up-to-global-phase"),
         "subspace_only": tally.count("subspace-only"),
         "mismatch": tally.count("mismatch"),
-        "pass": "mismatch" not in tally,
+        "pass": tally.count("exact-up-to-global-phase") == len(rows),
     }
     return Report(cfg, (), aggregates, verdicts=tuple(rows))
 
@@ -547,15 +551,10 @@ def _emit_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: Report, output_format: str | None = None) -> bytes:
-    """Serialize a report; same report and format, same bytes."""
-    fmt = output_format if output_format is not None else report.config.output_format
-    if fmt == "json":
-        text = _emit_json(report)
-    elif fmt == "csv":
-        text = _emit_csv(report)
-    elif fmt == "text":
-        text = _emit_text(report)
-    else:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    return text.encode("utf-8")
+_EMITTERS = {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}
+
+
+def emit_report(report: Report) -> bytes:
+    """Serialize a report in its config's ``output_format``; same report,
+    same bytes."""
+    return _EMITTERS[report.config.output_format](report).encode("utf-8")

@@ -20,13 +20,12 @@ from (1, 2) to (4, 5) (``branch_maps``), contracted exactly from the
 integer sign tables of the channel and the Bell basis; 4K is a signed
 permutation.  Every run mode evaluates these maps.  A repair R fixes a
 branch exactly when R 4K is c times the identity on the scheme's inputs,
-c in {1, -1, i, -i} (``certify``).  A certificate is one ``certify`` call
-on one stack that holds R 4K for all 16 branches times all 16 Pauli pairs
-(``_table_certificate``); ``_derived_table`` reads the derived repairs of
-every branch off one.  ``harness`` builds the ``derive`` and ``verify``
-reports from these, so the hard-coded tables are checked, not trusted:
-deriving a table takes one call, verifying it two, and nothing is kept
-between runs.
+c in {1, -1, i, -i} (``certify``).  ``_repair_stack`` builds R 4K for all
+16 branches times all 16 Pauli pairs as one stack, and ``certified_repairs``
+makes one ``certify`` call on it and returns the certified repairs of every
+branch.  ``harness`` builds the ``derive`` and ``verify`` reports from
+these, so the hard-coded tables are checked, not trusted: deriving a table
+takes one call, verifying it two, and nothing is kept between runs.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .statevec import StateVector, relabel, tensor
 
 INPUT_LABELS = (1, 2)
 CHANNEL_LABELS = (3, 4, 5, 6)
-OUTPUT_LABELS = (4, 5)
 
 # The claim under test is that particles (4, 5) finish in the input state,
 # so the input is relabeled onto the output particles before any comparison.
@@ -95,14 +93,6 @@ class InputState:
             raise ValueError(f"coefficients not normalized: squared magnitudes sum to {norm_sq}")
         object.__setattr__(self, "scheme", scheme)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def special(cls, alpha, delta) -> "InputState":
-        return cls(Scheme.SPECIAL, (alpha, delta))
-
-    @classmethod
-    def arbitrary(cls, alpha, beta, gamma, delta) -> "InputState":
-        return cls(Scheme.ARBITRARY, (alpha, beta, gamma, delta))
 
     @classmethod
     def renormalized(cls, scheme: Scheme, coeffs) -> "InputState":
@@ -331,45 +321,36 @@ def certify(products: np.ndarray, scheme: Scheme) -> np.ndarray:
     return scalar & (c.real ** 2 + c.imag ** 2 == 1)
 
 
-def _repair_products(o13: BellOutcome, o26: BellOutcome, cz_first: bool) -> np.ndarray:
-    """R 4K for one branch and each Pauli pair R in _PAULI_PAIRS order (after
-    the controlled-phase when ``cz_first``), exact in Gaussian integers."""
-    k = 4 * branch_maps()[BELL_OUTCOMES.index(o13), BELL_OUTCOMES.index(o26)]
-    return _PAIR_OPS @ (_CZ_DIAG[:, None] * k if cz_first else k)
-
-
-def pauli_pair_fidelities(o13: BellOutcome, o26: BellOutcome, inputs, cz_first: bool):
-    """For each Pauli pair (p4, p5), its worst post-repair fidelity over
-    ``inputs`` (amplitude vectors on (1, 2)) on one branch, after the
-    controlled-phase when ``cz_first``."""
-    fid = map_inputs(_repair_products(o13, o26, cz_first) / 4, inputs)[2]
-    return dict(zip(_PAULI_PAIRS, fid.min(axis=0).tolist()))
-
-
-def _table_certificate(cz_first: bool, scheme: Scheme) -> np.ndarray:
-    """One ``certify`` call on the whole table: ``[cell, pair]`` says whether
-    Pauli pair ``_PAULI_PAIRS[pair]`` (after the controlled-phase when
-    ``cz_first``) repairs branch ``cell`` on ``scheme``.  The stack holds R 4K
-    for all 16 branches times all 16 pairs."""
+def _repair_stack(cz_first: bool) -> np.ndarray:
+    """R 4K for every branch and Pauli pair R (after the controlled-phase when
+    ``cz_first``), a (16, 16, 4, 4) stack of exact Gaussian integers indexed
+    [cell, pair] in cell and ``_PAULI_PAIRS`` order."""
     k = 4 * branch_maps().reshape(16, 4, 4)
     if cz_first:
         k = _CZ_DIAG[:, None] * k
     # _PAIR_OPS @ k as one (64, 4) @ (4, 64) product, rows (pair, i) and
     # columns (cell, l), viewed as [cell, pair, i, l]
     products = _PAIR_OPS.reshape(64, 4) @ k.transpose(1, 0, 2).reshape(4, 64)
-    return certify(products.reshape(16, 4, 16, 4).transpose(2, 0, 1, 3), scheme)
+    return products.reshape(16, 4, 16, 4).transpose(2, 0, 1, 3)
 
 
-def _derived_table(scheme: Scheme) -> list[list[CorrectionOp]]:
-    """The derived correction set of every branch, in cell order, from one
-    certificate: every Pauli pair, with the CZ step fixed by the scheme,
-    that is certified on the scheme's inputs and so exact for every one of
-    them.  Every branch of both schemes has one; an empty set means a bug in
-    the maps or the certificate, and callers report it as a failed cell."""
-    scheme = Scheme(scheme)
-    cz = scheme is Scheme.ARBITRARY
-    ops = _PAIR_REPAIRS[cz]
+def pauli_pair_fidelities(o13: BellOutcome, o26: BellOutcome, inputs, cz_first: bool):
+    """For each Pauli pair (p4, p5), its worst post-repair fidelity over
+    ``inputs`` (amplitude vectors on (1, 2)) on one branch, after the
+    controlled-phase when ``cz_first``."""
+    cell = 4 * BELL_OUTCOMES.index(o13) + BELL_OUTCOMES.index(o26)
+    fid = map_inputs(_repair_stack(cz_first)[cell] / 4, inputs)[2]
+    return dict(zip(_PAULI_PAIRS, fid.min(axis=0).tolist()))
+
+
+def certified_repairs(cz_first: bool, scheme: Scheme) -> list[list[CorrectionOp]]:
+    """The certified repairs of every branch, in cell order, from one
+    ``certify`` call: each Pauli pair (after the controlled-phase when
+    ``cz_first``) that restores every input of ``scheme``.  With the scheme's
+    own CZ step this is the derived table, and an empty cell means a bug in
+    the maps or the certificate, which callers report as a failed cell."""
+    ops = _PAIR_REPAIRS[cz_first]
     return [
         [op for op, good in zip(ops, row) if good]
-        for row in _table_certificate(cz, scheme).tolist()
+        for row in certify(_repair_stack(cz_first), scheme).tolist()
     ]

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Display forms leave out amplitudes of modulus at or below this.
+DISPLAY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -94,19 +97,20 @@ def relabel(s: StateVector, mapping: dict) -> StateVector:
     return StateVector(new, s.amps)
 
 
-def display_rotation(amps, tol: float = 1e-9):
+def display_rotation(amps):
     """Rotate each vector along the last axis of ``amps`` so that its first
-    amplitude of modulus above ``tol`` is real and positive, to rounding.
+    amplitude of modulus above ``DISPLAY_TOL`` is real and positive, to
+    rounding.
 
     Returns ``(shown, above)``: the rotated stack and the mask of amplitudes
-    above ``tol``.  A vector with nothing above ``tol`` is left as it is.
+    above ``DISPLAY_TOL``.  A vector with nothing above it is left as it is.
     The phase and the products are taken in real arithmetic, one correctly
     rounded operation each, so a vector rotates to the same bits on its own
     as inside any stack.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     mod = np.hypot(amps.real, amps.imag)
-    above = mod > tol
+    above = mod > DISPLAY_TOL
     first = above.argmax(axis=-1)[..., None]
     lead = np.take_along_axis(amps, first, axis=-1)
     live = above.any(axis=-1, keepdims=True)
@@ -120,9 +124,9 @@ def display_rotation(amps, tol: float = 1e-9):
     return shown, above
 
 
-def _format_rotated(shown: np.ndarray, above: np.ndarray, tol: float, digits: int) -> str:
+def _format_rotated(shown: np.ndarray, above: np.ndarray) -> str:
     """Ket expansion of one vector rotated by ``display_rotation``, a term
-    for each amplitude where ``above`` holds."""
+    for each amplitude where ``above`` holds, at 6 significant digits."""
     nz = np.flatnonzero(above).tolist()
     if not nz:
         return "0"
@@ -131,30 +135,29 @@ def _format_rotated(shown: np.ndarray, above: np.ndarray, tol: float, digits: in
     terms = []
     for i in nz:
         c = vals[i]
-        if abs(c.imag) <= tol:
-            coeff = f"{c.real:.{digits}g}"
-        elif abs(c.real) <= tol:
-            coeff = f"{c.imag:.{digits}g}i"
+        if abs(c.imag) <= DISPLAY_TOL:
+            coeff = f"{c.real:.6g}"
+        elif abs(c.real) <= DISPLAY_TOL:
+            coeff = f"{c.imag:.6g}i"
         else:
-            coeff = f"({c.real:.{digits}g}{c.imag:+.{digits}g}i)"
+            coeff = f"({c.real:.6g}{c.imag:+.6g}i)"
         bits = format(i, f"0{n_qubits}b") if n_qubits else ""
         terms.append(f"{coeff}|{bits}>")
     return " + ".join(terms)
 
 
-def format_state(s: StateVector, tol: float = 1e-9, digits: int = 6) -> str:
+def format_state(s: StateVector) -> str:
     """Readable ket expansion for reports.
 
-    Display only: the first amplitude above ``tol`` is rotated to be real
-    and positive (``display_rotation``) so equivalent states print
-    identically; amplitudes at or below ``tol`` are left out, and a state
-    with none above it prints as ``0``.
+    Display only: the first amplitude above ``DISPLAY_TOL`` is rotated to be
+    real and positive (``display_rotation``) so equivalent states print
+    identically; amplitudes at or below it are left out, and a state with
+    none above it prints as ``0``.
     """
-    shown, above = display_rotation(s.amps, tol)
-    return _format_rotated(shown, above, tol, digits)
+    return _format_rotated(*display_rotation(s.amps))
 
 
-def format_states(amps, tol: float = 1e-9, digits: int = 6):
+def format_states(amps):
     """``format_state`` of every vector along the last axis of ``amps``, as
     nested lists shaped like the leading axes.
 
@@ -163,7 +166,7 @@ def format_states(amps, tol: float = 1e-9, digits: int = 6):
     keys give equal strings, so every entry is byte for byte the string
     ``format_state`` gives for that vector alone.
     """
-    shown, above = display_rotation(amps, tol)
+    shown, above = display_rotation(amps)
     n = shown.shape[-1]
     rows = shown.reshape(-1, n)
     masks = np.ascontiguousarray(above.reshape(-1, n))
@@ -175,6 +178,6 @@ def format_states(amps, tol: float = 1e-9, digits: int = 6):
         key = data[k * width:(k + 1) * width]
         text = memo.get(key)
         if text is None:
-            text = memo[key] = _format_rotated(rows[k], masks[k], tol, digits)
+            text = memo[key] = _format_rotated(rows[k], masks[k])
         texts.append(text)
     return np.array(texts, dtype=object).reshape(shown.shape[:-1]).tolist()

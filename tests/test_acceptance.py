@@ -29,7 +29,7 @@ from clusterport import (
     run_verification,
     table_lookup,
 )
-from clusterport.protocol import _PAULI_PAIRS, _table_certificate
+from clusterport.protocol import _PAULI_PAIRS, _repair_stack, certify
 
 ALL_PAIRS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
 
@@ -111,7 +111,7 @@ def test_restricted_scheme_table_verified():
     # arbitrary inputs
     probes = dense_oracle.scheme_probes(Scheme.SPECIAL, 1851)
     rows = run_verification(RunConfig(scheme=Scheme.SPECIAL, mode="verify")).verdicts
-    certificate = _table_certificate(False, Scheme.SPECIAL)
+    certificate = certify(_repair_stack(False), Scheme.SPECIAL)
     listed_total = certified = 0
     worst = 1.0
     for pair, exact in zip(ALL_PAIRS, certificate):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from clusterport import harness, protocol
+from clusterport import BellOutcome, CorrectionOp, Scheme, harness, protocol
 from clusterport.cli import _parse_coeffs, build_parser, main
 from clusterport.harness import MAX_RANDOM_INPUTS
 from test_corrections import reject_everything
@@ -147,6 +147,14 @@ class TestMain:
         assert code == 2
         assert err == f"clusterport: cannot write report: {os.strerror(errno.ENOSPC)}\n"
 
+    def test_closed_stdout_exit_2(self, capsys, monkeypatch):
+        # Python sets sys.stdout to None when descriptor 1 is closed
+        monkeypatch.setattr(sys, "stdout", None)
+        code = main(["derive", "--scheme", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "clusterport: cannot write report: stdout is closed\n"
+
     def test_zero_tolerance_exit_0(self, capsys):
         # every repaired fidelity is exactly 1, so a zero tolerance passes
         for mode in ("enumerate", "sample"):
@@ -165,6 +173,24 @@ class TestMain:
         )
         assert code == 1
         assert out.endswith("result: FAIL\n")
+
+    def test_verify_fails_a_subspace_only_scheme2_entry(self, capsys, monkeypatch):
+        # CZ+ZZ in cell (Phi+, Phi+) is the Z-twin of CZ+II: exact on the
+        # |00>/|11> span alone, so it breaks the claim for arbitrary inputs
+        phi_p = BellOutcome.PHI_PLUS
+
+        def twin_table(scheme, o13, o26):
+            if (scheme, o13, o26) == (Scheme.ARBITRARY, phi_p, phi_p):
+                return [CorrectionOp("Z", "Z", cz_first=True)]
+            return protocol.table_lookup(scheme, o13, o26)
+
+        monkeypatch.setattr(harness, "table_lookup", twin_table)
+        code, out, _ = run_main(capsys, "verify", "--scheme", "2")
+        assert code == 1
+        assert "(Phi+, Phi+)  subspace-only  derived=CZ+II  listed=CZ+ZZ\n" in out
+        assert "exact=15 subspace_only=1 mismatch=0\nresult: FAIL\n" in out
+        code, out, _ = run_main(capsys, "enumerate", "--scheme", "2", "--random-inputs", "5")
+        assert code == 1 and out.endswith("result: FAIL\n")
 
     def test_huge_coeffs_exit_2(self, capsys):
         code, _, err = run_main(capsys, "enumerate", "--scheme", "1", "--coeffs", "1e200,1")
@@ -234,10 +260,10 @@ class TestMain:
             assert text.count("derived=  ") == 16
 
     @pytest.mark.parametrize("scheme", ["1", "2"])
-    @pytest.mark.parametrize("mode, allowed", [("derive", {1}), ("verify", {1, 2})])
+    @pytest.mark.parametrize("mode, allowed", [("derive", {1}), ("verify", {2})])
     def test_one_certificate_per_table(self, capsys, monkeypatch, mode, allowed, scheme):
         # each certify call covers all 16 cells at once: derive needs its own
-        # certificate, verify at most one more
+        # certificate, verify one more
         shapes = []
         real = protocol.certify
 

@@ -23,9 +23,9 @@ from clusterport import (
 from clusterport import harness, protocol
 from clusterport.protocol import (
     _PAULI_PAIRS,
-    _derived_table,
-    _table_certificate,
+    _repair_stack,
     branch_maps,
+    certified_repairs,
     certify,
 )
 
@@ -52,8 +52,25 @@ def reject_everything(products, scheme):
 
 def certified_pairs(cz, scheme, cell):
     """The Pauli pairs that one row of the table certificate accepts."""
-    row = _table_certificate(cz, scheme)[cell]
+    row = certify(_repair_stack(cz), scheme)[cell]
     return {pair for pair, good in zip(_PAULI_PAIRS, row) if good}
+
+
+def derived_table(scheme):
+    """The derived repairs of every cell: the certificate under the
+    scheme's own CZ step."""
+    return certified_repairs(scheme is Scheme.ARBITRARY, scheme)
+
+
+def patch_derived_table(monkeypatch, fake):
+    """Make ``harness`` see ``fake(scheme)`` as the derived table, leaving
+    the other certificate that ``verify`` reads untouched."""
+    real = protocol.certified_repairs
+
+    def patched(cz, scheme):
+        return fake(scheme) if cz is (scheme is Scheme.ARBITRARY) else real(cz, scheme)
+
+    monkeypatch.setattr(harness, "certified_repairs", patched)
 
 
 def verify_rows(scheme):
@@ -116,20 +133,20 @@ class TestTableLookup:
 
 class TestDeriveCorrections:
     def test_scheme1_rediscovers_both_listed(self):
-        derived = _derived_table(Scheme.SPECIAL)[ALL_PAIRS.index((PHI_P, PHI_P))]
+        derived = derived_table(Scheme.SPECIAL)[ALL_PAIRS.index((PHI_P, PHI_P))]
         names = {str(op) for op in derived}
         assert {"IZ", "ZI"} <= names
 
     def test_scheme1_derived_set_is_listed_plus_twin(self):
         # on the restricted input family each survivor pairs with its
         # Z-twin, so every cell derives exactly two repairs
-        for (o13, o26), cell in zip(ALL_PAIRS, _derived_table(Scheme.SPECIAL)):
+        for (o13, o26), cell in zip(ALL_PAIRS, derived_table(Scheme.SPECIAL)):
             derived = {(op.p4, op.p5) for op in cell}
             first = table_lookup(Scheme.SPECIAL, o13, o26)[0]
             assert derived == {(first.p4, first.p5), z_twin((first.p4, first.p5))}
 
     def test_scheme2_unique_per_cell(self):
-        for (o13, o26), derived in zip(ALL_PAIRS, _derived_table(Scheme.ARBITRARY)):
+        for (o13, o26), derived in zip(ALL_PAIRS, derived_table(Scheme.ARBITRARY)):
             listed = table_lookup(Scheme.ARBITRARY, o13, o26)
             assert len(derived) == 1
             assert (derived[0].p4, derived[0].p5) == (listed[0].p4, listed[0].p5)
@@ -137,7 +154,7 @@ class TestDeriveCorrections:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_nothing_certified_gives_empty_sets_and_mismatches(self, monkeypatch, scheme):
         monkeypatch.setattr(protocol, "certify", reject_everything)
-        assert _derived_table(scheme)[ALL_PAIRS.index((PHI_P, PSI_M))] == []
+        assert derived_table(scheme)[ALL_PAIRS.index((PHI_P, PSI_M))] == []
         rows = verify_rows(scheme)
         assert {row["verdict"] for row in rows} == {"mismatch"}
         assert all(row["derived"] == [] for row in rows)
@@ -244,13 +261,27 @@ class TestTableCertificate:
     def test_every_row_is_the_per_cell_certificate(self, scheme, cz):
         # the whole-table stack certifies each cell as a stack of its own
         # 16 repairs would
-        table = protocol._table_certificate(cz, scheme)
-        assert table.shape == (16, 16)
+        stack = _repair_stack(cz)
+        assert stack.shape == (16, 16, 4, 4)
+        table = certify(stack, scheme)
         cz_diag = np.diag([1, 1, 1, -1])
         for cell, k in enumerate(branch_maps().reshape(16, 4, 4)):
             repaired = cz_diag @ (4 * k) if cz else 4 * k
+            for pair, (p4, p5) in enumerate(_PAULI_PAIRS):
+                op = CorrectionOp(p4, p5, cz_first=cz)
+                assert np.array_equal(stack[cell, pair], op.matrix() @ (4 * k))
             expected = certify(protocol._PAIR_OPS @ repaired, scheme)
             assert table[cell].tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("cz", [False, True], ids=["pauli", "cz"])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_certified_repairs_read_the_table(self, scheme, cz):
+        table = certify(_repair_stack(cz), scheme)
+        for row, cell in zip(table, certified_repairs(cz, scheme)):
+            assert cell == [
+                CorrectionOp(p4, p5, cz_first=cz)
+                for (p4, p5), good in zip(_PAULI_PAIRS, row) if good
+            ]
 
 
 # (scheme whose inputs the certificate ranges over, dense probes standing for
@@ -276,7 +307,7 @@ class TestExactAgainstDenseOracle:
             )
             assert certified_pairs(cz, scheme, cell) == expected
             if cz is (scheme is Scheme.ARBITRARY):
-                derived = {(op.p4, op.p5) for op in _derived_table(scheme)[cell]}
+                derived = {(op.p4, op.p5) for op in derived_table(scheme)[cell]}
                 assert derived == expected
 
 
@@ -311,27 +342,29 @@ class TestVerifyTables:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_verify_and_derive_agree_in_every_cell(self, scheme):
         derived = run(RunConfig(scheme=scheme, mode="derive")).verdicts
-        for row, cell, derive_row in zip(verify_rows(scheme), _derived_table(scheme), derived):
+        for row, cell, derive_row in zip(verify_rows(scheme), derived_table(scheme), derived):
             assert row["derived"] == [str(op) for op in cell] == derive_row["derived"]
 
     def test_a_cell_with_nothing_derived_is_a_mismatch(self, monkeypatch):
         # the scheme-2 repairs still pass the span-only certificate, which
         # alone would make every cell subspace-only
-        monkeypatch.setattr(harness, "_derived_table", lambda scheme: [[] for _ in range(16)])
+        patch_derived_table(monkeypatch, lambda scheme: [[] for _ in range(16)])
         assert {row["verdict"] for row in verify_rows(Scheme.ARBITRARY)} == {"mismatch"}
 
     def test_scheme2_repair_left_underived_is_subspace_only(self, monkeypatch):
         # a listed scheme-2 repair is still certified on the |00>/|11> span,
-        # so missing from the derived set it reads subspace-only and passes
-        monkeypatch.setattr(harness, "_derived_table", twins_only)
+        # so missing from the derived set it reads subspace-only; that
+        # breaks the claim for arbitrary inputs, so the run fails
+        patch_derived_table(monkeypatch, twins_only)
         report = run(RunConfig(scheme=Scheme.ARBITRARY, mode="verify"))
         assert {row["verdict"] for row in report.verdicts} == {"subspace-only"}
         assert report.aggregates["subspace_only"] == 16
-        assert report.passed
+        assert report.aggregates["mismatch"] == 0
+        assert not report.passed
 
     def test_scheme1_repair_left_underived_is_a_mismatch(self, monkeypatch):
         # scheme 1 has no narrower input family to fall back on
-        monkeypatch.setattr(harness, "_derived_table", twins_only)
+        patch_derived_table(monkeypatch, twins_only)
         report = run(RunConfig(scheme=Scheme.SPECIAL, mode="verify"))
         assert {row["verdict"] for row in report.verdicts} == {"mismatch"}
         assert report.aggregates["mismatch"] == 16

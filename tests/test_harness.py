@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +40,12 @@ def wrong_table(scheme, o13, o26):
     op = table_lookup(scheme, o13, o26)[0]
     flipped = {"I": "X", "X": "I", "Y": "Z", "Z": "Y"}[op.p4]
     return [CorrectionOp(flipped, op.p5, cz_first=op.cz_first)]
+
+
+def emit_as(report, fmt):
+    """``report`` serialized in ``fmt``, under a copy of its config that
+    asks for that format."""
+    return emit_report(replace(report, config=replace(report.config, output_format=fmt)))
 
 
 def enum_cfg(**kw):
@@ -157,7 +164,7 @@ class TestMonteCarlo:
         assert row.count == 1
         assert row.probability == pytest.approx(1 / 16, abs=1e-12)
         assert report.aggregates["distinct_outcomes"] == 1
-        (raw,) = json.loads(emit_report(report, "json"))["branches"]
+        (raw,) = json.loads(emit_as(report, "json"))["branches"]
         assert raw["count"] == 1 and raw["frequency"] == 1.0
 
     def test_counts_total_trials(self):
@@ -326,12 +333,12 @@ class TestRowTemplates:
             corrections=(CorrectionOp("I", "Z"),) * 16,
             probability=[values], fidelity=[values], state=[["0"] * 16],
         )
-        doc = json.loads(emit_report(report, "json"))
+        doc = json.loads(emit_as(report, "json"))
         for key in ("probability", "fidelity"):
             assert [math.copysign(1, b[key]) for b in doc["branches"][:3]] == [-1, 1, -1]
-        csv_rows = emit_report(report, "csv").decode().splitlines()[1:4]
+        csv_rows = emit_as(report, "csv").decode().splitlines()[1:4]
         assert [row.split(",")[2:4] for row in csv_rows] == [["-0", "-0"], ["0", "0"], ["-0", "-0"]]
-        text_rows = emit_report(report, "text").decode().splitlines()[2:5]
+        text_rows = emit_as(report, "text").decode().splitlines()[2:5]
         assert [row.split()[2:4] for row in text_rows] == [["-0", "-0"], ["0", "0"], ["-0", "-0"]]
 
 
@@ -370,7 +377,7 @@ class TestDeterminism:
 
 class TestJsonFormat:
     def test_top_level_shape(self):
-        doc = json.loads(emit_report(run(enum_cfg()), "json"))
+        doc = json.loads(emit_as(run(enum_cfg()), "json"))
         assert list(doc) == ["schema", "config", "branches", "aggregates", "verdicts"]
         assert doc["schema"] == 4
         assert doc["verdicts"] is None
@@ -380,7 +387,7 @@ class TestJsonFormat:
 
     def test_floats_round_trip_exactly(self):
         report = run(enum_cfg(random_inputs=2))
-        doc = json.loads(emit_report(report, "json"))
+        doc = json.loads(emit_as(report, "json"))
         rows = dense_oracle.report_rows(report)
         assert len(rows) == len(doc["branches"]) == 32
         for row, raw in zip(rows, doc["branches"]):
@@ -390,7 +397,7 @@ class TestJsonFormat:
 
     def test_coeffs_parse_back_as_complex(self):
         report = run(enum_cfg(input_coeffs=(0.6, 0.8j)))
-        doc = json.loads(emit_report(report, "json"))
+        doc = json.loads(emit_as(report, "json"))
         parsed = [complex(s) for s in doc["config"]["coeffs"]]
         assert parsed == [0.6 + 0j, 0.8j]
         parsed_in = [complex(s) for s in doc["aggregates"]["inputs"][0]["coeffs"]]
@@ -398,13 +405,13 @@ class TestJsonFormat:
 
     def test_sample_records_carry_counts(self):
         cfg = RunConfig(scheme=Scheme.SPECIAL, mode="sample", trials=64, seed=2)
-        doc = json.loads(emit_report(run(cfg), "json"))
+        doc = json.loads(emit_as(run(cfg), "json"))
         assert all("count" in b and "frequency" in b for b in doc["branches"])
         assert sum(b["count"] for b in doc["branches"]) == 64
 
     def test_verify_verdict_rows(self):
         cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="verify")
-        doc = json.loads(emit_report(run(cfg), "json"))
+        doc = json.loads(emit_as(run(cfg), "json"))
         assert len(doc["verdicts"]) == 16
         assert all(v["verdict"] == "exact-up-to-global-phase" for v in doc["verdicts"])
         assert doc["branches"] == []
@@ -412,7 +419,7 @@ class TestJsonFormat:
 
     def test_derive_verdict_rows(self):
         cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="derive")
-        doc = json.loads(emit_report(run(cfg), "json"))
+        doc = json.loads(emit_as(run(cfg), "json"))
         assert len(doc["verdicts"]) == 16
         assert all(v["derived"] == v["listed"] for v in doc["verdicts"])
         assert doc["aggregates"]["unique_per_cell"] is True
@@ -420,7 +427,7 @@ class TestJsonFormat:
 
 class TestCsvAndText:
     def test_enumerate_csv_shape(self):
-        out = emit_report(run(enum_cfg(input_coeffs=(0.6, 0.8))), "csv")
+        out = emit_as(run(enum_cfg(input_coeffs=(0.6, 0.8))), "csv")
         lines = out.decode().splitlines()
         assert lines[0] == "outcome13,outcome26,probability,fidelity,correction"
         assert len(lines) == 17
@@ -430,27 +437,30 @@ class TestCsvAndText:
 
     def test_verify_csv_has_verdict_column(self):
         cfg = RunConfig(scheme=Scheme.SPECIAL, mode="verify")
-        lines = emit_report(run(cfg), "csv").decode().splitlines()
+        lines = emit_as(run(cfg), "csv").decode().splitlines()
         assert lines[0] == "outcome13,outcome26,verdict,derived,listed"
         assert len(lines) == 17
 
     def test_derive_csv_lacks_verdict_column(self):
         cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="derive")
-        lines = emit_report(run(cfg), "csv").decode().splitlines()
+        lines = emit_as(run(cfg), "csv").decode().splitlines()
         assert lines[0] == "outcome13,outcome26,derived,listed"
 
     def test_text_reports_verdict_line(self):
-        out = emit_report(run(enum_cfg()), "text").decode()
+        out = emit_as(run(enum_cfg()), "text").decode()
         assert out.endswith("result: PASS\n")
         assert "outcome13" in out
 
     def test_text_fail_line(self, monkeypatch):
         monkeypatch.setattr(harness, "table_lookup", wrong_table)
-        assert emit_report(run(enum_cfg()), "text").decode().endswith("result: FAIL\n")
+        assert emit_as(run(enum_cfg()), "text").decode().endswith("result: FAIL\n")
 
     def test_unknown_format_rejected(self):
+        # a report is written in its config's format, and a config cannot
+        # name an unknown one
+        assert emit_report(run(enum_cfg(output_format="csv"))).startswith(b"outcome13,")
         with pytest.raises(ValueError):
-            emit_report(run(enum_cfg()), "yaml")
+            enum_cfg(output_format="yaml")
 
 
 class TestSparseSampleRows:
@@ -469,7 +479,7 @@ class TestSparseSampleRows:
         assert all(r.count >= 1 for r in rows) and sum(r.count for r in rows) == trials
         assert report.aggregates["distinct_outcomes"] == len(rows) < 16
 
-        doc = json.loads(emit_report(report, "json"))
+        doc = json.loads(emit_as(report, "json"))
         assert doc["aggregates"]["distinct_outcomes"] == len(rows)
         assert len(doc["branches"]) == len(rows)
         for row, raw in zip(rows, doc["branches"]):
@@ -481,7 +491,7 @@ class TestSparseSampleRows:
             assert raw["count"] == row.count
             assert raw["frequency"] == row.count / trials
 
-        csv_rows = emit_report(report, "csv").decode().splitlines()[1:]
+        csv_rows = emit_as(report, "csv").decode().splitlines()[1:]
         assert len(csv_rows) == len(rows)
         for row, line in zip(rows, csv_rows):
             o13, o26, prob, fid, op = line.split(",")
@@ -489,7 +499,7 @@ class TestSparseSampleRows:
             assert (float(prob), float(fid)) == (row.probability, row.fidelity)
             assert op == str(row.correction)
 
-        lines = emit_report(report, "text").decode().splitlines()
+        lines = emit_as(report, "text").decode().splitlines()
         head = lines.index(next(line for line in lines if line.startswith("outcome13")))
         assert lines[head].endswith("count  frequency")
         text_rows = lines[head + 1:head + 1 + len(rows)]

@@ -12,7 +12,7 @@ from clusterport import (
     tensor,
 )
 from clusterport.measurement import BELL_SIGNS, draw_index
-from clusterport.protocol import InputState, assemble_total
+from clusterport.protocol import InputState, Scheme, assemble_total
 from conftest import random_state
 
 # Bell coefficients written out longhand so the oracle below shares nothing
@@ -112,7 +112,7 @@ class TestProjectBell:
 
     def test_sequential_protocol_projections(self):
         # alpha = 1 input: both measurements give 1/4, remainder |00>_45
-        total = assemble_total(InputState.special(1, 0))
+        total = assemble_total(InputState(Scheme.SPECIAL, (1, 0)))
         r1 = project_bell(total, 1, 3, BellOutcome.PHI_PLUS)
         assert r1.probability == pytest.approx(0.25, abs=1e-12)
         assert r1.remainder.labels == (2, 4, 5, 6)

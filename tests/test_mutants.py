@@ -1,0 +1,146 @@
+"""Mutation analysis of the four run modes (DeMillo, Lipton and Sayward,
+"Hints on test data selection", IEEE Computer 11(4), 1978).
+
+Each mutant breaks one fact the claim rests on: one cell's first listed
+repair is swapped for another Pauli pair, or one entry of the channel's or
+the Bell basis's sign table, or of the controlled-phase diagonal, is
+changed.  Every mutant runs through ``run`` in all four modes, and a mode
+kills it when its run fails.  The kill counts are pinned, and every mutant
+that ``enumerate``, ``sample`` or ``verify`` lets through must be an
+equivalent one.
+
+``derive`` kills no table mutant by design: it derives the repairs from the
+branch maps and never compares them against the listed ones.
+"""
+
+import numpy as np
+import pytest
+
+from clusterport import BELL_OUTCOMES, CorrectionOp, RunConfig, Scheme, harness, protocol, run
+from clusterport.protocol import PAULI_NAMES, branch_maps, table_lookup
+from test_corrections import z_twin
+
+CELLS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
+PAIRS = [(p4, p5) for p4 in PAULI_NAMES for p5 in PAULI_NAMES]
+MODES = {
+    "enumerate": {"random_inputs": 20},
+    "sample": {"trials": 2000},
+    "derive": {},
+    "verify": {},
+}
+
+# (mutant count, kills per mode) for each scheme
+TABLE_KILLS = {
+    Scheme.SPECIAL: (240, {"enumerate": 224, "sample": 224, "derive": 0, "verify": 224}),
+    Scheme.ARBITRARY: (240, {"enumerate": 240, "sample": 240, "derive": 0, "verify": 240}),
+}
+# the values an entry of each mutated protocol constant may take
+CONSTANT_VALUES = {
+    "CLUSTER_SIGNS": (-1, 0, 1),
+    "BELL_SIGNS": (-1, 0, 1),
+    "_CZ_DIAG": (1, -1, 1j, -1j, 0),
+}
+CONSTANT_KILLS = {
+    ("CLUSTER_SIGNS", Scheme.SPECIAL):
+        (32, {"enumerate": 32, "sample": 32, "derive": 28, "verify": 32}),
+    ("CLUSTER_SIGNS", Scheme.ARBITRARY):
+        (32, {"enumerate": 32, "sample": 32, "derive": 32, "verify": 32}),
+    ("BELL_SIGNS", Scheme.SPECIAL):
+        (32, {"enumerate": 32, "sample": 32, "derive": 24, "verify": 32}),
+    ("BELL_SIGNS", Scheme.ARBITRARY):
+        (32, {"enumerate": 32, "sample": 32, "derive": 24, "verify": 32}),
+    # scheme-1 repairs apply no controlled-phase: every CZ mutant is
+    # equivalent there
+    ("_CZ_DIAG", Scheme.SPECIAL):
+        (16, {"enumerate": 0, "sample": 0, "derive": 0, "verify": 0}),
+    ("_CZ_DIAG", Scheme.ARBITRARY):
+        (16, {"enumerate": 16, "sample": 16, "derive": 16, "verify": 16}),
+}
+CHECKING_MODES = {"enumerate", "sample", "verify"}
+
+
+def failing_modes(scheme):
+    """The modes whose run fails under the current (mutated) package."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {
+            mode for mode, kwargs in MODES.items()
+            if not run(RunConfig(scheme=scheme, mode=mode, **kwargs)).passed
+        }
+
+
+def table_mutants(scheme):
+    """(cell, pair): the cell's first listed repair replaced by ``pair``."""
+    for cell in CELLS:
+        first = table_lookup(scheme, *cell)[0]
+        yield from ((cell, pair) for pair in PAIRS if pair != (first.p4, first.p5))
+
+
+def equivalent_table_mutants(scheme):
+    """The Z-twin of each first listed scheme-1 repair: on the |00>/|11>
+    span it differs from the listed repair by a global phase only."""
+    if scheme is Scheme.ARBITRARY:
+        return set()
+    firsts = (table_lookup(scheme, *cell)[0] for cell in CELLS)
+    return {(cell, z_twin((op.p4, op.p5))) for cell, op in zip(CELLS, firsts)}
+
+
+def kills_of_table_mutant(monkeypatch, scheme, cell, pair):
+    def mutated(s, o13, o26):
+        ops = table_lookup(s, o13, o26)
+        if (o13, o26) == cell:
+            ops[0] = CorrectionOp(*pair, cz_first=ops[0].cz_first)
+        return ops
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "table_lookup", mutated)
+        return failing_modes(scheme)
+
+
+def constant_mutants(name):
+    """(index, value): one entry of the protocol constant ``name`` set to
+    another of its ``CONSTANT_VALUES``."""
+    table = getattr(protocol, name)
+    for index in np.ndindex(table.shape):
+        yield from ((index, v) for v in CONSTANT_VALUES[name] if v != table[index])
+
+
+def kills_of_constant_mutant(monkeypatch, scheme, name, index, value):
+    table = getattr(protocol, name).copy()
+    table[index] = value
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(protocol, name, table)
+            branch_maps.cache_clear()
+            return failing_modes(scheme)
+    finally:
+        branch_maps.cache_clear()  # after the restore: rebuild from the real tables
+
+
+def tally(kills):
+    return {mode: sum(mode in k for k in kills) for mode in MODES}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_table_mutants(monkeypatch, scheme):
+    mutants = list(table_mutants(scheme))
+    kills = [kills_of_table_mutant(monkeypatch, scheme, *m) for m in mutants]
+    assert (len(mutants), tally(kills)) == TABLE_KILLS[scheme]
+    # every mutant that a checking mode lets through is an equivalent repair
+    survivors = {m for m, k in zip(mutants, kills) if not CHECKING_MODES & k}
+    assert survivors == equivalent_table_mutants(scheme)
+    assert all(k == CHECKING_MODES for m, k in zip(mutants, kills) if m not in survivors)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("name", list(CONSTANT_VALUES))
+def test_constant_mutants(monkeypatch, name, scheme):
+    maps = branch_maps()
+    mutants = list(constant_mutants(name))
+    kills = [kills_of_constant_mutant(monkeypatch, scheme, name, *m) for m in mutants]
+    assert (len(mutants), tally(kills)) == CONSTANT_KILLS[name, scheme]
+    # a non-equivalent mutant fails every checking mode
+    if (name, scheme) != ("_CZ_DIAG", Scheme.SPECIAL):
+        assert all(CHECKING_MODES <= k for k in kills)
+    # the real tables are back, and the maps are rebuilt from them
+    assert branch_maps() is not maps and np.array_equal(branch_maps(), maps)
+    assert failing_modes(scheme) == set()

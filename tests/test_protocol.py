@@ -92,21 +92,21 @@ class TestChannelAndInput:
         assert c.norm() == pytest.approx(1.0, abs=1e-15)
 
     def test_make_input_special(self):
-        s = make_input(InputState.special(0.6, 0.8))
+        s = make_input(InputState(Scheme.SPECIAL, (0.6, 0.8)))
         assert s.labels == (1, 2)
         np.testing.assert_allclose(s.amps, [0.6, 0, 0, 0.8], atol=0)
 
     def test_make_input_complex_coeffs(self):
-        s = make_input(InputState.special(3 / 5, 4j / 5))
+        s = make_input(InputState(Scheme.SPECIAL, (3 / 5, 4j / 5)))
         np.testing.assert_allclose(s.amps, [0.6, 0, 0, 0.8j], atol=1e-15)
 
     def test_make_input_arbitrary_layout(self):
-        s = make_input(InputState.arbitrary(0.5, 0.5j, -0.5, -0.5j))
+        s = make_input(InputState(Scheme.ARBITRARY, (0.5, 0.5j, -0.5, -0.5j)))
         np.testing.assert_allclose(s.amps, [0.5, 0.5j, -0.5, -0.5j], atol=0)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
-            InputState.special(1, 1)
+            InputState(Scheme.SPECIAL, (1, 1))
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
@@ -119,7 +119,7 @@ class TestChannelAndInput:
         assert abs(s.coeffs[0]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_target_state_relabels(self):
-        t = target_state(InputState.special(0.6, 0.8))
+        t = target_state(InputState(Scheme.SPECIAL, (0.6, 0.8)))
         assert t.labels == (4, 5)
         np.testing.assert_allclose(t.amps, [0.6, 0, 0, 0.8], atol=0)
 
@@ -128,7 +128,7 @@ class TestChannelAndInput:
         # magnitude |c|/2, minus signs exactly where the channel has its
         # |1111> term
         alpha, delta = 0.6, 0.8
-        total = assemble_total(InputState.special(alpha, delta))
+        total = assemble_total(InputState(Scheme.SPECIAL, (alpha, delta)))
         assert total.labels == (1, 2, 3, 4, 5, 6)
         expected = np.zeros(64, dtype=complex)
         for base, coeff in ((0, alpha), (48, delta)):
@@ -188,7 +188,7 @@ class TestEnumeratedBranches:
     def test_phi_phi_worked_example(self):
         # scheme 1, both measurements Phi+: remainder is alpha|00> - delta|11>
         # and the listed repair restores the input
-        state = InputState.special(0.6, 0.8)
+        state = InputState(Scheme.SPECIAL, (0.6, 0.8))
         prob, remainder = collapse_branch(assemble_total(state), PHI_P, PHI_P)
         assert prob == pytest.approx(1 / 16, abs=1e-12)
         np.testing.assert_allclose(remainder.amps, [0.6, 0, 0, -0.8], atol=1e-12)
@@ -204,7 +204,7 @@ class TestEnumeratedBranches:
     def test_scheme2_worked_example(self):
         # scheme 2, (Phi+, Phi-): after the controlled-phase the state is
         # alpha|00> - beta|01> + gamma|10> - delta|11>, fixed by I on 4, Z on 5
-        state = InputState.arbitrary(0.5, 0.5, 0.5, 0.5)
+        state = InputState(Scheme.ARBITRARY, (0.5, 0.5, 0.5, 0.5))
         _, remainder = collapse_branch(assemble_total(state), PHI_P, PHI_M)
         swept = apply_cz(remainder, 4, 5)
         np.testing.assert_allclose(swept.amps, [0.5, -0.5, 0.5, -0.5], atol=1e-12)

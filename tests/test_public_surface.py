@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "INPUT_LABELS",
     "InputState",
     "InputSummary",
-    "OUTPUT_LABELS",
     "OUTPUT_RELABELING",
     "PAULIS",
     "ProjectionResult",
@@ -64,7 +63,7 @@ def tracer_targets():
 
 def test_public_names_are_pinned():
     assert sorted(clusterport.__all__) == PUBLIC_NAMES
-    assert len(clusterport.__all__) == len(set(clusterport.__all__)) == 39
+    assert len(clusterport.__all__) == len(set(clusterport.__all__)) == 38
     for name in clusterport.__all__:
         assert hasattr(clusterport, name), name
 
