@@ -35,19 +35,20 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool) -> None:
         "--scheme", type=int, choices=(1, 2), required=True,
         help="1 teleports alpha|00>+delta|11>, 2 teleports any two-qubit state",
     )
-    p.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
-    p.add_argument("--format", choices=FORMATS, default="text", dest="format")
-    p.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
+    p.add_argument("--seed", type=int, help="base seed for all randomness")
+    p.add_argument("--format", choices=FORMATS, dest="output_format")
+    p.add_argument("--out", type=Path, help="write the report here instead of stdout")
     if with_input:
         p.add_argument(
-            "--coeffs", type=_parse_coeffs, default=None, metavar="LIST",
+            "--coeffs", type=_parse_coeffs, dest="input_coeffs", metavar="LIST",
             help="input coefficients, comma separated complex values ('0.6,0.8j')",
         )
         p.add_argument(
             "--renormalize", action="store_true",
             help="scale --coeffs to unit norm instead of rejecting them",
         )
-        p.add_argument("--tol", type=float, default=1e-10, help="fidelity check tolerance")
+        p.add_argument("--tol", type=float, dest="fidelity_tol", metavar="TOL",
+                       help="fidelity check tolerance")
 
 
 @functools.cache
@@ -58,51 +59,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate two-qubit teleportation over a four-qubit cluster channel.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
+    # An option left out sets nothing, so the RunConfig default applies.
+    add_mode = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p_enum = sub.add_parser("enumerate", help="run all 16 branches deterministically")
+    p_enum = add_mode("enumerate", help="run all 16 branches deterministically")
     _add_common(p_enum, with_input=True)
     p_enum.add_argument(
-        "--random-inputs", type=int, default=100, dest="random_inputs",
+        "--random-inputs", type=int,
         help=f"seeded random inputs when --coeffs is absent (at most {MAX_RANDOM_INPUTS}; "
         "memory grows with it, about 14 KB per input in a JSON report)",
     )
 
-    p_sample = sub.add_parser("sample", help="Monte Carlo over the measurement outcomes")
+    p_sample = add_mode("sample", help="Monte Carlo over the measurement outcomes")
     _add_common(p_sample, with_input=True)
     p_sample.add_argument(
-        "--trials", type=int, default=16000,
+        "--trials", type=int,
         help="Monte Carlo trials (unbounded: time grows, memory stays flat); a correct "
         "sampler fails the chi-square gate at rate 1e-9 asymptotically, but at about "
         "1.5e-5 with 5 trials and 2e-7 to 6e-6 with 6 to 30 (none below 5)",
     )
 
-    p_derive = sub.add_parser("derive", help="derive the correction table from the branch maps")
+    p_derive = add_mode("derive", help="derive the correction table from the branch maps")
     _add_common(p_derive, with_input=False)
 
-    p_verify = sub.add_parser("verify", help="check the built-in table against the derivation")
+    p_verify = add_mode("verify", help="check the built-in table against the derivation")
     _add_common(p_verify, with_input=False)
 
     return parser
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    coeffs = getattr(args, "coeffs", None)
-    if coeffs is not None and getattr(args, "renormalize", False):
-        coeffs = InputState.renormalized(Scheme(args.scheme), coeffs).coeffs
-    kwargs = {
-        "scheme": Scheme(args.scheme),
-        "mode": args.mode,
-        "input_coeffs": coeffs,
-        "seed": args.seed,
-        "output_format": args.format,
-    }
-    if hasattr(args, "tol"):
-        kwargs["fidelity_tol"] = args.tol
-    if hasattr(args, "random_inputs"):
-        kwargs["random_inputs"] = args.random_inputs
-    if hasattr(args, "trials"):
-        kwargs["trials"] = args.trials
-    return RunConfig(**kwargs)
+    """The run's config: every parsed option but ``--out``, each stored under
+    the name of the RunConfig field it sets."""
+    fields = {key: value for key, value in vars(args).items() if key != "out"}
+    if fields.pop("renormalize", False) and "input_coeffs" in fields:
+        scheme = Scheme(fields["scheme"])
+        fields["input_coeffs"] = InputState.renormalized(scheme, fields["input_coeffs"]).coeffs
+    return RunConfig(**fields)
 
 
 def _write_report(path: Path, data: bytes) -> None:
@@ -135,17 +128,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"clusterport: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = run(cfg)
-    except RuntimeError as exc:
-        print(f"clusterport: {exc}", file=sys.stderr)
-        return 1
+    report = run(cfg)
     data = emit_report(report)
-    if args.out is not None:
+    out = getattr(args, "out", None)
+    if out is not None:
         try:
-            _write_report(args.out, data)
+            _write_report(out, data)
         except OSError as exc:
-            print(f"clusterport: cannot write report to {args.out}: {exc.strerror or exc}",
+            print(f"clusterport: cannot write report to {out}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 2
     else:

@@ -25,9 +25,10 @@ results as the arrays they are computed as, indexed [input][cell] in
 call per run.  Every report format writes the rows of
 ``Report.rows()`` from a fixed template: the outcome and correction text of
 each of the 16 cells is built once, and each distinct float and state is
-formatted once per report.  JSON verdict rows come from one template too,
-each distinct string json.dumps'd once.  ``emit_report`` writes a report in
-its config's ``output_format`` and in no other.
+formatted once per report.  The JSON verdict rows are written by one
+json.dumps call, and a CSV verdict row has a column per row key but
+``subspace_only``.  ``emit_report`` writes a report in its config's
+``output_format`` and in no other.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7, output_format="json")
     report = run(cfg)
@@ -361,22 +362,14 @@ def _format_float(x: float) -> str:
 
 
 def _json_fragment(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
+    if isinstance(value, float):
+        return _format_float(value)
     if isinstance(value, dict):
         items = (f"{json.dumps(str(k))}:{_json_fragment(v)}" for k, v in value.items())
         return "{" + ",".join(items) + "}"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return "[" + ",".join(_json_fragment(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__} in a report")
+    return json.dumps(value)
 
 
 def _config_dict(cfg: RunConfig) -> dict:
@@ -437,24 +430,6 @@ def _json_branches(report: Report) -> str:
     return "[" + ",".join(rows) + "]"
 
 
-def _json_verdicts(verdicts) -> str:
-    """The ``verdicts`` array, every row from one template: a row is a flat
-    object of strings and string lists, and each distinct string (key,
-    outcome, verdict or correction) is json.dumps'd once."""
-    if verdicts is None:
-        return "null"
-    texts = _Fragments(json.dumps)
-    rows = []
-    for row in verdicts:
-        fields = [
-            f"{texts[key]}:{texts[value]}" if isinstance(value, str)
-            else f"{texts[key]}:[{','.join([texts[v] for v in value])}]"
-            for key, value in row.items()
-        ]
-        rows.append("{" + ",".join(fields) + "}")
-    return "[" + ",".join(rows) + "]"
-
-
 def _emit_json(report: Report) -> str:
     aggregates = dict(report.aggregates)
     aggregates["inputs"] = [
@@ -470,7 +445,7 @@ def _emit_json(report: Report) -> str:
         f',"config":{_json_fragment(_config_dict(report.config))}'
         f',"branches":{_json_branches(report)}'
         f',"aggregates":{_json_fragment(aggregates)}'
-        f',"verdicts":{_json_verdicts(report.verdicts)}}}\n'
+        f',"verdicts":{json.dumps(report.verdicts, separators=(",", ":"))}}}\n'
     )
 
 
@@ -478,18 +453,12 @@ def _emit_csv(report: Report) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     if report.verdicts is not None:
-        header = ["outcome13", "outcome26", "derived", "listed"]
-        has_verdict = any("verdict" in row for row in report.verdicts)
-        if has_verdict:
-            header.insert(2, "verdict")
-        w.writerow(header)
-        for row in report.verdicts:
-            cells = [row["outcome13"], row["outcome26"]]
-            if has_verdict:
-                cells.append(row["verdict"])
-            cells.append("|".join(row["derived"]))
-            cells.append("|".join(row["listed"]))
-            w.writerow(cells)
+        keys = [key for key in report.verdicts[0] if key != "subspace_only"]
+        w.writerow(keys)
+        w.writerows(
+            [row[key] if isinstance(row[key], str) else "|".join(row[key]) for key in keys]
+            for row in report.verdicts
+        )
     else:
         w.writerow(CSV_COLUMNS)
         cells = [

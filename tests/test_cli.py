@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -7,8 +9,8 @@ import sys
 import pytest
 
 from clusterport import BellOutcome, CorrectionOp, Scheme, harness, protocol
-from clusterport.cli import _parse_coeffs, build_parser, main
-from clusterport.harness import MAX_RANDOM_INPUTS
+from clusterport.cli import _config_from, _parse_coeffs, build_parser, main
+from clusterport.harness import MAX_RANDOM_INPUTS, MODES, RunConfig
 from test_corrections import reject_everything
 from test_harness import wrong_table
 
@@ -27,8 +29,6 @@ class TestCoeffParsing:
         assert _parse_coeffs(" 0.5, 0.5 0.5j,-0.5j ") == (0.5, 0.5, 0.5j, -0.5j)
 
     def test_garbage_rejected(self):
-        import argparse
-
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_coeffs("0.6,spam")
         with pytest.raises(argparse.ArgumentTypeError):
@@ -52,15 +52,30 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_defaults(self):
-        args = build_parser().parse_args(["sample", "--scheme", "2"])
-        assert args.trials == 16000
-        assert args.seed == 0
-        assert args.format == "text"
-        assert args.tol == 1e-10
+        cfg = _config_from(build_parser().parse_args(["sample", "--scheme", "2"]))
+        assert cfg.trials == 16000
+        assert cfg.seed == 0
+        assert cfg.output_format == "text"
+        assert cfg.fidelity_tol == 1e-10
 
     def test_random_inputs_default(self):
-        args = build_parser().parse_args(["enumerate", "--scheme", "1"])
-        assert args.random_inputs == 100
+        cfg = _config_from(build_parser().parse_args(["enumerate", "--scheme", "1"]))
+        assert cfg.random_inputs == 100
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_option_sets_a_config_field(self, mode):
+        # a stray dest would make RunConfig(**fields) raise TypeError, a
+        # traceback instead of exit 2; a parser default would shadow RunConfig's
+        sub = build_parser()._subparsers._group_actions[0].choices[mode]
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert {a.dest for a in sub._actions} - {"help", "out", "renormalize"} <= fields
+        assert all(a.default is argparse.SUPPRESS for a in sub._actions)
+
+    @pytest.mark.parametrize("scheme", [1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_only_scheme_builds_the_default_config(self, mode, scheme):
+        args = build_parser().parse_args([mode, "--scheme", str(scheme)])
+        assert _config_from(args) == RunConfig(Scheme(scheme), mode)
 
     def test_random_inputs_help_states_the_cap(self, capsys):
         with pytest.raises(SystemExit) as exc:

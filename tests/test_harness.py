@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +31,7 @@ from clusterport import (
 )
 from clusterport import harness
 from clusterport.cli import main
-from clusterport.harness import MAX_RANDOM_INPUTS, SAMPLE_BLOCK, chi2_sf
+from clusterport.harness import CHI2_ALPHA, MAX_RANDOM_INPUTS, SAMPLE_BLOCK, chi2_sf
 from clusterport.measurement import draw_index
 from clusterport.protocol import branch_maps, map_inputs
 
@@ -354,6 +356,21 @@ class TestChiSquareTail:
         assert chi2_sf(2.0, 1) == pytest.approx(math.erfc(1.0), rel=1e-15)
         # the benchmark checker's 1e-9 limit for 16 cells
         assert chi2_sf(73.63, 15) == pytest.approx(1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
+    def test_small_trial_false_alarm_rate(self, trials):
+        # the exact rate at which a correct sampler fails the gate, summed
+        # over every 16-cell count vector: 0 below 5 trials, and at 5 only
+        # the 16 vectors with all trials in one cell fail
+        expected = trials / 16
+        rate = Fraction(0)
+        for cells in itertools.combinations_with_replacement(range(16), trials):
+            counts = [cells.count(b) for b in range(16)]
+            chi2 = sum((n - expected) ** 2 / expected for n in counts)
+            if chi2_sf(chi2, 15) < CHI2_ALPHA:
+                ways = math.factorial(trials) // math.prod(map(math.factorial, counts))
+                rate += Fraction(ways, 16 ** trials)
+        assert rate == (Fraction(16, 16 ** 5) if trials == 5 else 0)
 
 
 class TestDeterminism:
