@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int,
         help="Monte Carlo trials (unbounded: time grows, memory stays flat); a correct "
         "sampler fails the chi-square gate at rate 1e-9 asymptotically, but at about "
-        "1.5e-5 with 5 trials and 2e-7 to 6e-6 with 6 to 30 (none below 5)",
+        "1.5e-5 with 5 trials and 2.2e-7 to 6.3e-6 with 6 to 30 (none below 5)",
     )
 
     p_derive = add_mode("derive", help="derive the correction table from the branch maps")

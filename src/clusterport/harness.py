@@ -74,7 +74,7 @@ SAMPLE_BLOCK = 2048  # trials drawn at once; counts do not depend on it
 # Threshold on the p-value of the chi-square test that gates sampling: its
 # false-alarm rate for many trials.  Counts are discrete, so at few trials
 # the exact rate differs: 0 below 5 trials, 16 * 16**-5 ~ 1.5e-5 at 5 (all
-# in one cell), and 2e-7 to 6e-6 for 6 to 30 trials.
+# in one cell), and 2.2e-7 to 6.3e-6 for 6 to 30 trials.
 CHI2_ALPHA = 1e-9
 
 
@@ -101,16 +101,18 @@ class RunConfig:
             coeffs = tuple(complex(c) for c in self.input_coeffs)
             InputState(self.scheme, coeffs)  # validates count and normalization
             object.__setattr__(self, "input_coeffs", coeffs)
-        if not isinstance(self.trials, int) or self.trials < 1:
+        # type(), not isinstance(): a bool is an int, and JSON would write it as true or false
+        if type(self.trials) is not int or self.trials < 1:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.random_inputs, int) or self.random_inputs < 1:
+        if type(self.random_inputs) is not int or self.random_inputs < 1:
             raise ValueError(f"random_inputs must be a positive integer, got {self.random_inputs!r}")
         if self.random_inputs > MAX_RANDOM_INPUTS:
             raise ValueError(
                 f"random_inputs must be at most {MAX_RANDOM_INPUTS}, got {self.random_inputs}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "fidelity_tol", float(self.fidelity_tol))
         if not 0.0 <= self.fidelity_tol < 1.0:
             raise ValueError(f"fidelity tolerance must lie in [0, 1), got {self.fidelity_tol!r}")
 
@@ -407,8 +409,6 @@ def _json_branches(report: Report) -> str:
     """The ``branches`` array, every row from one fixed template: the outcome
     and correction fragments of each cell are json.dumps'd once, and each
     distinct float and state is formatted once."""
-    if not report.corrections:
-        return "[]"  # a derive or verify report: no branch rows, no template
     heads = [
         f',"outcome13":{json.dumps(o13.value)},"outcome26":{json.dumps(o26.value)},"probability":'
         for o13, o26 in _ALL_PAIRS
@@ -509,11 +509,10 @@ def _emit_text(report: Report) -> str:
             if row.get("subspace_only"):
                 parts.append("subspace_only=" + "|".join(row["subspace_only"]))
             lines.append("  ".join(parts))
-    skip = {"pass", "inputs"}
     summary = " ".join(
         f"{key}={value:.12g}" if isinstance(value, float) else f"{key}={value}"
         for key, value in report.aggregates.items()
-        if key not in skip
+        if key != "pass"
     )
     lines.append(summary)
     lines.append("result: " + ("PASS" if report.passed else "FAIL"))

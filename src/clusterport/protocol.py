@@ -23,9 +23,11 @@ branch exactly when R 4K is c times the identity on the scheme's inputs,
 c in {1, -1, i, -i} (``certify``).  ``_repair_stack`` builds R 4K for all
 16 branches times all 16 Pauli pairs as one stack, and ``certified_repairs``
 makes one ``certify`` call on it and returns the certified repairs of every
-branch.  ``harness`` builds the ``derive`` and ``verify`` reports from
-these, so the hard-coded tables are checked, not trusted: deriving a table
-takes one call, verifying it two, and nothing is kept between runs.
+branch.  The run modes that apply a repair, ``enumerate`` and ``sample``,
+take its matrix from ``CorrectionOp.matrix`` instead.  ``harness`` builds
+the ``derive`` and ``verify`` reports from these, so the hard-coded tables
+are checked, not trusted: deriving a table takes one call, verifying it
+two, and nothing is kept between runs.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clusterport import StateVector
+from clusterport.statevec import StateVector
 
 
 def random_state(rng, labels):

@@ -11,27 +11,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from clusterport import (
-    BELL_OUTCOMES,
-    BellOutcome,
-    CorrectionOp,
-    InputState,
-    Scheme,
-    StateVector,
+from clusterport import BELL_OUTCOMES, BellOutcome, CorrectionOp, InputState, Scheme, table_lookup
+from clusterport.gates import PAULIS, apply_cz, apply_single
+from clusterport.measurement import sample_bell
+from clusterport.protocol import (
+    PAULI_NAMES,
     apply_correction,
-    apply_cz,
-    apply_single,
     assemble_total,
     collapse_branch,
-    fidelity,
-    format_state,
     random_input,
-    sample_bell,
-    table_lookup,
     target_state,
 )
-from clusterport.gates import PAULIS
-from clusterport.protocol import PAULI_NAMES
+from clusterport.statevec import StateVector, fidelity, format_state
 
 N_RANDOM_PROBES = 10
 # A float brute force cannot certify anything exactly; a repair survives it

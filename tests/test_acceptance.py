@@ -11,25 +11,19 @@ import time
 import numpy as np
 
 import dense_oracle
-from clusterport import (
-    BELL_OUTCOMES,
-    BellOutcome,
-    RunConfig,
-    Scheme,
-    StateVector,
-    apply_cz,
+from clusterport import BELL_OUTCOMES, BellOutcome, RunConfig, Scheme, emit_report, table_lookup
+from clusterport.gates import apply_cz
+from clusterport.harness import run_enumeration, run_montecarlo, run_verification
+from clusterport.protocol import (
+    _PAULI_PAIRS,
+    _repair_stack,
     assemble_total,
+    certify,
     collapse_branch,
-    emit_report,
-    fidelity,
     pauli_pair_fidelities,
     random_input,
-    run_enumeration,
-    run_montecarlo,
-    run_verification,
-    table_lookup,
 )
-from clusterport.protocol import _PAULI_PAIRS, _repair_stack, certify
+from clusterport.statevec import StateVector, fidelity
 
 ALL_PAIRS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
 

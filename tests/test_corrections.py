@@ -10,24 +10,25 @@ from clusterport import (
     CorrectionOp,
     RunConfig,
     Scheme,
-    apply_correction,
-    assemble_total,
-    collapse_branch,
-    fidelity,
-    pauli_pair_fidelities,
-    random_input,
+    harness,
+    protocol,
     run,
     table_lookup,
-    target_state,
 )
-from clusterport import harness, protocol
 from clusterport.protocol import (
     _PAULI_PAIRS,
     _repair_stack,
+    apply_correction,
+    assemble_total,
     branch_maps,
     certified_repairs,
     certify,
+    collapse_branch,
+    pauli_pair_fidelities,
+    random_input,
+    target_state,
 )
+from clusterport.statevec import fidelity
 
 PHI_P = BellOutcome.PHI_PLUS
 PHI_M = BellOutcome.PHI_MINUS

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from clusterport import PAULIS, CorrectionOp, apply_cz, apply_single
+from clusterport import CorrectionOp
+from clusterport.gates import PAULIS, apply_cz, apply_single
 from clusterport.statevec import StateVector
 from conftest import basis_ket, random_state
 

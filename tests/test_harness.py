@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -19,21 +20,25 @@ from clusterport import (
     Report,
     RunConfig,
     Scheme,
-    StateVector,
     emit_report,
-    format_state,
+    harness,
     run,
+    table_lookup,
+)
+from clusterport.cli import main
+from clusterport.harness import (
+    CHI2_ALPHA,
+    MAX_RANDOM_INPUTS,
+    SAMPLE_BLOCK,
+    chi2_sf,
     run_derivation,
     run_enumeration,
     run_montecarlo,
     run_verification,
-    table_lookup,
 )
-from clusterport import harness
-from clusterport.cli import main
-from clusterport.harness import CHI2_ALPHA, MAX_RANDOM_INPUTS, SAMPLE_BLOCK, chi2_sf
 from clusterport.measurement import draw_index
 from clusterport.protocol import branch_maps, map_inputs
+from clusterport.statevec import StateVector, format_state
 
 
 def wrong_table(scheme, o13, o26):
@@ -76,10 +81,13 @@ class TestRunConfig:
             dict(output_format="xml"),
             dict(trials=0),
             dict(trials=1.5),
+            dict(trials=True),
             dict(random_inputs=0),
+            dict(random_inputs=True),
             dict(random_inputs=MAX_RANDOM_INPUTS + 1),
             dict(seed=-1),
             dict(seed=2 ** 64),
+            dict(seed=False),
             dict(fidelity_tol=1.0),
             dict(fidelity_tol=-0.1),
         ],
@@ -89,6 +97,14 @@ class TestRunConfig:
         base.update(kw)
         with pytest.raises(ValueError):
             RunConfig(**base)
+
+    def test_equal_configs_give_equal_bytes(self):
+        # an int tolerance is stored as a float, so it is written as one
+        a = RunConfig(scheme=2, mode="derive", fidelity_tol=0, output_format="json")
+        b = RunConfig(scheme=2, mode="derive", fidelity_tol=0.0, output_format="json")
+        assert a == b and type(a.fidelity_tol) is float
+        assert emit_report(run(a)) == emit_report(run(b))
+        assert b'"fidelity_tol":0.0,' in emit_report(run(a))
 
     def test_random_inputs_cap_constructs(self):
         cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="enumerate", random_inputs=MAX_RANDOM_INPUTS)
@@ -371,6 +387,33 @@ class TestChiSquareTail:
                 ways = math.factorial(trials) // math.prod(map(math.factorial, counts))
                 rate += Fraction(ways, 16 ** trials)
         assert rate == (Fraction(16, 16 ** 5) if trials == 5 else 0)
+
+    def test_false_alarm_rate_up_to_30_trials(self):
+        # chi2 = 16 sum(n^2) / T - T, so count vectors are grouped by
+        # (T, sum(n^2)) in a DP over the 16 cells, each weighted by its
+        # multinomial coefficient
+        most = 30
+        ways = {(0, 0): 1}
+        for _ in range(16):
+            grown = defaultdict(int)
+            for (t, sq), w in ways.items():
+                for n in range(most - t + 1):
+                    grown[t + n, sq + n * n] += w * math.comb(t + n, n)
+            ways = grown
+        failing = defaultdict(int)
+        for (t, sq), w in ways.items():
+            if t:
+                p = chi2_sf(float(Fraction(16 * sq, t) - t), 15)
+                # every group is far from the threshold, so the gate's own
+                # float rounding of chi2 cannot move a vector across it
+                assert abs(p / CHI2_ALPHA - 1) > 1e-3, (t, sq)
+                failing[t] += w * (p < CHI2_ALPHA)
+        rates = {t: Fraction(failing[t], 16 ** t) for t in range(1, most + 1)}
+        assert all(rates[t] == 0 for t in range(1, 5))
+        assert rates[5] == Fraction(16, 16 ** 5)
+        six_to_30 = [rates[t] for t in range(6, most + 1)]
+        assert max(six_to_30) == rates[7] and min(six_to_30) == rates[30]
+        assert [f"{float(rates[t]):.1e}" for t in (6, 7, 30)] == ["9.5e-07", "6.3e-06", "2.2e-07"]
 
 
 class TestDeterminism:

@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from clusterport import (
-    BELL_OUTCOMES,
-    BellOutcome,
-    StateVector,
-    cluster_state,
-    fidelity,
-    project_bell,
-    sample_bell,
-    tensor,
-)
-from clusterport.measurement import BELL_SIGNS, draw_index
-from clusterport.protocol import InputState, Scheme, assemble_total
+from clusterport import BELL_OUTCOMES, BellOutcome, InputState, Scheme
+from clusterport.measurement import BELL_SIGNS, draw_index, project_bell, sample_bell
+from clusterport.protocol import assemble_total, cluster_state
+from clusterport.statevec import StateVector, fidelity, tensor
 from conftest import random_state
 
 # Bell coefficients written out longhand so the oracle below shares nothing

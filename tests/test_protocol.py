@@ -5,24 +5,25 @@ import dense_oracle
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
+    CorrectionOp,
     InputState,
     RunConfig,
     Scheme,
-    StateVector,
+    table_lookup,
+)
+from clusterport.gates import apply_cz
+from clusterport.harness import run_enumeration
+from clusterport.protocol import (
     apply_correction,
-    apply_cz,
     assemble_total,
+    branch_maps,
     cluster_state,
     collapse_branch,
-    fidelity,
-    format_state,
     make_input,
     random_input,
-    run_enumeration,
-    table_lookup,
     target_state,
 )
-from clusterport.protocol import branch_maps
+from clusterport.statevec import StateVector, fidelity, format_state
 
 PHI_P = BellOutcome.PHI_PLUS
 PHI_M = BellOutcome.PHI_MINUS
@@ -274,8 +275,6 @@ class TestCorrectionApplication:
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_passthrough(self, rng):
-        from clusterport import CorrectionOp
-
         s = StateVector((4, 5), np.array([0.5, 0.5, 0.5, 0.5]))
         out = apply_correction(s, CorrectionOp("I", "I"))
         np.testing.assert_array_equal(out.amps, s.amps)

@@ -5,51 +5,52 @@ The benchmark wraps functions by module path (``benchmarks/tracer.py``
 any of them breaks the benchmark, not just a caller.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import clusterport
 
 PUBLIC_NAMES = [
     "BELL_OUTCOMES",
     "BellOutcome",
-    "CHANNEL_LABELS",
     "CorrectionOp",
-    "INPUT_LABELS",
     "InputState",
     "InputSummary",
-    "OUTPUT_RELABELING",
-    "PAULIS",
-    "ProjectionResult",
     "Report",
     "RunConfig",
     "Scheme",
     "StateVector",
     "__version__",
-    "apply_correction",
-    "apply_cz",
     "apply_single",
-    "assemble_total",
-    "cluster_state",
-    "collapse_branch",
     "emit_report",
-    "fidelity",
-    "format_state",
-    "make_input",
-    "pauli_pair_fidelities",
-    "project_bell",
-    "random_input",
-    "relabel",
     "run",
-    "run_derivation",
-    "run_enumeration",
-    "run_montecarlo",
-    "run_verification",
-    "sample_bell",
     "table_lookup",
-    "target_state",
-    "tensor",
 ]
+
+# Reached through their modules only: the dense reference and the per-mode
+# runners.
+MODULE_NAMES = {
+    "statevec": ["fidelity", "format_state", "relabel", "tensor"],
+    "gates": ["PAULIS", "apply_cz"],
+    "measurement": ["ProjectionResult", "project_bell", "sample_bell"],
+    "protocol": [
+        "CHANNEL_LABELS",
+        "INPUT_LABELS",
+        "OUTPUT_RELABELING",
+        "apply_correction",
+        "assemble_total",
+        "cluster_state",
+        "collapse_branch",
+        "make_input",
+        "pauli_pair_fidelities",
+        "random_input",
+        "target_state",
+    ],
+    "harness": ["run_derivation", "run_enumeration", "run_montecarlo", "run_verification"],
+}
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -63,16 +64,24 @@ def tracer_targets():
 
 def test_public_names_are_pinned():
     assert sorted(clusterport.__all__) == PUBLIC_NAMES
-    assert len(clusterport.__all__) == len(set(clusterport.__all__)) == 38
+    assert len(clusterport.__all__) == len(set(clusterport.__all__)) == 14
     for name in clusterport.__all__:
         assert hasattr(clusterport, name), name
+
+
+@pytest.mark.parametrize("mod,name", [(m, n) for m, names in MODULE_NAMES.items() for n in names])
+def test_module_names_are_not_at_the_root(mod, name):
+    module = importlib.import_module(f"clusterport.{mod}")
+    assert hasattr(module, name)
+    with pytest.raises(ImportError):
+        exec(f"from clusterport import {name}", {})
 
 
 def test_every_tracer_target_resolves():
     targets = tracer_targets()
     assert targets
     for mod, attr in targets:
-        module = getattr(clusterport, mod)
+        module = importlib.import_module(f"clusterport.{mod}")
         assert callable(getattr(module, attr)), f"{mod}.{attr}"
 
 

@@ -3,16 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from clusterport import (
-    PAULIS,
+from clusterport.gates import PAULIS, apply_single
+from clusterport.statevec import (
     StateVector,
-    apply_single,
+    display_rotation,
     fidelity,
     format_state,
+    format_states,
     relabel,
     tensor,
 )
-from clusterport.statevec import display_rotation, format_states
 from conftest import basis_ket, random_state
 
 
