@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .harness import FORMATS, MAX_RANDOM_INPUTS, RunConfig, emit_report, run
-from .protocol import InputState, Scheme
+from .exact import InputState, Scheme
 
 
 def _parse_coeffs(text: str) -> tuple[complex, ...]:

@@ -5,24 +5,26 @@ flows from the 64-bit seed through a fixed substream key, so rerunning a
 config reproduces the report byte for byte in any format.
 
 Substream keys: random input k uses default_rng([seed, 0, k]); all Monte
-Carlo trials share default_rng([seed, 1]), trial t reading its doubles 2t
-and 2t+1: the first picks the outcome on (1, 3) from its marginal, the
-second the outcome on (2, 6) from the row conditioned on the first.  Trials
-are drawn SAMPLE_BLOCK at a time; counts depend on neither the block size
-nor, for the first N trials, the trial count.  Derivation and verification
+Carlo trials share default_rng([seed, 1]), read as
+``measurement.sample_outcome_pairs`` describes.  Derivation and verification
 are exact and draw nothing, so the seed only appears in their config.
 
-Every mode reads the 16 exact branch maps of ``protocol.branch_maps`` and
-simulates no six-qubit state; ``derive`` and ``verify`` certify repairs by
-integer equality, with no tolerance: one ``protocol.certified_repairs``
-call certifies the whole 16-cell table, so ``derive`` makes one and
-``verify`` two, and nothing carries over between runs.  Their rows are
-built here, from the derived table and, for ``verify``, the other
-certificate; the verdict strings are defined nowhere else, and ``verify``
-passes only when every cell is exact.  A report keeps the branch
-results as the arrays they are computed as, indexed [input][cell] in
-``_ALL_PAIRS`` cell order; display forms come from one ``format_states``
-call per run.  Every report format writes the rows of
+Every mode reads the 16 exact branch maps of ``exact.branch_maps`` and
+simulates no six-qubit state.  ``derive`` and ``verify`` certify repairs by
+integer equality, with no tolerance and no numpy: one
+``exact.certified_repairs`` call certifies the whole 16-cell table, so
+``derive`` makes one and ``verify`` two.  Each certificate is built once per
+process; no report is.  Their rows are built here, from the derived table
+and, for ``verify``, the other certificate; the verdict strings are defined
+nowhere else, and ``verify`` passes only when every cell is exact.
+``enumerate`` and ``sample`` take the float maps, the repairs and the
+sampler from ``protocol`` and ``measurement``, which load numpy on first
+use; the top level of this module loads only ``exact`` and the standard
+library.
+
+A report keeps the branch results as the arrays they are computed as,
+indexed [input][cell] in ``_ALL_PAIRS`` cell order; display forms come from
+one ``format_states`` call per run.  Every report format writes the rows of
 ``Report.rows()`` from a fixed template: the outcome and correction text of
 each of the 16 cells is built once, and each distinct float and state is
 formatted once per report.  The JSON verdict rows are written by one
@@ -41,22 +43,11 @@ import csv
 import io
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .measurement import BELL_OUTCOMES, draw_index
-from .protocol import (
-    CorrectionOp,
-    InputState,
-    Scheme,
-    branch_maps,
-    certified_repairs,
-    map_inputs,
-    random_input,
-    table_lookup,
-)
-from .statevec import format_states
+from . import measurement, protocol
+from .exact import BELL_OUTCOMES, CorrectionOp, InputState, Scheme, certified_repairs, table_lookup
 
 MODES = ("enumerate", "sample", "derive", "verify")
 FORMATS = ("json", "csv", "text")
@@ -70,7 +61,6 @@ CSV_COLUMNS = ("outcome13", "outcome26", "probability", "fidelity", "correction"
 
 _ALL_PAIRS = tuple((a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES)
 
-SAMPLE_BLOCK = 2048  # trials drawn at once; counts do not depend on it
 # Threshold on the p-value of the chi-square test that gates sampling: its
 # false-alarm rate for many trials.  Counts are discrete, so at few trials
 # the exact rate differs: 0 below 5 trials, 16 * 16**-5 ~ 1.5e-5 at 5 (all
@@ -156,11 +146,21 @@ class Report:
         return [(k, b) for k in range(len(self.probability)) for b in cells]
 
 
+_LOAD_LOCK = threading.Lock()
+
+
+def _load_protocol() -> None:
+    """Run the lazy ``protocol``, and the lazy modules it imports, before
+    this thread uses any of them.  A lazy module runs at its first attribute
+    use, and the LazyLoader of Python 3.11 and older takes no lock for that,
+    so a second thread could see the module half run; here threads take
+    turns."""
+    with _LOAD_LOCK:
+        vars(protocol)
+
+
 def _drawn_inputs(cfg: RunConfig, count: int) -> list[InputState]:
-    return [
-        random_input(cfg.scheme, np.random.default_rng([cfg.seed, 0, k]))
-        for k in range(count)
-    ]
+    return [protocol.random_input(cfg.scheme, [cfg.seed, 0, k]) for k in range(count)]
 
 
 def _configured_inputs(cfg: RunConfig) -> list[InputState]:
@@ -176,16 +176,14 @@ def _repaired_branches(scheme: Scheme, inputs: list[InputState]):
     correction: the corrections in ``_ALL_PAIRS`` order, then probabilities,
     fidelities and display forms of the outputs, indexed [input][cell]."""
     ops = tuple(table_lookup(scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS)
-    repaired = np.stack([op.matrix() for op in ops]) @ branch_maps().reshape(16, 4, 4)
-    out, probs, fids = map_inputs(repaired, [s.amps for s in inputs])
-    states = format_states(out / np.sqrt(probs)[..., None])
-    return ops, probs.tolist(), fids.tolist(), states
+    return (ops, *protocol.repair_branches(ops, [s.amps for s in inputs]))
 
 
 def run_enumeration(cfg: RunConfig) -> Report:
     """Evaluate all 16 branches for every input."""
     if cfg.mode != "enumerate":
         raise ValueError(f"run_enumeration needs mode 'enumerate', got {cfg.mode!r}")
+    _load_protocol()
     inputs = _configured_inputs(cfg)
     ops, probs, fids, states = _repaired_branches(cfg.scheme, inputs)
     summaries = [InputSummary(s.coeffs, sum(p), min(f)) for s, p, f in zip(inputs, probs, fids)]
@@ -222,19 +220,10 @@ def run_montecarlo(cfg: RunConfig) -> Report:
     """Sample the two measurement outcomes ``trials`` times."""
     if cfg.mode != "sample":
         raise ValueError(f"run_montecarlo needs mode 'sample', got {cfg.mode!r}")
+    _load_protocol()
     state = _configured_inputs(cfg)[0]
     ops, probs, fids, states = _repaired_branches(cfg.scheme, [state])
-    joint = np.reshape(probs[0], (4, 4))
-    cum_marginal = joint.sum(axis=1).cumsum()
-    cum_rows = joint.cumsum(axis=1)
-    rng = np.random.default_rng([cfg.seed, 1])
-    counts = np.zeros(16, dtype=np.int64)
-    for start in range(0, cfg.trials, SAMPLE_BLOCK):
-        u = rng.random((min(SAMPLE_BLOCK, cfg.trials - start), 2))
-        i = draw_index(cum_marginal, u[:, 0])
-        j = draw_index(cum_rows.take(i, axis=0), u[:, 1])
-        counts += np.bincount(4 * i + j, minlength=16)
-    counts = counts.tolist()
+    counts = measurement.sample_outcome_pairs(probs[0], cfg.trials, [cfg.seed, 1])
     drawn = [b for b in range(16) if counts[b]]
     min_fid = min(fids[0][b] for b in drawn)
     p = 1.0 / 16.0

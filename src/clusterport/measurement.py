@@ -8,36 +8,21 @@ labels keep their original relative order.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import BELL_OUTCOMES, BELL_SIGNS, BellOutcome
 from .statevec import StateVector, _trusted
 
 # Branches with probability below this floor are impossible; they carry no
 # post-measurement state.
 PROB_FLOOR = 1e-12
+SAMPLE_BLOCK = 2048  # trials sample_outcome_pairs draws at once
 
-
-class BellOutcome(enum.Enum):
-    """The four Bell states of an ordered qubit pair (a, b)."""
-
-    PHI_PLUS = "Phi+"    # (|00> + |11>)/sqrt(2)
-    PHI_MINUS = "Phi-"   # (|00> - |11>)/sqrt(2)
-    PSI_PLUS = "Psi+"    # (|01> + |10>)/sqrt(2)
-    PSI_MINUS = "Psi-"   # (|01> - |10>)/sqrt(2)
-
-
-BELL_OUTCOMES = tuple(BellOutcome)
-
-# sqrt(2) times the coefficient of |i>_a |j>_b in each Bell ket, indexed
-# [k, i, j] for BELL_OUTCOMES[k]: the one definition of the Bell basis.
-BELL_SIGNS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]).reshape(4, 2, 2)
-BELL_SIGNS.setflags(write=False)
 # Rows: the Bell bras, flattened over the pair's (i, j) axes; they are real,
 # so each row is also its ket.
-_BELL_MAT = BELL_SIGNS.reshape(4, 4) * (1.0 / np.sqrt(2.0)) + 0j
+_BELL_MAT = np.reshape(BELL_SIGNS, (4, 4)) * (1.0 / np.sqrt(2.0)) + 0j
 _OUTCOME_INDEX = {o: k for k, o in enumerate(BELL_OUTCOMES)}
 
 
@@ -105,3 +90,26 @@ def draw_index(cum: np.ndarray, u) -> np.ndarray:
     cols, total = np.moveaxis(cum, -1, 0), cum[..., -1]
     v = np.asarray(u) * total
     return np.minimum(sum(c <= v for c in cols), sum(c < total for c in cols))
+
+
+def sample_outcome_pairs(probs, trials: int, seed) -> list[int]:
+    """Counts of ``trials`` draws of the outcome pair on (1, 3) and (2, 6)
+    from the 16 cell probabilities ``probs``, the (1, 3) outcome major.
+
+    All trials share ``np.random.default_rng(seed)``, trial t reading its
+    doubles 2t and 2t+1: the first picks the outcome on (1, 3) from its
+    marginal, the second the outcome on (2, 6) from the row conditioned on
+    the first.  Trials are drawn SAMPLE_BLOCK at a time; counts depend on
+    neither the block size nor, for the first N trials, the trial count.
+    """
+    joint = np.reshape(probs, (4, 4))
+    cum_marginal = joint.sum(axis=1).cumsum()
+    cum_rows = joint.cumsum(axis=1)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, trials, SAMPLE_BLOCK):
+        u = rng.random((min(SAMPLE_BLOCK, trials - start), 2))
+        i = draw_index(cum_marginal, u[:, 0])
+        j = draw_index(cum_rows.take(i, axis=0), u[:, 1])
+        counts += np.bincount(4 * i + j, minlength=16)
+    return counts.tolist()

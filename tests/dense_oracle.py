@@ -14,8 +14,8 @@ import numpy as np
 from clusterport import BELL_OUTCOMES, BellOutcome, CorrectionOp, InputState, Scheme, table_lookup
 from clusterport.gates import PAULIS, apply_cz, apply_single
 from clusterport.measurement import sample_bell
+from clusterport.exact import PAULI_NAMES
 from clusterport.protocol import (
-    PAULI_NAMES,
     apply_correction,
     assemble_total,
     collapse_branch,

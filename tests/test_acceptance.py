@@ -14,11 +14,9 @@ import dense_oracle
 from clusterport import BELL_OUTCOMES, BellOutcome, RunConfig, Scheme, emit_report, table_lookup
 from clusterport.gates import apply_cz
 from clusterport.harness import run_enumeration, run_montecarlo, run_verification
+from clusterport.exact import certified_repairs
 from clusterport.protocol import (
-    _PAULI_PAIRS,
-    _repair_stack,
     assemble_total,
-    certify,
     collapse_branch,
     pauli_pair_fidelities,
     random_input,
@@ -105,14 +103,14 @@ def test_restricted_scheme_table_verified():
     # arbitrary inputs
     probes = dense_oracle.scheme_probes(Scheme.SPECIAL, 1851)
     rows = run_verification(RunConfig(scheme=Scheme.SPECIAL, mode="verify")).verdicts
-    certificate = certify(_repair_stack(False), Scheme.SPECIAL)
+    certificate = certified_repairs(False, Scheme.SPECIAL)
     listed_total = certified = 0
     worst = 1.0
     for pair, exact in zip(ALL_PAIRS, certificate):
         dense = dense_oracle.pair_fidelities(*pair, probes, cz_first=False)
         for op in table_lookup(Scheme.SPECIAL, *pair):
             listed_total += 1
-            certified += bool(exact[_PAULI_PAIRS.index((op.p4, op.p5))])
+            certified += op in exact
             worst = min(worst, dense[(op.p4, op.p5)])
     dual_subspace = any(len(row["listed"]) == 2 and row["subspace_only"] for row in rows)
     check(

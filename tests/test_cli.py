@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from clusterport import BellOutcome, CorrectionOp, Scheme, harness, protocol
+from clusterport import BellOutcome, CorrectionOp, Scheme, exact, harness
 from clusterport.cli import _config_from, _parse_coeffs, build_parser, main
 from clusterport.harness import MAX_RANDOM_INPUTS, MODES, RunConfig
 from test_corrections import reject_everything
@@ -197,7 +197,7 @@ class TestMain:
         def twin_table(scheme, o13, o26):
             if (scheme, o13, o26) == (Scheme.ARBITRARY, phi_p, phi_p):
                 return [CorrectionOp("Z", "Z", cz_first=True)]
-            return protocol.table_lookup(scheme, o13, o26)
+            return exact.table_lookup(scheme, o13, o26)
 
         monkeypatch.setattr(harness, "table_lookup", twin_table)
         code, out, _ = run_main(capsys, "verify", "--scheme", "2")
@@ -258,7 +258,7 @@ class TestMain:
     @pytest.mark.parametrize("mode", ["derive", "verify"])
     def test_nothing_certified_writes_a_failing_report(self, capsys, tmp_path,
                                                        monkeypatch, mode, fmt):
-        monkeypatch.setattr(protocol, "certify", reject_everything)
+        monkeypatch.setattr(harness, "certified_repairs", reject_everything)
         dest = tmp_path / f"report.{fmt}"
         code, out, err = run_main(
             capsys, mode, "--scheme", "2", "--format", fmt, "--out", str(dest),
@@ -277,27 +277,29 @@ class TestMain:
     @pytest.mark.parametrize("scheme", ["1", "2"])
     @pytest.mark.parametrize("mode, allowed", [("derive", {1}), ("verify", {2})])
     def test_one_certificate_per_table(self, capsys, monkeypatch, mode, allowed, scheme):
-        # each certify call covers all 16 cells at once: derive needs its own
-        # certificate, verify one more
-        shapes = []
-        real = protocol.certify
+        # each certificate covers all 16 cells at once: derive needs its own,
+        # verify one more
+        calls = []
+        real = exact.certified_repairs
 
-        def counting(products, s):
-            shapes.append(products.shape)
-            return real(products, s)
+        def counting(cz, s):
+            calls.append((cz, s))
+            return real(cz, s)
 
-        monkeypatch.setattr(protocol, "certify", counting)
+        monkeypatch.setattr(harness, "certified_repairs", counting)
         code, _, _ = run_main(capsys, mode, "--scheme", scheme, "--format", "json")
         assert code == 0
-        assert len(shapes) in allowed
-        assert set(shapes) == {(16, 16, 4, 4)}
+        assert len(calls) in allowed
+        assert (int(scheme) == 2, Scheme(int(scheme))) in calls
 
-    def test_nothing_is_cached_between_runs(self, capsys, monkeypatch):
+    def test_each_run_reads_the_certificate(self, capsys, monkeypatch):
+        # the certificate is built once per process, but no report is: a
+        # run sees the certificate as it is at that run
         argv = ("derive", "--scheme", "2", "--format", "json")
         passing = run_main(capsys, *argv)
         assert passing[0] == 0
         with monkeypatch.context() as mp:
-            mp.setattr(protocol, "certify", reject_everything)
+            mp.setattr(harness, "certified_repairs", reject_everything)
             code, out, _ = run_main(capsys, *argv)
             assert code == 1
             assert [row["derived"] for row in json.loads(out)["verdicts"]] == [[]] * 16

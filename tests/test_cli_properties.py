@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from clusterport import Scheme  # noqa: E402
 from clusterport.cli import _parse_coeffs, main  # noqa: E402
 from clusterport.harness import format_complex  # noqa: E402
-from clusterport.protocol import COEFF_TOL  # noqa: E402
+from clusterport.exact import COEFF_TOL  # noqa: E402
 from clusterport.statevec import StateVector, format_state  # noqa: E402
 from test_harness import no_repair_table, repaired_outputs  # noqa: E402
 

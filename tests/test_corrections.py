@@ -4,31 +4,32 @@ import numpy as np
 import pytest
 
 import dense_oracle
+import einsum_certificate
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
     CorrectionOp,
     RunConfig,
     Scheme,
+    exact,
     harness,
     protocol,
     run,
     table_lookup,
 )
+from clusterport.exact import PAULI_PAIRS, certified_repairs
 from clusterport.protocol import (
-    _PAULI_PAIRS,
-    _repair_stack,
     apply_correction,
     assemble_total,
     branch_maps,
-    certified_repairs,
-    certify,
     collapse_branch,
     pauli_pair_fidelities,
     random_input,
+    repair_matrices,
     target_state,
 )
 from clusterport.statevec import fidelity
+from einsum_certificate import certify, repair_stack
 
 PHI_P = BellOutcome.PHI_PLUS
 PHI_M = BellOutcome.PHI_MINUS
@@ -46,15 +47,14 @@ def z_twin(pair):
     return (_Z_TWIN[pair[0]], _Z_TWIN[pair[1]])
 
 
-def reject_everything(products, scheme):
-    """A broken ``protocol.certify`` that certifies no repair at all."""
-    return np.zeros(products.shape[:-2], dtype=bool)
+def reject_everything(cz, scheme):
+    """A broken ``harness.certified_repairs`` that certifies no repair at all."""
+    return [[] for _ in range(16)]
 
 
 def certified_pairs(cz, scheme, cell):
-    """The Pauli pairs that one row of the table certificate accepts."""
-    row = certify(_repair_stack(cz), scheme)[cell]
-    return {pair for pair, good in zip(_PAULI_PAIRS, row) if good}
+    """The Pauli pairs that one cell of the exact certificate accepts."""
+    return {(op.p4, op.p5) for op in certified_repairs(cz, scheme)[cell]}
 
 
 def derived_table(scheme):
@@ -66,7 +66,7 @@ def derived_table(scheme):
 def patch_derived_table(monkeypatch, fake):
     """Make ``harness`` see ``fake(scheme)`` as the derived table, leaving
     the other certificate that ``verify`` reads untouched."""
-    real = protocol.certified_repairs
+    real = exact.certified_repairs
 
     def patched(cz, scheme):
         return fake(scheme) if cz is (scheme is Scheme.ARBITRARY) else real(cz, scheme)
@@ -154,8 +154,9 @@ class TestDeriveCorrections:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_nothing_certified_gives_empty_sets_and_mismatches(self, monkeypatch, scheme):
-        monkeypatch.setattr(protocol, "certify", reject_everything)
-        assert derived_table(scheme)[ALL_PAIRS.index((PHI_P, PSI_M))] == []
+        monkeypatch.setattr(harness, "certified_repairs", reject_everything)
+        derived = run(RunConfig(scheme=scheme, mode="derive")).verdicts
+        assert derived[ALL_PAIRS.index((PHI_P, PSI_M))]["derived"] == []
         rows = verify_rows(scheme)
         assert {row["verdict"] for row in rows} == {"mismatch"}
         assert all(row["derived"] == [] for row in rows)
@@ -173,7 +174,6 @@ class TestBranchMaps:
     def test_maps_reproduce_dense_branches(self, rng):
         # linearity: the unnormalized dense remainder of any input is K_b v
         maps = branch_maps()
-        assert not maps.flags.writeable
         for _ in range(5):
             state = random_input(Scheme.ARBITRARY, rng)
             v = np.array(state.coeffs)
@@ -204,17 +204,22 @@ class TestBranchMaps:
         def boom(*args, **kwargs):
             raise AssertionError("branch_maps called the dense simulator")
 
-        before = branch_maps()
+        before = exact.branch_maps()
         for name in ("assemble_total", "collapse_branch", "project_bell", "tensor"):
             monkeypatch.setattr(protocol, name, boom)
-        branch_maps.cache_clear()
+        exact.branch_maps.cache_clear()
         try:
-            rebuilt = branch_maps()
+            rebuilt = exact.branch_maps()
         finally:
-            branch_maps.cache_clear()
+            exact.branch_maps.cache_clear()
         assert rebuilt is not before
-        assert np.array_equal(rebuilt, before)
-        assert not rebuilt.flags.writeable
+        assert rebuilt == before
+        assert np.array_equal(4 * branch_maps().reshape(16, 4, 4), rebuilt)
+
+    def test_integer_maps_are_the_float_maps_times_four(self):
+        ints = exact.branch_maps()
+        assert all(type(x) is int for k in ints for row in k for x in row)
+        assert np.array_equal(4 * branch_maps().reshape(16, 4, 4), ints)
 
 
 class TestCertificate:
@@ -256,33 +261,96 @@ class TestCertificate:
         assert not certify(np.stack([leak, swap]), Scheme.SPECIAL).any()
 
 
+class TestExactCertificate:
+    """``exact.certified_repairs`` on crafted matrices in place of every 4K,
+    next to the einsum reference, which reads the same maps."""
+
+    @pytest.fixture
+    def maps_as(self, monkeypatch):
+        def use(matrix):
+            rows = tuple(map(tuple, np.asarray(matrix, dtype=complex).tolist()))
+            monkeypatch.setattr(exact, "branch_maps", lambda: (rows,) * 16)
+            certified_repairs.cache_clear()
+
+        yield use
+        certified_repairs.cache_clear()
+
+    @staticmethod
+    def certified(cz, scheme):
+        sets = [{(op.p4, op.p5) for op in cell} for cell in certified_repairs(cz, scheme)]
+        assert sets == einsum_certificate.certified_pairs(cz, scheme)
+        return sets[0]
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("c", TestCertificate.PHASES)
+    def test_accepts_every_unit_phase(self, maps_as, scheme, c):
+        maps_as(c * np.eye(4))
+        assert ("I", "I") in self.certified(False, scheme)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("c", [0, 2, -2j, 1 + 1j])
+    def test_rejects_scalars_off_the_unit_phases(self, maps_as, scheme, c):
+        maps_as(c * np.eye(4))
+        assert self.certified(False, scheme) == self.certified(True, scheme) == set()
+
+    def test_unequal_phases_need_their_repair(self, maps_as):
+        # the CZ diagonal itself: only the CZ step undoes it on every input
+        maps_as(np.diag([1, 1, 1, -1]))
+        assert self.certified(False, Scheme.ARBITRARY) == set()
+        assert self.certified(True, Scheme.ARBITRARY) == {("I", "I")}
+
+    def test_scheme1_ignores_the_columns_outside_its_span(self, maps_as):
+        m = np.diag([-1j, 1, 0, -1j])
+        m[0, 1] = 1
+        maps_as(m)
+        assert ("I", "I") in self.certified(False, Scheme.SPECIAL)
+        assert self.certified(False, Scheme.ARBITRARY) == set()
+
+    def test_rejects_a_scheme1_block_that_leaks(self, maps_as):
+        leak = np.eye(4)
+        leak[1, 3] = 1
+        maps_as(leak)
+        assert ("I", "I") not in self.certified(False, Scheme.SPECIAL)
+        # X on both qubits swaps |00> and |11>: XX undoes it, II does not
+        maps_as(np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]))
+        assert ("X", "X") in self.certified(False, Scheme.SPECIAL)
+        assert ("I", "I") not in self.certified(False, Scheme.SPECIAL)
+
+
 class TestTableCertificate:
     @pytest.mark.parametrize("cz", [False, True], ids=["pauli", "cz"])
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_every_row_is_the_per_cell_certificate(self, scheme, cz):
-        # the whole-table stack certifies each cell as a stack of its own
-        # 16 repairs would
-        stack = _repair_stack(cz)
+        # the whole-table stack of the einsum reference certifies each cell
+        # as a stack of its own 16 repairs would, and each repair in it is
+        # the matrix enumerate and sample apply
+        stack = repair_stack(cz)
         assert stack.shape == (16, 16, 4, 4)
         table = certify(stack, scheme)
         cz_diag = np.diag([1, 1, 1, -1])
         for cell, k in enumerate(branch_maps().reshape(16, 4, 4)):
             repaired = cz_diag @ (4 * k) if cz else 4 * k
-            for pair, (p4, p5) in enumerate(_PAULI_PAIRS):
+            for pair, (p4, p5) in enumerate(PAULI_PAIRS):
                 op = CorrectionOp(p4, p5, cz_first=cz)
-                assert np.array_equal(stack[cell, pair], op.matrix() @ (4 * k))
-            expected = certify(protocol._PAIR_OPS @ repaired, scheme)
+                assert np.array_equal(stack[cell, pair], repair_matrices([op])[0] @ (4 * k))
+            expected = certify(einsum_certificate.PAIR_OPS @ repaired, scheme)
             assert table[cell].tolist() == expected.tolist()
 
     @pytest.mark.parametrize("cz", [False, True], ids=["pauli", "cz"])
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_certified_repairs_read_the_table(self, scheme, cz):
-        table = certify(_repair_stack(cz), scheme)
+        # the exact certificate accepts what the einsum reference accepts,
+        # in PAULI_PAIRS order
+        table = certify(repair_stack(cz), scheme)
         for row, cell in zip(table, certified_repairs(cz, scheme)):
-            assert cell == [
+            assert cell == tuple(
                 CorrectionOp(p4, p5, cz_first=cz)
-                for (p4, p5), good in zip(_PAULI_PAIRS, row) if good
-            ]
+                for (p4, p5), good in zip(PAULI_PAIRS, row) if good
+            )
+
+    def test_built_once_per_argument_pair(self):
+        assert certified_repairs(True, Scheme.ARBITRARY) is certified_repairs(True, Scheme.ARBITRARY)
+        assert certified_repairs(True, Scheme.ARBITRARY) is not certified_repairs(True, Scheme.SPECIAL)
 
 
 # (scheme whose inputs the certificate ranges over, dense probes standing for
@@ -302,11 +370,12 @@ class TestExactAgainstDenseOracle:
     def test_derived_sets_match(self, family, cz, seed):
         scheme, probes_for = _ORACLE_FAMILIES[family]
         probes = probes_for(seed)
+        reference = einsum_certificate.certified_pairs(cz, scheme)
         for cell, (o13, o26) in enumerate(ALL_PAIRS):
             expected = dense_oracle.surviving_pairs(
                 dense_oracle.pair_fidelities(o13, o26, probes, cz)
             )
-            assert certified_pairs(cz, scheme, cell) == expected
+            assert certified_pairs(cz, scheme, cell) == reference[cell] == expected
             if cz is (scheme is Scheme.ARBITRARY):
                 derived = {(op.p4, op.p5) for op in derived_table(scheme)[cell]}
                 assert derived == expected

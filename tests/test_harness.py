@@ -22,6 +22,7 @@ from clusterport import (
     Scheme,
     emit_report,
     harness,
+    measurement,
     run,
     table_lookup,
 )
@@ -29,15 +30,14 @@ from clusterport.cli import main
 from clusterport.harness import (
     CHI2_ALPHA,
     MAX_RANDOM_INPUTS,
-    SAMPLE_BLOCK,
     chi2_sf,
     run_derivation,
     run_enumeration,
     run_montecarlo,
     run_verification,
 )
-from clusterport.measurement import draw_index
-from clusterport.protocol import branch_maps, map_inputs
+from clusterport.measurement import SAMPLE_BLOCK, draw_index
+from clusterport.protocol import branch_maps, map_inputs, repair_matrices
 from clusterport.statevec import StateVector, format_state
 
 
@@ -232,7 +232,7 @@ class TestMonteCarlo:
             scheme=Scheme.ARBITRARY, mode="sample", trials=3 * SAMPLE_BLOCK + 5, seed=4
         )
         default = cell_counts(run_montecarlo(cfg))
-        monkeypatch.setattr(harness, "SAMPLE_BLOCK", 3)
+        monkeypatch.setattr(measurement, "SAMPLE_BLOCK", 3)
         assert cell_counts(run_montecarlo(cfg)) == default
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
@@ -265,7 +265,7 @@ class TestMonteCarlo:
         def stuck(cum, u):
             return np.zeros(np.shape(u), dtype=np.intp)
 
-        monkeypatch.setattr(harness, "draw_index", stuck)
+        monkeypatch.setattr(measurement, "draw_index", stuck)
         cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=2000, seed=0)
         report = run_montecarlo(cfg)
         assert cell_counts(report)[0] == 2000
@@ -306,7 +306,7 @@ def repaired_outputs(scheme, coeff_rows):
     """The normalized repaired output of every branch of every input, taken
     the way ``run_enumeration`` takes it, with ``harness.table_lookup``."""
     ops = [harness.table_lookup(scheme, o13, o26)[0] for o13, o26 in harness._ALL_PAIRS]
-    repaired = np.stack([op.matrix() for op in ops]) @ branch_maps().reshape(16, 4, 4)
+    repaired = repair_matrices(ops) @ branch_maps().reshape(16, 4, 4)
     out, probs, _ = map_inputs(repaired, [InputState(scheme, c).amps for c in coeff_rows])
     return out / np.sqrt(probs)[..., None]
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from clusterport import BELL_OUTCOMES, BellOutcome, InputState, Scheme
-from clusterport.measurement import BELL_SIGNS, draw_index, project_bell, sample_bell
+from clusterport.exact import BELL_SIGNS
+from clusterport.measurement import draw_index, project_bell, sample_bell
 from clusterport.protocol import assemble_total, cluster_state
 from clusterport.statevec import StateVector, fidelity, tensor
 from conftest import random_state
@@ -39,7 +40,7 @@ def projection_oracle(s, a, b, outcome):
 
 def bell_ket(outcome, a, b):
     """The Bell ket ``outcome`` over the register (a, b), from BELL_SIGNS."""
-    return StateVector((a, b), BELL_SIGNS[BELL_OUTCOMES.index(outcome)].reshape(4) / np.sqrt(2))
+    return StateVector((a, b), np.reshape(BELL_SIGNS[BELL_OUTCOMES.index(outcome)], 4) / np.sqrt(2))
 
 
 def projected_probabilities(s, a, b):

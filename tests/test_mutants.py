@@ -11,13 +11,20 @@ equivalent one.
 
 ``derive`` kills no table mutant by design: it derives the repairs from the
 branch maps and never compares them against the listed ones.
+
+Each constant is mutated in its one home, ``exact``: ``derive`` and
+``verify`` read it through the exact certificate, ``enumerate`` and
+``sample`` through the float maps and repair matrices of ``protocol``.
+Under every constant mutant the exact certificate must still accept what
+the einsum reference accepts.
 """
 
 import numpy as np
 import pytest
 
-from clusterport import BELL_OUTCOMES, CorrectionOp, RunConfig, Scheme, harness, protocol, run
-from clusterport.protocol import PAULI_NAMES, branch_maps, table_lookup
+import einsum_certificate
+from clusterport import BELL_OUTCOMES, CorrectionOp, RunConfig, Scheme, exact, harness, run
+from clusterport.exact import PAULI_NAMES, branch_maps, certified_repairs, table_lookup
 from test_corrections import z_twin
 
 CELLS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
@@ -34,7 +41,7 @@ TABLE_KILLS = {
     Scheme.SPECIAL: (240, {"enumerate": 224, "sample": 224, "derive": 0, "verify": 224}),
     Scheme.ARBITRARY: (240, {"enumerate": 240, "sample": 240, "derive": 0, "verify": 240}),
 }
-# the values an entry of each mutated protocol constant may take
+# the values an entry of each mutated ``exact`` constant may take
 CONSTANT_VALUES = {
     "CLUSTER_SIGNS": (-1, 0, 1),
     "BELL_SIGNS": (-1, 0, 1),
@@ -96,24 +103,48 @@ def kills_of_table_mutant(monkeypatch, scheme, cell, pair):
         return failing_modes(scheme)
 
 
+def replaced(table, index, value):
+    """The nested tuple ``table`` with its entry at ``index`` set to ``value``."""
+    if not index:
+        return value
+    i, *rest = index
+    return tuple(replaced(t, rest, value) if k == i else t for k, t in enumerate(table))
+
+
 def constant_mutants(name):
-    """(index, value): one entry of the protocol constant ``name`` set to
+    """(index, value): one entry of the ``exact`` constant ``name`` set to
     another of its ``CONSTANT_VALUES``."""
-    table = getattr(protocol, name)
+    table = np.array(getattr(exact, name), dtype=object)
     for index in np.ndindex(table.shape):
         yield from ((index, v) for v in CONSTANT_VALUES[name] if v != table[index])
 
 
+def clear_caches():
+    """Drop what ``exact`` built from the constants, so they are read again."""
+    branch_maps.cache_clear()
+    certified_repairs.cache_clear()
+
+
+def certificates_agree():
+    """Whether the exact certificate accepts, for every (cz_first, scheme)
+    pair, the sets the einsum reference accepts."""
+    return all(
+        [{(op.p4, op.p5) for op in cell} for cell in certified_repairs(cz, scheme)]
+        == einsum_certificate.certified_pairs(cz, scheme)
+        for cz in (False, True) for scheme in Scheme
+    )
+
+
 def kills_of_constant_mutant(monkeypatch, scheme, name, index, value):
-    table = getattr(protocol, name).copy()
-    table[index] = value
+    table = replaced(getattr(exact, name), index, value)
     try:
         with monkeypatch.context() as mp:
-            mp.setattr(protocol, name, table)
-            branch_maps.cache_clear()
+            mp.setattr(exact, name, table)
+            clear_caches()
+            assert certificates_agree(), (name, index, value)
             return failing_modes(scheme)
     finally:
-        branch_maps.cache_clear()  # after the restore: rebuild from the real tables
+        clear_caches()  # after the restore: rebuild from the real tables
 
 
 def tally(kills):
@@ -142,5 +173,6 @@ def test_constant_mutants(monkeypatch, name, scheme):
     if (name, scheme) != ("_CZ_DIAG", Scheme.SPECIAL):
         assert all(CHECKING_MODES <= k for k in kills)
     # the real tables are back, and the maps are rebuilt from them
-    assert branch_maps() is not maps and np.array_equal(branch_maps(), maps)
+    assert branch_maps() is not maps and branch_maps() == maps
+    assert certificates_agree()
     assert failing_modes(scheme) == set()

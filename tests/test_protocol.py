@@ -21,6 +21,7 @@ from clusterport.protocol import (
     collapse_branch,
     make_input,
     random_input,
+    repair_matrices,
     target_state,
 )
 from clusterport.statevec import StateVector, fidelity, format_state
@@ -253,9 +254,9 @@ class TestEnumeratedBranches:
         state = random_input(Scheme.ARBITRARY, rng)
         op = table_lookup(Scheme.ARBITRARY, o13, o26)[0]
         k = branch_maps()[BELL_OUTCOMES.index(o13), BELL_OUTCOMES.index(o26)]
-        out = op.matrix() @ k @ state.amps
+        out = repair_matrices([op])[0] @ k @ state.amps
         out /= np.linalg.norm(out)
-        v = state.amps
+        v = np.array(state.amps)
         lead = np.argmax(np.abs(v))
         phase = out[lead] / v[lead]
         assert abs(abs(phase) - 1) < 1e-12

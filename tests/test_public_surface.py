@@ -1,12 +1,18 @@
-"""The package's public names, and the names the benchmark tracer binds.
+"""The package's public names, the names the benchmark tracer binds, and
+the modules each kind of run loads.
 
 The benchmark wraps functions by module path (``benchmarks/tracer.py``
 ``TARGETS``) and checks the rebinding through a few more names, so removing
-any of them breaks the benchmark, not just a caller.
+any of them breaks the benchmark, not just a caller.  The tracer finds its
+target modules in ``sys.modules``, so a bare ``import clusterport`` must put
+them all there, even the ones that load numpy only on first use.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +39,14 @@ PUBLIC_NAMES = [
 # Reached through their modules only: the dense reference and the per-mode
 # runners.
 MODULE_NAMES = {
+    "exact": [
+        "BELL_SIGNS",
+        "CLUSTER_SIGNS",
+        "PAULI_NAMES",
+        "PAULI_PAIRS",
+        "branch_maps",
+        "certified_repairs",
+    ],
     "statevec": ["fidelity", "format_state", "relabel", "tensor"],
     "gates": ["PAULIS", "apply_cz"],
     "measurement": ["ProjectionResult", "project_bell", "sample_bell"],
@@ -52,7 +66,8 @@ MODULE_NAMES = {
     "harness": ["run_derivation", "run_enumeration", "run_montecarlo", "run_verification"],
 }
 
-TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+HERE = Path(__file__).resolve().parent
+TRACER = HERE.parent / "benchmarks" / "tracer.py"
 
 
 def tracer_targets():
@@ -90,3 +105,66 @@ def test_names_the_benchmark_rebinds_resolve():
     assert clusterport.apply_single is clusterport.gates.apply_single
     assert clusterport.StateVector is clusterport.statevec.StateVector
     assert clusterport.harness._RUNNERS["sample"] is clusterport.harness.run_montecarlo
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this package and
+    these tests; its standard output."""
+    src = Path(clusterport.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(HERE)])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_derive_and_verify_never_load_numpy(tmp_path):
+    out = tmp_path / "report"
+    stdout = run_python(f"""
+import sys
+import clusterport.cli
+for scheme in ("1", "2"):
+    for mode in ("derive", "verify"):
+        for fmt in ("json", "csv", "text"):
+            argv = [mode, "--scheme", scheme, "--format", fmt, "--out", {str(out)!r}]
+            assert clusterport.cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
+""")
+    assert stdout == "[]\n"
+
+
+def test_bare_import_registers_every_tracer_module():
+    # all but cli, the entry point, which the benchmark worker imports itself
+    targets = sorted({mod for mod, _ in tracer_targets()} - {"cli"})
+    stdout = run_python(f"""
+import sys
+import clusterport
+targets = {targets!r}
+missing = [mod for mod in targets if f"clusterport.{{mod}}" not in sys.modules]
+assert not missing, missing
+assert "numpy" not in sys.modules
+import test_public_surface
+test_public_surface.test_names_the_benchmark_rebinds_resolve()
+print("numpy" in sys.modules)
+""")
+    assert stdout == "True\n"  # resolving the dense names loads numpy
+
+
+def test_threads_share_the_first_load():
+    # each thread's first run loads protocol and numpy; none may see the
+    # module half run
+    stdout = run_python("""
+import threading
+from clusterport import RunConfig, run
+
+passed = []
+configs = [RunConfig(scheme=2, mode="enumerate", random_inputs=2), RunConfig(scheme=1, mode="sample")]
+threads = [threading.Thread(target=lambda cfg=cfg: passed.append(run(cfg).passed)) for cfg in configs * 3]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(sum(passed), any(t.is_alive() for t in threads))
+""")
+    assert stdout == "6 False\n"
