@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--random-inputs", type=int,
         help=f"seeded random inputs when --coeffs is absent (at most {MAX_RANDOM_INPUTS}; "
-        "memory grows with it, about 14 KB per input in a JSON report)",
+        "memory grows with it, about 10 KB per input in a JSON report)",
     )
 
     p_sample = add_mode("sample", help="Monte Carlo over the measurement outcomes")
@@ -107,14 +108,18 @@ def _write_report(path: Path, data: bytes) -> None:
     is written through in place: renaming over it would replace the link or
     the device node instead of writing to it.
     """
-    if path.is_symlink() or (path.exists() and not path.is_file()):
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         path.write_bytes(data)
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
-        if path.exists():
-            os.chmod(tmp, path.stat().st_mode & 0o7777)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except OSError:
         tmp.unlink(missing_ok=True)

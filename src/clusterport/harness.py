@@ -22,15 +22,15 @@ sampler from ``protocol`` and ``measurement``, which load numpy on first
 use; the top level of this module loads only ``exact`` and the standard
 library.
 
-A report keeps the branch results as the arrays they are computed as,
-indexed [input][cell] in ``_ALL_PAIRS`` cell order; display forms come from
-one ``format_states`` call per run.  Every report format writes the rows of
-``Report.rows()`` from a fixed template: the outcome and correction text of
-each of the 16 cells is built once, and each distinct float and state is
-formatted once per report.  The JSON verdict rows are written by one
-json.dumps call, and a CSV verdict row has a column per row key but
-``subspace_only``.  ``emit_report`` writes a report in its config's
-``output_format`` and in no other.
+``enumerate`` works in whole columns: ``protocol.random_inputs`` draws the
+inputs in one batch, and one ``format_states`` call formats each distinct
+output once.  A report keeps the branch results as computed, indexed
+[input][cell] in ``_ALL_PAIRS`` cell order.  Each format writes an input's
+rows with one str.join, into the cell rows cut around their fields once
+per report, and formats each distinct float once; a JSON report is then
+joined once.  JSON verdict rows are one json.dumps call; a CSV verdict row,
+from csv.writer, has a column per row key but ``subspace_only``.
+``emit_report`` writes a report in its config's ``output_format`` only.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7, output_format="json")
     report = run(cfg)
@@ -53,13 +53,15 @@ MODES = ("enumerate", "sample", "derive", "verify")
 FORMATS = ("json", "csv", "text")
 
 TOTAL_PROB_TOL = 1e-9
-# Cap on drawn enumerate inputs: a JSON enumerate peaks at about 14 KB per
+# Cap on drawn enumerate inputs: a JSON enumerate peaks at about 10 KB per
 # input (16 probabilities, fidelities and states plus the report text), so
-# the cap bounds a run near 140 MB instead of growing until it is killed.
+# the cap bounds a run near 100 MB instead of growing until it is killed.
 MAX_RANDOM_INPUTS = 10_000
 CSV_COLUMNS = ("outcome13", "outcome26", "probability", "fidelity", "correction")
 
 _ALL_PAIRS = tuple((a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES)
+_PAIR_NAMES = [(o13.value, o26.value) for o13, o26 in _ALL_PAIRS]
+_dumps = json.JSONEncoder(separators=(",", ":")).encode  # compact json.dumps
 
 # Threshold on the p-value of the chi-square test that gates sampling: its
 # false-alarm rate for many trials.  Counts are discrete, so at few trials
@@ -139,12 +141,6 @@ class Report:
     def passed(self) -> bool:
         return bool(self.aggregates.get("pass", False))
 
-    def rows(self) -> list[tuple[int, int]]:
-        """The (input, cell) index of every branch row, input major and in
-        cell order; a ``sample`` report lists only the cells it drew."""
-        cells = [b for b in range(len(self.corrections)) if self.count is None or self.count[b]]
-        return [(k, b) for k in range(len(self.probability)) for b in cells]
-
 
 _LOAD_LOCK = threading.Lock()
 
@@ -159,16 +155,11 @@ def _load_protocol() -> None:
         vars(protocol)
 
 
-def _drawn_inputs(cfg: RunConfig, count: int) -> list[InputState]:
-    return [protocol.random_input(cfg.scheme, [cfg.seed, 0, k]) for k in range(count)]
-
-
 def _configured_inputs(cfg: RunConfig) -> list[InputState]:
     if cfg.input_coeffs is not None:
         return [InputState(cfg.scheme, cfg.input_coeffs)]
-    if cfg.mode == "sample":
-        return _drawn_inputs(cfg, 1)
-    return _drawn_inputs(cfg, cfg.random_inputs)
+    count = 1 if cfg.mode == "sample" else cfg.random_inputs
+    return protocol.random_inputs(cfg.scheme, cfg.seed, count)
 
 
 def _repaired_branches(scheme: Scheme, inputs: list[InputState]):
@@ -352,29 +343,21 @@ def _format_float(x: float) -> str:
     return s
 
 
-def _json_fragment(value) -> str:
-    if isinstance(value, float):
-        return _format_float(value)
-    if isinstance(value, dict):
-        items = (f"{json.dumps(str(k))}:{_json_fragment(v)}" for k, v in value.items())
-        return "{" + ",".join(items) + "}"
-    if isinstance(value, list):
-        return "[" + ",".join(_json_fragment(v) for v in value) + "]"
-    return json.dumps(value)
+def _json_items(values: dict) -> str:
+    """The members of a flat JSON object: floats as ``_format_float``
+    writes them, everything else as compact json.dumps does."""
+    return ",".join(
+        f'"{key}":{_format_float(v) if isinstance(v, float) else _dumps(v)}'
+        for key, v in values.items()
+    )
 
 
 def _config_dict(cfg: RunConfig) -> dict:
+    coeffs = None if cfg.input_coeffs is None else [format_complex(c) for c in cfg.input_coeffs]
     return {
-        "scheme": int(cfg.scheme),
-        "mode": cfg.mode,
-        "coeffs": None
-        if cfg.input_coeffs is None
-        else [format_complex(c) for c in cfg.input_coeffs],
-        "random_inputs": cfg.random_inputs,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "fidelity_tol": cfg.fidelity_tol,
-        "output_format": cfg.output_format,
+        "scheme": int(cfg.scheme), "mode": cfg.mode, "coeffs": coeffs,
+        "random_inputs": cfg.random_inputs, "trials": cfg.trials, "seed": cfg.seed,
+        "fidelity_tol": cfg.fidelity_tol, "output_format": cfg.output_format,
     }
 
 
@@ -384,7 +367,6 @@ class _Fragments(dict):
     with its sign."""
 
     def __init__(self, fmt):
-        super().__init__()
         self._fmt = fmt
 
     def __missing__(self, value):
@@ -394,73 +376,88 @@ class _Fragments(dict):
         return text
 
 
-def _json_branches(report: Report) -> str:
-    """The ``branches`` array, every row from one fixed template: the outcome
-    and correction fragments of each cell are json.dumps'd once, and each
-    distinct float and state is formatted once."""
-    heads = [
-        f',"outcome13":{json.dumps(o13.value)},"outcome26":{json.dumps(o26.value)},"probability":'
-        for o13, o26 in _ALL_PAIRS
-    ]
-    tails = [f',"correction":{json.dumps(str(op))},"state":' for op in report.corrections]
-    floats = _Fragments(_format_float)
-    states = _Fragments(json.dumps)
-    probs, fids, texts, counts = report.probability, report.fidelity, report.state, report.count
-    trials = report.config.trials
-    rows = []
-    for k, b in report.rows():
-        row = (
-            f'{{"input":{k:d}{heads[b]}{floats[probs[k][b]]}'
-            f',"fidelity":{floats[fids[k][b]]}{tails[b]}{states[texts[k][b]]}'
-        )
-        if counts is not None:
-            row += f',"count":{counts[b]:d},"frequency":{floats[counts[b] / trials]}'
-        rows.append(row + "}")
-    return "[" + ",".join(rows) + "]"
+def _listed(report: Report):
+    """The cells with a branch row, in cell order (a ``sample`` report lists
+    only the cells it drew), each as its outcome texts, repair text and
+    count (None in ``enumerate``); then the probability, fidelity and state
+    columns over those cells, indexed [input][listed cell]."""
+    counts = report.count or [None] * len(report.corrections)
+    listed = [b for b, n in enumerate(counts) if n != 0]
+    cells = [(*_PAIR_NAMES[b], str(report.corrections[b]), counts[b]) for b in listed]
+    columns = (report.probability, report.fidelity, report.state)
+    if len(listed) < len(counts):
+        columns = tuple([[row[b] for b in listed] for row in col] for col in columns)
+    return cells, *columns
+
+
+def _input_rows(pieces: list, columns: tuple, sep: str) -> list[str]:
+    """The branch rows of each input as one string, rows joined by ``sep``.
+
+    ``pieces`` holds the text of each listed cell's row, cut where its
+    fields go; ``columns`` holds, for each field, every input's fragments
+    over the listed cells.  The cut rows are laid out once, and each input
+    fills in its fragments by slice and is joined."""
+    slots = [""]
+    for first, *rest in pieces:
+        slots[-1] += (sep if len(slots) > 1 else "") + first
+        for piece in rest:
+            slots += (None, piece)
+    chunks = []
+    for fields in zip(*columns):
+        for j, fragments in enumerate(fields):
+            slots[2 * j + 1::2 * len(fields)] = fragments
+        chunks.append("".join(slots))
+    return chunks
 
 
 def _emit_json(report: Report) -> str:
-    aggregates = dict(report.aggregates)
-    aggregates["inputs"] = [
-        {
-            "coeffs": [format_complex(c) for c in s.coeffs],
-            "total_probability": s.total_probability,
-            "min_fidelity": s.min_fidelity,
-        }
-        for s in report.inputs
+    cells, probs, fids, states = _listed(report)
+    f = _Fragments(_format_float).__getitem__
+    trials = report.config.trials
+    # no field needs JSON escaping: outcome and repair names, and display forms
+    pieces = [
+        ('{"input":', f',"outcome13":"{o13}","outcome26":"{o26}","probability":', ',"fidelity":',
+         f',"correction":"{op}","state":"',
+         '"}' if n is None else f'","count":{n:d},"frequency":{f(n / trials)}}}')
+        for o13, o26, op, n in cells
     ]
-    return (
-        f'{{"schema":{_json_fragment(report.schema)}'
-        f',"config":{_json_fragment(_config_dict(report.config))}'
-        f',"branches":{_json_branches(report)}'
-        f',"aggregates":{_json_fragment(aggregates)}'
-        f',"verdicts":{json.dumps(report.verdicts, separators=(",", ":"))}}}\n'
+    keys = ([str(k)] * len(cells) for k in range(len(probs)))
+    chunks = _input_rows(
+        pieces, (keys, (map(f, p) for p in probs), (map(f, p) for p in fids), states), ","
     )
+    branches = [","] * (2 * len(chunks) - 1)
+    branches[::2] = chunks
+    inputs = ",".join(
+        '{"coeffs":["%s"],"total_probability":%s,"min_fidelity":%s}'
+        % ('","'.join(map(format_complex, s.coeffs)), f(s.total_probability), f(s.min_fidelity))
+        for s in report.inputs
+    )
+    return "".join([
+        f'{{"schema":{report.schema},"config":{{{_json_items(_config_dict(report.config))}}}'
+        ',"branches":[',
+        *branches,
+        f'],"aggregates":{{{_json_items(report.aggregates)},"inputs":[{inputs}]}}'
+        f',"verdicts":{_dumps(report.verdicts)}}}\n',
+    ])
 
 
 def _emit_csv(report: Report) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     if report.verdicts is not None:
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
         keys = [key for key in report.verdicts[0] if key != "subspace_only"]
         w.writerow(keys)
         w.writerows(
             [row[key] if isinstance(row[key], str) else "|".join(row[key]) for key in keys]
             for row in report.verdicts
         )
-    else:
-        w.writerow(CSV_COLUMNS)
-        cells = [
-            (o13.value, o26.value, str(op))
-            for (o13, o26), op in zip(_ALL_PAIRS, report.corrections)
-        ]
-        floats = _Fragments(lambda x: format(x, ".17g"))
-        probs, fids = report.probability, report.fidelity
-        w.writerows(
-            (cells[b][0], cells[b][1], floats[probs[k][b]], floats[fids[k][b]], cells[b][2])
-            for k, b in report.rows()
-        )
-    return buf.getvalue()
+        return buf.getvalue()
+    # no branch field needs quoting: outcome names, repairs and .17g floats
+    cells, probs, fids, _ = _listed(report)
+    f = _Fragments(lambda x: format(x, ".17g")).__getitem__
+    pieces = [(f"{o13},{o26},", ",", f",{op}") for o13, o26, op, _ in cells]
+    rows = _input_rows(pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n")
+    return "\n".join([",".join(CSV_COLUMNS), *rows, ""])
 
 
 def _emit_text(report: Report) -> str:
@@ -472,22 +469,18 @@ def _emit_text(report: Report) -> str:
     for k, s in enumerate(report.inputs):
         coeffs = ", ".join(format_complex(c) for c in s.coeffs)
         lines.append(f"input {k}: {coeffs}")
-    rows = report.rows()
-    if rows:
+    cells, probs, fids, _ = _listed(report)
+    if cells and probs:
         head = f"{'outcome13':<10}{'outcome26':<10}{'probability':<22}{'fidelity':<22}correction"
-        counts, trials = report.count, cfg.trials
-        if counts is not None:
+        if report.count is not None:
             head += "  count  frequency"
         lines.append(head)
-        heads = [f"{o13.value:<10}{o26.value:<10}" for o13, o26 in _ALL_PAIRS]
-        ops = [str(op) for op in report.corrections]
-        floats = _Fragments(lambda x: f"{x:<22.12g}")
-        probs, fids = report.probability, report.fidelity
-        for k, b in rows:
-            row = f"{heads[b]}{floats[probs[k][b]]}{floats[fids[k][b]]}{ops[b]}"
-            if counts is not None:
-                row += f"  {counts[b]}  {counts[b] / trials:.6g}"
-            lines.append(row)
+        f = _Fragments(lambda x: f"{x:<22.12g}").__getitem__
+        pieces = [
+            (f"{o13:<10}{o26:<10}", "", op if n is None else f"{op}  {n}  {n / cfg.trials:.6g}")
+            for o13, o26, op, n in cells
+        ]
+        lines += _input_rows(pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n")
     if report.verdicts is not None:
         for row in report.verdicts:
             parts = [f"({row['outcome13']}, {row['outcome26']})"]
@@ -503,9 +496,8 @@ def _emit_text(report: Report) -> str:
         for key, value in report.aggregates.items()
         if key != "pass"
     )
-    lines.append(summary)
-    lines.append("result: " + ("PASS" if report.passed else "FAIL"))
-    return "\n".join(lines) + "\n"
+    lines += (summary, "result: " + ("PASS" if report.passed else "FAIL"), "")
+    return "\n".join(lines)
 
 
 _EMITTERS = {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}

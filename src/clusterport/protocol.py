@@ -25,9 +25,9 @@ integers of ``exact.branch_maps``, through the certificate
 maps here.  A repair's matrix is formed in one place, ``repair_matrices``,
 from ``gates.PAULIS`` and the CZ diagonal of ``exact``, read at call time;
 ``repair_branches`` multiplies the 16 repairs into the maps and applies
-them to every input with ``map_inputs``, and ``random_input`` draws the
-seeded inputs.  Everything else here is the dense six-qubit reference the
-tests check the maps against.
+them to every input with ``map_inputs``, and ``random_inputs`` draws the
+seeded inputs of a run in one batch.  Everything else here is the dense
+six-qubit reference the tests check the maps against.
 """
 
 from __future__ import annotations
@@ -101,15 +101,35 @@ def apply_correction(s: StateVector, op: CorrectionOp) -> StateVector:
     return out
 
 
+def _unit_coeffs(x: np.ndarray) -> np.ndarray:
+    """Each row of ``x``, its k real parts then its k imaginary parts, as k
+    complex coefficients scaled to unit norm.  The norm is np.linalg.norm
+    of each row on its own: a row gives the same bits alone as in any
+    batch."""
+    k = x.shape[1] // 2
+    c = x[:, :k] + 1j * x[:, k:]
+    c /= np.array([np.linalg.norm(row) for row in c])[:, None]
+    return c
+
+
 def random_input(scheme: Scheme, rng) -> InputState:
     """A normalized input with complex Gaussian coefficients: the real parts
     and then the imaginary parts, in one draw from ``rng``, a Generator or
     a seed that ``np.random.default_rng`` takes."""
     k = 2 if Scheme(scheme) is Scheme.SPECIAL else 4
-    x = np.random.default_rng(rng).standard_normal(2 * k)
-    c = x[:k] + 1j * x[k:]
-    c /= np.linalg.norm(c)
-    return InputState(scheme, tuple(c.tolist()))
+    x = np.random.default_rng(rng).standard_normal((1, 2 * k))
+    return InputState(scheme, tuple(_unit_coeffs(x)[0].tolist()))
+
+
+def random_inputs(scheme: Scheme, seed: int, count: int) -> list[InputState]:
+    """``random_input(scheme, [seed, 0, n])`` for n in range(count): one
+    generator per input draws its row, and the rows are normalized in one
+    pass."""
+    k = 2 if Scheme(scheme) is Scheme.SPECIAL else 4
+    x = np.empty((count, 2 * k))
+    for n in range(count):
+        np.random.default_rng([seed, 0, n]).standard_normal(out=x[n])
+    return [InputState(scheme, tuple(c)) for c in _unit_coeffs(x).tolist()]
 
 
 # kron(P4, P5) for each pair in PAULI_PAIRS order (particle 4 is the more

@@ -8,6 +8,10 @@ index its bit string spells in binary.
 
 Every operation returns a new value; a StateVector is never mutated after
 construction.
+
+Display forms are made for whole stacks of amplitude vectors at once:
+``format_states`` rotates the stack in one array pass and formats each
+distinct vector once; ``format_state`` is that call for one vector.
 """
 
 from __future__ import annotations
@@ -124,60 +128,55 @@ def display_rotation(amps):
     return shown, above
 
 
-def _format_rotated(shown: np.ndarray, above: np.ndarray) -> str:
-    """Ket expansion of one vector rotated by ``display_rotation``, a term
-    for each amplitude where ``above`` holds, at 6 significant digits."""
-    nz = np.flatnonzero(above).tolist()
-    if not nz:
-        return "0"
-    n_qubits = shown.size.bit_length() - 1
-    vals = shown.tolist()
+def format_state(s: StateVector) -> str:
+    """Readable ket expansion for reports: ``format_states`` of the one
+    vector ``s.amps``."""
+    return format_states(s.amps)
+
+
+def _ket(vals, mask, labels) -> str:
+    """The ket expansion of one rotated vector: a term for each amplitude
+    where ``mask`` holds, at 6 significant digits, or ``0`` if none."""
     terms = []
-    for i in nz:
-        c = vals[i]
+    for c, shown, bits in zip(vals, mask, labels):
+        if not shown:
+            continue
         if abs(c.imag) <= DISPLAY_TOL:
             coeff = f"{c.real:.6g}"
         elif abs(c.real) <= DISPLAY_TOL:
             coeff = f"{c.imag:.6g}i"
         else:
             coeff = f"({c.real:.6g}{c.imag:+.6g}i)"
-        bits = format(i, f"0{n_qubits}b") if n_qubits else ""
         terms.append(f"{coeff}|{bits}>")
-    return " + ".join(terms)
-
-
-def format_state(s: StateVector) -> str:
-    """Readable ket expansion for reports.
-
-    Display only: the first amplitude above ``DISPLAY_TOL`` is rotated to be
-    real and positive (``display_rotation``) so equivalent states print
-    identically; amplitudes at or below it are left out, and a state with
-    none above it prints as ``0``.
-    """
-    return _format_rotated(*display_rotation(s.amps))
+    return " + ".join(terms) or "0"
 
 
 def format_states(amps):
-    """``format_state`` of every vector along the last axis of ``amps``, as
-    nested lists shaped like the leading axes.
+    """The readable ket expansion of every vector along the last axis of
+    ``amps``, as nested lists shaped like the leading axes (a string for
+    one vector).
 
-    The whole stack is rotated at once, and each distinct rotated vector is
-    formatted once, keyed on the bytes of the vector and its mask: equal
-    keys give equal strings, so every entry is byte for byte the string
-    ``format_state`` gives for that vector alone.
+    Display only: each vector is rotated so that its first amplitude above
+    ``DISPLAY_TOL`` is real and positive (``display_rotation``), so
+    equivalent states print identically; amplitudes at or below it are left
+    out, and a vector with none above it prints as ``0``.  The whole stack
+    is rotated at once, and each distinct (rotated vector, mask) pair,
+    found by one ``np.unique`` over their bytes, is formatted once: equal
+    bytes give equal strings, so an entry does not depend on the stack
+    around it.
     """
     shown, above = display_rotation(amps)
     n = shown.shape[-1]
-    rows = shown.reshape(-1, n)
-    masks = np.ascontiguousarray(above.reshape(-1, n))
-    raw = np.hstack((rows.view(np.uint8), masks.view(np.uint8)))
-    data, width = raw.tobytes(), raw.shape[1]
-    memo = {}
-    texts = []
-    for k in range(len(rows)):
-        key = data[k * width:(k + 1) * width]
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _format_rotated(rows[k], masks[k])
-        texts.append(text)
-    return np.array(texts, dtype=object).reshape(shown.shape[:-1]).tolist()
+    rows, masks = shown.reshape(-1, n), above.reshape(-1, n)
+    keys = np.hstack((rows.view(np.uint8), masks.view(np.uint8)))
+    _, first, inverse = np.unique(
+        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+        return_index=True, return_inverse=True,
+    )
+    n_qubits = n.bit_length() - 1
+    labels = [format(i, f"0{n_qubits}b") if n_qubits else "" for i in range(n)]
+    texts = [
+        _ket(vals, mask, labels) for vals, mask in zip(rows[first].tolist(), masks[first].tolist())
+    ]
+    # flattened: the shape of the inverse has varied between numpy versions
+    return np.array(texts, dtype=object)[inverse.reshape(-1)].reshape(shown.shape[:-1]).tolist()

@@ -22,7 +22,7 @@ from clusterport.protocol import (
     random_input,
     target_state,
 )
-from clusterport.statevec import StateVector, fidelity, format_state
+from clusterport.statevec import DISPLAY_TOL, StateVector, fidelity
 
 N_RANDOM_PROBES = 10
 # A float brute force cannot certify anything exactly; a repair survives it
@@ -50,6 +50,41 @@ def run_branch(state, o13, o26):
     return Branch(prob, corrected, fidelity(target_state(state), corrected), op)
 
 
+def ket_text(amps) -> str:
+    """The display form of one amplitude vector, worked out an amplitude at
+    a time in Python floats: the reference for ``statevec.format_states``.
+
+    The vector is turned by the phase that makes its first amplitude of
+    modulus above DISPLAY_TOL real and positive; each amplitude above it
+    prints at 6 significant digits, with its real or imaginary part left
+    out when that is at most DISPLAY_TOL, and no such amplitude prints 0.
+    The modulus is numpy's hypot, as in the display rotation (math.hypot
+    differs from it in the last bit for about 1 pair in 200)."""
+    vals = [complex(a) for a in amps]
+    n_qubits = len(vals).bit_length() - 1
+    mods = [float(np.hypot(c.real, c.imag)) for c in vals]
+    shown = [m > DISPLAY_TOL for m in mods]
+    if not any(shown):
+        return "0"
+    first = shown.index(True)
+    lead, r = vals[first], mods[first]
+    cos, sin = lead.real / r, -lead.imag / r
+    terms = []
+    for i, (c, on) in enumerate(zip(vals, shown)):
+        if not on:
+            continue
+        re, im = c.real * cos - c.imag * sin, c.real * sin + c.imag * cos
+        if abs(im) <= DISPLAY_TOL:
+            coeff = f"{re:.6g}"
+        elif abs(re) <= DISPLAY_TOL:
+            coeff = f"{im:.6g}i"
+        else:
+            coeff = f"({re:.6g}{im:+.6g}i)"
+        bits = format(i, f"0{n_qubits}b") if n_qubits else ""
+        terms.append(f"{coeff}|{bits}>")
+    return " + ".join(terms)
+
+
 class Row(NamedTuple):
     """One branch row of an enumerate or sample report."""
 
@@ -64,15 +99,17 @@ class Row(NamedTuple):
 
 
 def report_rows(report):
-    """The branch rows of a report, in report order, read from its
-    [input][cell] results at the (input, cell) pairs of ``report.rows()``."""
+    """The branch rows of a report, in report order (input major, then cell
+    order), read from its [input][cell] results; a sample report has a row
+    for each cell it drew."""
+    cells = [b for b in range(16) if report.count is None or report.count[b]]
     return [
         Row(
             k, *CELLS[b], report.probability[k][b], report.fidelity[k][b],
             report.corrections[b], report.state[k][b],
             None if report.count is None else report.count[b],
         )
-        for k, b in report.rows()
+        for k in range(len(report.probability)) for b in cells
     ]
 
 
@@ -84,7 +121,7 @@ def assert_row_matches(state, row):
     assert abs(row.probability - dense.probability) <= 1e-14
     assert abs(row.fidelity - dense.fidelity) <= 1e-14
     assert str(row.correction) == str(dense.correction)
-    assert row.state == format_state(dense.corrected_state)
+    assert row.state == ket_text(dense.corrected_state.amps)
 
 
 def sample_counts(state, seed, trials):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -29,6 +31,8 @@ from clusterport import (
 from clusterport.cli import main
 from clusterport.harness import (
     CHI2_ALPHA,
+    CSV_COLUMNS,
+    FORMATS,
     MAX_RANDOM_INPUTS,
     chi2_sf,
     run_derivation,
@@ -342,15 +346,25 @@ class TestStateStrings:
             dense_oracle.assert_row_matches(state, row)
 
 
+def signed_zero_report():
+    values = [-0.0, 0.0, -0.0] + [0.5] * 13
+    return Report(
+        enum_cfg(), (), {"pass": True},
+        corrections=(CorrectionOp("I", "Z"),) * 16,
+        probability=[values], fidelity=[values], state=[["0"] * 16],
+    )
+
+
+def csv_writer_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 class TestRowTemplates:
     def test_signed_zeros_keep_their_sign(self):
         # the per-report float cache must not hand 0.0 the text of -0.0
-        values = [-0.0, 0.0, -0.0] + [0.5] * 13
-        report = Report(
-            enum_cfg(), (), {"pass": True},
-            corrections=(CorrectionOp("I", "Z"),) * 16,
-            probability=[values], fidelity=[values], state=[["0"] * 16],
-        )
+        report = signed_zero_report()
         doc = json.loads(emit_as(report, "json"))
         for key in ("probability", "fidelity"):
             assert [math.copysign(1, b[key]) for b in doc["branches"][:3]] == [-1, 1, -1]
@@ -358,6 +372,42 @@ class TestRowTemplates:
         assert [row.split(",")[2:4] for row in csv_rows] == [["-0", "-0"], ["0", "0"], ["-0", "-0"]]
         text_rows = emit_as(report, "text").decode().splitlines()[2:5]
         assert [row.split()[2:4] for row in text_rows] == [["-0", "-0"], ["0", "0"], ["-0", "-0"]]
+
+    @pytest.mark.parametrize("make", [
+        lambda: run(enum_cfg(scheme=Scheme.SPECIAL, random_inputs=4)),
+        lambda: run(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=4, seed=2**64 - 1)),
+        # 5 trials leave at least 11 of the 16 cells undrawn
+        lambda: run(RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=5, seed=3)),
+        signed_zero_report,
+    ], ids=["enumerate-1", "enumerate-2", "sample-undrawn", "signed-zeros"])
+    def test_csv_rows_are_what_csv_writer_writes(self, make):
+        # branch rows are joined by hand, unquoted; they must read back as
+        # the cells, and be the bytes csv.writer writes for those cells
+        report = make()
+        text = emit_as(report, "csv").decode()
+        cells = [list(CSV_COLUMNS)] + [
+            [row.outcome13.value, row.outcome26.value, format(row.probability, ".17g"),
+             format(row.fidelity, ".17g"), str(row.correction)]
+            for row in dense_oracle.report_rows(report)
+        ]
+        listed = 16 if report.count is None else sum(map(bool, report.count))
+        assert len(cells) == 1 + len(report.probability) * listed
+        assert list(csv.reader(io.StringIO(text))) == cells
+        assert text == csv_writer_text(cells)
+
+    def test_json_emission_peak_stays_near_the_report(self):
+        # the report is joined once and the row strings freed before it is
+        # encoded: about two copies at the peak, not three or more
+        report = run(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=2000, seed=5))
+        for fmt in FORMATS:
+            emitted = replace(report, config=replace(report.config, output_format=fmt))
+            tracemalloc.start()
+            try:
+                size = len(emit_report(emitted))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * size, (fmt, peak / size)
 
 
 class TestChiSquareTail:
@@ -672,6 +722,27 @@ def test_enumerate_sample_json_csv_unchanged(key):
     mode, scheme, fmt, seed = key
     cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed, output_format=fmt)
     assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_JSON_CSV_DIGESTS[key]
+
+
+# SHA-256 of enumerate reports at a seed above 2**32 - 1 (two SeedSequence
+# entropy words), as drawn one input at a time and written row by row
+_PINNED_WIDE_SEED_DIGESTS = {
+    (1, "json"): "abe34970a6a9e18d3caeda91caa349361ed85e263e917d421bc4fce83642b735",
+    (1, "csv"): "4de4f158ef0525effd978bc5941b12cfaa09c1c2cfe5b72290b1aa663fd39392",
+    (1, "text"): "fc0b50529947d58a44648f16ad317b420b9950cc4f25e93a5a7a26a8f9079a99",
+    (2, "json"): "265fe72c2a9fc3bae2c97f9648cdecd6d906d0e4b85629c7a7f4e26718adfe50",
+    (2, "csv"): "6c0d1fbfe5cdaa61eb10a1eeabff04f830f973fd456bda87467fa25fffa3bf32",
+    (2, "text"): "3adc55d337d62c7952a018281999f5f08491e5e64dffa4dc360b1cd36ff4f11b",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_PINNED_WIDE_SEED_DIGESTS), ids=lambda k: "-".join(map(str, k))
+)
+def test_enumerate_wide_seed_unchanged(key):
+    scheme, fmt = key
+    cfg = RunConfig(scheme=Scheme(scheme), mode="enumerate", seed=2**32 + 15, output_format=fmt)
+    assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_WIDE_SEED_DIGESTS[key]
 
 
 def basis_coeffs(scheme):

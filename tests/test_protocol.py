@@ -21,6 +21,7 @@ from clusterport.protocol import (
     collapse_branch,
     make_input,
     random_input,
+    random_inputs,
     repair_matrices,
     target_state,
 )
@@ -279,3 +280,37 @@ class TestCorrectionApplication:
         s = StateVector((4, 5), np.array([0.5, 0.5, 0.5, 0.5]))
         out = apply_correction(s, CorrectionOp("I", "I"))
         np.testing.assert_array_equal(out.amps, s.amps)
+
+
+def coeff_bits(states):
+    """The coefficients of each input as raw bytes: equal bits, sign of zero
+    included."""
+    return [np.array(s.coeffs, dtype=np.complex128).tobytes() for s in states]
+
+
+class TestBatchDraw:
+    """An enumerate run draws its inputs in one batch; input k must be, bit
+    for bit, the input one random_input call draws from [seed, 0, k]."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    # above 2**32 - 1 the seed takes a second SeedSequence entropy word
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("count", [1, 2, 100])
+    def test_equals_one_draw_per_input(self, scheme, seed, count):
+        batch = random_inputs(scheme, seed, count)
+        assert all(s.scheme is scheme for s in batch)
+        one_by_one = [random_input(scheme, [seed, 0, k]) for k in range(count)]
+        assert coeff_bits(batch) == coeff_bits(one_by_one)
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    def test_equals_the_one_vector_formula(self, scheme):
+        # the draw as written for a single input: real parts, then imaginary
+        # parts, scaled by the norm of the whole vector
+        k = 2 if scheme is Scheme.SPECIAL else 4
+        expected = []
+        for n in range(40):
+            x = np.random.default_rng([2**32 + 9, 0, n]).standard_normal(2 * k)
+            c = x[:k] + 1j * x[k:]
+            c /= np.linalg.norm(c)
+            expected.append(InputState(scheme, tuple(c.tolist())))
+        assert coeff_bits(random_inputs(scheme, 2**32 + 9, 40)) == coeff_bits(expected)

@@ -61,6 +61,7 @@ MODULE_NAMES = {
         "make_input",
         "pauli_pair_fidelities",
         "random_input",
+        "random_inputs",
         "target_state",
     ],
     "harness": ["run_derivation", "run_enumeration", "run_montecarlo", "run_verification"],

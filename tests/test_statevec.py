@@ -14,6 +14,7 @@ from clusterport.statevec import (
     tensor,
 )
 from conftest import basis_ket, random_state
+from dense_oracle import ket_text
 
 
 class TestConstruction:
@@ -156,11 +157,9 @@ class TestFormatState:
 
 
 def per_vector(amps):
-    """format_state of every vector along the last axis, one at a time."""
-    flat = amps.reshape(-1, amps.shape[-1])
-    n = amps.shape[-1].bit_length() - 1
-    labels = tuple(range(1, n + 1))
-    texts = [format_state(StateVector(labels, v)) for v in flat]
+    """The reference display form of every vector along the last axis, one
+    vector at a time."""
+    texts = [ket_text(v) for v in amps.reshape(-1, amps.shape[-1])]
     return np.array(texts, dtype=object).reshape(amps.shape[:-1]).tolist()
 
 
@@ -169,17 +168,25 @@ def gaussian(rng, shape):
 
 
 class TestFormatStates:
-    """The stack formatter must give, entry for entry, the string
-    format_state gives for that vector alone."""
+    """The stack formatter must give, entry for entry, the string the plain
+    per-vector reference gives for that vector alone."""
 
-    @pytest.mark.parametrize("shape", [(7, 16, 4), (5, 2), (3, 8), (1, 1, 4)])
+    @pytest.mark.parametrize("shape", [(7, 16, 4), (5, 2), (3, 8), (1, 1, 4), (4, 1), (500, 4)])
     def test_random_stacks(self, rng, shape):
         amps = gaussian(rng, shape)
         assert format_states(amps) == per_vector(amps)
 
     def test_one_vector_gives_one_string(self, rng):
         v = gaussian(rng, 4)
-        assert format_states(v) == format_state(StateVector((4, 5), v))
+        assert format_states(v) == ket_text(v) == format_state(StateVector((4, 5), v))
+
+    def test_repeated_vectors_keep_their_places(self, rng):
+        # the distinct vectors are formatted once and scattered back
+        distinct = gaussian(rng, (3, 4))
+        order = [2, 0, 0, 1, 2, 2, 1, 0]
+        texts = format_states(distinct[order].reshape(2, 4, 4))
+        assert texts == per_vector(distinct[order].reshape(2, 4, 4))
+        assert len({t for row in texts for t in row}) == 3
 
     def test_unit_phases_print_alike(self, rng):
         # c v for c in {1, -1, i, -i} rotates to the same bits, stacked or not
