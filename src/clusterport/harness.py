@@ -4,8 +4,9 @@ A report is a deterministic function of its RunConfig: every random draw
 flows from the 64-bit seed through a fixed substream key, so rerunning a
 config reproduces the report byte for byte in any format.
 
-Substream keys: random input k uses default_rng([seed, 0, k]); all Monte
-Carlo trials share default_rng([seed, 1]), read as
+Substream keys: random input k uses default_rng([seed, 0, k]), whose
+SeedSequence state ``protocol.random_inputs`` hashes for every k in one
+pass; all Monte Carlo trials share default_rng([seed, 1]), read as
 ``measurement.sample_outcome_pairs`` describes.  Derivation and verification
 are exact and draw nothing, so the seed only appears in their config.
 

@@ -163,11 +163,13 @@ def format_states(amps):
     is rotated at once, and each distinct (rotated vector, mask) pair,
     found by one ``np.unique`` over their bytes, is formatted once: equal
     bytes give equal strings, so an entry does not depend on the stack
-    around it.
+    around it.  The left-out amplitudes are zeroed first, so vectors that
+    differ only there (a sign bit, rounding dust) share one key.
     """
     shown, above = display_rotation(amps)
     n = shown.shape[-1]
     rows, masks = shown.reshape(-1, n), above.reshape(-1, n)
+    np.putmask(rows, ~masks, 0)  # in place: rows is a view of our own array
     keys = np.hstack((rows.view(np.uint8), masks.view(np.uint8)))
     _, first, inverse = np.unique(
         keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),

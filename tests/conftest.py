@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from clusterport import statevec
 from clusterport.statevec import StateVector
 
 
@@ -23,3 +24,12 @@ def basis_ket(labels, bits):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def ket_calls(monkeypatch):
+    """The vectors ``format_states`` formats, one entry per ``_ket`` call."""
+    calls = []
+    ket = statevec._ket
+    monkeypatch.setattr(statevec, "_ket", lambda *args: calls.append(args) or ket(*args))
+    return calls

@@ -109,6 +109,30 @@ class TestMain:
         assert code == 2
         assert "not normalized" in err
 
+    @pytest.mark.parametrize("coeffs", ["nan,0", "1,infj", "0,nan+1j"])
+    def test_nonfinite_coeffs_exit_2(self, capsys, coeffs):
+        code, out, err = run_main(capsys, "enumerate", "--scheme", "1", "--coeffs", coeffs)
+        assert (code, out) == (2, "")
+        assert err == "clusterport: coefficients must be finite\n"
+
+    def test_renormalize_all_zero_coeffs_exit_2(self, capsys):
+        code, out, err = run_main(
+            capsys, "enumerate", "--scheme", "1", "--renormalize", "--coeffs", "0,0"
+        )
+        assert (code, out) == (2, "")
+        assert err == "clusterport: cannot renormalize all-zero coefficients\n"
+
+    def test_one_random_input(self, capsys):
+        code, out, _ = run_main(
+            capsys, "enumerate", "--scheme", "2", "--random-inputs", "1", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["random_inputs"] == 1
+        assert doc["aggregates"]["num_inputs"] == len(doc["aggregates"]["inputs"]) == 1
+        assert len(doc["branches"]) == 16
+        assert doc["aggregates"]["pass"] is True
+
     def test_renormalize_rescues_coeffs(self, capsys):
         code, out, _ = run_main(
             capsys, "enumerate", "--scheme", "1", "--coeffs", "1,1",

@@ -337,6 +337,15 @@ class TestStateStrings:
         # a fixed Pauli error keeps one string per input; no repair does not
         assert (len(set(expected)) > 5) is (table is no_repair_table)
 
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    def test_each_shown_state_is_formatted_once(self, ket_calls, scheme):
+        # every repaired branch shows its input, so 100 inputs are 100
+        # strings; scheme 1's hidden slots differ in sign bits and rounding
+        # dust from branch to branch, and must not make more keys
+        report = run_enumeration(enum_cfg(scheme=scheme, random_inputs=100))
+        assert len({text for row in report.state for text in row}) == 100
+        assert len(ket_calls) == 100
+
     def test_unrepaired_states_match_the_dense_simulation(self, monkeypatch):
         monkeypatch.setattr(harness, "table_lookup", no_repair_table)
         monkeypatch.setattr(dense_oracle, "table_lookup", no_repair_table)
@@ -419,6 +428,8 @@ class TestChiSquareTail:
 
     def test_known_values(self):
         assert chi2_sf(0.0, 15) == 1.0
+        # the series alone rounds to 1.0000000000000002 here; the clamp holds it
+        assert chi2_sf(0.053, 15) == 1.0
         assert chi2_sf(2.0, 1) == pytest.approx(math.erfc(1.0), rel=1e-15)
         # the benchmark checker's 1e-9 limit for 16 cells
         assert chi2_sf(73.63, 15) == pytest.approx(1e-9, rel=1e-6)

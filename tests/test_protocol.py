@@ -12,7 +12,7 @@ from clusterport import (
     table_lookup,
 )
 from clusterport.gates import apply_cz
-from clusterport.harness import run_enumeration
+from clusterport.harness import MAX_RANDOM_INPUTS, run_enumeration
 from clusterport.protocol import (
     apply_correction,
     assemble_total,
@@ -294,8 +294,8 @@ class TestBatchDraw:
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
     # above 2**32 - 1 the seed takes a second SeedSequence entropy word
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
-    @pytest.mark.parametrize("count", [1, 2, 100])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("count", [1, 2, 100, MAX_RANDOM_INPUTS])
     def test_equals_one_draw_per_input(self, scheme, seed, count):
         batch = random_inputs(scheme, seed, count)
         assert all(s.scheme is scheme for s in batch)

@@ -5,6 +5,7 @@ import pytest
 
 from clusterport.gates import PAULIS, apply_single
 from clusterport.statevec import (
+    DISPLAY_TOL,
     StateVector,
     display_rotation,
     fidelity,
@@ -202,6 +203,19 @@ class TestFormatStates:
         texts = format_states(amps)
         assert texts[1] == "0"
         assert texts == per_vector(amps)
+
+    def test_hidden_amplitudes_share_one_key(self, ket_calls):
+        # amplitudes at or below DISPLAY_TOL are left out of the text, so
+        # vectors that differ only there format to one string, once
+        base = np.array([0.6, 0, 0.8j, 0])
+        amps = np.stack([base] * 4 + [np.zeros(4)] * 2)
+        amps[1, 1] = complex(-0.0, -0.0)
+        amps[2, 3] = 1e-13
+        amps[3, 1] = DISPLAY_TOL * (1 - 1e-6) * 1j
+        amps[5] = [complex(-0.0, 0.0), 1e-13, 0, -1e-10j]  # nothing shown
+        texts = format_states(amps)
+        assert texts == [ket_text(base)] * 4 + ["0"] * 2 == per_vector(amps)
+        assert len(ket_calls) == 2
 
     @pytest.mark.parametrize("scale", [1 + 1e-6, 1 - 1e-6])
     def test_amplitudes_at_the_tolerance(self, scale):
