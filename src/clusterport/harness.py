@@ -24,14 +24,15 @@ use; the top level of this module loads only ``exact`` and the standard
 library.
 
 ``enumerate`` works in whole columns: ``protocol.random_inputs`` draws the
-inputs in one batch, and one ``format_states`` call formats each distinct
-output once.  A report keeps the branch results as computed, indexed
-[input][cell] in ``_ALL_PAIRS`` cell order.  Each format writes an input's
-rows with one str.join, into the cell rows cut around their fields once
-per report, and formats each distinct float once; a JSON report is then
-joined once.  JSON verdict rows are one json.dumps call; a CSV verdict row,
-from csv.writer, has a column per row key but ``subspace_only``.
-``emit_report`` writes a report in its config's ``output_format`` only.
+inputs as one array, kept to the summaries, and one ``format_states`` call
+formats each distinct output once.  A report keeps the branch results as
+computed, indexed [input][cell] in ``_ALL_PAIRS`` cell order.  Each format
+writes an input's rows with one str.join, into the cell rows cut around
+their fields once per report, and formats each distinct float once; a JSON
+report is then joined once.  JSON verdict rows are one json.dumps call; a
+CSV verdict row, from csv.writer, has a column per row key but
+``subspace_only``.  ``emit_report`` writes a report in its config's
+``output_format`` only.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7, output_format="json")
     report = run(cfg)
@@ -156,19 +157,15 @@ def _load_protocol() -> None:
         vars(protocol)
 
 
-def _configured_inputs(cfg: RunConfig) -> list[InputState]:
-    if cfg.input_coeffs is not None:
-        return [InputState(cfg.scheme, cfg.input_coeffs)]
-    count = 1 if cfg.mode == "sample" else cfg.random_inputs
-    return protocol.random_inputs(cfg.scheme, cfg.seed, count)
-
-
-def _repaired_branches(scheme: Scheme, inputs: list[InputState]):
-    """Every branch of every input, repaired by the table's first listed
-    correction: the corrections in ``_ALL_PAIRS`` order, then probabilities,
-    fidelities and display forms of the outputs, indexed [input][cell]."""
-    ops = tuple(table_lookup(scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS)
-    return (ops, *protocol.repair_branches(ops, [s.amps for s in inputs]))
+def _repaired_inputs(cfg: RunConfig):
+    """The corrections in ``_ALL_PAIRS`` order, each cell's first listed one,
+    then ``protocol.repair_branches`` of the run's inputs."""
+    coeffs = [cfg.input_coeffs]  # checked by RunConfig
+    if cfg.input_coeffs is None:
+        count = 1 if cfg.mode == "sample" else cfg.random_inputs
+        coeffs = protocol.random_inputs(cfg.scheme, cfg.seed, count)
+    ops = tuple(table_lookup(cfg.scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS)
+    return (ops, *protocol.repair_branches(ops, cfg.scheme, coeffs))
 
 
 def run_enumeration(cfg: RunConfig) -> Report:
@@ -176,23 +173,26 @@ def run_enumeration(cfg: RunConfig) -> Report:
     if cfg.mode != "enumerate":
         raise ValueError(f"run_enumeration needs mode 'enumerate', got {cfg.mode!r}")
     _load_protocol()
-    inputs = _configured_inputs(cfg)
-    ops, probs, fids, states = _repaired_branches(cfg.scheme, inputs)
-    summaries = [InputSummary(s.coeffs, sum(p), min(f)) for s, p, f in zip(inputs, probs, fids)]
-    min_fid = min(s.min_fidelity for s in summaries)
-    worst_total = max((s.total_probability for s in summaries), key=lambda t: abs(t - 1.0))
+    ops, coeffs, probs, fids, states = _repaired_inputs(cfg)
+    totals = probs.cumsum(axis=1)[:, -1]  # left to right, as sum() of Python 3.11 adds
+    worst_fids = fids.min(axis=1)
+    summaries = tuple(
+        map(InputSummary, map(tuple, coeffs.tolist()), totals.tolist(), worst_fids.tolist())
+    )
+    min_fid = float(worst_fids.min())
+    worst_total = float(totals[abs(totals - 1.0).argmax()])  # the first, as max() takes
     aggregates = {
-        "num_inputs": len(inputs),
+        "num_inputs": len(summaries),
         "min_fidelity": min_fid,
         "total_probability_worst": worst_total,
-        "branch_probability_min": min(map(min, probs)),
-        "branch_probability_max": max(map(max, probs)),
+        "branch_probability_min": float(probs.min()),
+        "branch_probability_max": float(probs.max()),
         "pass": (min_fid >= 1.0 - cfg.fidelity_tol)
         and (abs(worst_total - 1.0) <= TOTAL_PROB_TOL),
     }
     return Report(
-        cfg, tuple(summaries), aggregates,
-        corrections=ops, probability=probs, fidelity=fids, state=states,
+        cfg, summaries, aggregates,
+        corrections=ops, probability=probs.tolist(), fidelity=fids.tolist(), state=states,
     )
 
 
@@ -213,8 +213,8 @@ def run_montecarlo(cfg: RunConfig) -> Report:
     if cfg.mode != "sample":
         raise ValueError(f"run_montecarlo needs mode 'sample', got {cfg.mode!r}")
     _load_protocol()
-    state = _configured_inputs(cfg)[0]
-    ops, probs, fids, states = _repaired_branches(cfg.scheme, [state])
+    ops, coeffs, probs, fids, states = _repaired_inputs(cfg)
+    probs, fids = probs.tolist(), fids.tolist()
     counts = measurement.sample_outcome_pairs(probs[0], cfg.trials, [cfg.seed, 1])
     drawn = [b for b in range(16) if counts[b]]
     min_fid = min(fids[0][b] for b in drawn)
@@ -224,7 +224,7 @@ def run_montecarlo(cfg: RunConfig) -> Report:
     expected = cfg.trials * p
     chi2 = sum((n - expected) ** 2 / expected for n in counts)
     chi2_p = chi2_sf(chi2, 15)
-    summary = InputSummary(state.coeffs, sum(probs[0][b] for b in drawn), min_fid)
+    summary = InputSummary(tuple(coeffs.tolist()[0]), sum(probs[0][b] for b in drawn), min_fid)
     aggregates = {
         "trials": cfg.trials,
         "min_fidelity": min_fid,

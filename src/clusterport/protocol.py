@@ -28,8 +28,10 @@ from ``gates.PAULIS`` and the CZ diagonal of ``exact``, read at call time;
 them to every input with ``map_inputs``, and ``random_inputs`` draws the
 seeded inputs of a run in one batch: input n still reads its own stream
 ``default_rng([seed, 0, n])``, but the SeedSequence hash that seeds those
-streams runs for every n in one array pass, to the same bits.  Everything
-else here is the dense six-qubit reference the tests check the maps against.
+streams runs for every n in one array pass, to the same bits; it returns
+one array of coefficient rows, normed and checked (``check_coeffs``) at
+once.  Everything else here is the dense six-qubit reference the tests
+check the maps against.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from numpy.random.bit_generator import ISeedSequence
 from . import exact
 from .exact import (
     BELL_OUTCOMES,
+    COEFF_TOL,
     PAULI_NAMES,
     PAULI_PAIRS,
     BellOutcome,
@@ -104,14 +107,31 @@ def apply_correction(s: StateVector, op: CorrectionOp) -> StateVector:
     return out
 
 
+def _row_norms(c: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of ``c`` to the same bits: its sqrt(re.re +
+    im.im) rounds as a stacked matmul does, not as einsum or a sum does."""
+    re, im = c.real, c.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]).ravel())
+
+
+def check_coeffs(c: np.ndarray) -> np.ndarray:
+    """The coefficient rows ``c``, after InputState's checks on every row at
+    once: each part finite, each squared norm within COEFF_TOL of 1."""
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+    sq = _row_norms(c) ** 2
+    off = np.abs(sq - 1.0) > COEFF_TOL
+    if off.any():
+        raise ValueError(f"coefficients not normalized: squared magnitudes sum to {sq[off][0]}")
+    return c
+
+
 def _unit_coeffs(x: np.ndarray) -> np.ndarray:
     """Each row of ``x``, its k real parts then its k imaginary parts, as k
-    complex coefficients scaled to unit norm.  The norm is np.linalg.norm
-    of each row on its own: a row gives the same bits alone as in any
-    batch."""
+    complex coefficients scaled to unit norm, the same bits in any batch."""
     k = x.shape[1] // 2
     c = x[:, :k] + 1j * x[:, k:]
-    c /= np.array([np.linalg.norm(row) for row in c])[:, None]
+    c /= _row_norms(c)[:, None]
     return c
 
 
@@ -189,16 +209,16 @@ class _Hashed(ISeedSequence):
         return self.state
 
 
-def random_inputs(scheme: Scheme, seed: int, count: int) -> list[InputState]:
-    """``random_input(scheme, [seed, 0, n])`` for n in range(count): the
-    SeedSequence states of every input are hashed in one pass, each seeds
-    its own PCG64 stream to draw its row, and the rows are normalized in one
-    pass."""
+def random_inputs(scheme: Scheme, seed: int, count: int) -> np.ndarray:
+    """``random_input(scheme, [seed, 0, n]).coeffs`` for n in range(count),
+    as the rows of one checked (count, k) array: the SeedSequence states of
+    every input are hashed in one pass, each seeds its own PCG64 stream to
+    draw its row, and the rows are normalized and checked in one pass."""
     k = 2 if Scheme(scheme) is Scheme.SPECIAL else 4
     x = np.empty((count, 2 * k))
     for row, state in zip(x, _substream_states(seed, count)):
         np.random.Generator(np.random.PCG64(_Hashed(state))).standard_normal(out=row)
-    return [InputState(scheme, tuple(c)) for c in _unit_coeffs(x).tolist()]
+    return check_coeffs(_unit_coeffs(x))
 
 
 # kron(P4, P5) for each pair in PAULI_PAIRS order (particle 4 is the more
@@ -252,14 +272,18 @@ def map_inputs(maps: np.ndarray, inputs):
     return out, prob, (re * re + im * im) / (_dot(v, v)[0][:, None] * prob)
 
 
-def repair_branches(ops, inputs):
-    """Every branch of every input (amplitude vectors on (1, 2)) after the
-    repair ``ops`` lists for it, in cell order: probabilities, fidelities and
-    display forms of the outputs as lists indexed [input][cell]."""
+def repair_branches(ops, scheme: Scheme, coeffs):
+    """Every branch of every input, the coefficient rows ``coeffs`` of
+    ``scheme``, after the repair ``ops`` lists for it, in cell order: the
+    inputs as an array, then probabilities, fidelities (arrays) and display
+    forms of the outputs (lists), indexed [input][cell]."""
+    amps = c = np.asarray(coeffs, dtype=np.complex128)
+    if Scheme(scheme) is Scheme.SPECIAL:  # alpha|00> + delta|11>
+        amps = np.zeros((len(c), 4), dtype=np.complex128)
+        amps[:, [0, 3]] = c
     repaired = repair_matrices(ops) @ branch_maps().reshape(16, 4, 4)
-    out, probs, fids = map_inputs(repaired, inputs)
-    states = format_states(out / np.sqrt(probs)[..., None])
-    return probs.tolist(), fids.tolist(), states
+    out, probs, fids = map_inputs(repaired, amps)
+    return c, probs, fids, format_states(out / np.sqrt(probs)[..., None])
 
 
 def pauli_pair_fidelities(o13: BellOutcome, o26: BellOutcome, inputs, cz_first: bool):

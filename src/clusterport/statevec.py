@@ -160,19 +160,26 @@ def format_states(amps):
     ``DISPLAY_TOL`` is real and positive (``display_rotation``), so
     equivalent states print identically; amplitudes at or below it are left
     out, and a vector with none above it prints as ``0``.  The whole stack
-    is rotated at once, and each distinct (rotated vector, mask) pair,
-    found by one ``np.unique`` over their bytes, is formatted once: equal
-    bytes give equal strings, so an entry does not depend on the stack
-    around it.  The left-out amplitudes are zeroed first, so vectors that
-    differ only there (a sign bit, rounding dust) share one key.
+    is rotated at once, and each distinct rotated vector, found by one
+    ``np.unique`` over the bytes of the first of each run of equal ones, is
+    formatted once: equal bytes give equal strings, so an entry does not
+    depend on the stack around it.  The left-out amplitudes are zeroed
+    first, so vectors that differ only there (a sign bit, rounding dust)
+    share one key.
     """
     shown, above = display_rotation(amps)
     n = shown.shape[-1]
     rows, masks = shown.reshape(-1, n), above.reshape(-1, n)
     np.putmask(rows, ~masks, 0)  # in place: rows is a view of our own array
-    keys = np.hstack((rows.view(np.uint8), masks.view(np.uint8)))
+    # an amplitude above DISPLAY_TOL is not 0, so the zeroed row is its key;
+    # a repaired stack repeats each input's row along its cells, and only
+    # the head of each run of equal rows is sorted
+    words = rows.view(np.uint64)
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (words[1:] != words[:-1]).any(axis=1)
+    rows, masks = rows[head], masks[head]
     _, first, inverse = np.unique(
-        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+        rows.view(np.dtype((np.void, rows.itemsize * n))).ravel(),
         return_index=True, return_inverse=True,
     )
     n_qubits = n.bit_length() - 1
@@ -181,4 +188,5 @@ def format_states(amps):
         _ket(vals, mask, labels) for vals, mask in zip(rows[first].tolist(), masks[first].tolist())
     ]
     # flattened: the shape of the inverse has varied between numpy versions
-    return np.array(texts, dtype=object)[inverse.reshape(-1)].reshape(shown.shape[:-1]).tolist()
+    runs = inverse.reshape(-1)[head.cumsum() - 1]
+    return np.array(texts, dtype=object)[runs].reshape(shown.shape[:-1]).tolist()

@@ -1,9 +1,11 @@
 import csv
+import functools
 import hashlib
 import io
 import itertools
 import json
 import math
+import operator
 import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
@@ -51,6 +53,12 @@ def wrong_table(scheme, o13, o26):
     op = table_lookup(scheme, o13, o26)[0]
     flipped = {"I": "X", "X": "I", "Y": "Z", "Z": "Y"}[op.p4]
     return [CorrectionOp(flipped, op.p5, cz_first=op.cz_first)]
+
+
+def no_repair_table(scheme, o13, o26):
+    """A table that leaves every branch as measured (the CZ step aside), so
+    the outputs differ from branch to branch."""
+    return [CorrectionOp("I", "I", cz_first=scheme is Scheme.ARBITRARY)]
 
 
 def emit_as(report, fmt):
@@ -176,6 +184,37 @@ class TestEnumeration:
     def test_run_dispatches_by_mode(self):
         cfg = enum_cfg()
         assert run(cfg).aggregates == run_enumeration(cfg).aggregates
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    @pytest.mark.parametrize("coeffs", [False, True])
+    # no repair: the fidelities differ from cell to cell, and for scheme 2
+    # so do the last bits of the probabilities
+    @pytest.mark.parametrize("table", [None, no_repair_table])
+    def test_summaries_equal_python_reductions(self, monkeypatch, scheme, coeffs, table):
+        if table is not None:
+            monkeypatch.setattr(harness, "table_lookup", table)
+        given = {Scheme.SPECIAL: (0.6, 0.8j), Scheme.ARBITRARY: (0.1, 0.3j, -0.5 + 0.2j, 0.61**0.5)}
+        report = run_enumeration(
+            enum_cfg(scheme=scheme, input_coeffs=given[scheme]) if coeffs
+            else enum_cfg(scheme=scheme, random_inputs=100)
+        )
+        bits = lambda values: [x.hex() for x in values]  # noqa: E731
+        # Python's builtin sum adds left to right up to 3.11 and compensates
+        # from 3.12; the totals are the left-to-right sum on every version
+        totals = [functools.reduce(operator.add, p) for p in report.probability]
+        worst = [min(f) for f in report.fidelity]
+        assert bits(s.total_probability for s in report.inputs) == bits(totals)
+        assert bits(s.min_fidelity for s in report.inputs) == bits(worst)
+        assert all(
+            type(s.coeffs) is tuple and all(type(c) is complex for c in s.coeffs)
+            for s in report.inputs
+        )
+        agg = report.aggregates
+        assert bits([agg["min_fidelity"]]) == bits([min(worst)])
+        worst_total = max(totals, key=lambda t: abs(t - 1))
+        assert bits([agg["total_probability_worst"]]) == bits([worst_total])
+        assert bits([agg["branch_probability_min"]]) == bits([min(map(min, report.probability))])
+        assert bits([agg["branch_probability_max"]]) == bits([max(map(max, report.probability))])
 
 
 class TestMonteCarlo:
@@ -313,12 +352,6 @@ def repaired_outputs(scheme, coeff_rows):
     repaired = repair_matrices(ops) @ branch_maps().reshape(16, 4, 4)
     out, probs, _ = map_inputs(repaired, [InputState(scheme, c).amps for c in coeff_rows])
     return out / np.sqrt(probs)[..., None]
-
-
-def no_repair_table(scheme, o13, o26):
-    """A table that leaves every branch as measured (the CZ step aside), so
-    the outputs differ from branch to branch."""
-    return [CorrectionOp("I", "I", cz_first=scheme is Scheme.ARBITRARY)]
 
 
 class TestStateStrings:

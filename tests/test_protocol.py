@@ -17,6 +17,7 @@ from clusterport.protocol import (
     apply_correction,
     assemble_total,
     branch_maps,
+    check_coeffs,
     cluster_state,
     collapse_branch,
     make_input,
@@ -289,7 +290,7 @@ def coeff_bits(states):
 
 
 class TestBatchDraw:
-    """An enumerate run draws its inputs in one batch; input k must be, bit
+    """An enumerate run draws its inputs in one batch; row k must be, bit
     for bit, the input one random_input call draws from [seed, 0, k]."""
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
@@ -298,19 +299,74 @@ class TestBatchDraw:
     @pytest.mark.parametrize("count", [1, 2, 100, MAX_RANDOM_INPUTS])
     def test_equals_one_draw_per_input(self, scheme, seed, count):
         batch = random_inputs(scheme, seed, count)
-        assert all(s.scheme is scheme for s in batch)
+        assert batch.dtype == np.complex128
+        assert batch.shape == (count, 2 if scheme is Scheme.SPECIAL else 4)
         one_by_one = [random_input(scheme, [seed, 0, k]) for k in range(count)]
-        assert coeff_bits(batch) == coeff_bits(one_by_one)
+        assert [row.tobytes() for row in batch] == coeff_bits(one_by_one)
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
-    def test_equals_the_one_vector_formula(self, scheme):
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_equals_the_one_vector_formula(self, scheme, seed):
         # the draw as written for a single input: real parts, then imaginary
-        # parts, scaled by the norm of the whole vector
+        # parts, scaled by np.linalg.norm of the whole vector; the batch
+        # takes every norm in one matmul, which must round alike
         k = 2 if scheme is Scheme.SPECIAL else 4
-        expected = []
-        for n in range(40):
-            x = np.random.default_rng([2**32 + 9, 0, n]).standard_normal(2 * k)
+        expected = np.empty((MAX_RANDOM_INPUTS, k), dtype=np.complex128)
+        for n, row in enumerate(expected):
+            x = np.random.default_rng([seed, 0, n]).standard_normal(2 * k)
             c = x[:k] + 1j * x[k:]
-            c /= np.linalg.norm(c)
-            expected.append(InputState(scheme, tuple(c.tolist())))
-        assert coeff_bits(random_inputs(scheme, 2**32 + 9, 40)) == coeff_bits(expected)
+            row[:] = c / np.linalg.norm(c)
+        batch = random_inputs(scheme, seed, MAX_RANDOM_INPUTS)
+        np.testing.assert_array_equal(batch.view(np.uint64), expected.view(np.uint64))
+
+
+CLEAN_ROWS = {
+    Scheme.SPECIAL: (0.6, 0.8j),
+    Scheme.ARBITRARY: (0.5, 0.5j, -0.5, 0.5),
+}
+
+
+def input_state_accepts(scheme, coeffs):
+    try:
+        InputState(scheme, coeffs)
+    except ValueError:
+        return False
+    return True
+
+
+def batch_check_accepts(rows):
+    try:
+        check_coeffs(np.array(rows, dtype=np.complex128))
+    except ValueError:
+        return False
+    return True
+
+
+class TestBatchCheck:
+    """``check_coeffs`` applies InputState's checks to a whole batch: it
+    accepts a row exactly when InputState does, wherever the row sits."""
+
+    CASES = {
+        "clean": lambda c: c,
+        "nan real part": lambda c: (complex(float("nan"), 0.0), *c[1:]),
+        "infinite imaginary part": lambda c: (*c[:-1], complex(0.0, float("inf"))),
+        "norm squared 1 + 2e-9": lambda c: tuple(x * np.sqrt(1 + 2e-9) for x in c),
+        "scaled by 1e-300": lambda c: tuple(x * 1e-300 for x in c),
+    }
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_accepts_what_input_state_accepts(self, scheme, case):
+        clean = tuple(complex(x) for x in CLEAN_ROWS[scheme])
+        row = tuple(complex(x) for x in self.CASES[case](clean))
+        accepted = input_state_accepts(scheme, row)
+        assert accepted is (case == "clean")
+        assert batch_check_accepts([row]) is accepted
+        assert batch_check_accepts([clean, clean, row]) is accepted
+        assert batch_check_accepts([row, clean]) is accepted
+
+    def test_rejects_with_input_states_messages(self):
+        with pytest.raises(ValueError, match="finite"):
+            check_coeffs(np.array([[complex("nan"), 0.8j]]))
+        with pytest.raises(ValueError, match="not normalized"):
+            check_coeffs(np.array([[0.6, 0.8j], [0.6, 0.6]]))
