@@ -31,6 +31,34 @@ def _parse_coeffs(text: str) -> tuple[complex, ...]:
         ) from None
 
 
+def _joins_negative_coeffs(args: list[str]) -> list[str]:
+    """``args`` with each ``--coeffs LIST`` whose LIST starts with '-' and
+    parses written as ``--coeffs=LIST``: argparse would read such a LIST as
+    an option, not as the value.  An option name after ``--coeffs`` stays
+    apart, so argparse still rejects it as a missing value."""
+    out = []
+    for arg in args:
+        if out and len(out[-1]) > 2 and "--coeffs".startswith(out[-1]) and arg.startswith("-"):
+            try:
+                _parse_coeffs(arg)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a negative ``--coeffs`` list as its
+    value, written apart or with '='."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        return super().parse_known_args(_joins_negative_coeffs(list(args)), namespace)
+
+
 def _add_common(p: argparse.ArgumentParser, with_input: bool) -> None:
     p.add_argument(
         "--scheme", type=int, choices=(1, 2), required=True,
@@ -42,7 +70,8 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool) -> None:
     if with_input:
         p.add_argument(
             "--coeffs", type=_parse_coeffs, dest="input_coeffs", metavar="LIST",
-            help="input coefficients, comma separated complex values ('0.6,0.8j')",
+            help="input coefficients, comma separated complex values ('0.6,0.8j'); "
+            "a leading minus sign is part of the list, with or without '='",
         )
         p.add_argument(
             "--renormalize", action="store_true",
@@ -55,7 +84,7 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clusterport",
         description="Simulate two-qubit teleportation over a four-qubit cluster channel.",
     )

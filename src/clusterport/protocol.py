@@ -27,11 +27,11 @@ from ``gates.PAULIS`` and the CZ diagonal of ``exact``, read at call time;
 ``repair_branches`` multiplies the 16 repairs into the maps and applies
 them to every input with ``map_inputs``, and ``random_inputs`` draws the
 seeded inputs of a run in one batch: input n still reads its own stream
-``default_rng([seed, 0, n])``, but the SeedSequence hash that seeds those
-streams runs for every n in one array pass, to the same bits; it returns
-one array of coefficient rows, normed and checked (``check_coeffs``) at
-once.  Everything else here is the dense six-qubit reference the tests
-check the maps against.
+``default_rng([seed, 0, n])``, but from ``BATCH_HASH_MIN`` inputs up the
+SeedSequence hash that seeds those streams runs for every n in one array
+pass, to the same bits; it returns one array of coefficient rows, normed
+and checked (``check_coeffs``) at once.  Everything else here is the
+dense six-qubit reference the tests check the maps against.
 """
 
 from __future__ import annotations
@@ -209,15 +209,26 @@ class _Hashed(ISeedSequence):
         return self.state
 
 
+# Below this many inputs numpy's own SeedSequence, once per input, costs
+# less than the fixed cost of hashing every input's state in one pass.
+BATCH_HASH_MIN = 6
+
+
 def random_inputs(scheme: Scheme, seed: int, count: int) -> np.ndarray:
     """``random_input(scheme, [seed, 0, n]).coeffs`` for n in range(count),
-    as the rows of one checked (count, k) array: the SeedSequence states of
-    every input are hashed in one pass, each seeds its own PCG64 stream to
-    draw its row, and the rows are normalized and checked in one pass."""
+    as the rows of one checked (count, k) array: each input's SeedSequence
+    state seeds its own PCG64 stream to draw its row, and the rows are
+    normalized and checked in one pass.  From BATCH_HASH_MIN inputs up, the
+    states of every input are hashed in one pass; below, SeedSequence
+    hashes each one, to the same bits."""
     k = 2 if Scheme(scheme) is Scheme.SPECIAL else 4
     x = np.empty((count, 2 * k))
-    for row, state in zip(x, _substream_states(seed, count)):
-        np.random.Generator(np.random.PCG64(_Hashed(state))).standard_normal(out=row)
+    if count < BATCH_HASH_MIN:
+        seeds = ([seed, 0, n] for n in range(count))
+    else:
+        seeds = map(_Hashed, _substream_states(seed, count))
+    for row, seed_seq in zip(x, seeds):
+        np.random.Generator(np.random.PCG64(seed_seq)).standard_normal(out=row)
     return check_coeffs(_unit_coeffs(x))
 
 

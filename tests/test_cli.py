@@ -84,6 +84,44 @@ class TestParser:
         assert f"at most {MAX_RANDOM_INPUTS}" in " ".join(capsys.readouterr().out.split())
 
 
+class TestNegativeCoeffs:
+    """A --coeffs list that starts with a minus sign is the option's value,
+    written apart or with '=', and never swallows the next option."""
+
+    LISTS = ["-0.6,0.8", "-0.0,1", "-1j,0"]
+
+    @pytest.mark.parametrize("coeffs", LISTS)
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    def test_apart_equals_joined(self, capsys, mode, coeffs):
+        args = [mode, "--scheme", "1", "--format", "json"]
+        if mode == "sample":
+            args += ["--trials", "300"]
+        joined = run_main(capsys, *args, f"--coeffs={coeffs}")
+        apart = run_main(capsys, *args, "--coeffs", coeffs)
+        assert joined[0] == 0 and joined[2] == ""
+        assert apart == joined
+        assert _config_from(build_parser().parse_args([*args, "--coeffs", coeffs])) == \
+            _config_from(build_parser().parse_args([*args, f"--coeffs={coeffs}"]))
+
+    def test_apart_then_renormalize(self, capsys):
+        args = ["enumerate", "--scheme", "1", "--format", "json"]
+        apart = run_main(capsys, *args, "--coeffs", "-3,4", "--renormalize")
+        assert apart == run_main(capsys, *args, "--coeffs=-3,4", "--renormalize")
+        assert apart[0] == 0
+
+    def test_an_option_is_not_the_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--scheme", "1", "--coeffs", "--renormalize"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "argument --coeffs: expected one argument" in err
+
+    def test_help_says_so(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sample", "--help"])
+        assert "a leading minus sign is part of the list" in " ".join(capsys.readouterr().out.split())
+
+
 class TestMain:
     def test_enumerate_fixed_input_passes(self, capsys):
         code, out, err = run_main(

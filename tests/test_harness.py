@@ -305,10 +305,10 @@ class TestMonteCarlo:
         assert peak < 4 * 2**20
 
     def test_sampler_stuck_on_one_cell_fails(self, monkeypatch, capsys):
-        def stuck(cum, u):
-            return np.zeros(np.shape(u), dtype=np.intp)
+        def stuck(u, first, second):
+            return np.zeros(len(u), dtype=np.intp)
 
-        monkeypatch.setattr(measurement, "draw_index", stuck)
+        monkeypatch.setattr(measurement, "outcome_cells", stuck)
         cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=2000, seed=0)
         report = run_montecarlo(cfg)
         assert cell_counts(report)[0] == 2000
@@ -333,12 +333,19 @@ def scalar_loop_counts(report, seed, sizes):
     the branch probabilities a sample report lists for all 16 pairs."""
     rows = dense_oracle.report_rows(report)
     assert len(rows) == 16
-    joint = np.array([r.probability for r in rows]).reshape(4, 4)
-    rng = np.random.default_rng([seed, 1])
+    return scalar_draw_counts([r.probability for r in rows], [seed, 1], sizes)
+
+
+def scalar_draw_counts(probs, seed, sizes):
+    """``scalar_loop_counts`` for the 16 cell weights ``probs`` and the
+    stream ``default_rng(seed)``."""
+    joint = np.reshape(probs, (4, 4))
+    cum_marginal, cum_rows = joint.sum(axis=1).cumsum(), joint.cumsum(axis=1)
+    rng = np.random.default_rng(seed)
     counts, snapshots = [0] * 16, []
     for t in range(1, max(sizes) + 1):
-        i = int(draw_index(joint.sum(axis=1).cumsum(), rng.random()))
-        j = int(draw_index(joint[i].cumsum(), rng.random()))
+        i = int(draw_index(cum_marginal, rng.random()))
+        j = int(draw_index(cum_rows[i], rng.random()))
         counts[4 * i + j] += 1
         if t in sizes:
             snapshots.append(list(counts))

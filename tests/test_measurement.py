@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from clusterport import BELL_OUTCOMES, BellOutcome, InputState, Scheme
 from clusterport.exact import BELL_SIGNS
-from clusterport.measurement import draw_index, project_bell, sample_bell
+from clusterport.measurement import (
+    cell_thresholds,
+    draw_index,
+    index_thresholds,
+    outcome_cells,
+    project_bell,
+    sample_bell,
+)
 from clusterport.protocol import assemble_total, cluster_state
 from clusterport.statevec import StateVector, fidelity, tensor
 from conftest import random_state
@@ -263,3 +272,82 @@ class TestDrawIndex:
             u = np.random.default_rng([4, t]).random()
             outcome, _ = sample_bell(s, 1, 2, np.random.default_rng([4, t]))
             assert outcome is BELL_OUTCOMES[scalar_rule(probs, u)]
+
+
+TINY = 5e-324  # the least subnormal
+ROW_WEIGHTS = {
+    "uniform": [0.25] * 4,
+    "zero cells": [0.0, 0.5, 0.0, 0.5],
+    "leading zeros": [0.0, 0.0, 0.3, 0.7],
+    "unnormalized": [3.0, 1.0, 0.0, 7.5],
+    "one-hot": [0.0, 0.0, 1.0, 0.0],
+    "all zero": [0.0] * 4,
+    "all NaN": [math.nan] * 4,
+    "one NaN": [0.25, math.nan, 0.25, 0.25],
+    "1e-300": [1e-300] * 4,
+    "subnormal": [0.0, 3 * TINY, 0.0, 0.0],
+    "subnormal total": [TINY, 4 * TINY, 0.0, TINY],
+    "1/16 + 1e-17": [1 / 16 + 1e-17] * 4,
+}
+
+
+def edge_uniforms(thresholds):
+    """0, the largest uniform 1 - 2**-53, and each threshold a uniform can
+    reach with the double just below it."""
+    us = {0.0, 1.0 - 2.0**-53}
+    for t in thresholds:
+        if t < 1.0:
+            us |= {t, math.nextafter(t, 0.0)}
+    return sorted(us)
+
+
+class TestThresholds:
+    """``index_thresholds`` turns draw_index's rule into one least uniform
+    per boundary; counting thresholds must draw what draw_index draws at
+    every threshold and the double below it."""
+
+    @pytest.mark.parametrize("name", list(ROW_WEIGHTS))
+    def test_count_equals_draw_index_at_every_edge(self, name):
+        cum = np.array(ROW_WEIGHTS[name]).cumsum()
+        thresholds = index_thresholds(cum.tolist())
+        assert len(thresholds) == 3
+        for u in edge_uniforms(thresholds):
+            assert sum(u >= t for t in thresholds) == int(draw_index(cum, u)), u
+
+    def test_uncounted_boundaries_never_count(self):
+        # at the total (the cap), or NaN: 1.0, past every uniform
+        assert index_thresholds([0.5, 1.0, 1.0, 1.0]) == [0.5, 1.0, 1.0]
+        assert index_thresholds([0.0, 0.0, 0.0, 0.0]) == [1.0] * 3
+        assert index_thresholds([math.nan] * 4) == [1.0] * 3
+
+    def test_subnormal_total_needs_more_than_a_step(self):
+        # 1/4 is the quotient, but u * 4 * TINY rounds to TINY only above 1/8
+        (t, *_) = index_thresholds([TINY, 4 * TINY, 4 * TINY, 4 * TINY])
+        assert t == math.nextafter(0.125, 1.0)
+        assert draw_index(np.array([TINY, 4 * TINY]), 0.125) == 0
+        assert draw_index(np.array([TINY, 4 * TINY]), t) == 1
+
+    CELL_WEIGHTS = {
+        "zero cells": np.tile([0.125, 0.0, 0.0, 0.125], 4),
+        # what a mutated sign table gives: rows that sum to 3/4 or 3/2 of 1/4
+        "unnormalized": np.array([1, 0, 2, 1] * 2 + [2, 2, 0, 2] * 2) / 16 * 0.75,
+        "all-zero row": np.concatenate([np.full(4, 1 / 12), np.zeros(4), np.full(8, 1 / 12)]),
+        "all-NaN row": np.concatenate([np.full(8, 1 / 16), np.full(4, math.nan), np.full(4, 1 / 16)]),
+        "subnormal cells": np.array([TINY, 4 * TINY, 0.0, TINY] * 4),
+        "uniform": np.full(16, 1 / 16),
+    }
+
+    @pytest.mark.parametrize("name", list(CELL_WEIGHTS))
+    def test_cells_equal_draw_index_at_every_edge(self, name):
+        probs = self.CELL_WEIGHTS[name]
+        joint = probs.reshape(4, 4)
+        cum_marginal, cum_rows = joint.sum(axis=1).cumsum(), joint.cumsum(axis=1)
+        first, second = cell_thresholds(probs)
+        u0s = edge_uniforms(first)
+        u1s = sorted({u for row in second.T for u in edge_uniforms(row)})
+        pairs = np.array([(u0, u1) for u0 in u0s for u1 in u1s])
+        expected = []
+        for u0, u1 in pairs:
+            i = int(draw_index(cum_marginal, u0))
+            expected.append(4 * i + int(draw_index(cum_rows[i], u1)))
+        assert outcome_cells(pairs, first, second).tolist() == expected

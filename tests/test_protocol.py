@@ -13,7 +13,9 @@ from clusterport import (
 )
 from clusterport.gates import apply_cz
 from clusterport.harness import MAX_RANDOM_INPUTS, run_enumeration
+from clusterport import protocol
 from clusterport.protocol import (
+    BATCH_HASH_MIN,
     apply_correction,
     assemble_total,
     branch_maps,
@@ -303,6 +305,21 @@ class TestBatchDraw:
         assert batch.shape == (count, 2 if scheme is Scheme.SPECIAL else 4)
         one_by_one = [random_input(scheme, [seed, 0, k]) for k in range(count)]
         assert [row.tobytes() for row in batch] == coeff_bits(one_by_one)
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    @pytest.mark.parametrize("count", [1, BATCH_HASH_MIN - 1, BATCH_HASH_MIN])
+    def test_each_seeding_serves_its_sizes(self, monkeypatch, scheme, count):
+        # below BATCH_HASH_MIN each input's own SeedSequence seeds its stream;
+        # from it up, the batch hash does, to the same bits
+        one_by_one = coeff_bits([random_input(scheme, [2**64 - 1, 0, k]) for k in range(count)])
+        hashed = []
+        batch_hash = protocol._substream_states
+        monkeypatch.setattr(
+            protocol, "_substream_states", lambda *a: hashed.append(a) or batch_hash(*a)
+        )
+        batch = random_inputs(scheme, 2**64 - 1, count)
+        assert [row.tobytes() for row in batch] == one_by_one
+        assert hashed == ([] if count < BATCH_HASH_MIN else [(2**64 - 1, count)])
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
