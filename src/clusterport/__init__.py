@@ -9,13 +9,13 @@ branch maps, the correction tables and the repair certificate live in
 ``exact``, which needs no numpy, so a ``derive`` or ``verify`` run never
 loads numpy.
 
-``enumerate`` and ``sample`` reach numpy through ``protocol``,
-``measurement``, ``statevec`` and ``gates``: the float maps and the
-sampler, and the dense six-qubit state-vector simulator that the tests use
-as a reference.  Those four modules are registered lazily: each sits in
-``sys.modules`` under its name, so code that looks modules up there (the
-benchmark tracer does) finds them all, but runs only on first attribute
-use."""
+``enumerate`` and ``sample`` reach numpy through ``floatpath``: the seeded
+input draw, the float maps and repairs, the sampler and the display forms.
+``statevec``, ``gates``, ``measurement`` and ``protocol`` hold the dense
+six-qubit simulator that the tests use as a reference; no CLI mode runs
+them.  They are registered lazily: each sits in ``sys.modules`` under its
+name, so code that looks modules up there (the benchmark tracer does) finds
+them all, but runs only on first attribute use."""
 
 import importlib.util
 import sys

@@ -1,4 +1,5 @@
-"""Single-qubit gates and the controlled-phase gate on labeled registers.
+"""Single-qubit gates and the controlled-phase gate on labeled registers:
+the dense reference's gate layer.
 
 Gates sweep index pairs of the dense amplitude array directly; no 2^n
 operator matrix is ever built.
@@ -8,20 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .floatpath import PAULIS
 from .statevec import StateVector, _trusted
 
 UNITARY_TOL = 1e-10
 
-PAULIS: dict[str, np.ndarray] = {
-    "I": np.array([[1, 0], [0, 1]], dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-for _m in PAULIS.values():
-    _m.setflags(write=False)
-
-# The module's own constants are unitary by construction; skip re-checking
+# The Pauli constants are unitary by construction; skip re-checking
 # them inside hot loops.
 _PRECHECKED = {id(m) for m in PAULIS.values()}
 

@@ -5,9 +5,9 @@ flows from the 64-bit seed through a fixed substream key, so rerunning a
 config reproduces the report byte for byte in any format.
 
 Substream keys: random input k uses default_rng([seed, 0, k]), whose
-SeedSequence state ``protocol.random_inputs`` hashes for every k in one
+SeedSequence state ``floatpath.random_inputs`` hashes for every k in one
 pass; all Monte Carlo trials share default_rng([seed, 1]), read as
-``measurement.sample_outcome_pairs`` describes.  Derivation and verification
+``floatpath.sample_outcome_pairs`` describes.  Derivation and verification
 are exact and draw nothing, so the seed only appears in their config.
 
 Every mode reads the 16 exact branch maps of ``exact.branch_maps`` and
@@ -18,15 +18,15 @@ integer equality, with no tolerance and no numpy: one
 process; no report is.  Their rows are built here, from the derived table
 and, for ``verify``, the other certificate; the verdict strings are defined
 nowhere else, and ``verify`` passes only when every cell is exact.
-``enumerate`` and ``sample`` take the float maps, the repairs and the
-sampler from ``protocol`` and ``measurement``, which load numpy on first
-use; the top level of this module loads only ``exact`` and the standard
-library.
+``enumerate`` and ``sample`` take the input draw, the float maps, the
+repairs and the sampler from ``floatpath``, which their runners import on
+first use, and numpy with it; the top level of this module loads only
+``exact`` and the standard library.
 
-``enumerate`` works in whole columns: ``protocol.random_inputs`` draws the
+``enumerate`` works in whole columns: ``floatpath.random_inputs`` draws the
 inputs as one array, kept to the summaries, and one ``format_states`` call
 formats each distinct output once.  A report keeps the branch results as
-computed, indexed [input][cell] in ``_ALL_PAIRS`` cell order.  Each format
+nested lists, indexed [input][cell] in ``_ALL_PAIRS`` cell order.  Each format
 writes an input's rows with one str.join, into the cell rows cut around
 their fields once per report, and formats each distinct float once; a JSON
 report is then joined once.  JSON verdict rows are one json.dumps call; a
@@ -45,10 +45,8 @@ import csv
 import io
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 
-from . import measurement, protocol
 from .exact import BELL_OUTCOMES, CorrectionOp, InputState, Scheme, certified_repairs, table_lookup
 
 MODES = ("enumerate", "sample", "derive", "verify")
@@ -121,7 +119,7 @@ class InputSummary:
 @dataclass(frozen=True)
 class Report:
     """Outcome of one run.  ``enumerate`` and ``sample`` reports keep their
-    branch results as computed, over 16 cells in ``BELL_OUTCOMES`` order,
+    branch results as nested lists, over 16 cells in ``BELL_OUTCOMES`` order,
     the (1, 3) outcome major: ``corrections`` holds the repair applied in
     each cell, ``probability``, ``fidelity`` and ``state`` are indexed
     [input][cell], and ``count`` holds the 16 cell counts of a ``sample``
@@ -144,35 +142,25 @@ class Report:
         return bool(self.aggregates.get("pass", False))
 
 
-_LOAD_LOCK = threading.Lock()
-
-
-def _load_protocol() -> None:
-    """Run the lazy ``protocol``, and the lazy modules it imports, before
-    this thread uses any of them.  A lazy module runs at its first attribute
-    use, and the LazyLoader of Python 3.11 and older takes no lock for that,
-    so a second thread could see the module half run; here threads take
-    turns."""
-    with _LOAD_LOCK:
-        vars(protocol)
-
-
 def _repaired_inputs(cfg: RunConfig):
     """The corrections in ``_ALL_PAIRS`` order, each cell's first listed one,
-    then ``protocol.repair_branches`` of the run's inputs."""
+    then ``floatpath.repair_branches`` of the run's inputs."""
+    # imported here, so derive and verify never load numpy; the import
+    # system's module lock makes threads wait for a first load in progress
+    from . import floatpath
+
     coeffs = [cfg.input_coeffs]  # checked by RunConfig
     if cfg.input_coeffs is None:
         count = 1 if cfg.mode == "sample" else cfg.random_inputs
-        coeffs = protocol.random_inputs(cfg.scheme, cfg.seed, count)
+        coeffs = floatpath.random_inputs(cfg.scheme, cfg.seed, count)
     ops = tuple(table_lookup(cfg.scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS)
-    return (ops, *protocol.repair_branches(ops, cfg.scheme, coeffs))
+    return (ops, *floatpath.repair_branches(ops, cfg.scheme, coeffs))
 
 
 def run_enumeration(cfg: RunConfig) -> Report:
     """Evaluate all 16 branches for every input."""
     if cfg.mode != "enumerate":
         raise ValueError(f"run_enumeration needs mode 'enumerate', got {cfg.mode!r}")
-    _load_protocol()
     ops, coeffs, probs, fids, states = _repaired_inputs(cfg)
     totals = probs.cumsum(axis=1)[:, -1]  # left to right, as sum() of Python 3.11 adds
     worst_fids = fids.min(axis=1)
@@ -212,10 +200,11 @@ def run_montecarlo(cfg: RunConfig) -> Report:
     """Sample the two measurement outcomes ``trials`` times."""
     if cfg.mode != "sample":
         raise ValueError(f"run_montecarlo needs mode 'sample', got {cfg.mode!r}")
-    _load_protocol()
+    from . import floatpath
+
     ops, coeffs, probs, fids, states = _repaired_inputs(cfg)
     probs, fids = probs.tolist(), fids.tolist()
-    counts = measurement.sample_outcome_pairs(probs[0], cfg.trials, [cfg.seed, 1])
+    counts = floatpath.sample_outcome_pairs(probs[0], cfg.trials, [cfg.seed, 1])
     drawn = [b for b in range(16) if counts[b]]
     min_fid = min(fids[0][b] for b in drawn)
     p = 1.0 / 16.0

@@ -7,11 +7,9 @@ of the basis index, so a ket written ``|q_first ... q_last>`` lands at the
 index its bit string spells in binary.
 
 Every operation returns a new value; a StateVector is never mutated after
-construction.
-
-Display forms are made for whole stacks of amplitude vectors at once:
-``format_states`` rotates the stack in one array pass and formats each
-distinct vector once; ``format_state`` is that call for one vector.
+construction.  This is the dense reference's state layer; the display forms
+live in ``floatpath``, and ``format_state`` is its ``format_states`` for one
+vector.
 """
 
 from __future__ import annotations
@@ -20,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Display forms leave out amplitudes of modulus at or below this.
-DISPLAY_TOL = 1e-9
+from .floatpath import format_states
 
 
 @dataclass(frozen=True)
@@ -101,92 +98,7 @@ def relabel(s: StateVector, mapping: dict) -> StateVector:
     return StateVector(new, s.amps)
 
 
-def display_rotation(amps):
-    """Rotate each vector along the last axis of ``amps`` so that its first
-    amplitude of modulus above ``DISPLAY_TOL`` is real and positive, to
-    rounding.
-
-    Returns ``(shown, above)``: the rotated stack and the mask of amplitudes
-    above ``DISPLAY_TOL``.  A vector with nothing above it is left as it is.
-    The phase and the products are taken in real arithmetic, one correctly
-    rounded operation each, so a vector rotates to the same bits on its own
-    as inside any stack.
-    """
-    amps = np.asarray(amps, dtype=np.complex128)
-    mod = np.hypot(amps.real, amps.imag)
-    above = mod > DISPLAY_TOL
-    first = above.argmax(axis=-1)[..., None]
-    lead = np.take_along_axis(amps, first, axis=-1)
-    live = above.any(axis=-1, keepdims=True)
-    r = np.where(live, np.take_along_axis(mod, first, axis=-1), 1.0)
-    # multiply by conj(lead) / |lead|; a vector with no lead by 1
-    c = np.where(live, lead.real / r, 1.0)
-    s = np.where(live, -lead.imag / r, 0.0)
-    shown = np.empty(amps.shape, dtype=np.complex128)
-    shown.real = amps.real * c - amps.imag * s
-    shown.imag = amps.real * s + amps.imag * c
-    return shown, above
-
-
 def format_state(s: StateVector) -> str:
-    """Readable ket expansion for reports: ``format_states`` of the one
-    vector ``s.amps``."""
+    """Readable ket expansion: ``floatpath.format_states`` of the one vector
+    ``s.amps``."""
     return format_states(s.amps)
-
-
-def _ket(vals, mask, labels) -> str:
-    """The ket expansion of one rotated vector: a term for each amplitude
-    where ``mask`` holds, at 6 significant digits, or ``0`` if none."""
-    terms = []
-    for c, shown, bits in zip(vals, mask, labels):
-        if not shown:
-            continue
-        if abs(c.imag) <= DISPLAY_TOL:
-            coeff = f"{c.real:.6g}"
-        elif abs(c.real) <= DISPLAY_TOL:
-            coeff = f"{c.imag:.6g}i"
-        else:
-            coeff = f"({c.real:.6g}{c.imag:+.6g}i)"
-        terms.append(f"{coeff}|{bits}>")
-    return " + ".join(terms) or "0"
-
-
-def format_states(amps):
-    """The readable ket expansion of every vector along the last axis of
-    ``amps``, as nested lists shaped like the leading axes (a string for
-    one vector).
-
-    Display only: each vector is rotated so that its first amplitude above
-    ``DISPLAY_TOL`` is real and positive (``display_rotation``), so
-    equivalent states print identically; amplitudes at or below it are left
-    out, and a vector with none above it prints as ``0``.  The whole stack
-    is rotated at once, and each distinct rotated vector, found by one
-    ``np.unique`` over the bytes of the first of each run of equal ones, is
-    formatted once: equal bytes give equal strings, so an entry does not
-    depend on the stack around it.  The left-out amplitudes are zeroed
-    first, so vectors that differ only there (a sign bit, rounding dust)
-    share one key.
-    """
-    shown, above = display_rotation(amps)
-    n = shown.shape[-1]
-    rows, masks = shown.reshape(-1, n), above.reshape(-1, n)
-    np.putmask(rows, ~masks, 0)  # in place: rows is a view of our own array
-    # an amplitude above DISPLAY_TOL is not 0, so the zeroed row is its key;
-    # a repaired stack repeats each input's row along its cells, and only
-    # the head of each run of equal rows is sorted
-    words = rows.view(np.uint64)
-    head = np.ones(len(rows), dtype=bool)
-    head[1:] = (words[1:] != words[:-1]).any(axis=1)
-    rows, masks = rows[head], masks[head]
-    _, first, inverse = np.unique(
-        rows.view(np.dtype((np.void, rows.itemsize * n))).ravel(),
-        return_index=True, return_inverse=True,
-    )
-    n_qubits = n.bit_length() - 1
-    labels = [format(i, f"0{n_qubits}b") if n_qubits else "" for i in range(n)]
-    texts = [
-        _ket(vals, mask, labels) for vals, mask in zip(rows[first].tolist(), masks[first].tolist())
-    ]
-    # flattened: the shape of the inverse has varied between numpy versions
-    runs = inverse.reshape(-1)[head.cumsum() - 1]
-    return np.array(texts, dtype=object)[runs].reshape(shown.shape[:-1]).tolist()

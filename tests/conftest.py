@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clusterport import statevec
+from clusterport import floatpath
 from clusterport.statevec import StateVector
 
 
@@ -30,6 +30,6 @@ def rng():
 def ket_calls(monkeypatch):
     """The vectors ``format_states`` formats, one entry per ``_ket`` call."""
     calls = []
-    ket = statevec._ket
-    monkeypatch.setattr(statevec, "_ket", lambda *args: calls.append(args) or ket(*args))
+    ket = floatpath._ket
+    monkeypatch.setattr(floatpath, "_ket", lambda *args: calls.append(args) or ket(*args))
     return calls

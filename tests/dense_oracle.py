@@ -12,7 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from clusterport import BELL_OUTCOMES, BellOutcome, CorrectionOp, InputState, Scheme, table_lookup
-from clusterport.gates import PAULIS, apply_cz, apply_single
+from clusterport.floatpath import DISPLAY_TOL, PAULIS
+from clusterport.gates import apply_cz, apply_single
 from clusterport.measurement import sample_bell
 from clusterport.exact import PAULI_NAMES
 from clusterport.protocol import (
@@ -22,7 +23,7 @@ from clusterport.protocol import (
     random_input,
     target_state,
 )
-from clusterport.statevec import DISPLAY_TOL, StateVector, fidelity
+from clusterport.statevec import StateVector, fidelity
 
 N_RANDOM_PROBES = 10
 # A float brute force cannot certify anything exactly; a repair survives it
@@ -52,7 +53,7 @@ def run_branch(state, o13, o26):
 
 def ket_text(amps) -> str:
     """The display form of one amplitude vector, worked out an amplitude at
-    a time in Python floats: the reference for ``statevec.format_states``.
+    a time in Python floats: the reference for ``floatpath.format_states``.
 
     The vector is turned by the phase that makes its first amplitude of
     modulus above DISPLAY_TOL real and positive; each amplitude above it

@@ -1,10 +1,10 @@
 """The repair certificate as complex-array products, kept in the tests as a
 second reference for ``exact.certified_repairs``.
 
-It multiplies every Pauli pair, built as a Kronecker product of the dense
-simulator's ``gates.PAULIS``, into the float branch maps of every cell and
-tests each product for c times the identity on the scheme's basis inputs.
-It shares only the sign tables and the CZ diagonal with the exact core, read
+It multiplies every Pauli pair, built as a Kronecker product of
+``floatpath.PAULIS``, into the float branch maps of every cell and tests
+each product for c times the identity on the scheme's basis inputs.  It
+shares only the sign tables and the CZ diagonal with the exact core, read
 at call time, so a mutated constant reaches both.
 """
 
@@ -12,8 +12,7 @@ import numpy as np
 
 from clusterport import exact
 from clusterport.exact import PAULI_NAMES, PAULI_PAIRS, Scheme
-from clusterport.gates import PAULIS
-from clusterport.protocol import branch_maps
+from clusterport.floatpath import PAULIS, branch_maps
 
 # kron(P4, P5) for each pair in PAULI_PAIRS order (particle 4 is the more
 # significant bit of every (4, 5) register).

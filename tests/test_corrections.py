@@ -18,14 +18,13 @@ from clusterport import (
     table_lookup,
 )
 from clusterport.exact import PAULI_PAIRS, certified_repairs
+from clusterport.floatpath import branch_maps, repair_matrices
 from clusterport.protocol import (
     apply_correction,
     assemble_total,
-    branch_maps,
     collapse_branch,
     pauli_pair_fidelities,
     random_input,
-    repair_matrices,
     target_state,
 )
 from clusterport.statevec import fidelity

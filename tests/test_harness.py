@@ -25,8 +25,8 @@ from clusterport import (
     RunConfig,
     Scheme,
     emit_report,
+    floatpath,
     harness,
-    measurement,
     run,
     table_lookup,
 )
@@ -42,8 +42,8 @@ from clusterport.harness import (
     run_montecarlo,
     run_verification,
 )
-from clusterport.measurement import SAMPLE_BLOCK, draw_index
-from clusterport.protocol import branch_maps, map_inputs, repair_matrices
+from clusterport.floatpath import SAMPLE_BLOCK, branch_maps, map_inputs, repair_matrices
+from clusterport.measurement import draw_index
 from clusterport.statevec import StateVector, format_state
 
 
@@ -275,7 +275,7 @@ class TestMonteCarlo:
             scheme=Scheme.ARBITRARY, mode="sample", trials=3 * SAMPLE_BLOCK + 5, seed=4
         )
         default = cell_counts(run_montecarlo(cfg))
-        monkeypatch.setattr(measurement, "SAMPLE_BLOCK", 3)
+        monkeypatch.setattr(floatpath, "SAMPLE_BLOCK", 3)
         assert cell_counts(run_montecarlo(cfg)) == default
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
@@ -308,7 +308,7 @@ class TestMonteCarlo:
         def stuck(u, first, second):
             return np.zeros(len(u), dtype=np.intp)
 
-        monkeypatch.setattr(measurement, "outcome_cells", stuck)
+        monkeypatch.setattr(floatpath, "outcome_cells", stuck)
         cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=2000, seed=0)
         report = run_montecarlo(cfg)
         assert cell_counts(report)[0] == 2000

@@ -5,14 +5,8 @@ import pytest
 
 from clusterport import BELL_OUTCOMES, BellOutcome, InputState, Scheme
 from clusterport.exact import BELL_SIGNS
-from clusterport.measurement import (
-    cell_thresholds,
-    draw_index,
-    index_thresholds,
-    outcome_cells,
-    project_bell,
-    sample_bell,
-)
+from clusterport.floatpath import cell_thresholds, index_thresholds, outcome_cells
+from clusterport.measurement import draw_index, project_bell, sample_bell
 from clusterport.protocol import assemble_total, cluster_state
 from clusterport.statevec import StateVector, fidelity, tensor
 from conftest import random_state

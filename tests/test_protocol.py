@@ -13,19 +13,21 @@ from clusterport import (
 )
 from clusterport.gates import apply_cz
 from clusterport.harness import MAX_RANDOM_INPUTS, run_enumeration
-from clusterport import protocol
-from clusterport.protocol import (
+from clusterport import floatpath
+from clusterport.floatpath import (
     BATCH_HASH_MIN,
-    apply_correction,
-    assemble_total,
     branch_maps,
     check_coeffs,
+    random_inputs,
+    repair_matrices,
+)
+from clusterport.protocol import (
+    apply_correction,
+    assemble_total,
     cluster_state,
     collapse_branch,
     make_input,
     random_input,
-    random_inputs,
-    repair_matrices,
     target_state,
 )
 from clusterport.statevec import StateVector, fidelity, format_state
@@ -313,9 +315,9 @@ class TestBatchDraw:
         # from it up, the batch hash does, to the same bits
         one_by_one = coeff_bits([random_input(scheme, [2**64 - 1, 0, k]) for k in range(count)])
         hashed = []
-        batch_hash = protocol._substream_states
+        batch_hash = floatpath._substream_states
         monkeypatch.setattr(
-            protocol, "_substream_states", lambda *a: hashed.append(a) or batch_hash(*a)
+            floatpath, "_substream_states", lambda *a: hashed.append(a) or batch_hash(*a)
         )
         batch = random_inputs(scheme, 2**64 - 1, count)
         assert [row.tobytes() for row in batch] == one_by_one

@@ -13,6 +13,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -36,8 +37,8 @@ PUBLIC_NAMES = [
     "table_lookup",
 ]
 
-# Reached through their modules only: the dense reference and the per-mode
-# runners.
+# Reached through their modules only: the numpy side of enumerate and
+# sample, the dense reference and the per-mode runners.
 MODULE_NAMES = {
     "exact": [
         "BELL_SIGNS",
@@ -47,9 +48,27 @@ MODULE_NAMES = {
         "branch_maps",
         "certified_repairs",
     ],
+    "floatpath": [
+        "BATCH_HASH_MIN",
+        "DISPLAY_TOL",
+        "PAULIS",
+        "SAMPLE_BLOCK",
+        "branch_maps",
+        "cell_thresholds",
+        "check_coeffs",
+        "display_rotation",
+        "format_states",
+        "index_thresholds",
+        "map_inputs",
+        "outcome_cells",
+        "random_inputs",
+        "repair_branches",
+        "repair_matrices",
+        "sample_outcome_pairs",
+    ],
     "statevec": ["fidelity", "format_state", "relabel", "tensor"],
-    "gates": ["PAULIS", "apply_cz"],
-    "measurement": ["ProjectionResult", "project_bell", "sample_bell"],
+    "gates": ["apply_cz"],
+    "measurement": ["ProjectionResult", "draw_index", "project_bell", "sample_bell"],
     "protocol": [
         "CHANNEL_LABELS",
         "INPUT_LABELS",
@@ -61,7 +80,6 @@ MODULE_NAMES = {
         "make_input",
         "pauli_pair_fidelities",
         "random_input",
-        "random_inputs",
         "target_state",
     ],
     "harness": ["run_derivation", "run_enumeration", "run_montecarlo", "run_verification"],
@@ -135,6 +153,27 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
     assert stdout == "[]\n"
 
 
+def test_enumerate_and_sample_never_run_the_dense_reference(tmp_path):
+    # a lazy module that has run is a plain module again; type() reads the
+    # class without running it
+    out = tmp_path / "report"
+    stdout = run_python(f"""
+import sys
+import types
+import clusterport.cli
+for scheme, coeffs in (("1", "0.6,0.8j"), ("2", "0.5,0.5,0.5,-0.5j")):
+    for mode in ("enumerate", "sample"):
+        for fmt in ("json", "csv", "text"):
+            for inputs in ([], ["--coeffs", coeffs]):
+                argv = [mode, "--scheme", scheme, "--format", fmt, *inputs, "--out", {str(out)!r}]
+                assert clusterport.cli.main(argv) == 0, argv
+dense = ("statevec", "gates", "measurement", "protocol")
+print([mod for mod in dense if type(sys.modules[f"clusterport.{{mod}}"]) is types.ModuleType])
+print("clusterport.floatpath" in sys.modules, "numpy" in sys.modules)
+""")
+    assert stdout == "[]\nTrue True\n"
+
+
 def test_bare_import_registers_every_tracer_module():
     # all but cli, the entry point, which the benchmark worker imports itself
     targets = sorted({mod for mod, _ in tracer_targets()} - {"cli"})
@@ -153,7 +192,7 @@ print("numpy" in sys.modules)
 
 
 def test_threads_share_the_first_load():
-    # each thread's first run loads protocol and numpy; none may see the
+    # each thread's first run loads floatpath and numpy; none may see the
     # module half run
     stdout = run_python("""
 import threading

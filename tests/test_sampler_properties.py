@@ -14,8 +14,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from clusterport import measurement  # noqa: E402
-from clusterport.measurement import sample_outcome_pairs  # noqa: E402
+from clusterport import floatpath  # noqa: E402
+from clusterport.floatpath import sample_outcome_pairs  # noqa: E402
 from test_harness import scalar_draw_counts  # noqa: E402
 
 TINY = 5e-324
@@ -39,7 +39,7 @@ cell_weights = st.one_of(
 @given(cell_weights, st.integers(1, 40), st.integers(1, 200), st.integers(0, 2**64 - 1))
 def test_counts_equal_the_scalar_loop(weights, block, trials, seed):
     # a block this small puts several block edges inside every run
-    with mock.patch.object(measurement, "SAMPLE_BLOCK", block):
+    with mock.patch.object(floatpath, "SAMPLE_BLOCK", block):
         counts = sample_outcome_pairs(weights, trials, [seed, 1])
     assert counts == scalar_draw_counts(weights, [seed, 1], [trials])[0]
 
@@ -47,6 +47,6 @@ def test_counts_equal_the_scalar_loop(weights, block, trials, seed):
 @settings(deadline=None, max_examples=4)
 @given(cell_weights, st.integers(0, 2**64 - 1))
 def test_counts_equal_the_scalar_loop_across_a_full_block(weights, seed):
-    trials = measurement.SAMPLE_BLOCK + 1
+    trials = floatpath.SAMPLE_BLOCK + 1
     counts = sample_outcome_pairs(weights, trials, [seed, 1])
     assert counts == scalar_draw_counts(weights, [seed, 1], [trials])[0]

@@ -3,17 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from clusterport.gates import PAULIS, apply_single
-from clusterport.statevec import (
-    DISPLAY_TOL,
-    StateVector,
-    display_rotation,
-    fidelity,
-    format_state,
-    format_states,
-    relabel,
-    tensor,
-)
+from clusterport.floatpath import DISPLAY_TOL, PAULIS, display_rotation, format_states
+from clusterport.gates import apply_single
+from clusterport.statevec import StateVector, fidelity, format_state, relabel, tensor
 from conftest import basis_ket, random_state
 from dense_oracle import ket_text
 
