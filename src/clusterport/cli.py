@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--random-inputs", type=int,
         help=f"seeded random inputs when --coeffs is absent (at most {MAX_RANDOM_INPUTS}; "
-        "memory grows with it, about 10 KB per input in a JSON report)",
+        "memory grows with it, about 11 KB per input in a JSON report and 4 to 5 KB in "
+        "CSV or text)",
     )
 
     p_sample = add_mode("sample", help="Monte Carlo over the measurement outcomes")

@@ -26,7 +26,8 @@ which is how ``sample_outcome_pairs`` draws its trials.
 
 Display forms are made for whole stacks of amplitude vectors at once:
 ``format_states`` rotates the stack in one array pass and formats each
-distinct vector once.
+distinct vector once.  Only the ``state`` of a report calls it, when first
+read.
 
 This module imports numpy, the standard library and ``exact`` only, so the
 dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
@@ -232,15 +233,18 @@ def map_inputs(maps: np.ndarray, inputs):
 def repair_branches(ops, scheme: Scheme, coeffs):
     """Every branch of every input, the coefficient rows ``coeffs`` of
     ``scheme``, after the repair ``ops`` lists for it, in cell order: the
-    inputs as an array, then probabilities, fidelities (arrays) and display
-    forms of the outputs (lists), indexed [input][cell]."""
+    inputs, then the probabilities and fidelities, indexed [input][cell],
+    and the repaired outputs scaled to unit norm, a read-only (inputs, 16,
+    4) stack that ``format_states`` turns into display forms."""
     amps = c = np.asarray(coeffs, dtype=np.complex128)
     if Scheme(scheme) is Scheme.SPECIAL:  # alpha|00> + delta|11>
         amps = np.zeros((len(c), 4), dtype=np.complex128)
         amps[:, [0, 3]] = c
     repaired = repair_matrices(ops) @ branch_maps().reshape(16, 4, 4)
     out, probs, fids = map_inputs(repaired, amps)
-    return c, probs, fids, format_states(out / np.sqrt(probs)[..., None])
+    out /= np.sqrt(probs)[..., None]
+    out.setflags(write=False)
+    return c, probs, fids, out
 
 
 _DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")

@@ -24,15 +24,17 @@ first use, and numpy with it; the top level of this module loads only
 ``exact`` and the standard library.
 
 ``enumerate`` works in whole columns: ``floatpath.random_inputs`` draws the
-inputs as one array, kept to the summaries, and one ``format_states`` call
-formats each distinct output once.  A report keeps the branch results as
-nested lists, indexed [input][cell] in ``_ALL_PAIRS`` cell order.  Each format
-writes an input's rows with one str.join, into the cell rows cut around
-their fields once per report, and formats each distinct float once; a JSON
-report is then joined once.  JSON verdict rows are one json.dumps call; a
-CSV verdict row, from csv.writer, has a column per row key but
-``subspace_only``.  ``emit_report`` writes a report in its config's
-``output_format`` only.
+inputs as one array, kept to the summaries.  A report keeps the
+probabilities and fidelities as nested lists, indexed [input][cell] in
+``_ALL_PAIRS`` cell order, and the repaired outputs as one read-only array;
+their display forms, ``state``, are formatted (one ``format_states`` call,
+each distinct output once) when first read, which only a JSON report does.
+Each format writes an input's rows with one str.join, into the cell rows
+cut around their fields once per report, and formats each distinct float
+once; a JSON report is then joined once.  JSON verdict rows are one
+json.dumps call; a CSV verdict row, from csv.writer, has a column per row
+key but ``subspace_only``.  ``emit_report`` writes a report in its
+config's ``output_format`` only.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7, output_format="json")
     report = run(cfg)
@@ -46,16 +48,23 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .exact import BELL_OUTCOMES, CorrectionOp, InputState, Scheme, certified_repairs, table_lookup
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODES = ("enumerate", "sample", "derive", "verify")
 FORMATS = ("json", "csv", "text")
 
 TOTAL_PROB_TOL = 1e-9
-# Cap on drawn enumerate inputs: a JSON enumerate peaks at about 10 KB per
-# input (16 probabilities, fidelities and states plus the report text), so
-# the cap bounds a run near 100 MB instead of growing until it is killed.
+# Cap on drawn enumerate inputs: a JSON enumerate peaks at about 11 KB per
+# input (16 probabilities, fidelities and states, the 1 KiB output stack
+# the report keeps, plus the report text; 108 MB at the cap for scheme 2)
+# and a CSV or text one, which formats no state, at 4 to 5 KB, so the cap
+# bounds a run near 100 MB instead of growing until it is killed.
 MAX_RANDOM_INPUTS = 10_000
 CSV_COLUMNS = ("outcome13", "outcome26", "probability", "fidelity", "correction")
 
@@ -119,12 +128,13 @@ class InputSummary:
 @dataclass(frozen=True)
 class Report:
     """Outcome of one run.  ``enumerate`` and ``sample`` reports keep their
-    branch results as nested lists, over 16 cells in ``BELL_OUTCOMES`` order,
-    the (1, 3) outcome major: ``corrections`` holds the repair applied in
-    each cell, ``probability``, ``fidelity`` and ``state`` are indexed
-    [input][cell], and ``count`` holds the 16 cell counts of a ``sample``
-    run.  ``derive`` and ``verify`` reports carry ``verdicts`` and no
-    branch results."""
+    branch results over 16 cells in ``BELL_OUTCOMES`` order, the (1, 3)
+    outcome major: ``corrections`` holds the repair applied in each cell,
+    ``probability`` and ``fidelity`` are nested lists indexed [input][cell],
+    ``outputs`` is the read-only (inputs, 16, 4) array of repaired unit
+    outputs on (4, 5), and ``count`` holds the 16 cell counts of a
+    ``sample`` run.  ``derive`` and ``verify`` reports carry ``verdicts``
+    and no branch results."""
 
     config: RunConfig
     inputs: tuple[InputSummary, ...]
@@ -133,13 +143,23 @@ class Report:
     corrections: tuple[CorrectionOp, ...] = ()
     probability: list[list[float]] = field(default_factory=list)
     fidelity: list[list[float]] = field(default_factory=list)
-    state: list[list[str]] = field(default_factory=list)
+    outputs: np.ndarray | None = field(default=None, compare=False, repr=False)
     count: list[int] | None = None
     schema = 4  # unannotated: a class constant, not a constructor field
 
     @property
     def passed(self) -> bool:
         return bool(self.aggregates.get("pass", False))
+
+    @cached_property
+    def state(self) -> list[list[str]]:
+        """The display form of each output, indexed [input][cell]
+        (``floatpath.format_states``), formatted on first read."""
+        if self.outputs is None:
+            return []
+        from . import floatpath  # loaded already: a run that made outputs used it
+
+        return floatpath.format_states(self.outputs)
 
 
 def _repaired_inputs(cfg: RunConfig):
@@ -161,7 +181,7 @@ def run_enumeration(cfg: RunConfig) -> Report:
     """Evaluate all 16 branches for every input."""
     if cfg.mode != "enumerate":
         raise ValueError(f"run_enumeration needs mode 'enumerate', got {cfg.mode!r}")
-    ops, coeffs, probs, fids, states = _repaired_inputs(cfg)
+    ops, coeffs, probs, fids, outputs = _repaired_inputs(cfg)
     totals = probs.cumsum(axis=1)[:, -1]  # left to right, as sum() of Python 3.11 adds
     worst_fids = fids.min(axis=1)
     summaries = tuple(
@@ -180,7 +200,7 @@ def run_enumeration(cfg: RunConfig) -> Report:
     }
     return Report(
         cfg, summaries, aggregates,
-        corrections=ops, probability=probs.tolist(), fidelity=fids.tolist(), state=states,
+        corrections=ops, probability=probs.tolist(), fidelity=fids.tolist(), outputs=outputs,
     )
 
 
@@ -196,13 +216,22 @@ def chi2_sf(x: float, dof: int) -> float:
     return min(total, 1.0)  # rounding can carry the sum a few ulps past 1
 
 
+def _sum_in_order(values) -> float:
+    """The floats ``values`` added left to right, as builtin sum() adds
+    them before Python 3.12 (from 3.12 it compensates, to other bits)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def run_montecarlo(cfg: RunConfig) -> Report:
     """Sample the two measurement outcomes ``trials`` times."""
     if cfg.mode != "sample":
         raise ValueError(f"run_montecarlo needs mode 'sample', got {cfg.mode!r}")
     from . import floatpath
 
-    ops, coeffs, probs, fids, states = _repaired_inputs(cfg)
+    ops, coeffs, probs, fids, outputs = _repaired_inputs(cfg)
     probs, fids = probs.tolist(), fids.tolist()
     counts = floatpath.sample_outcome_pairs(probs[0], cfg.trials, [cfg.seed, 1])
     drawn = [b for b in range(16) if counts[b]]
@@ -211,9 +240,10 @@ def run_montecarlo(cfg: RunConfig) -> Report:
     sigma = math.sqrt(p * (1.0 - p) / cfg.trials)
     max_dev = max(abs(n / cfg.trials - p) for n in counts)
     expected = cfg.trials * p
-    chi2 = sum((n - expected) ** 2 / expected for n in counts)
+    chi2 = _sum_in_order((n - expected) ** 2 / expected for n in counts)
     chi2_p = chi2_sf(chi2, 15)
-    summary = InputSummary(tuple(coeffs.tolist()[0]), sum(probs[0][b] for b in drawn), min_fid)
+    total = _sum_in_order(probs[0][b] for b in drawn)
+    summary = InputSummary(tuple(coeffs.tolist()[0]), total, min_fid)
     aggregates = {
         "trials": cfg.trials,
         "min_fidelity": min_fid,
@@ -230,7 +260,7 @@ def run_montecarlo(cfg: RunConfig) -> Report:
     }
     return Report(
         cfg, (summary,), aggregates,
-        corrections=ops, probability=probs, fidelity=fids, state=states, count=counts,
+        corrections=ops, probability=probs, fidelity=fids, outputs=outputs, count=counts,
     )
 
 
@@ -366,15 +396,15 @@ class _Fragments(dict):
         return text
 
 
-def _listed(report: Report):
+def _listed(report: Report, *columns):
     """The cells with a branch row, in cell order (a ``sample`` report lists
     only the cells it drew), each as its outcome texts, repair text and
-    count (None in ``enumerate``); then the probability, fidelity and state
-    columns over those cells, indexed [input][listed cell]."""
+    count (None in ``enumerate``); then each of the report's [input][cell]
+    ``columns`` over those cells, indexed [input][listed cell].  Only a
+    JSON report passes ``state``, so only it formats the outputs."""
     counts = report.count or [None] * len(report.corrections)
     listed = [b for b, n in enumerate(counts) if n != 0]
     cells = [(*_PAIR_NAMES[b], str(report.corrections[b]), counts[b]) for b in listed]
-    columns = (report.probability, report.fidelity, report.state)
     if len(listed) < len(counts):
         columns = tuple([[row[b] for b in listed] for row in col] for col in columns)
     return cells, *columns
@@ -401,7 +431,9 @@ def _input_rows(pieces: list, columns: tuple, sep: str) -> list[str]:
 
 
 def _emit_json(report: Report) -> str:
-    cells, probs, fids, states = _listed(report)
+    cells, probs, fids, states = _listed(
+        report, report.probability, report.fidelity, report.state
+    )
     f = _Fragments(_format_float).__getitem__
     trials = report.config.trials
     # no field needs JSON escaping: outcome and repair names, and display forms
@@ -443,7 +475,7 @@ def _emit_csv(report: Report) -> str:
         )
         return buf.getvalue()
     # no branch field needs quoting: outcome names, repairs and .17g floats
-    cells, probs, fids, _ = _listed(report)
+    cells, probs, fids = _listed(report, report.probability, report.fidelity)
     f = _Fragments(lambda x: format(x, ".17g")).__getitem__
     pieces = [(f"{o13},{o26},", ",", f",{op}") for o13, o26, op, _ in cells]
     rows = _input_rows(pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n")
@@ -459,7 +491,7 @@ def _emit_text(report: Report) -> str:
     for k, s in enumerate(report.inputs):
         coeffs = ", ".join(format_complex(c) for c in s.coeffs)
         lines.append(f"input {k}: {coeffs}")
-    cells, probs, fids, _ = _listed(report)
+    cells, probs, fids = _listed(report, report.probability, report.fidelity)
     if cells and probs:
         head = f"{'outcome13':<10}{'outcome26':<10}{'probability':<22}{'fidelity':<22}correction"
         if report.count is not None:

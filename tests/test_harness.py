@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import operator
+import sys
+import threading
 import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
@@ -386,6 +388,49 @@ class TestStateStrings:
         assert len({text for row in report.state for text in row}) == 100
         assert len(ket_calls) == 100
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    @pytest.mark.parametrize("mode", ["enumerate", "sample"])
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    def test_csv_and_text_format_no_state(self, ket_calls, scheme, mode, fmt):
+        report = run(RunConfig(scheme=scheme, mode=mode, trials=50, output_format=fmt))
+        emit_report(report)
+        assert ket_calls == []
+        assert not report.outputs.flags.writeable
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    def test_json_formats_each_distinct_output_once(self, ket_calls, scheme):
+        report = run_enumeration(enum_cfg(scheme=scheme, random_inputs=100, output_format="json"))
+        assert ket_calls == []
+        emit_report(report)
+        assert len(ket_calls) == 100
+        # a second read and a second JSON report format nothing more
+        assert len({text for row in report.state for text in row}) == 100
+        emit_report(report)
+        assert len(ket_calls) == 100
+
+    def test_replaced_report_shows_the_same_states(self):
+        report = run_enumeration(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=4))
+        json_report = replace(report, config=replace(report.config, output_format="json"))
+        assert json_report.state == report.state
+        assert len(report.state) == 4 and all(len(row) == 16 for row in report.state)
+
+    def test_concurrent_first_reads_agree(self):
+        report = run_enumeration(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=50))
+        expected = floatpath.format_states(report.outputs)
+        seen = []
+        threads = [threading.Thread(target=lambda: seen.append(report.state)) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [expected] * 6 and report.state == expected
+
     def test_unrepaired_states_match_the_dense_simulation(self, monkeypatch):
         monkeypatch.setattr(harness, "table_lookup", no_repair_table)
         monkeypatch.setattr(dense_oracle, "table_lookup", no_repair_table)
@@ -400,7 +445,7 @@ def signed_zero_report():
     return Report(
         enum_cfg(), (), {"pass": True},
         corrections=(CorrectionOp("I", "Z"),) * 16,
-        probability=[values], fidelity=[values], state=[["0"] * 16],
+        probability=[values], fidelity=[values], outputs=np.zeros((1, 16, 4)),
     )
 
 
@@ -529,6 +574,18 @@ class TestDeterminism:
             trials=200, seed=17, output_format="json",
         )
         assert emit_report(run(cfg)) == emit_report(run(cfg))
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    def test_sample_bytes_do_not_depend_on_builtin_sum(self, monkeypatch, scheme):
+        # from Python 3.12 builtin sum() compensates float sums; the report
+        # adds left to right, so a compensated sum must not move a byte
+        cfgs = [
+            RunConfig(scheme=scheme, mode="sample", trials=4000, seed=seed, output_format="json")
+            for seed in range(8)
+        ]
+        plain = [emit_report(run(cfg)) for cfg in cfgs]
+        monkeypatch.setattr(harness, "sum", math.fsum, raising=False)
+        assert [emit_report(run(cfg)) for cfg in cfgs] == plain
 
     def test_seed_changes_report(self):
         a = emit_report(run(enum_cfg(seed=1, output_format="json")))
