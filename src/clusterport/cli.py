@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="clusterport",
         description="Simulate two-qubit teleportation over a four-qubit cluster channel.",
     )
-    sub = parser.add_subparsers(dest="mode", required=True)
+    # each mode parses what the top level has already rewritten
+    sub = parser.add_subparsers(dest="mode", required=True, parser_class=argparse.ArgumentParser)
     # An option left out sets nothing, so the RunConfig default applies.
     add_mode = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
@@ -129,8 +130,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _write_report(path: Path, data: bytes) -> None:
-    """Write the report to ``path``.
+def _write_report(path: Path | None, data: bytes) -> None:
+    """Write the report to ``path``, or to stdout when ``path`` is None.
 
     A new or regular file is written through a sibling temp file that is
     then renamed over it, keeping its mode, so ``path`` never holds half a
@@ -138,6 +139,12 @@ def _write_report(path: Path, data: bytes) -> None:
     is written through in place: renaming over it would replace the link or
     the device node instead of writing to it.
     """
+    if path is None:
+        if sys.stdout is None:  # what Python leaves for a closed descriptor 1
+            raise OSError("stdout is closed")
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+        return
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
@@ -166,22 +173,12 @@ def main(argv=None) -> int:
     report = run(cfg)
     data = emit_report(report)
     out = getattr(args, "out", None)
-    if out is not None:
-        try:
-            _write_report(out, data)
-        except OSError as exc:
-            print(f"clusterport: cannot write report to {out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        try:
-            if sys.stdout is None:  # what Python leaves for a closed descriptor 1
-                raise OSError("stdout is closed")
-            sys.stdout.buffer.write(data)
-            sys.stdout.buffer.flush()
-        except OSError as exc:
-            print(f"clusterport: cannot write report: {exc.strerror or exc}", file=sys.stderr)
-            return 2
+    try:
+        _write_report(out, data)
+    except OSError as exc:
+        where = "" if out is None else f" to {out}"
+        print(f"clusterport: cannot write report{where}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0 if report.passed else 1
 
 

@@ -61,7 +61,8 @@ _CZ_DIAG = (1, 1, 1, -1)
 
 # Each Pauli as a monomial: P|b> = phases[b] |b xor flip>.
 _PAULI_ACTIONS = {"I": (0, (1, 1)), "X": (1, (1, 1)), "Y": (1, (1j, -1j)), "Z": (0, (1, -1))}
-# The basis inputs of each scheme, as indices over |00>, |01>, |10>, |11>.
+# The basis inputs of each scheme, as indices over |00>, |01>, |10>, |11>:
+# the one definition of the states a scheme's input spans.
 _BASIS_INPUTS = {Scheme.SPECIAL: (0, 3), Scheme.ARBITRARY: (0, 1, 2, 3)}
 
 
@@ -72,7 +73,8 @@ def _norm(coeffs) -> float:
 
 @dataclass(frozen=True)
 class InputState:
-    """Coefficients of the unknown state handed to the sender.
+    """Coefficients of the unknown state handed to the sender, one for each
+    basis input of its scheme (``_BASIS_INPUTS``), in that order.
 
     Scheme.SPECIAL carries (alpha, delta) for alpha|00> + delta|11>;
     Scheme.ARBITRARY carries (alpha, beta, gamma, delta) for the full
@@ -86,7 +88,7 @@ class InputState:
     def __post_init__(self) -> None:
         scheme = Scheme(self.scheme)
         coeffs = tuple(complex(c) for c in self.coeffs)
-        expected = 2 if scheme is Scheme.SPECIAL else 4
+        expected = len(_BASIS_INPUTS[scheme])
         if len(coeffs) != expected:
             raise ValueError(
                 f"scheme {int(scheme)} takes {expected} coefficients, got {len(coeffs)}"
@@ -114,11 +116,10 @@ class InputState:
 
     @property
     def amps(self) -> tuple[complex, ...]:
-        """Amplitudes over |00>, |01>, |10>, |11> of particles (1, 2)."""
-        if self.scheme is Scheme.SPECIAL:
-            alpha, delta = self.coeffs
-            return (alpha, 0j, 0j, delta)
-        return self.coeffs
+        """Amplitudes over |00>, |01>, |10>, |11> of particles (1, 2): the
+        coefficients on the scheme's basis inputs, 0 on the others."""
+        amps = dict(zip(_BASIS_INPUTS[self.scheme], self.coeffs))
+        return tuple(amps.get(i, 0j) for i in range(4))
 
 
 @dataclass(frozen=True)

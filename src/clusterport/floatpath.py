@@ -11,7 +11,8 @@ inputs of a run in one batch: input n still reads its own stream
 ``default_rng([seed, 0, n])``, but from ``BATCH_HASH_MIN`` inputs up the
 SeedSequence hash that seeds those streams runs for every n in one array
 pass, to the same bits; it returns one array of coefficient rows, normed
-and checked (``check_coeffs``) at once.
+and checked (``check_coeffs``) at once.  Both read the basis states a
+scheme's input spans from ``exact._BASIS_INPUTS``.
 
 The sampler draws an index from cumulative weights as
 ``measurement.draw_index`` does: the first index whose cumulative weight b
@@ -167,8 +168,9 @@ def random_inputs(scheme: Scheme, seed: int, count: int) -> np.ndarray:
     SeedSequence state seeds its own PCG64 stream to draw its row, and the
     rows are normalized and checked in one pass.  From BATCH_HASH_MIN inputs
     up, the states of every input are hashed in one pass; below,
-    SeedSequence hashes each one, to the same bits."""
-    k = 2 if Scheme(scheme) is Scheme.SPECIAL else 4
+    SeedSequence hashes each one, to the same bits.  A row holds one
+    coefficient for each of the scheme's basis inputs (``exact._BASIS_INPUTS``)."""
+    k = len(exact._BASIS_INPUTS[Scheme(scheme)])
     x = np.empty((count, 2 * k))
     if count < BATCH_HASH_MIN:
         seeds = ([seed, 0, n] for n in range(count))
@@ -232,14 +234,14 @@ def map_inputs(maps: np.ndarray, inputs):
 
 def repair_branches(ops, scheme: Scheme, coeffs):
     """Every branch of every input, the coefficient rows ``coeffs`` of
-    ``scheme``, after the repair ``ops`` lists for it, in cell order: the
-    inputs, then the probabilities and fidelities, indexed [input][cell],
-    and the repaired outputs scaled to unit norm, a read-only (inputs, 16,
-    4) stack that ``format_states`` turns into display forms."""
-    amps = c = np.asarray(coeffs, dtype=np.complex128)
-    if Scheme(scheme) is Scheme.SPECIAL:  # alpha|00> + delta|11>
-        amps = np.zeros((len(c), 4), dtype=np.complex128)
-        amps[:, [0, 3]] = c
+    ``scheme`` (one column per basis input, ``exact._BASIS_INPUTS``), after
+    the repair ``ops`` lists for it, in cell order: the inputs, then the
+    probabilities and fidelities, indexed [input][cell], and the repaired
+    outputs scaled to unit norm, a read-only (inputs, 16, 4) stack that
+    ``format_states`` turns into display forms."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    amps = np.zeros((len(c), 4), dtype=np.complex128)
+    amps[:, exact._BASIS_INPUTS[Scheme(scheme)]] = c
     repaired = repair_matrices(ops) @ branch_maps().reshape(16, 4, 4)
     out, probs, fids = map_inputs(repaired, amps)
     out /= np.sqrt(probs)[..., None]

@@ -32,9 +32,9 @@ each distinct output once) when first read, which only a JSON report does.
 Each format writes an input's rows with one str.join, into the cell rows
 cut around their fields once per report, and formats each distinct float
 once; a JSON report is then joined once.  JSON verdict rows are one
-json.dumps call; a CSV verdict row, from csv.writer, has a column per row
-key but ``subspace_only``.  ``emit_report`` writes a report in its
-config's ``output_format`` only.
+json.dumps call; a CSV verdict row has a column per row key but
+``subspace_only``, joined like a branch row: no CSV field needs quoting.
+``emit_report`` writes a report in its config's ``output_format`` only.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7, output_format="json")
     report = run(cfg)
@@ -43,18 +43,12 @@ config's ``output_format`` only.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .exact import BELL_OUTCOMES, CorrectionOp, InputState, Scheme, certified_repairs, table_lookup
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MODES = ("enumerate", "sample", "derive", "verify")
 FORMATS = ("json", "csv", "text")
@@ -464,22 +458,21 @@ def _emit_json(report: Report) -> str:
 
 
 def _emit_csv(report: Report) -> str:
+    # no field needs quoting: outcome, verdict and repair names (a list of
+    # repairs joined by '|'), and .17g floats
     if report.verdicts is not None:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        keys = [key for key in report.verdicts[0] if key != "subspace_only"]
-        w.writerow(keys)
-        w.writerows(
-            [row[key] if isinstance(row[key], str) else "|".join(row[key]) for key in keys]
+        header = [key for key in report.verdicts[0] if key != "subspace_only"]
+        rows = [
+            ",".join(v if isinstance(v, str) else "|".join(v) for v in map(row.get, header))
             for row in report.verdicts
-        )
-        return buf.getvalue()
-    # no branch field needs quoting: outcome names, repairs and .17g floats
-    cells, probs, fids = _listed(report, report.probability, report.fidelity)
-    f = _Fragments(lambda x: format(x, ".17g")).__getitem__
-    pieces = [(f"{o13},{o26},", ",", f",{op}") for o13, o26, op, _ in cells]
-    rows = _input_rows(pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n")
-    return "\n".join([",".join(CSV_COLUMNS), *rows, ""])
+        ]
+    else:
+        header = CSV_COLUMNS
+        cells, probs, fids = _listed(report, report.probability, report.fidelity)
+        f = _Fragments(lambda x: format(x, ".17g")).__getitem__
+        pieces = [(f"{o13},{o26},", ",", f",{op}") for o13, o26, op, _ in cells]
+        rows = _input_rows(pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n")
+    return "\n".join([",".join(header), *rows, ""])
 
 
 def _emit_text(report: Report) -> str:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from clusterport import BellOutcome, CorrectionOp, Scheme, exact, harness
+from clusterport import BellOutcome, CorrectionOp, Scheme, cli, exact, harness
 from clusterport.cli import _config_from, _parse_coeffs, build_parser, main
 from clusterport.harness import MAX_RANDOM_INPUTS, MODES, RunConfig
 from test_corrections import reject_everything
@@ -82,6 +82,17 @@ class TestParser:
             build_parser().parse_args(["enumerate", "--help"])
         assert exc.value.code == 0
         assert f"at most {MAX_RANDOM_INPUTS}" in " ".join(capsys.readouterr().out.split())
+
+    def test_negative_coeffs_are_rewritten_once_per_parse(self, capsys, monkeypatch):
+        # the mode parsers parse what the top level has already rewritten
+        calls = []
+        rewrite = cli._joins_negative_coeffs
+        monkeypatch.setattr(cli, "_joins_negative_coeffs",
+                            lambda args: calls.append(args) or rewrite(args))
+        code, _, err = run_main(
+            capsys, "enumerate", "--scheme", "1", "--coeffs", "-0.6,0.8", "--format", "csv",
+        )
+        assert (code, err, len(calls)) == (0, "", 1)
 
 
 class TestNegativeCoeffs:
@@ -377,6 +388,18 @@ class TestMain:
         assert out == ""
         doc = json.loads(dest.read_text())
         assert doc["schema"] == 4
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("scheme", ["1", "2"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stdout_and_out_get_the_same_bytes(self, capsysbinary, tmp_path, mode, scheme, fmt):
+        argv = [mode, "--scheme", scheme, "--format", fmt, "--seed", "7"]
+        assert main(argv) == 0
+        printed = capsysbinary.readouterr()
+        dest = tmp_path / "report"
+        assert main([*argv, "--out", str(dest)]) == 0
+        assert capsysbinary.readouterr() == (b"", b"")
+        assert printed.err == b"" and dest.read_bytes() == printed.out
 
     def test_out_into_missing_directory_exit_2(self, capsys, tmp_path):
         dest = tmp_path / "missing" / "report.json"

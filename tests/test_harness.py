@@ -449,6 +449,16 @@ def signed_zero_report():
     )
 
 
+def mismatch_verify_report():
+    # a cell in which nothing is derived and the table lists two repairs
+    row = {
+        "outcome13": "Phi+", "outcome26": "Phi+", "verdict": "mismatch",
+        "derived": [], "listed": ["IZ", "ZI"], "subspace_only": ["IZ", "ZI"],
+    }
+    return Report(RunConfig(scheme=Scheme.SPECIAL, mode="verify"), (), {"pass": False},
+                  verdicts=(row,))
+
+
 def csv_writer_text(rows):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -473,19 +483,33 @@ class TestRowTemplates:
         # 5 trials leave at least 11 of the 16 cells undrawn
         lambda: run(RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=5, seed=3)),
         signed_zero_report,
-    ], ids=["enumerate-1", "enumerate-2", "sample-undrawn", "signed-zeros"])
+        *(lambda mode=mode, scheme=scheme: run(RunConfig(scheme=scheme, mode=mode))
+          for mode in ("derive", "verify") for scheme in Scheme),
+        mismatch_verify_report,
+    ], ids=["enumerate-1", "enumerate-2", "sample-undrawn", "signed-zeros",
+            "derive-1", "derive-2", "verify-1", "verify-2", "verify-mismatch"])
     def test_csv_rows_are_what_csv_writer_writes(self, make):
-        # branch rows are joined by hand, unquoted; they must read back as
-        # the cells, and be the bytes csv.writer writes for those cells
+        # rows are joined by hand, unquoted; they must read back as the
+        # cells, and be the bytes csv.writer writes for those cells
         report = make()
         text = emit_as(report, "csv").decode()
-        cells = [list(CSV_COLUMNS)] + [
-            [row.outcome13.value, row.outcome26.value, format(row.probability, ".17g"),
-             format(row.fidelity, ".17g"), str(row.correction)]
-            for row in dense_oracle.report_rows(report)
-        ]
-        listed = 16 if report.count is None else sum(map(bool, report.count))
-        assert len(cells) == 1 + len(report.probability) * listed
+        if report.verdicts is None:
+            cells = [list(CSV_COLUMNS)] + [
+                [row.outcome13.value, row.outcome26.value, format(row.probability, ".17g"),
+                 format(row.fidelity, ".17g"), str(row.correction)]
+                for row in dense_oracle.report_rows(report)
+            ]
+            listed = 16 if report.count is None else sum(map(bool, report.count))
+            assert len(cells) == 1 + len(report.probability) * listed
+        else:
+            keys = ["outcome13", "outcome26", "verdict", "derived", "listed"]
+            if report.config.mode == "derive":
+                keys.remove("verdict")
+            cells = [keys] + [
+                [row[key] if key not in ("derived", "listed") else "|".join(row[key])
+                 for key in keys]
+                for row in report.verdicts
+            ]
         assert list(csv.reader(io.StringIO(text))) == cells
         assert text == csv_writer_text(cells)
 

@@ -126,19 +126,21 @@ def test_names_the_benchmark_rebinds_resolve():
     assert clusterport.harness._RUNNERS["sample"] is clusterport.harness.run_montecarlo
 
 
-def run_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter that imports this package and
-    these tests; its standard output."""
+def run_python(code: str, *flags: str) -> str:
+    """Run ``code`` in a fresh interpreter, started with ``flags``, that
+    imports this package and these tests; its standard output."""
     src = Path(clusterport.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(HERE)])}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_derive_and_verify_never_load_numpy(tmp_path):
+    # nor csv nor typing; -S, so that no .pth file in site-packages loads
+    # them before the package does
     out = tmp_path / "report"
     stdout = run_python(f"""
 import sys
@@ -148,8 +150,8 @@ for scheme in ("1", "2"):
         for fmt in ("json", "csv", "text"):
             argv = [mode, "--scheme", scheme, "--format", fmt, "--out", {str(out)!r}]
             assert clusterport.cli.main(argv) == 0, argv
-print(sorted(name for name in sys.modules if name.split(".")[0] == "numpy"))
-""")
+print(sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "csv", "typing")))
+""", "-S")
     assert stdout == "[]\n"
 
 
