@@ -7,13 +7,13 @@ written.
 
 from __future__ import annotations
 
+import _thread
 import argparse
 import functools
 import os
 import re
 import stat
 import sys
-from pathlib import Path
 
 from .harness import FORMATS, MAX_RANDOM_INPUTS, RunConfig, emit_report, run
 from .exact import InputState, Scheme
@@ -66,7 +66,7 @@ def _add_common(p: argparse.ArgumentParser, with_input: bool) -> None:
     )
     p.add_argument("--seed", type=int, help="base seed for all randomness")
     p.add_argument("--format", choices=FORMATS, dest="output_format")
-    p.add_argument("--out", type=Path, help="write the report here instead of stdout")
+    p.add_argument("--out", help="write the report here instead of stdout")
     if with_input:
         p.add_argument(
             "--coeffs", type=_parse_coeffs, dest="input_coeffs", metavar="LIST",
@@ -130,14 +130,16 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _write_report(path: Path | None, data: bytes) -> None:
+def _write_report(path: str | None, data: bytes) -> None:
     """Write the report to ``path``, or to stdout when ``path`` is None.
 
     A new or regular file is written through a sibling temp file that is
     then renamed over it, keeping its mode, so ``path`` never holds half a
-    report.  Anything else (a symlink, a device such as /dev/null, a FIFO)
-    is written through in place: renaming over it would replace the link or
-    the device node instead of writing to it.
+    report.  The temp name carries the process and thread ids, so two
+    writers of one ``path`` never share it.  Anything else (a symlink, a
+    device such as /dev/null, a FIFO) is written through in place: renaming
+    over it would replace the link or the device node instead of writing to
+    it.
     """
     if path is None:
         if sys.stdout is None:  # what Python leaves for a closed descriptor 1
@@ -150,16 +152,22 @@ def _write_report(path: Path | None, data: bytes) -> None:
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        path.write_bytes(data)
+        with open(path, "wb") as f:
+            f.write(data)
         return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{_thread.get_ident()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as f:
+            f.write(data)
         if mode is not None:
             os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except OSError:
-        tmp.unlink(missing_ok=True)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
         raise
 
 

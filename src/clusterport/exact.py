@@ -5,8 +5,12 @@ Every 4K is a signed permutation, and a repair (a Pauli pair, after a
 controlled-phase for scheme 2) is monomial with phases in {1, -1, i, -i}:
 Clifford/Pauli structure (Gottesman, quant-ph/9807006).  So deriving and
 verifying the tables needs Python integers only, and a ``derive`` or
-``verify`` run never loads numpy.  ``protocol`` builds the float maps and
+``verify`` run never loads numpy.  ``floatpath`` builds the float maps and
 repair matrices of ``enumerate`` and ``sample`` from these constants.
+
+The records here and in ``harness`` are named tuples that validate in
+``__new__``, ``_replace`` included (``_record``).  They load nothing beyond
+``collections``, where dataclasses would load ``inspect``, ``ast`` and ``dis``.
 
 Particle numbering and the channel are described in ``protocol``.  A
 register of two particles is indexed 2a + b, the first particle owning the
@@ -19,7 +23,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 COEFF_TOL = 1e-9
 PAULI_NAMES = ("I", "X", "Y", "Z")
@@ -66,13 +70,21 @@ _PAULI_ACTIONS = {"I": (0, (1, 1)), "X": (1, (1, 1)), "Y": (1, (1j, -1j)), "Z": 
 _BASIS_INPUTS = {Scheme.SPECIAL: (0, 3), Scheme.ARBITRARY: (0, 1, 2, 3)}
 
 
+def _record(typename: str, field_names: str) -> type:
+    """A named-tuple class whose ``_make``, and so ``_replace``, builds
+    through the subclass's ``__new__``: a record validates however it is
+    built."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
 def _norm(coeffs) -> float:
     """Euclidean norm; math.hypot neither overflows nor underflows midway."""
     return math.hypot(*(x for c in coeffs for x in (c.real, c.imag)))
 
 
-@dataclass(frozen=True)
-class InputState:
+class InputState(_record("InputState", "scheme coeffs")):
     """Coefficients of the unknown state handed to the sender, one for each
     basis input of its scheme (``_BASIS_INPUTS``), in that order.
 
@@ -82,12 +94,11 @@ class InputState:
     normalized; see ``renormalized`` for unscaled input.
     """
 
-    scheme: Scheme
-    coeffs: tuple[complex, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        scheme = Scheme(self.scheme)
-        coeffs = tuple(complex(c) for c in self.coeffs)
+    def __new__(cls, scheme: Scheme, coeffs) -> "InputState":
+        scheme = Scheme(scheme)
+        coeffs = tuple(complex(c) for c in coeffs)
         expected = len(_BASIS_INPUTS[scheme])
         if len(coeffs) != expected:
             raise ValueError(
@@ -99,8 +110,7 @@ class InputState:
         norm_sq = norm * norm
         if abs(norm_sq - 1.0) > COEFF_TOL:
             raise ValueError(f"coefficients not normalized: squared magnitudes sum to {norm_sq}")
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "coeffs", coeffs)
+        return tuple.__new__(cls, (scheme, coeffs))
 
     @classmethod
     def renormalized(cls, scheme: Scheme, coeffs) -> "InputState":
@@ -122,20 +132,18 @@ class InputState:
         return tuple(amps.get(i, 0j) for i in range(4))
 
 
-@dataclass(frozen=True)
-class CorrectionOp:
+class CorrectionOp(_record("CorrectionOp", "p4 p5 cz_first")):
     """Feed-forward repair of one branch: optional CZ(4,5), then one Pauli
     on each output qubit.  Prints as e.g. ``IZ`` or ``CZ+IZ`` with the
     first letter acting on particle 4 and the second on particle 5."""
 
-    p4: str
-    p5: str
-    cz_first: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for p in (self.p4, self.p5):
+    def __new__(cls, p4: str, p5: str, cz_first: bool = False) -> "CorrectionOp":
+        for p in (p4, p5):
             if p not in PAULI_NAMES:
                 raise ValueError(f"unknown Pauli label {p!r}")
+        return tuple.__new__(cls, (p4, p5, cz_first))
 
     def __str__(self) -> str:
         pair = f"{self.p4}{self.p5}"

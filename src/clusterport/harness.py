@@ -21,7 +21,7 @@ nowhere else, and ``verify`` passes only when every cell is exact.
 ``enumerate`` and ``sample`` take the input draw, the float maps, the
 repairs and the sampler from ``floatpath``, which their runners import on
 first use, and numpy with it; the top level of this module loads only
-``exact`` and the standard library.
+``exact`` and the standard library, and ``json`` waits for the JSON emitter.
 
 ``enumerate`` works in whole columns: ``floatpath.random_inputs`` draws the
 inputs as one array, kept to the summaries.  A report keeps the
@@ -43,12 +43,13 @@ json.dumps call; a CSV verdict row has a column per row key but
 
 from __future__ import annotations
 
-import json
+import functools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
 
-from .exact import BELL_OUTCOMES, CorrectionOp, InputState, Scheme, certified_repairs, table_lookup
+from .exact import (
+    BELL_OUTCOMES, CorrectionOp, InputState, Scheme, _record, certified_repairs, table_lookup,
+)
 
 MODES = ("enumerate", "sample", "derive", "verify")
 FORMATS = ("json", "csv", "text")
@@ -64,7 +65,6 @@ CSV_COLUMNS = ("outcome13", "outcome26", "probability", "fidelity", "correction"
 
 _ALL_PAIRS = tuple((a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES)
 _PAIR_NAMES = [(o13.value, o26.value) for o13, o26 in _ALL_PAIRS]
-_dumps = json.JSONEncoder(separators=(",", ":")).encode  # compact json.dumps
 
 # Threshold on the p-value of the chi-square test that gates sampling: its
 # false-alarm rate for many trials.  Counts are discrete, so at few trials
@@ -73,54 +73,53 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode  # compact json.dumps
 CHI2_ALPHA = 1e-9
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_record(
+    "RunConfig",
+    "scheme mode input_coeffs random_inputs trials seed fidelity_tol output_format",
+)):
     """Everything a run needs; reports depend on nothing else."""
 
-    scheme: Scheme
-    mode: str
-    input_coeffs: tuple[complex, ...] | None = None
-    random_inputs: int = 100
-    trials: int = 16000
-    seed: int = 0
-    fidelity_tol: float = 1e-10
-    output_format: str = "text"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.output_format!r}")
-        if self.input_coeffs is not None:
-            coeffs = tuple(complex(c) for c in self.input_coeffs)
-            InputState(self.scheme, coeffs)  # validates count and normalization
-            object.__setattr__(self, "input_coeffs", coeffs)
+    def __new__(
+        cls, scheme: Scheme, mode: str, input_coeffs=None, random_inputs: int = 100,
+        trials: int = 16000, seed: int = 0, fidelity_tol: float = 1e-10,
+        output_format: str = "text",
+    ) -> "RunConfig":
+        scheme = Scheme(scheme)
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if output_format not in FORMATS:
+            raise ValueError(f"format must be one of {FORMATS}, got {output_format!r}")
+        if input_coeffs is not None:
+            input_coeffs = tuple(complex(c) for c in input_coeffs)
+            InputState(scheme, input_coeffs)  # validates count and normalization
         # type(), not isinstance(): a bool is an int, and JSON would write it as true or false
-        if type(self.trials) is not int or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if type(self.random_inputs) is not int or self.random_inputs < 1:
-            raise ValueError(f"random_inputs must be a positive integer, got {self.random_inputs!r}")
-        if self.random_inputs > MAX_RANDOM_INPUTS:
+        if type(trials) is not int or trials < 1:
+            raise ValueError(f"trials must be a positive integer, got {trials!r}")
+        if type(random_inputs) is not int or random_inputs < 1:
+            raise ValueError(f"random_inputs must be a positive integer, got {random_inputs!r}")
+        if random_inputs > MAX_RANDOM_INPUTS:
             raise ValueError(
-                f"random_inputs must be at most {MAX_RANDOM_INPUTS}, got {self.random_inputs}"
+                f"random_inputs must be at most {MAX_RANDOM_INPUTS}, got {random_inputs}"
             )
-        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "fidelity_tol", float(self.fidelity_tol))
-        if not 0.0 <= self.fidelity_tol < 1.0:
-            raise ValueError(f"fidelity tolerance must lie in [0, 1), got {self.fidelity_tol!r}")
+        if type(seed) is not int or not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        fidelity_tol = float(fidelity_tol)
+        if not 0.0 <= fidelity_tol < 1.0:
+            raise ValueError(f"fidelity tolerance must lie in [0, 1), got {fidelity_tol!r}")
+        return tuple.__new__(cls, (
+            scheme, mode, input_coeffs, random_inputs, trials, seed, fidelity_tol, output_format,
+        ))
 
 
-@dataclass(frozen=True)
-class InputSummary:
-    coeffs: tuple[complex, ...]
-    total_probability: float
-    min_fidelity: float
+InputSummary = namedtuple("InputSummary", "coeffs total_probability min_fidelity")
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_record(
+    "Report",
+    "config inputs aggregates verdicts corrections probability fidelity outputs count",
+)):
     """Outcome of one run.  ``enumerate`` and ``sample`` reports keep their
     branch results over 16 cells in ``BELL_OUTCOMES`` order, the (1, 3)
     outcome major: ``corrections`` holds the repair applied in each cell,
@@ -128,24 +127,36 @@ class Report:
     ``outputs`` is the read-only (inputs, 16, 4) array of repaired unit
     outputs on (4, 5), and ``count`` holds the 16 cell counts of a
     ``sample`` run.  ``derive`` and ``verify`` reports carry ``verdicts``
-    and no branch results."""
+    and no branch results.  Reports that differ only in ``outputs`` are
+    equal."""
 
-    config: RunConfig
-    inputs: tuple[InputSummary, ...]
-    aggregates: dict
-    verdicts: tuple[dict, ...] | None = None
-    corrections: tuple[CorrectionOp, ...] = ()
-    probability: list[list[float]] = field(default_factory=list)
-    fidelity: list[list[float]] = field(default_factory=list)
-    outputs: np.ndarray | None = field(default=None, compare=False, repr=False)
-    count: list[int] | None = None
-    schema = 4  # unannotated: a class constant, not a constructor field
+    # no __slots__: the instance dict holds the cached ``state``
+    schema = 4  # a class constant, not a field
+
+    def __new__(
+        cls, config: RunConfig, inputs: tuple, aggregates: dict, verdicts=None,
+        corrections: tuple = (), probability=None, fidelity=None, outputs=None, count=None,
+    ) -> "Report":
+        # a derive or verify report gets lists of its own, no shared default
+        return tuple.__new__(cls, (
+            config, inputs, aggregates, verdicts, corrections,
+            [] if probability is None else probability, [] if fidelity is None else fidelity,
+            outputs, count,
+        ))
+
+    def __eq__(self, other):
+        if not isinstance(other, Report):
+            return NotImplemented
+        return self[:7] == other[:7] and self[8:] == other[8:]  # all but outputs
+
+    def __ne__(self, other):
+        return not self == other
 
     @property
     def passed(self) -> bool:
         return bool(self.aggregates.get("pass", False))
 
-    @cached_property
+    @functools.cached_property
     def state(self) -> list[list[str]]:
         """The display form of each output, indexed [input][cell]
         (``floatpath.format_states``), formatted on first read."""
@@ -357,11 +368,20 @@ def _format_float(x: float) -> str:
     return s
 
 
+@functools.cache
+def _compact_dumps():
+    """Compact json.dumps, its encoder built on the first JSON report."""
+    import json  # here, so a CSV or text run never loads it
+
+    return json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _json_items(values: dict) -> str:
     """The members of a flat JSON object: floats as ``_format_float``
     writes them, everything else as compact json.dumps does."""
+    dumps = _compact_dumps()
     return ",".join(
-        f'"{key}":{_format_float(v) if isinstance(v, float) else _dumps(v)}'
+        f'"{key}":{_format_float(v) if isinstance(v, float) else dumps(v)}'
         for key, v in values.items()
     )
 
@@ -453,7 +473,7 @@ def _emit_json(report: Report) -> str:
         ',"branches":[',
         *branches,
         f'],"aggregates":{{{_json_items(report.aggregates)},"inputs":[{inputs}]}}'
-        f',"verdicts":{_dumps(report.verdicts)}}}\n',
+        f',"verdicts":{_compact_dumps()(report.verdicts)}}}\n',
     ])
 
 

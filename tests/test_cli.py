@@ -1,10 +1,10 @@
 import argparse
-import dataclasses
 import errno
 import json
 import os
 import stat
 import sys
+import threading
 
 import pytest
 
@@ -67,7 +67,7 @@ class TestParser:
         # a stray dest would make RunConfig(**fields) raise TypeError, a
         # traceback instead of exit 2; a parser default would shadow RunConfig's
         sub = build_parser()._subparsers._group_actions[0].choices[mode]
-        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        fields = set(RunConfig._fields)
         assert {a.dest for a in sub._actions} - {"help", "out", "renormalize"} <= fields
         assert all(a.default is argparse.SUPPRESS for a in sub._actions)
 
@@ -440,6 +440,41 @@ class TestMain:
         assert code == 0
         assert stat.S_IMODE(dest.stat().st_mode) == 0o640
         assert dest.read_text().startswith("outcome13,outcome26,derived,listed\n")
+
+    def test_two_threads_writing_one_out_both_publish_a_whole_report(
+        self, capsysbinary, monkeypatch, tmp_path
+    ):
+        # both writers finish their temp files before either renames: with a
+        # shared temp name the second open truncates the first writer's file,
+        # and one rename finds nothing left to move
+        argvs = [["derive", "--scheme", "2", "--format", "json", "--seed", s] for s in "12"]
+        expected = []
+        for argv in argvs:
+            assert main(argv) == 0
+            expected.append(capsysbinary.readouterr().out)
+        dest = tmp_path / "report.json"
+        barrier = threading.Barrier(2, timeout=30)
+        replace = os.replace
+
+        def held_replace(src, dst):
+            barrier.wait()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", held_replace)
+        codes = [None, None]
+
+        def write(i):
+            codes[i] = main([*argvs[i], "--out", str(dest)])
+
+        threads = [threading.Thread(target=write, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == [0, 0], capsysbinary.readouterr().err
+        assert dest.read_bytes() in expected
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_out_through_symlink_writes_its_target(self, capsys, tmp_path):
         target = tmp_path / "real.csv"

@@ -10,7 +10,6 @@ import sys
 import threading
 import tracemalloc
 from collections import defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,6 +22,7 @@ from clusterport import (
     BellOutcome,
     CorrectionOp,
     InputState,
+    InputSummary,
     Report,
     RunConfig,
     Scheme,
@@ -66,7 +66,7 @@ def no_repair_table(scheme, o13, o26):
 def emit_as(report, fmt):
     """``report`` serialized in ``fmt``, under a copy of its config that
     asks for that format."""
-    return emit_report(replace(report, config=replace(report.config, output_format=fmt)))
+    return emit_report(report._replace(config=report.config._replace(output_format=fmt)))
 
 
 def enum_cfg(**kw):
@@ -410,7 +410,7 @@ class TestStateStrings:
 
     def test_replaced_report_shows_the_same_states(self):
         report = run_enumeration(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=4))
-        json_report = replace(report, config=replace(report.config, output_format="json"))
+        json_report = report._replace(config=report.config._replace(output_format="json"))
         assert json_report.state == report.state
         assert len(report.state) == 4 and all(len(row) == 16 for row in report.state)
 
@@ -518,7 +518,7 @@ class TestRowTemplates:
         # encoded: about two copies at the peak, not three or more
         report = run(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=2000, seed=5))
         for fmt in FORMATS:
-            emitted = replace(report, config=replace(report.config, output_format=fmt))
+            emitted = report._replace(config=report.config._replace(output_format=fmt))
             tracemalloc.start()
             try:
                 size = len(emit_report(emitted))
@@ -759,6 +759,57 @@ class TestReportObject:
     def test_passed_defaults_false_without_aggregate(self):
         r = Report(enum_cfg(), (), {})
         assert not r.passed
+
+
+RECORDS = {
+    "RunConfig": lambda: RunConfig(Scheme.ARBITRARY, "derive"),
+    "InputSummary": lambda: InputSummary((0.6 + 0j, 0.8j), 1.0, 1.0),
+    "InputState": lambda: InputState(Scheme.SPECIAL, (0.6, 0.8j)),
+    "CorrectionOp": lambda: CorrectionOp("I", "Z"),
+    "Report": lambda: run(RunConfig(Scheme.SPECIAL, "enumerate", random_inputs=2)),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_fields_are_read_only(self, name):
+        record = RECORDS[name]()
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        again = record._replace()
+        assert type(again) is type(record) and again == record
+
+    @pytest.mark.parametrize("record,change", [
+        (RunConfig(Scheme.SPECIAL, "sample"), {"trials": 0}),
+        (CorrectionOp("I", "Z"), {"p4": "Q"}),
+        (InputState(Scheme.SPECIAL, (0.6, 0.8)), {"coeffs": (1, 1)}),
+    ], ids=["RunConfig", "CorrectionOp", "InputState"])
+    def test_replace_validates_as_the_constructor_does(self, record, change):
+        with pytest.raises(ValueError) as built:
+            type(record)(**{**record._asdict(), **change})
+        with pytest.raises(ValueError) as replaced:
+            record._replace(**change)
+        assert str(replaced.value) == str(built.value)
+
+    def test_replace_coerces_as_the_constructor_does(self):
+        cfg = RunConfig(Scheme.SPECIAL, "sample")._replace(scheme=2, fidelity_tol=0)
+        assert cfg.scheme is Scheme.ARBITRARY
+        assert type(cfg.fidelity_tol) is float
+
+    def test_reports_differing_only_in_outputs_are_equal(self):
+        report = RECORDS["Report"]()
+        other = report._replace(outputs=np.zeros_like(report.outputs))
+        assert report == other and not report != other
+        assert report != report._replace(count=[1] * 16)
+        assert report != report._replace(fidelity=[])
+
+    def test_correction_ops_are_set_members_and_dict_keys(self):
+        iz, also_iz = CorrectionOp("I", "Z"), CorrectionOp("I", "Z")
+        cz_iz = CorrectionOp("I", "Z", cz_first=True)
+        assert len({iz, also_iz, cz_iz}) == 2
+        assert {iz: "listed"}[also_iz] == "listed"
+        assert cz_iz not in {iz: "listed"}
 
 
 # SHA-256 of derive/verify reports as the probe-based derivation wrote them

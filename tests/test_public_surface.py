@@ -139,20 +139,28 @@ def run_python(code: str, *flags: str) -> str:
 
 
 def test_derive_and_verify_never_load_numpy(tmp_path):
-    # nor csv nor typing; -S, so that no .pth file in site-packages loads
-    # them before the package does
+    # nor csv, typing, dataclasses (with inspect) or pathlib, at import or
+    # in any run, and json only for a JSON report; -S, so that no .pth file
+    # in site-packages loads them before the package does
     out = tmp_path / "report"
     stdout = run_python(f"""
 import sys
 import clusterport.cli
-for scheme in ("1", "2"):
-    for mode in ("derive", "verify"):
-        for fmt in ("json", "csv", "text"):
-            argv = [mode, "--scheme", scheme, "--format", fmt, "--out", {str(out)!r}]
-            assert clusterport.cli.main(argv) == 0, argv
-print(sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "csv", "typing")))
+
+def loaded():
+    banned = ("numpy", "csv", "typing", "dataclasses", "inspect", "pathlib", "json")
+    return sorted(name for name in sys.modules if name.split(".")[0] in banned)
+
+print(loaded())
+for fmts in (("csv", "text"), ("json",)):
+    for scheme in ("1", "2"):
+        for mode in ("derive", "verify"):
+            for fmt in fmts:
+                argv = [mode, "--scheme", scheme, "--format", fmt, "--out", {str(out)!r}]
+                assert clusterport.cli.main(argv) == 0, argv
+    print([name for name in loaded() if name.split(".")[0] != "json"], "json" in sys.modules)
 """, "-S")
-    assert stdout == "[]\n"
+    assert stdout == "[]\n[] False\n[] True\n"
 
 
 def test_enumerate_and_sample_never_run_the_dense_reference(tmp_path):
