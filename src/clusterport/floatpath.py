@@ -7,12 +7,11 @@ Every branch is a fixed 4x4 map K from the input on (1, 2) to the output on
 ``PAULIS`` and the CZ diagonal of ``exact``, read at call time;
 ``repair_branches`` multiplies the 16 repairs into the maps and applies them
 to every input with ``map_inputs``, and ``random_inputs`` draws the seeded
-inputs of a run in one batch: input n still reads its own stream
-``default_rng([seed, 0, n])``, but from ``BATCH_HASH_MIN`` inputs up the
-SeedSequence hash that seeds those streams runs for every n in one array
-pass, to the same bits; it returns one array of coefficient rows, normed
-and checked (``check_coeffs``) at once.  Both read the basis states a
-scheme's input spans from ``exact._BASIS_INPUTS``.
+inputs of a run in one ``standard_normal`` call on the run's one stream
+``default_rng([seed, 0])``: one array of coefficient rows, normed and
+checked (``check_coeffs``) at once, whose first N rows are the inputs of a
+run with N.  Both read the basis states a scheme's input spans from
+``exact._BASIS_INPUTS``.
 
 The sampler draws an index from cumulative weights as
 ``measurement.draw_index`` does: the first index whose cumulative weight b
@@ -41,7 +40,6 @@ import math
 import struct
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import exact
 from .exact import COEFF_TOL, PAULI_NAMES, PAULI_PAIRS, Scheme
@@ -92,92 +90,16 @@ def _unit_coeffs(x: np.ndarray) -> np.ndarray:
     return c
 
 
-# numpy's SeedSequence (NEP 19), after O'Neill's seed_seq_fe: the entropy
-# words are hashed into a pool of 4 uint32 words with the running multiplier
-# INIT_A, MULT_A and then mixed pairwise; generate_state hashes the pool,
-# cycled, with INIT_B, MULT_B.  Each hash XORs the multiplier, advances it
-# and multiplies by the new value, so the constants of every hash are fixed:
-# 4 + 12 for the pool, 8 for the 4 uint64 words PCG64 asks for.
-_POOL_SIZE = 4
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_constants(init: int, mult: int, count: int):
-    """The (xor, multiply) pairs of ``count`` successive hashes, as uint32
-    columns."""
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & 0xFFFFFFFF)
-    return np.array(h[:-1], dtype=np.uint32)[:, None], np.array(h[1:], dtype=np.uint32)[:, None]
-
-
-_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE * _POOL_SIZE)
-_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_OTHER_WORDS = [np.array([d for d in range(_POOL_SIZE) if d != src]) for src in range(_POOL_SIZE)]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mul  # uint32 arrays wrap without a warning
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_L - y * _MIX_R
-    return r ^ (r >> 16)
-
-
-def _substream_states(seed: int, count: int) -> np.ndarray:
-    """``SeedSequence([seed, 0, n]).generate_state(4, np.uint64)`` for n in
-    range(count), as the rows of one array, hashed for every n at once."""
-    # the entropy words: 1 or 2 for the seed, then 0, then n
-    assert 0 <= seed < 2**64 and count <= 2**32, "[seed, 0, n] must fit the pool of 4 words"
-    hi, lo = divmod(seed, 2**32)
-    head = [lo, hi, 0] if hi else [lo, 0]
-    pool = np.zeros((_POOL_SIZE, count), dtype=np.uint32)  # a short entropy hashes zeros
-    pool[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    pool[len(head)] = np.arange(count, dtype=np.uint32)
-    pool = _hashmix(pool, _POOL_XOR[:_POOL_SIZE], _POOL_MUL[:_POOL_SIZE])
-    # each source word mixes into the other three; it does not change meanwhile
-    for src, dst in enumerate(_OTHER_WORDS):
-        k = _POOL_SIZE + 3 * src
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _POOL_XOR[k : k + 3], _POOL_MUL[k : k + 3]))
-    words = _hashmix(np.concatenate((pool, pool)), _STATE_XOR, _STATE_MUL)  # the pool, cycled
-    # uint64 word j is uint32 words 2j (low) and 2j + 1, as SeedSequence reads them
-    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-class _Hashed(ISeedSequence):
-    """A SeedSequence whose state words are already computed: PCG64 asks it
-    for 4 uint64 words once, and seeds itself from them."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
-
-
-# Below this many inputs numpy's own SeedSequence, once per input, costs
-# less than the fixed cost of hashing every input's state in one pass.
-BATCH_HASH_MIN = 6
-
-
 def random_inputs(scheme: Scheme, seed: int, count: int) -> np.ndarray:
-    """``protocol.random_input(scheme, [seed, 0, n]).coeffs`` for n in
-    range(count), as the rows of one checked (count, k) array: each input's
-    SeedSequence state seeds its own PCG64 stream to draw its row, and the
-    rows are normalized and checked in one pass.  From BATCH_HASH_MIN inputs
-    up, the states of every input are hashed in one pass; below,
-    SeedSequence hashes each one, to the same bits.  A row holds one
-    coefficient for each of the scheme's basis inputs (``exact._BASIS_INPUTS``)."""
+    """The first ``count`` inputs the run stream ``default_rng([seed, 0])``
+    draws for ``scheme``, as the rows of one checked (count, k) array: row n
+    is the (n + 1)-th ``protocol.random_input(scheme, rng)`` on that stream,
+    so it does not depend on ``count``, and row 0 is the input of
+    ``[seed, 0, 0]`` (SeedSequence pads its entropy with zero words).  A row
+    holds one coefficient for each of the scheme's basis inputs
+    (``exact._BASIS_INPUTS``)."""
     k = len(exact._BASIS_INPUTS[Scheme(scheme)])
-    x = np.empty((count, 2 * k))
-    if count < BATCH_HASH_MIN:
-        seeds = ([seed, 0, n] for n in range(count))
-    else:
-        seeds = map(_Hashed, _substream_states(seed, count))
-    for row, seed_seq in zip(x, seeds):
-        np.random.Generator(np.random.PCG64(seed_seq)).standard_normal(out=row)
+    x = np.random.default_rng([seed, 0]).standard_normal((count, 2 * k))
     return check_coeffs(_unit_coeffs(x))
 
 

@@ -4,11 +4,12 @@ A report is a deterministic function of its RunConfig: every random draw
 flows from the 64-bit seed through a fixed substream key, so rerunning a
 config reproduces the report byte for byte in any format.
 
-Substream keys: random input k uses default_rng([seed, 0, k]), whose
-SeedSequence state ``floatpath.random_inputs`` hashes for every k in one
-pass; all Monte Carlo trials share default_rng([seed, 1]), read as
-``floatpath.sample_outcome_pairs`` describes.  Derivation and verification
-are exact and draw nothing, so the seed only appears in their config.
+Substream keys: all random inputs share default_rng([seed, 0]), input k
+reading the (k + 1)-th draw, so the first N inputs of a run are those of a
+run with N (``floatpath.random_inputs``); all Monte Carlo trials share
+default_rng([seed, 1]), read as ``floatpath.sample_outcome_pairs``
+describes.  Derivation and verification are exact and draw nothing, so the
+seed only appears in their config.
 
 Every mode reads the 16 exact branch maps of ``exact.branch_maps`` and
 simulates no six-qubit state.  ``derive`` and ``verify`` certify repairs by
@@ -131,7 +132,7 @@ class Report(_record(
     equal."""
 
     # no __slots__: the instance dict holds the cached ``state``
-    schema = 4  # a class constant, not a field
+    schema = 5  # a class constant, not a field
 
     def __new__(
         cls, config: RunConfig, inputs: tuple, aggregates: dict, verdicts=None,

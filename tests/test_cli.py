@@ -387,7 +387,7 @@ class TestMain:
         assert code == 0
         assert out == ""
         doc = json.loads(dest.read_text())
-        assert doc["schema"] == 4
+        assert doc["schema"] == 5
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     @pytest.mark.parametrize("scheme", ["1", "2"])

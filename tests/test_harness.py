@@ -245,6 +245,18 @@ class TestMonteCarlo:
         assert agg["three_sigma"] == 3 * agg["frequency_sigma"]
         assert agg["max_frequency_deviation"] >= 0
 
+    # seed 3 keeps every cell within 1.9 sigma of 1/16; seed 15 has a cell
+    # 3.1 sigma off, which a correct sampler does on about 6 % of seeds
+    @pytest.mark.parametrize("seed,within", [(3, True), (15, False)])
+    def test_within_three_sigma_follows_the_counts(self, seed, within):
+        cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=1600, seed=seed)
+        report = run_montecarlo(cfg)
+        sigma = math.sqrt(1 / 16 * (15 / 16) / 1600)
+        worst = max(abs(n / 1600 - 1 / 16) for n in report.count)
+        assert (worst <= 3 * sigma) is within
+        assert report.aggregates["within_three_sigma"] is within
+        assert report.passed  # the flag is informational: the chi-square gate decides
+
     def test_trial_streams_independent_of_order(self):
         # trial t reads doubles 2t and 2t+1 of the one [seed, 1] stream, so
         # doubling the trial count must not change what the first trials
@@ -621,7 +633,7 @@ class TestJsonFormat:
     def test_top_level_shape(self):
         doc = json.loads(emit_as(run(enum_cfg()), "json"))
         assert list(doc) == ["schema", "config", "branches", "aggregates", "verdicts"]
-        assert doc["schema"] == 4
+        assert doc["schema"] == 5
         assert doc["verdicts"] is None
         assert doc["config"]["mode"] == "enumerate"
         assert doc["config"]["scheme"] == 1
@@ -812,6 +824,18 @@ class TestRecords:
         assert cz_iz not in {iz: "listed"}
 
 
+def schema4_digest(cfg) -> str:
+    """SHA-256 of the report of ``cfg``, a JSON report's leading
+    ``{"schema":5`` swapped once for the ``{"schema":4`` the pins below were
+    taken with: outside drawn enumerate inputs, schema 5 moved only that
+    token."""
+    data = emit_report(run(cfg))
+    if cfg.output_format == "json":
+        assert data.startswith(b'{"schema":5,')
+        data = data.replace(b'{"schema":5', b'{"schema":4', 1)
+    return hashlib.sha256(data).hexdigest()
+
+
 # SHA-256 of derive/verify reports as the probe-based derivation wrote them
 # (JSON with its "schema" token replaced by "schema":4); the exact
 # derivation must reproduce every byte
@@ -848,17 +872,18 @@ class TestPinnedReportDigests:
     def test_derive_verify_bytes_unchanged(self, key):
         mode, scheme, fmt, seed = key
         cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed, output_format=fmt)
-        assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_DIGESTS[key]
+        assert schema4_digest(cfg) == _PINNED_DIGESTS[key]
 
 
 # SHA-256 of enumerate/sample text reports (default inputs and trials).  The
-# enumerate pins are as the per-branch six-qubit simulation wrote them; the
-# sample pins are as the single [seed, 1] stream (schema 3) first wrote them
+# enumerate pins are as schema 5 first wrote them, every input drawn from
+# the one [seed, 0] stream; the sample pins are as the single [seed, 1]
+# stream (schema 3) first wrote them
 _PINNED_TEXT_DIGESTS = {
-    ("enumerate", 1, 0): "c5990b56ddfcb3e3f9213b82733a83fee8721d7f704f25ac418027e4c55db52b",
-    ("enumerate", 1, 7): "cff610e1d35d96335c10b5524cfa5e9a41af2e5bb3b64d753ed181b0ce242798",
-    ("enumerate", 2, 0): "d5adbb2a19db26c68eeb7e9359147908eb3477bf7d0052e2e65ee9ab47210edc",
-    ("enumerate", 2, 7): "bd41cb835adf1a8c03dd22b745b09f0195027b2dd43ecdb43a56c0f44e3b5928",
+    ("enumerate", 1, 0): "a6c2059feeed6f814029a21fc054a78243b56ea3e33240477d2ab925795ee744",
+    ("enumerate", 1, 7): "5b000a895de3e98f36b22ffba1cf1c9b7053610d8b6007a2b96c59400ec4a07c",
+    ("enumerate", 2, 0): "ce14d08876201e80f3f286c6a915c9dfe744bbd70eddd453c4e801f362aa4921",
+    ("enumerate", 2, 7): "077238f9e79ae3ef28377d6960815de247abbdc9839acb8ed5c83d8537051d35",
     ("sample", 1, 0): "75da4dbd271cc977f45e56496cc20cda822ae898498b02955a97a5a32f87025c",
     ("sample", 1, 7): "453d69d7e96366a305aa9680413e436154e0e77499be8b67a224588de222a21d",
     ("sample", 2, 0): "920e890f41c614e851d5a370cc3a4fb52f2e6d8ea6cac26a7aa8a09a0d928907",
@@ -872,21 +897,23 @@ _PINNED_TEXT_DIGESTS = {
 def test_enumerate_sample_text_unchanged(key):
     mode, scheme, seed = key
     cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed)
-    assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_TEXT_DIGESTS[key]
+    assert schema4_digest(cfg) == _PINNED_TEXT_DIGESTS[key]
 
 
 # SHA-256 of enumerate/sample JSON and CSV reports (default inputs and
-# trials) as schema 4 wrote them with one format_state call per branch and
-# one json.dumps per key; JSON is the only format that carries ``state``
+# trials).  The sample pins are as schema 4 wrote them with one format_state
+# call per branch and one json.dumps per key; the enumerate pins are as
+# schema 5 first wrote them, from the one [seed, 0] stream.  JSON is the
+# only format that carries ``state``
 _PINNED_JSON_CSV_DIGESTS = {
-    ("enumerate", 1, "json", 0): "224ed6973b192c1ef00ce6bbe57bfb836b4375944e5ed947197d9380a01985fb",
-    ("enumerate", 1, "json", 7): "f1af8b23eefeb6d4d684394acb7ed82e9adecc544e48c338f00c9193bae8ab51",
-    ("enumerate", 1, "csv", 0): "5aff799c47e23322330251299d3858029c84712f89bde717836d6f086352ee9e",
-    ("enumerate", 1, "csv", 7): "308dc5a23dbe674b2cabe10c5dca3e5db86341c72d03b173c3d6a51cb1680b8c",
-    ("enumerate", 2, "json", 0): "fe200d9b7d3874faa0c692113f1e71c838ad7fc1a5123cda463eb53456c5019f",
-    ("enumerate", 2, "json", 7): "2a88d93a8e62f9a7a6095efd94b97a105b16077b8a015a534249839163867ce8",
-    ("enumerate", 2, "csv", 0): "6ee19dab4bac2ed7eb5e510ef1a67c8654194666d70a173e3b034e8d674ff239",
-    ("enumerate", 2, "csv", 7): "345f0c4af2e74bdc9f8b6f9a1ee6bfba2df464f14c597bcbe125d0b3c34bc53a",
+    ("enumerate", 1, "json", 0): "4cce0a106f6e48f7cc84e3c05efdca2028f64b3c6965f86df4492fc61f144919",
+    ("enumerate", 1, "json", 7): "02421d4006f8eb60a952950ec2d7f04ecfecd2e0d01987eaf1d89b69614a2ba9",
+    ("enumerate", 1, "csv", 0): "552525200a90779df55c1a679e64cf734a278da02e6a3e22ae3dba9c7a96122a",
+    ("enumerate", 1, "csv", 7): "7f8f46864d415b59559cab0c9bbf62559f670f7ede5d3891337a24eb128695a2",
+    ("enumerate", 2, "json", 0): "0427690859cb89470218e5f69a2ccce776f4e9023f608f623820214a3e6d0350",
+    ("enumerate", 2, "json", 7): "1bebd3fe0f363cbf48a3215c122bfdddbf637c1009106dd4f991bd5c8f4df853",
+    ("enumerate", 2, "csv", 0): "a457896dd87d602ae9817d7a135e7fac87a3fb551b5224c6a7f0cbfbc21ff42d",
+    ("enumerate", 2, "csv", 7): "ae4140dd8be07b616e763aa4658caefabbcdcf5575408a0fa16cc7b4131f0647",
     ("sample", 1, "json", 0): "afded15065d9dcc0edd9b052a6411b5f6956d14694abf3528da8e4297fc9fa1b",
     ("sample", 1, "json", 7): "38ad05301820c3388b0d41024ead0413286e5c908a7e0b2781d9fda6648a9fc8",
     ("sample", 1, "csv", 0): "d83463c1325f7380855cdeae46f8f109396f26aff04d9ec233054ed7103ad88b",
@@ -904,18 +931,18 @@ _PINNED_JSON_CSV_DIGESTS = {
 def test_enumerate_sample_json_csv_unchanged(key):
     mode, scheme, fmt, seed = key
     cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed, output_format=fmt)
-    assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_JSON_CSV_DIGESTS[key]
+    assert schema4_digest(cfg) == _PINNED_JSON_CSV_DIGESTS[key]
 
 
 # SHA-256 of enumerate reports at a seed above 2**32 - 1 (two SeedSequence
-# entropy words), as drawn one input at a time and written row by row
+# entropy words), as schema 5 first wrote them, from the one [seed, 0] stream
 _PINNED_WIDE_SEED_DIGESTS = {
-    (1, "json"): "abe34970a6a9e18d3caeda91caa349361ed85e263e917d421bc4fce83642b735",
-    (1, "csv"): "4de4f158ef0525effd978bc5941b12cfaa09c1c2cfe5b72290b1aa663fd39392",
-    (1, "text"): "fc0b50529947d58a44648f16ad317b420b9950cc4f25e93a5a7a26a8f9079a99",
-    (2, "json"): "265fe72c2a9fc3bae2c97f9648cdecd6d906d0e4b85629c7a7f4e26718adfe50",
-    (2, "csv"): "6c0d1fbfe5cdaa61eb10a1eeabff04f830f973fd456bda87467fa25fffa3bf32",
-    (2, "text"): "3adc55d337d62c7952a018281999f5f08491e5e64dffa4dc360b1cd36ff4f11b",
+    (1, "json"): "f0a3f26b21b384c4ef7b46bc8a269c3bf7855ddbd21038b47ffa1b82ce73ad4a",
+    (1, "csv"): "8106ec32688cd979ea6c34f840b31175e0ff1424893618c343852f095d7876a9",
+    (1, "text"): "5c25df53f5a74c0e26013e036cf381be9cf84d3c835434537b8be93ec6ccd672",
+    (2, "json"): "92f3a6f4c26400eb5b3a63f20b2152ebbed88dbd455674526ad970d6ed7c286b",
+    (2, "csv"): "680b1bf7e6331ed378adb72c4d29c0a4838cd94d3a7c96d014019c0d8a5a7d45",
+    (2, "text"): "510b2ea69c884a4a54772f9a9cbb6d3a55471d51219ba0edb464339102192819",
 }
 
 
@@ -925,7 +952,7 @@ _PINNED_WIDE_SEED_DIGESTS = {
 def test_enumerate_wide_seed_unchanged(key):
     scheme, fmt = key
     cfg = RunConfig(scheme=Scheme(scheme), mode="enumerate", seed=2**32 + 15, output_format=fmt)
-    assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_WIDE_SEED_DIGESTS[key]
+    assert schema4_digest(cfg) == _PINNED_WIDE_SEED_DIGESTS[key]
 
 
 def basis_coeffs(scheme):

@@ -13,9 +13,7 @@ from clusterport import (
 )
 from clusterport.gates import apply_cz
 from clusterport.harness import MAX_RANDOM_INPUTS, run_enumeration
-from clusterport import floatpath
 from clusterport.floatpath import (
-    BATCH_HASH_MIN,
     branch_maps,
     check_coeffs,
     random_inputs,
@@ -294,8 +292,9 @@ def coeff_bits(states):
 
 
 class TestBatchDraw:
-    """An enumerate run draws its inputs in one batch; row k must be, bit
-    for bit, the input one random_input call draws from [seed, 0, k]."""
+    """An enumerate run draws its inputs in one batch from the one stream
+    [seed, 0]; row k must be, bit for bit, the k-th successive input that
+    random_input draws from that stream."""
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
     # above 2**32 - 1 the seed takes a second SeedSequence entropy word
@@ -305,23 +304,9 @@ class TestBatchDraw:
         batch = random_inputs(scheme, seed, count)
         assert batch.dtype == np.complex128
         assert batch.shape == (count, 2 if scheme is Scheme.SPECIAL else 4)
-        one_by_one = [random_input(scheme, [seed, 0, k]) for k in range(count)]
+        rng = np.random.default_rng([seed, 0])
+        one_by_one = [random_input(scheme, rng) for _ in range(count)]
         assert [row.tobytes() for row in batch] == coeff_bits(one_by_one)
-
-    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
-    @pytest.mark.parametrize("count", [1, BATCH_HASH_MIN - 1, BATCH_HASH_MIN])
-    def test_each_seeding_serves_its_sizes(self, monkeypatch, scheme, count):
-        # below BATCH_HASH_MIN each input's own SeedSequence seeds its stream;
-        # from it up, the batch hash does, to the same bits
-        one_by_one = coeff_bits([random_input(scheme, [2**64 - 1, 0, k]) for k in range(count)])
-        hashed = []
-        batch_hash = floatpath._substream_states
-        monkeypatch.setattr(
-            floatpath, "_substream_states", lambda *a: hashed.append(a) or batch_hash(*a)
-        )
-        batch = random_inputs(scheme, 2**64 - 1, count)
-        assert [row.tobytes() for row in batch] == one_by_one
-        assert hashed == ([] if count < BATCH_HASH_MIN else [(2**64 - 1, count)])
 
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
@@ -330,13 +315,30 @@ class TestBatchDraw:
         # parts, scaled by np.linalg.norm of the whole vector; the batch
         # takes every norm in one matmul, which must round alike
         k = 2 if scheme is Scheme.SPECIAL else 4
+        rng = np.random.default_rng([seed, 0])
         expected = np.empty((MAX_RANDOM_INPUTS, k), dtype=np.complex128)
-        for n, row in enumerate(expected):
-            x = np.random.default_rng([seed, 0, n]).standard_normal(2 * k)
+        for row in expected:
+            x = rng.standard_normal(2 * k)
             c = x[:k] + 1j * x[k:]
             row[:] = c / np.linalg.norm(c)
         batch = random_inputs(scheme, seed, MAX_RANDOM_INPUTS)
         np.testing.assert_array_equal(batch.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_first_rows_do_not_depend_on_count(self, scheme, seed):
+        # standard_normal fills its array row by row from the one stream
+        full = random_inputs(scheme, seed, MAX_RANDOM_INPUTS)
+        for n in (1, 5, 6, 100):
+            assert random_inputs(scheme, seed, n).tobytes() == full[:n].tobytes()
+
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_first_row_is_the_old_first_stream(self, scheme, seed):
+        # SeedSequence pads its entropy with zero words to its pool of 4, so
+        # [seed, 0] is the stream [seed, 0, 0] that input 0 read before
+        (row,) = random_inputs(scheme, seed, 1)
+        assert [row.tobytes()] == coeff_bits([random_input(scheme, [seed, 0, 0])])
 
 
 CLEAN_ROWS = {

@@ -49,7 +49,6 @@ MODULE_NAMES = {
         "certified_repairs",
     ],
     "floatpath": [
-        "BATCH_HASH_MIN",
         "DISPLAY_TOL",
         "PAULIS",
         "SAMPLE_BLOCK",
