@@ -15,7 +15,7 @@ import re
 import stat
 import sys
 
-from .harness import FORMATS, MAX_RANDOM_INPUTS, RunConfig, emit_report, run
+from .harness import FORMATS, MAX_RANDOM_INPUTS, RunConfig, report_pieces, run
 from .exact import InputState, Scheme
 
 
@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--random-inputs", type=int,
         help=f"seeded random inputs when --coeffs is absent (at most {MAX_RANDOM_INPUTS}; "
-        "memory grows with it, about 11 KB per input in a JSON report and 4 to 5 KB in "
-        "CSV or text)",
+        "the report streams to its sink, while the results it is made from take about "
+        "3 KB per input)",
     )
 
     p_sample = add_mode("sample", help="Monte Carlo over the measurement outcomes")
@@ -130,22 +130,47 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _write_report(path: str | None, data: bytes) -> None:
-    """Write the report to ``path``, or to stdout when ``path`` is None.
+# Characters of report text joined into each write: large enough that the
+# fixed cost of a write is spread over many pieces, small enough that the
+# joined run and its bytes stay far below the report.
+WRITE_RUN = 1 << 16
+
+
+def _runs(pieces):
+    """The str ``pieces`` joined into UTF-8 runs of about WRITE_RUN
+    characters each; a report shorter than that is one run."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= WRITE_RUN:
+            yield "".join(batch).encode("utf-8")
+            batch, size = [], 0
+    if batch:
+        yield "".join(batch).encode("utf-8")
+
+
+def _write_report(path: str | None, runs) -> None:
+    """Write the byte ``runs`` of a report to ``path``, or to stdout when
+    ``path`` is None, each as it comes.
 
     A new or regular file is written through a sibling temp file that is
     then renamed over it, keeping its mode, so ``path`` never holds half a
-    report.  The temp name carries the process and thread ids, so two
-    writers of one ``path`` never share it.  Anything else (a symlink, a
-    device such as /dev/null, a FIFO) is written through in place: renaming
-    over it would replace the link or the device node instead of writing to
-    it.
+    report: any failure while the runs are made or written removes the temp
+    file and leaves ``path`` as it was.  The temp name carries the process
+    and thread ids, so two writers of one ``path`` never share it.  Anything
+    else (a symlink, a device such as /dev/null, a FIFO) is written through
+    in place: renaming over it would replace the link or the device node
+    instead of writing to it, so there, as on stdout, a failure leaves the
+    runs written before it.
     """
     if path is None:
         if sys.stdout is None:  # what Python leaves for a closed descriptor 1
             raise OSError("stdout is closed")
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        out = sys.stdout.buffer
+        for data in runs:
+            out.write(data)
+        out.flush()
         return
     try:
         mode = os.lstat(path).st_mode
@@ -153,17 +178,17 @@ def _write_report(path: str | None, data: bytes) -> None:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "wb") as f:
-            f.write(data)
+            f.writelines(runs)
         return
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{_thread.get_ident()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            f.writelines(runs)
         if mode is not None:
             os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         try:
             os.unlink(tmp)
         except FileNotFoundError:
@@ -179,13 +204,15 @@ def main(argv=None) -> int:
         print(f"clusterport: {exc}", file=sys.stderr)
         return 2
     report = run(cfg)
-    data = emit_report(report)
     out = getattr(args, "out", None)
     try:
-        _write_report(out, data)
-    except OSError as exc:
+        _write_report(out, _runs(report_pieces(report)))
+    except (OSError, ValueError) as exc:
+        # a ValueError is a value the report cannot hold (a non-finite
+        # float) or a write to a closed stream
         where = "" if out is None else f" to {out}"
-        print(f"clusterport: cannot write report{where}: {exc.strerror or exc}", file=sys.stderr)
+        detail = getattr(exc, "strerror", None) or exc
+        print(f"clusterport: cannot write report{where}: {detail}", file=sys.stderr)
         return 2
     return 0 if report.passed else 1
 

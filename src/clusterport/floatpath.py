@@ -24,10 +24,12 @@ rounds coarsely).  The index a uniform draws is then the number of
 thresholds at or below it, the same bits with no per-uniform multiply,
 which is how ``sample_outcome_pairs`` draws its trials.
 
-Display forms are made for whole stacks of amplitude vectors at once:
-``format_states`` rotates the stack in one array pass and formats each
-distinct vector once.  Only the ``state`` of a report calls it, when first
-read.
+``map_inputs`` and ``format_states`` work through a stack INPUT_BLOCK
+inputs at a time, computing each row on its own, so their temporaries stay
+the size of a block at any input count and no row depends on the count.
+``format_states`` rotates each block in one array pass and formats each
+distinct vector of it once.  Only the ``state`` of a report calls it, when
+first read.
 
 This module imports numpy, the standard library and ``exact`` only, so the
 dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
@@ -51,6 +53,11 @@ DISPLAY_TOL = 1e-9
 # about 0.5 MB, so memory stays flat at any trial count, while the fixed
 # cost of each block's numpy calls is spread over many trials.
 SAMPLE_BLOCK = 16384
+# Inputs map_inputs, repair_branches and format_states take at once.  A
+# block's (inputs, 16, 4) outputs hold 1 MiB and each of its temporaries at
+# most that, so no temporary grows with the input count, while the fixed
+# cost of each block's numpy calls is spread over 16384 branches.
+INPUT_BLOCK = 1024
 
 PAULIS: dict[str, np.ndarray] = {
     "I": np.array([[1, 0], [0, 1]], dtype=np.complex128),
@@ -139,19 +146,36 @@ def _dot(a: np.ndarray, b: np.ndarray):
     return re, im
 
 
+def _blocks(count: int):
+    """Slices of ``count`` inputs, INPUT_BLOCK at a time."""
+    return (slice(start, start + INPUT_BLOCK) for start in range(0, count, INPUT_BLOCK))
+
+
+def _norm2(a: np.ndarray) -> np.ndarray:
+    """<a|a> over the last axis: the real part of ``_dot(a, a)``, to the
+    same bits, without its imaginary part."""
+    return (a.real * a.real + a.imag * a.imag).sum(axis=-1)
+
+
 def map_inputs(maps: np.ndarray, inputs):
     """Apply every 4x4 map M in the stack ``maps`` to every amplitude vector
     v on (1, 2) in ``inputs``: ``(out, prob, fid)`` with ``out[n, p]`` = w =
     M_p v_n, ``prob`` = <w|w> and ``fid`` = |<v|w>|^2 / (<v|v> <w|w>).  The
     three sums are taken alike, so a certified repair (w = c v / 4) reads
-    exactly 1."""
+    exactly 1.  Inputs are taken INPUT_BLOCK at a time into the result
+    arrays, and each row is computed on its own, so no temporary spans the
+    whole stack and a row does not depend on the block it falls in."""
     v = np.asarray(inputs, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] != 4:
         raise ValueError("inputs must be a non-empty list of 4-amplitude vectors")
-    out = np.einsum("pij,nj->npi", maps, v)
-    re, im = _dot(v[:, None, :], out)
-    prob = _dot(out, out)[0]
-    return out, prob, (re * re + im * im) / (_dot(v, v)[0][:, None] * prob)
+    out = np.empty((len(v), len(maps), 4), dtype=np.complex128)
+    prob, fid = np.empty(out.shape[:2]), np.empty(out.shape[:2])
+    for b in _blocks(len(v)):
+        np.einsum("pij,nj->npi", maps, v[b], out=out[b])
+        re, im = _dot(v[b, None, :], out[b])
+        prob[b] = _norm2(out[b])
+        fid[b] = (re * re + im * im) / (_norm2(v[b])[:, None] * prob[b])
+    return out, prob, fid
 
 
 def repair_branches(ops, scheme: Scheme, coeffs):
@@ -166,7 +190,8 @@ def repair_branches(ops, scheme: Scheme, coeffs):
     amps[:, exact._BASIS_INPUTS[Scheme(scheme)]] = c
     repaired = repair_matrices(ops) @ branch_maps().reshape(16, 4, 4)
     out, probs, fids = map_inputs(repaired, amps)
-    out /= np.sqrt(probs)[..., None]
+    for b in _blocks(len(out)):
+        out[b] /= np.sqrt(probs[b])[..., None]
     out.setflags(write=False)
     return c, probs, fids, out
 
@@ -315,14 +340,27 @@ def format_states(amps):
     Display only: each vector is rotated so that its first amplitude above
     ``DISPLAY_TOL`` is real and positive (``display_rotation``), so
     equivalent states print identically; amplitudes at or below it are left
-    out, and a vector with none above it prints as ``0``.  The whole stack
-    is rotated at once, and each distinct rotated vector, found by one
-    ``np.unique`` over the bytes of the first of each run of equal ones, is
-    formatted once: equal bytes give equal strings, so an entry does not
-    depend on the stack around it.  The left-out amplitudes are zeroed
-    first, so vectors that differ only there (a sign bit, rounding dust)
-    share one key.
+    out, and a vector with none above it prints as ``0``.  A stack is
+    formatted INPUT_BLOCK entries of its first axis at a time
+    (``_format_block``), so no temporary spans the whole stack; equal bytes
+    give equal strings, so an entry depends neither on the stack around it
+    nor on the block it falls in.
     """
+    amps = np.asarray(amps, dtype=np.complex128)
+    if amps.ndim < 2:
+        return _format_block(amps)
+    texts = []
+    for b in _blocks(len(amps)):
+        texts += _format_block(amps[b])
+    return texts
+
+
+def _format_block(amps):
+    """``format_states`` of one block: the block is rotated at once, and
+    each distinct rotated vector, found by one ``np.unique`` over the bytes
+    of the first of each run of equal ones, is formatted once.  The
+    left-out amplitudes are zeroed first, so vectors that differ only there
+    (a sign bit, rounding dust) share one key."""
     shown, above = display_rotation(amps)
     n = shown.shape[-1]
     rows, masks = shown.reshape(-1, n), above.reshape(-1, n)

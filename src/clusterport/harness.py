@@ -28,14 +28,18 @@ first use, and numpy with it; the top level of this module loads only
 inputs as one array, kept to the summaries.  A report keeps the
 probabilities and fidelities as nested lists, indexed [input][cell] in
 ``_ALL_PAIRS`` cell order, and the repaired outputs as one read-only array;
-their display forms, ``state``, are formatted (one ``format_states`` call,
-each distinct output once) when first read, which only a JSON report does.
-Each format writes an input's rows with one str.join, into the cell rows
-cut around their fields once per report, and formats each distinct float
-once; a JSON report is then joined once.  JSON verdict rows are one
-json.dumps call; a CSV verdict row has a column per row key but
-``subspace_only``, joined like a branch row: no CSV field needs quoting.
-``emit_report`` writes a report in its config's ``output_format`` only.
+their display forms, ``state``, are formatted (by ``format_states``, each
+distinct output of a block once) when first read, which only a JSON report
+does.  ``report_pieces`` writes a report in its config's ``output_format``
+as an iterator of text pieces: a header, each input's branch rows (one
+str.join into the cell rows cut around their fields once per report, each
+distinct float formatted once), each input's summary in JSON and text, and
+a footer.  No piece grows with the input count, so the CLI, which writes
+the pieces as they come, holds one input's rows at a time; ``emit_report``
+joins them into the report's bytes.  A ``derive`` or ``verify`` report
+writes its rows in one piece.  JSON verdict rows are one json.dumps call; a
+CSV verdict row has a column per row key but ``subspace_only``, joined like
+a branch row: no CSV field needs quoting.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7, output_format="json")
     report = run(cfg)
@@ -56,11 +60,12 @@ MODES = ("enumerate", "sample", "derive", "verify")
 FORMATS = ("json", "csv", "text")
 
 TOTAL_PROB_TOL = 1e-9
-# Cap on drawn enumerate inputs: a JSON enumerate peaks at about 11 KB per
-# input (16 probabilities, fidelities and states, the 1 KiB output stack
-# the report keeps, plus the report text; 108 MB at the cap for scheme 2)
-# and a CSV or text one, which formats no state, at 4 to 5 KB, so the cap
-# bounds a run near 100 MB instead of growing until it is killed.
+# Cap on drawn enumerate inputs.  A report streams to its sink, so memory
+# grows only with what a run keeps: per input its 16 probabilities and
+# fidelities, its 1 KiB of repaired outputs and its summary, and in a JSON
+# report the cached ``state`` strings.  At the cap an enumerate peaks near
+# 30 MiB under tracemalloc in any format (about 3 KB per input), and the
+# cap bounds a run there instead of letting it grow until it is killed.
 MAX_RANDOM_INPUTS = 10_000
 CSV_COLUMNS = ("outcome13", "outcome26", "probability", "fidelity", "correction")
 
@@ -425,8 +430,9 @@ def _listed(report: Report, *columns):
     return cells, *columns
 
 
-def _input_rows(pieces: list, columns: tuple, sep: str) -> list[str]:
-    """The branch rows of each input as one string, rows joined by ``sep``.
+def _input_rows(pieces: list, columns: tuple, sep: str):
+    """The branch rows of each input as one string, rows joined by ``sep``,
+    yielded an input at a time.
 
     ``pieces`` holds the text of each listed cell's row, cut where its
     fields go; ``columns`` holds, for each field, every input's fragments
@@ -437,15 +443,13 @@ def _input_rows(pieces: list, columns: tuple, sep: str) -> list[str]:
         slots[-1] += (sep if len(slots) > 1 else "") + first
         for piece in rest:
             slots += (None, piece)
-    chunks = []
     for fields in zip(*columns):
         for j, fragments in enumerate(fields):
             slots[2 * j + 1::2 * len(fields)] = fragments
-        chunks.append("".join(slots))
-    return chunks
+        yield "".join(slots)
 
 
-def _emit_json(report: Report) -> str:
+def _emit_json(report: Report):
     cells, probs, fids, states = _listed(
         report, report.probability, report.fidelity, report.state
     )
@@ -459,26 +463,27 @@ def _emit_json(report: Report) -> str:
         for o13, o26, op, n in cells
     ]
     keys = ([str(k)] * len(cells) for k in range(len(probs)))
-    chunks = _input_rows(
+    yield (
+        f'{{"schema":{report.schema},"config":{{{_json_items(_config_dict(report.config))}}}'
+        ',"branches":['
+    )
+    rows = _input_rows(
         pieces, (keys, (map(f, p) for p in probs), (map(f, p) for p in fids), states), ","
     )
-    branches = [","] * (2 * len(chunks) - 1)
-    branches[::2] = chunks
-    inputs = ",".join(
-        '{"coeffs":["%s"],"total_probability":%s,"min_fidelity":%s}'
-        % ('","'.join(map(format_complex, s.coeffs)), f(s.total_probability), f(s.min_fidelity))
-        for s in report.inputs
-    )
-    return "".join([
-        f'{{"schema":{report.schema},"config":{{{_json_items(_config_dict(report.config))}}}'
-        ',"branches":[',
-        *branches,
-        f'],"aggregates":{{{_json_items(report.aggregates)},"inputs":[{inputs}]}}'
-        f',"verdicts":{_compact_dumps()(report.verdicts)}}}\n',
-    ])
+    for k, chunk in enumerate(rows):
+        if k:
+            yield ","
+        yield chunk
+    yield f'],"aggregates":{{{_json_items(report.aggregates)},"inputs":['
+    for k, s in enumerate(report.inputs):
+        yield '%s{"coeffs":["%s"],"total_probability":%s,"min_fidelity":%s}' % (
+            "," if k else "", '","'.join(map(format_complex, s.coeffs)),
+            f(s.total_probability), f(s.min_fidelity),
+        )
+    yield f']}},"verdicts":{_compact_dumps()(report.verdicts)}}}\n'
 
 
-def _emit_csv(report: Report) -> str:
+def _emit_csv(report: Report):
     # no field needs quoting: outcome, verdict and repair names (a list of
     # repairs joined by '|'), and .17g floats
     if report.verdicts is not None:
@@ -487,59 +492,70 @@ def _emit_csv(report: Report) -> str:
             ",".join(v if isinstance(v, str) else "|".join(v) for v in map(row.get, header))
             for row in report.verdicts
         ]
-    else:
-        header = CSV_COLUMNS
-        cells, probs, fids = _listed(report, report.probability, report.fidelity)
-        f = _Fragments(lambda x: format(x, ".17g")).__getitem__
-        pieces = [(f"{o13},{o26},", ",", f",{op}") for o13, o26, op, _ in cells]
-        rows = _input_rows(pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n")
-    return "\n".join([",".join(header), *rows, ""])
+        yield "\n".join([",".join(header), *rows, ""])
+        return
+    cells, probs, fids = _listed(report, report.probability, report.fidelity)
+    f = _Fragments(lambda x: format(x, ".17g")).__getitem__
+    pieces = [(f"{o13},{o26},", ",", f",{op}") for o13, o26, op, _ in cells]
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for chunk in _input_rows(pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n"):
+        yield chunk
+        yield "\n"
 
 
-def _emit_text(report: Report) -> str:
+def _emit_text(report: Report):
     cfg = report.config
-    lines = [
-        f"scheme={int(cfg.scheme)} mode={cfg.mode} seed={cfg.seed} "
-        f"tol={cfg.fidelity_tol:g}"
-    ]
+    yield f"scheme={int(cfg.scheme)} mode={cfg.mode} seed={cfg.seed} tol={cfg.fidelity_tol:g}\n"
     for k, s in enumerate(report.inputs):
-        coeffs = ", ".join(format_complex(c) for c in s.coeffs)
-        lines.append(f"input {k}: {coeffs}")
+        yield f"input {k}: {', '.join(map(format_complex, s.coeffs))}\n"
     cells, probs, fids = _listed(report, report.probability, report.fidelity)
     if cells and probs:
         head = f"{'outcome13':<10}{'outcome26':<10}{'probability':<22}{'fidelity':<22}correction"
         if report.count is not None:
             head += "  count  frequency"
-        lines.append(head)
+        yield head + "\n"
         f = _Fragments(lambda x: f"{x:<22.12g}").__getitem__
         pieces = [
             (f"{o13:<10}{o26:<10}", "", op if n is None else f"{op}  {n}  {n / cfg.trials:.6g}")
             for o13, o26, op, n in cells
         ]
-        lines += _input_rows(pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n")
-    if report.verdicts is not None:
-        for row in report.verdicts:
-            parts = [f"({row['outcome13']}, {row['outcome26']})"]
-            if "verdict" in row:
-                parts.append(row["verdict"])
-            parts.append("derived=" + "|".join(row["derived"]))
-            parts.append("listed=" + "|".join(row["listed"]))
-            if row.get("subspace_only"):
-                parts.append("subspace_only=" + "|".join(row["subspace_only"]))
-            lines.append("  ".join(parts))
+        for chunk in _input_rows(
+            pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n"
+        ):
+            yield chunk
+            yield "\n"
+    lines = []
+    for row in report.verdicts or ():
+        parts = [f"({row['outcome13']}, {row['outcome26']})"]
+        if "verdict" in row:
+            parts.append(row["verdict"])
+        parts.append("derived=" + "|".join(row["derived"]))
+        parts.append("listed=" + "|".join(row["listed"]))
+        if row.get("subspace_only"):
+            parts.append("subspace_only=" + "|".join(row["subspace_only"]))
+        lines.append("  ".join(parts))
     summary = " ".join(
         f"{key}={value:.12g}" if isinstance(value, float) else f"{key}={value}"
         for key, value in report.aggregates.items()
         if key != "pass"
     )
     lines += (summary, "result: " + ("PASS" if report.passed else "FAIL"), "")
-    return "\n".join(lines)
+    yield "\n".join(lines)
 
 
 _EMITTERS = {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}
 
 
+def report_pieces(report: Report):
+    """The report's text in its config's ``output_format``, as an iterator
+    of str pieces: a header, each input's branch rows (and, in JSON and
+    text, each input's summary line) as pieces of their own, and a footer.
+    No piece grows with the input count, so a caller that writes the
+    pieces as they come holds one input's rows at a time."""
+    return _EMITTERS[report.config.output_format](report)
+
+
 def emit_report(report: Report) -> bytes:
-    """Serialize a report in its config's ``output_format``; same report,
-    same bytes."""
-    return _EMITTERS[report.config.output_format](report).encode("utf-8")
+    """Serialize a report in its config's ``output_format``, its
+    ``report_pieces`` joined; same report, same bytes."""
+    return "".join(report_pieces(report)).encode("utf-8")

@@ -5,12 +5,13 @@ import os
 import stat
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
 from clusterport import BellOutcome, CorrectionOp, Scheme, cli, exact, harness
 from clusterport.cli import _config_from, _parse_coeffs, build_parser, main
-from clusterport.harness import MAX_RANDOM_INPUTS, MODES, RunConfig
+from clusterport.harness import FORMATS, MAX_RANDOM_INPUTS, MODES, RunConfig, emit_report
 from test_corrections import reject_everything
 from test_harness import wrong_table
 
@@ -400,6 +401,94 @@ class TestMain:
         assert main([*argv, "--out", str(dest)]) == 0
         assert capsysbinary.readouterr() == (b"", b"")
         assert printed.err == b"" and dest.read_bytes() == printed.out
+        assert printed.out == emit_report(harness.run(_config_from(build_parser().parse_args(argv))))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_report_of_many_write_runs_is_emit_report(self, capsysbinary, tmp_path, fmt):
+        # the sinks write a long report a run at a time; the runs join to
+        # the bytes emit_report makes at once
+        argv = ["enumerate", "--scheme", "2", "--random-inputs", "300", "--format", fmt]
+        expected = emit_report(harness.run(_config_from(build_parser().parse_args(argv))))
+        assert len(expected) > 2 * cli.WRITE_RUN
+        assert main(argv) == 0
+        assert capsysbinary.readouterr() == (expected, b"")
+        dest = tmp_path / "report"
+        assert main([*argv, "--out", str(dest)]) == 0
+        assert dest.read_bytes() == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+
+    @staticmethod
+    def failing_emitter(emitter, size):
+        """``emitter`` with its first piece padded to ``size`` characters,
+        then a ValueError instead of its second."""
+        def emit(report):
+            yield next(emitter(report)).ljust(size)
+            raise ValueError("non-finite value in report: nan")
+        return emit
+
+    # a first piece below one write run is held back, one above it written
+    @pytest.mark.parametrize("size", [0, 3 * cli.WRITE_RUN])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_emission_error_exits_2_and_leaves_out_as_it_was(
+        self, capsys, monkeypatch, tmp_path, existing, size
+    ):
+        dest = tmp_path / "report.json"
+        if existing:
+            dest.write_bytes(b"old report\n")
+        monkeypatch.setitem(
+            harness._EMITTERS, "json", self.failing_emitter(harness._EMITTERS["json"], size)
+        )
+        code, out, err = run_main(
+            capsys, "enumerate", "--scheme", "2", "--format", "json", "--out", str(dest)
+        )
+        assert code == 2 and out == ""
+        assert err == f"clusterport: cannot write report to {dest}: non-finite value in report: nan\n"
+        assert [p.name for p in tmp_path.iterdir()] == (["report.json"] if existing else [])
+        if existing:
+            assert dest.read_bytes() == b"old report\n"
+
+    def test_nonfinite_report_value_exits_2(self, capsys, monkeypatch, tmp_path):
+        # _format_float rejects it as the report is written, not in a traceback
+        def nan_run(cfg):
+            report = harness.run(cfg)
+            return report._replace(aggregates={**report.aggregates, "min_fidelity": float("nan")})
+
+        monkeypatch.setattr(cli, "run", nan_run)
+        argv = ["enumerate", "--scheme", "1", "--format", "json"]
+        code, _, err = run_main(capsys, *argv)
+        assert code == 2
+        assert err == "clusterport: cannot write report: non-finite value in report: nan\n"
+        code, _, _ = run_main(capsys, *argv, "--out", str(tmp_path / "report.json"))
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt,whole_mib,written_mib", [
+        ("json", 40, 16), ("csv", 30, 2), ("text", 32, 2),
+    ])
+    def test_memory_at_the_cap_does_not_hold_the_report(
+        self, capsys, tmp_path, fmt, whole_mib, written_mib
+    ):
+        # the report streams to its sink: a call holds the results the report
+        # is made from, not its text (36.5 MiB in JSON for scheme 2)
+        dest = str(tmp_path / "report")
+        argv = ["enumerate", "--scheme", "2", "--seed", "7", "--format", fmt, "--out", dest]
+        cap = [*argv, "--random-inputs", str(MAX_RANDOM_INPUTS)]
+        assert main(argv) == 0  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            assert main(cap) == 0
+            whole = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = harness.run(_config_from(build_parser().parse_args(cap)))
+        tracemalloc.start()
+        try:
+            cli._write_report(dest, cli._runs(harness.report_pieces(report)))
+            written = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert whole <= whole_mib * 2**20, whole / 2**20
+        assert written <= written_mib * 2**20, written / 2**20
 
     def test_out_into_missing_directory_exit_2(self, capsys, tmp_path):
         dest = tmp_path / "missing" / "report.json"

@@ -44,7 +44,9 @@ from clusterport.harness import (
     run_montecarlo,
     run_verification,
 )
-from clusterport.floatpath import SAMPLE_BLOCK, branch_maps, map_inputs, repair_matrices
+from clusterport.floatpath import (
+    INPUT_BLOCK, SAMPLE_BLOCK, branch_maps, map_inputs, repair_matrices,
+)
 from clusterport.measurement import draw_index
 from clusterport.statevec import StateVector, format_state
 
@@ -217,6 +219,49 @@ class TestEnumeration:
         assert bits([agg["total_probability_worst"]]) == bits([worst_total])
         assert bits([agg["branch_probability_min"]]) == bits([min(map(min, report.probability))])
         assert bits([agg["branch_probability_max"]]) == bits([max(map(max, report.probability))])
+
+
+class TestInputBlocks:
+    # around the number of inputs map_inputs, repair_branches and
+    # format_states take at once
+    SIZES = [INPUT_BLOCK - 1, INPUT_BLOCK, INPUT_BLOCK + 1, 2 * INPUT_BLOCK + 3]
+
+    @pytest.mark.parametrize("table", [None, no_repair_table])
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    def test_rows_equal_each_input_alone(self, monkeypatch, scheme, table):
+        # each input of a run, wherever a block boundary falls, reads as the
+        # run of that input alone; so the first N inputs' rows are the rows
+        # of a run with N
+        if table is not None:
+            monkeypatch.setattr(harness, "table_lookup", table)
+        reports = [run_enumeration(enum_cfg(scheme=scheme, random_inputs=n)) for n in self.SIZES]
+        alone = [
+            run_enumeration(enum_cfg(scheme=scheme, input_coeffs=s.coeffs))
+            for s in reports[-1].inputs
+        ]
+        for n, report in zip(self.SIZES, reports):
+            each = alone[:n]
+            assert report.inputs == tuple(a.inputs[0] for a in each)
+            assert report.probability == [a.probability[0] for a in each]
+            assert report.fidelity == [a.fidelity[0] for a in each]
+            assert report.state == [a.state[0] for a in each]
+            totals = [a.inputs[0].total_probability for a in each]
+            assert report.aggregates == {
+                "num_inputs": n,
+                "min_fidelity": min(a.aggregates["min_fidelity"] for a in each),
+                "total_probability_worst": max(totals, key=lambda t: abs(t - 1.0)),
+                "branch_probability_min": min(a.aggregates["branch_probability_min"] for a in each),
+                "branch_probability_max": max(a.aggregates["branch_probability_max"] for a in each),
+                "pass": all(a.passed for a in each),
+            }
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_block_size_does_not_change_reports(self, monkeypatch, fmt):
+        cfg = enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=10, output_format=fmt)
+        monkeypatch.setattr(harness, "table_lookup", no_repair_table)
+        default = emit_report(run(cfg))
+        monkeypatch.setattr(floatpath, "INPUT_BLOCK", 3)
+        assert emit_report(run(cfg)) == default
 
 
 class TestMonteCarlo:

@@ -50,6 +50,7 @@ MODULE_NAMES = {
     ],
     "floatpath": [
         "DISPLAY_TOL",
+        "INPUT_BLOCK",
         "PAULIS",
         "SAMPLE_BLOCK",
         "branch_maps",
