@@ -5,17 +5,18 @@ The package root exports the run contract: configure a ``RunConfig``,
 ``run`` it in one of four modes (``enumerate``, ``sample``, ``derive``,
 ``verify``), then read the ``Report`` or write it with ``emit_report``.
 The per-mode runners live in ``harness``.  The sign tables, the integer
-branch maps, the correction tables and the repair certificate live in
-``exact``, which needs no numpy, so a ``derive`` or ``verify`` run never
-loads numpy.
+branch maps, the correction tables, the repaired maps and the repair
+certificate live in ``exact``, which needs no numpy, so a ``derive`` or
+``verify`` run never loads numpy.
 
 ``enumerate`` and ``sample`` reach numpy through ``floatpath``: the seeded
-input draw, the float maps and repairs, the sampler and the display forms.
-``statevec``, ``gates``, ``measurement`` and ``protocol`` hold the dense
-six-qubit simulator that the tests use as a reference; no CLI mode runs
-them.  They are registered lazily: each sits in ``sys.modules`` under its
-name, so code that looks modules up there (the benchmark tracer does) finds
-them all, but runs only on first attribute use."""
+input draw, the application of the repaired maps, the sampler and the
+display forms.  ``statevec``, ``gates``, ``measurement`` and ``protocol``
+hold the dense six-qubit simulator that the tests use as a reference; no
+CLI mode runs them.  They are registered lazily: each sits in
+``sys.modules`` under its name, so code that looks modules up there (the
+benchmark tracer does) finds them all, but runs only on first attribute
+use."""
 
 import importlib.util
 import sys

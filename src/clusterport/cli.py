@@ -152,7 +152,8 @@ def _runs(pieces):
 
 def _write_report(path: str | None, runs) -> None:
     """Write the byte ``runs`` of a report to ``path``, or to stdout when
-    ``path`` is None, each as it comes.
+    ``path`` is None, each as it comes: decoded, where stdout is a text
+    stream with no byte buffer.
 
     A new or regular file is written through a sibling temp file that is
     then renamed over it, keeping its mode, so ``path`` never holds half a
@@ -167,7 +168,9 @@ def _write_report(path: str | None, runs) -> None:
     if path is None:
         if sys.stdout is None:  # what Python leaves for a closed descriptor 1
             raise OSError("stdout is closed")
-        out = sys.stdout.buffer
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # such as io.StringIO
+            out, runs = sys.stdout, (data.decode("utf-8") for data in runs)
         for data in runs:
             out.write(data)
         out.flush()

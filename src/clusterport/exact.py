@@ -1,12 +1,15 @@
 """The numpy-free exact core: the sign tables, the 16 integer branch maps,
-the correction tables and the repair certificate.
+the correction tables, the repaired maps and the repair certificate.
 
 Every 4K is a signed permutation, and a repair (a Pauli pair, after a
 controlled-phase for scheme 2) is monomial with phases in {1, -1, i, -i}:
 Clifford/Pauli structure (Gottesman, quant-ph/9807006).  So deriving and
 verifying the tables needs Python integers only, and a ``derive`` or
-``verify`` run never loads numpy.  ``floatpath`` builds the float maps and
-repair matrices of ``enumerate`` and ``sample`` from these constants.
+``verify`` run never loads numpy.  A repair's action is defined here alone
+(``_pair_action`` and ``_CZ_DIAG``): ``repaired_map`` is the one place R 4K
+is formed, the Gaussian-integer map that ``floatpath`` applies in
+``enumerate`` and ``sample``, and ``certified_repairs`` checks the same
+monomials.
 
 The records here and in ``harness`` are named tuples that validate in
 ``__new__``, ``_replace`` included (``_record``).  They load nothing beyond
@@ -240,6 +243,22 @@ def _pair_action(p4: str, p5: str):
     f4, ph4 = _PAULI_ACTIONS[p4]
     f5, ph5 = _PAULI_ACTIONS[p5]
     return 2 * f4 + f5, tuple(ph4[x >> 1] * ph5[x & 1] for x in range(4))
+
+
+@functools.cache
+def repaired_map(op: CorrectionOp, cell: int) -> tuple[tuple[complex, ...], ...]:
+    """R 4K for the repair ``op`` of branch ``cell`` (cell order, the (1, 3)
+    outcome major): the Pauli pair R, after the controlled-phase when
+    ``op.cz_first``, times the integer map, as rows of Gaussian integers.
+    R sends row x of the CZ step times 4K to row x xor flip, times
+    phases[x] (``_pair_action``), so nothing is summed.  Built once per process for
+    each argument pair from the constants as they are at that call."""
+    flip, phases = _pair_action(op.p4, op.p5)
+    diag = _CZ_DIAG if op.cz_first else (1, 1, 1, 1)
+    k = branch_maps()[cell]
+    return tuple(
+        tuple(phases[x] * diag[x] * v for v in k[x]) for x in (y ^ flip for y in range(4))
+    )
 
 
 @functools.cache

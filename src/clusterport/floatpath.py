@@ -1,17 +1,15 @@
 """The numpy side of ``enumerate`` and ``sample``: the seeded input draw,
-the float branch maps and repairs, the sampler and the display forms.
+the application of the repaired maps, the sampler and the display forms.
 
 Every branch is a fixed 4x4 map K from the input on (1, 2) to the output on
-(4, 5) (``branch_maps``): the integer maps 4K of ``exact.branch_maps`` over
-4.  A repair's matrix is formed in one place, ``repair_matrices``, from
-``PAULIS`` and the CZ diagonal of ``exact``, read at call time;
-``repair_branches`` multiplies the 16 repairs into the maps and applies them
-to every input with ``map_inputs``, and ``random_inputs`` draws the seeded
-inputs of a run in one ``standard_normal`` call on the run's one stream
-``default_rng([seed, 0])``: one array of coefficient rows, normed and
-checked (``check_coeffs``) at once, whose first N rows are the inputs of a
-run with N.  Both read the basis states a scheme's input spans from
-``exact._BASIS_INPUTS``.
+(4, 5).  ``repair_branches`` takes the repaired map R 4K of each cell from
+``exact.repaired_map``, the one place a repair's action on a map is formed,
+as one stack over 4, and applies it to every input with ``map_inputs``.
+``random_inputs`` draws the seeded inputs of a run in one
+``standard_normal`` call on the run's one stream ``default_rng([seed,
+0])``: one array of coefficient rows, normed and checked (``check_coeffs``)
+at once, whose first N rows are the inputs of a run with N.  Both read the
+basis states a scheme's input spans from ``exact._BASIS_INPUTS``.
 
 The sampler draws an index from cumulative weights as
 ``measurement.draw_index`` does: the first index whose cumulative weight b
@@ -27,9 +25,9 @@ which is how ``sample_outcome_pairs`` draws its trials.
 ``map_inputs`` and ``format_states`` work through a stack INPUT_BLOCK
 inputs at a time, computing each row on its own, so their temporaries stay
 the size of a block at any input count and no row depends on the count.
-``format_states`` rotates each block in one array pass and formats each
-distinct vector of it once.  Only the ``state`` of a report calls it, when
-first read.
+``format_states`` rotates each block in one array pass and formats the
+first of each run of equal vectors in it once.  Only the ``state`` of a
+report calls it, when first read.
 
 This module imports numpy, the standard library and ``exact`` only, so the
 dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
@@ -44,7 +42,7 @@ import struct
 import numpy as np
 
 from . import exact
-from .exact import COEFF_TOL, PAULI_NAMES, PAULI_PAIRS, Scheme
+from .exact import COEFF_TOL, Scheme
 
 # Display forms leave out amplitudes of modulus at or below this.
 DISPLAY_TOL = 1e-9
@@ -58,15 +56,6 @@ SAMPLE_BLOCK = 16384
 # most that, so no temporary grows with the input count, while the fixed
 # cost of each block's numpy calls is spread over 16384 branches.
 INPUT_BLOCK = 1024
-
-PAULIS: dict[str, np.ndarray] = {
-    "I": np.array([[1, 0], [0, 1]], dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-for _m in PAULIS.values():
-    _m.setflags(write=False)
 
 
 def _row_norms(c: np.ndarray) -> np.ndarray:
@@ -108,34 +97,6 @@ def random_inputs(scheme: Scheme, seed: int, count: int) -> np.ndarray:
     k = len(exact._BASIS_INPUTS[Scheme(scheme)])
     x = np.random.default_rng([seed, 0]).standard_normal((count, 2 * k))
     return check_coeffs(_unit_coeffs(x))
-
-
-# kron(P4, P5) for each pair in PAULI_PAIRS order (particle 4 is the more
-# significant bit of every (4, 5) register), in one call to keep import cheap.
-_PAULI_STACK = np.stack([PAULIS[name] for name in PAULI_NAMES])
-_PAIR_OPS = np.einsum("aij,bkl->abikjl", _PAULI_STACK, _PAULI_STACK).reshape(16, 4, 4)
-
-
-def repair_matrices(ops) -> np.ndarray:
-    """The repairs ``ops`` as a stack of 4x4 matrices on (4, 5): each Pauli
-    pair after its optional controlled-phase, whose diagonal is read from
-    ``exact``."""
-    m = _PAIR_OPS[[PAULI_PAIRS.index((op.p4, op.p5)) for op in ops]]
-    with_cz = np.array([op.cz_first for op in ops], dtype=bool)
-    m[with_cz] *= np.array(exact._CZ_DIAG, dtype=np.complex128)
-    return m
-
-
-def branch_maps() -> np.ndarray:
-    """The 16 branch maps, ``branch_maps()[i, j]`` for the outcomes
-    (BELL_OUTCOMES[i], BELL_OUTCOMES[j]).
-
-    Each is the 4x4 map K from the input on (1, 2) to the uncorrected output
-    on (4, 5), unnormalized, so |K v|^2 is the branch probability of input
-    v: the integer maps 4K of ``exact.branch_maps`` over 4, built afresh at
-    each call.
-    """
-    return np.array(exact.branch_maps()).reshape(4, 4, 4, 4) / 4 + 0j
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -188,7 +149,9 @@ def repair_branches(ops, scheme: Scheme, coeffs):
     c = np.asarray(coeffs, dtype=np.complex128)
     amps = np.zeros((len(c), 4), dtype=np.complex128)
     amps[:, exact._BASIS_INPUTS[Scheme(scheme)]] = c
-    repaired = repair_matrices(ops) @ branch_maps().reshape(16, 4, 4)
+    repaired = np.array(
+        [exact.repaired_map(op, cell) for cell, op in enumerate(ops)], dtype=np.complex128
+    ) / 4
     out, probs, fids = map_inputs(repaired, amps)
     for b in _blocks(len(out)):
         out[b] /= np.sqrt(probs[b])[..., None]
@@ -357,30 +320,22 @@ def format_states(amps):
 
 def _format_block(amps):
     """``format_states`` of one block: the block is rotated at once, and
-    each distinct rotated vector, found by one ``np.unique`` over the bytes
-    of the first of each run of equal ones, is formatted once.  The
-    left-out amplitudes are zeroed first, so vectors that differ only there
-    (a sign bit, rounding dust) share one key."""
+    the first of each run of equal rotated vectors is formatted once, its
+    text standing for the whole run.  The left-out amplitudes are zeroed
+    first, so vectors that differ only there (a sign bit, rounding dust)
+    share one key."""
     shown, above = display_rotation(amps)
     n = shown.shape[-1]
     rows, masks = shown.reshape(-1, n), above.reshape(-1, n)
     np.putmask(rows, ~masks, 0)  # in place: rows is a view of our own array
     # an amplitude above DISPLAY_TOL is not 0, so the zeroed row is its key;
-    # a repaired stack repeats each input's row along its cells, and only
-    # the head of each run of equal rows is sorted
+    # a repaired stack repeats each input's row along its cells
     words = rows.view(np.uint64)
     head = np.ones(len(rows), dtype=bool)
     head[1:] = (words[1:] != words[:-1]).any(axis=1)
-    rows, masks = rows[head], masks[head]
-    _, first, inverse = np.unique(
-        rows.view(np.dtype((np.void, rows.itemsize * n))).ravel(),
-        return_index=True, return_inverse=True,
-    )
     n_qubits = n.bit_length() - 1
     labels = [format(i, f"0{n_qubits}b") if n_qubits else "" for i in range(n)]
     texts = [
-        _ket(vals, mask, labels) for vals, mask in zip(rows[first].tolist(), masks[first].tolist())
+        _ket(vals, mask, labels) for vals, mask in zip(rows[head].tolist(), masks[head].tolist())
     ]
-    # flattened: the shape of the inverse has varied between numpy versions
-    runs = inverse.reshape(-1)[head.cumsum() - 1]
-    return np.array(texts, dtype=object)[runs].reshape(shown.shape[:-1]).tolist()
+    return np.array(texts, dtype=object)[head.cumsum() - 1].reshape(shown.shape[:-1]).tolist()

@@ -1,18 +1,29 @@
 """Single-qubit gates and the controlled-phase gate on labeled registers:
 the dense reference's gate layer.
 
-Gates sweep index pairs of the dense amplitude array directly; no 2^n
-operator matrix is ever built.
+``PAULIS`` holds the four Paulis as literal matrices, a definition kept
+apart from the monomials of ``exact``, so the dense reference and the
+tests' float references check ``exact.repaired_map`` against Paulis that
+``exact`` does not define.  Gates sweep index pairs of the dense amplitude array directly;
+no 2^n operator matrix is ever built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .floatpath import PAULIS
 from .statevec import StateVector, _trusted
 
 UNITARY_TOL = 1e-10
+
+PAULIS: dict[str, np.ndarray] = {
+    "I": np.array([[1, 0], [0, 1]], dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+for _m in PAULIS.values():
+    _m.setflags(write=False)
 
 # The Pauli constants are unitary by construction; skip re-checking
 # them inside hot loops.

@@ -19,10 +19,11 @@ integer equality, with no tolerance and no numpy: one
 process; no report is.  Their rows are built here, from the derived table
 and, for ``verify``, the other certificate; the verdict strings are defined
 nowhere else, and ``verify`` passes only when every cell is exact.
-``enumerate`` and ``sample`` take the input draw, the float maps, the
-repairs and the sampler from ``floatpath``, which their runners import on
-first use, and numpy with it; the top level of this module loads only
-``exact`` and the standard library, and ``json`` waits for the JSON emitter.
+``enumerate`` and ``sample`` take the input draw, the application of the
+repaired maps (``exact.repaired_map``) and the sampler from ``floatpath``,
+which their runners import on first use, and numpy with it; the top level
+of this module loads only ``exact`` and the standard library, and ``json``
+waits for the JSON emitter.
 
 ``enumerate`` works in whole columns: ``floatpath.random_inputs`` draws the
 inputs as one array, kept to the summaries.  A report keeps the

@@ -18,13 +18,14 @@ a branch-specific correction on the receiver's pair restores the input:
 The protocol is linear in the input, so each branch is a fixed 4x4 map K
 from (1, 2) to (4, 5), contracted exactly from the integer sign tables of
 the channel and the Bell basis (``exact.branch_maps``); ``enumerate`` and
-``sample`` apply its float form in ``floatpath``.  This module is the dense
-six-qubit reference the tests check those maps against: it assembles the
-six-particle state, projects it onto a branch and repairs it gate by gate.
+``sample`` apply its repaired form ``exact.repaired_map`` in ``floatpath``.
+This module is the dense six-qubit reference the tests check those maps
+against: it assembles the six-particle state, projects it onto a branch and
+repairs it gate by gate with the matrices of ``gates.PAULIS``.
 ``random_input`` (one input from one stream, scaled as ``floatpath`` scales
-a batch) and ``pauli_pair_fidelities`` (every Pauli pair on one branch,
-through the float maps) run in no CLI mode; the tests and the benchmark
-tracer use both.
+a batch) and ``pauli_pair_fidelities`` (every Pauli pair on one branch, as
+Kronecker products of ``gates.PAULIS`` times ``exact.branch_maps()`` / 4)
+run in no CLI mode; the tests and the benchmark tracer use both.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 from . import exact
 from .exact import BELL_OUTCOMES, PAULI_PAIRS, BellOutcome, CorrectionOp, InputState, Scheme
-from .floatpath import PAULIS, _unit_coeffs, branch_maps, map_inputs, repair_matrices
-from .gates import apply_cz, apply_single
+from .floatpath import _unit_coeffs, map_inputs
+from .gates import PAULIS, apply_cz, apply_single
 from .measurement import project_bell
 from .statevec import StateVector, relabel, tensor
 
@@ -104,7 +105,10 @@ def pauli_pair_fidelities(o13: BellOutcome, o26: BellOutcome, inputs, cz_first: 
     """For each Pauli pair (p4, p5), its worst post-repair fidelity over
     ``inputs`` (amplitude vectors on (1, 2)) on one branch, after the
     controlled-phase when ``cz_first``."""
-    k = branch_maps()[BELL_OUTCOMES.index(o13), BELL_OUTCOMES.index(o26)]
-    repairs = repair_matrices([CorrectionOp(*pair, cz_first=cz_first) for pair in PAULI_PAIRS])
+    cell = 4 * BELL_OUTCOMES.index(o13) + BELL_OUTCOMES.index(o26)
+    k = np.array(exact.branch_maps()[cell], dtype=np.complex128) / 4
+    if cz_first:
+        k = np.array(exact._CZ_DIAG)[:, None] * k  # the controlled-phase step
+    repairs = np.array([np.kron(PAULIS[p4], PAULIS[p5]) for p4, p5 in PAULI_PAIRS])
     fid = map_inputs(repairs @ k, inputs)[2]
     return dict(zip(PAULI_PAIRS, fid.min(axis=0).tolist()))

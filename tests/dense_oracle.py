@@ -12,8 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from clusterport import BELL_OUTCOMES, BellOutcome, CorrectionOp, InputState, Scheme, table_lookup
-from clusterport.floatpath import DISPLAY_TOL, PAULIS
-from clusterport.gates import apply_cz, apply_single
+from clusterport.floatpath import DISPLAY_TOL
+from clusterport.gates import PAULIS, apply_cz, apply_single
 from clusterport.measurement import sample_bell
 from clusterport.exact import PAULI_NAMES
 from clusterport.protocol import (

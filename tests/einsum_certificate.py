@@ -1,23 +1,40 @@
 """The repair certificate as complex-array products, kept in the tests as a
-second reference for ``exact.certified_repairs``.
+second reference for ``exact.certified_repairs`` and ``exact.repaired_map``.
 
-It multiplies every Pauli pair, built as a Kronecker product of
-``floatpath.PAULIS``, into the float branch maps of every cell and tests
-each product for c times the identity on the scheme's basis inputs.  It
-shares only the sign tables and the CZ diagonal with the exact core, read
-at call time, so a mutated constant reaches both.
+It multiplies every Pauli pair, built as a Kronecker product of the dense
+reference's ``gates.PAULIS``, into the float branch maps of every cell and
+tests each product for c times the identity on the scheme's basis inputs.
+It shares only the sign tables and the CZ diagonal with the exact core,
+read at call time, so a mutated constant reaches both, and none of the
+monomials ``exact`` builds its repairs from.
 """
 
 import numpy as np
 
 from clusterport import exact
 from clusterport.exact import PAULI_NAMES, PAULI_PAIRS, Scheme
-from clusterport.floatpath import PAULIS, branch_maps
+from clusterport.gates import PAULIS
 
 # kron(P4, P5) for each pair in PAULI_PAIRS order (particle 4 is the more
 # significant bit of every (4, 5) register).
 _PAULI_STACK = np.stack([PAULIS[name] for name in PAULI_NAMES])
 PAIR_OPS = np.einsum("aij,bkl->abikjl", _PAULI_STACK, _PAULI_STACK).reshape(16, 4, 4)
+
+
+def branch_maps() -> np.ndarray:
+    """The 16 branch maps K as floats, ``branch_maps()[i, j]`` for the
+    outcomes (BELL_OUTCOMES[i], BELL_OUTCOMES[j]): the integer maps 4K of
+    ``exact.branch_maps`` over 4, built afresh at each call."""
+    return np.array(exact.branch_maps()).reshape(4, 4, 4, 4) / 4 + 0j
+
+
+def repair_matrices(ops) -> np.ndarray:
+    """The repairs ``ops`` as a stack of 4x4 matrices on (4, 5), from
+    ``PAIR_OPS``: each Pauli pair after its optional controlled-phase."""
+    m = PAIR_OPS[[PAULI_PAIRS.index((op.p4, op.p5)) for op in ops]]
+    with_cz = np.array([op.cz_first for op in ops], dtype=bool)
+    m[with_cz] *= np.array(exact._CZ_DIAG, dtype=np.complex128)
+    return m
 
 
 def certify(products: np.ndarray, scheme: Scheme) -> np.ndarray:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import errno
+import io
 import json
 import os
 import stat
@@ -243,6 +245,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "clusterport: cannot write report: stdout is closed\n"
+
+    @pytest.mark.parametrize("table", [None, wrong_table], ids=["listed", "wrong"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_text_stdout_takes_the_report_text(self, capsys, monkeypatch, tmp_path, mode, table):
+        # a text stream with no byte buffer, such as redirect_stdout puts in
+        # place, gets the report decoded and the exit code of --out
+        if table is not None:
+            monkeypatch.setattr(harness, "table_lookup", table)
+        argv = [mode, "--scheme", "2", "--seed", "7"]
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            code = main(argv)
+        assert code == main([*argv, "--out", str(tmp_path / "report")])
+        assert code == (1 if table is not None and mode != "derive" else 0)
+        report = harness.run(_config_from(build_parser().parse_args(argv)))
+        assert stream.getvalue() == emit_report(report).decode()
+        assert capsys.readouterr() == ("", "")
 
     def test_zero_tolerance_exit_0(self, capsys):
         # every repaired fidelity is exactly 1, so a zero tolerance passes

@@ -18,7 +18,6 @@ from clusterport import (
     table_lookup,
 )
 from clusterport.exact import PAULI_PAIRS, certified_repairs
-from clusterport.floatpath import branch_maps, repair_matrices
 from clusterport.protocol import (
     apply_correction,
     assemble_total,
@@ -28,7 +27,7 @@ from clusterport.protocol import (
     target_state,
 )
 from clusterport.statevec import fidelity
-from einsum_certificate import certify, repair_stack
+from einsum_certificate import branch_maps, certify, repair_matrices, repair_stack
 
 PHI_P = BellOutcome.PHI_PLUS
 PHI_M = BellOutcome.PHI_MINUS
@@ -321,8 +320,8 @@ class TestTableCertificate:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_every_row_is_the_per_cell_certificate(self, scheme, cz):
         # the whole-table stack of the einsum reference certifies each cell
-        # as a stack of its own 16 repairs would, and each repair in it is
-        # the matrix enumerate and sample apply
+        # as a stack of its own 16 repairs would, and each product in it is
+        # the repaired map enumerate and sample apply
         stack = repair_stack(cz)
         assert stack.shape == (16, 16, 4, 4)
         table = certify(stack, scheme)
@@ -332,6 +331,7 @@ class TestTableCertificate:
             for pair, (p4, p5) in enumerate(PAULI_PAIRS):
                 op = CorrectionOp(p4, p5, cz_first=cz)
                 assert np.array_equal(stack[cell, pair], repair_matrices([op])[0] @ (4 * k))
+                assert np.array_equal(stack[cell, pair], exact.repaired_map(op, cell))
             expected = certify(einsum_certificate.PAIR_OPS @ repaired, scheme)
             assert table[cell].tolist() == expected.tolist()
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from clusterport import CorrectionOp
-from clusterport.floatpath import PAULIS
-from clusterport.gates import apply_cz, apply_single
+from clusterport.gates import PAULIS, apply_cz, apply_single
 from clusterport.statevec import StateVector
 from conftest import basis_ket, random_state
 

@@ -44,11 +44,10 @@ from clusterport.harness import (
     run_montecarlo,
     run_verification,
 )
-from clusterport.floatpath import (
-    INPUT_BLOCK, SAMPLE_BLOCK, branch_maps, map_inputs, repair_matrices,
-)
+from clusterport.floatpath import INPUT_BLOCK, SAMPLE_BLOCK, map_inputs
 from clusterport.measurement import draw_index
 from clusterport.statevec import StateVector, format_state
+from einsum_certificate import branch_maps, repair_matrices
 
 
 def wrong_table(scheme, o13, o26):
@@ -413,7 +412,8 @@ def scalar_draw_counts(probs, seed, sizes):
 
 def repaired_outputs(scheme, coeff_rows):
     """The normalized repaired output of every branch of every input, taken
-    the way ``run_enumeration`` takes it, with ``harness.table_lookup``."""
+    the way ``run_enumeration`` takes it, with ``harness.table_lookup``, but
+    through the float repair matrices of the einsum reference."""
     ops = [harness.table_lookup(scheme, o13, o26)[0] for o13, o26 in harness._ALL_PAIRS]
     repaired = repair_matrices(ops) @ branch_maps().reshape(16, 4, 4)
     out, probs, _ = map_inputs(repaired, [InputState(scheme, c).amps for c in coeff_rows])
@@ -998,6 +998,85 @@ def test_enumerate_wide_seed_unchanged(key):
     scheme, fmt = key
     cfg = RunConfig(scheme=Scheme(scheme), mode="enumerate", seed=2**32 + 15, output_format=fmt)
     assert schema4_digest(cfg) == _PINNED_WIDE_SEED_DIGESTS[key]
+
+
+# SHA-256 of enumerate/sample reports of --coeffs inputs (seed 0, default
+# trials): every basis input of each scheme and a few signed or imaginary
+# ones, where the zero entries of the repaired maps, whose signs are free,
+# meet zero amplitudes.  As schema 5 wrote them, with the repaired maps
+# taken as float matrix products; every byte must stay
+_PINNED_COEFFS_DIGESTS = {
+    ("enumerate", 1, "1,0", "json"): "d661e02247a5b69e702aaf3f5b5cbd413d47585ad0c7082e0c83cee1d91d287d",
+    ("enumerate", 1, "1,0", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
+    ("enumerate", 1, "1,0", "text"): "dafddb9da9d7167c38c55032d0630226199246034d6daf0436bd4e0516acf0f8",
+    ("enumerate", 1, "0,1", "json"): "f168df88cc702e7ba1c0f1237d8dd83a68e8b9f70312b2dba4c178cfb1f05422",
+    ("enumerate", 1, "0,1", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
+    ("enumerate", 1, "0,1", "text"): "5d9dece8884732db71356b5f92e2c67c9e323719e900d65e6cdd1dfcf40c7959",
+    ("enumerate", 1, "0,-1j", "json"): "d4805f8f20a6566729e0d8895ec92a71d2a8e9c7cb96d076acfdc71443227187",
+    ("enumerate", 1, "0,-1j", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
+    ("enumerate", 1, "0,-1j", "text"): "1e8cd5108caccdef604345ccf576d4ed8e9ab3fc3d101e16b53c7dcea0b1e990",
+    ("enumerate", 1, "-0.6,0.8", "json"): "058c7395a8ecac93d2c2620a054c6480a9e1a87c199c3e42b1c6ed0bd783d626",
+    ("enumerate", 1, "-0.6,0.8", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
+    ("enumerate", 1, "-0.6,0.8", "text"): "7f8554b4e309bb0658227a91042e3d364b95fcc3f2293d4feb6dc07123b3ce97",
+    ("enumerate", 2, "1,0,0,0", "json"): "7bc6834101c429ccccae2b6c133e6e0da24260979e0139e6b5a45c691123d002",
+    ("enumerate", 2, "1,0,0,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("enumerate", 2, "1,0,0,0", "text"): "ebd57a41bc81b01f78d5710ef178229b3720e63696ba5713df5044d3f8492f8a",
+    ("enumerate", 2, "0,1,0,0", "json"): "6995cdb881b26d75e362a8ba0e6691d6cba1df76b1bf6b8baef7c91e20108ac1",
+    ("enumerate", 2, "0,1,0,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("enumerate", 2, "0,1,0,0", "text"): "c5a7c21b4edbf201de3bbae6b2df5b6b4c4829db44aafb43efa5f9e34dc2908b",
+    ("enumerate", 2, "0,0,1,0", "json"): "bab5143d9397350e82cd8f80e508f5e30d405a38a284ee3551e64f84d920521b",
+    ("enumerate", 2, "0,0,1,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("enumerate", 2, "0,0,1,0", "text"): "ced2cf3fa3719986c42610e5473c311d989830898088ee10dfba18813662661e",
+    ("enumerate", 2, "0,0,0,1", "json"): "e735386b773385276efae357678f5a605663308762146dbab348f9b99fbfebe7",
+    ("enumerate", 2, "0,0,0,1", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("enumerate", 2, "0,0,0,1", "text"): "950781f734843496d13da73603be5b47e3ac7f03a197eed9f33d6b067502114c",
+    ("enumerate", 2, "0,0,0,-1j", "json"): "45cc2e863c8f012408ee7ce3813cb7143d2c5c930819d0e15590a992a8d5d58b",
+    ("enumerate", 2, "0,0,0,-1j", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("enumerate", 2, "0,0,0,-1j", "text"): "dfb33fffbbbd6377252ed4ced24097a46ef6ce405ac08849ec86c4fb40656cd0",
+    ("enumerate", 2, "0.5,-0.5,0.5j,-0.5j", "json"): "8cce7ed7efff7ac4339fdd0e925c0832bac34fd61f3bb82bf942e24a180c07c0",
+    ("enumerate", 2, "0.5,-0.5,0.5j,-0.5j", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("enumerate", 2, "0.5,-0.5,0.5j,-0.5j", "text"): "5cb92e46502afa607cfe7160d2e2c2a0edd88cd0314a7512244da7207b74ff68",
+    ("sample", 1, "1,0", "json"): "87ecce7e43b1147b32c974cd461bfc20bc4fd6046a350ff737602998d360203f",
+    ("sample", 1, "1,0", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
+    ("sample", 1, "1,0", "text"): "f2306cba8a7375c12fd598cd62b9057010beb8546111cfafb53ef94364970db5",
+    ("sample", 1, "0,1", "json"): "f6b3f8c124d99c1ad7621c013c7122582cf4bbce99ffda1ed9311b067f4f2eb9",
+    ("sample", 1, "0,1", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
+    ("sample", 1, "0,1", "text"): "135f4f496f055ceb1591d108201c5d6954d27daef6f4c671a09f78d644fec78f",
+    ("sample", 1, "0,-1j", "json"): "a27b0859fd1321efc117078ac629732eb5a925ee19aaa6b591d46a55d3b7cef3",
+    ("sample", 1, "0,-1j", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
+    ("sample", 1, "0,-1j", "text"): "f59ba39aa0314d0ee5d09dba24607ce9fed6b294b2fb91821a379fd7966cf982",
+    ("sample", 1, "-0.6,0.8", "json"): "a6fc850181e61e512aced55a9eede54cde86156c37af3ecc7ecd53a6325a4b80",
+    ("sample", 1, "-0.6,0.8", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
+    ("sample", 1, "-0.6,0.8", "text"): "d83bf42b643a5029d1797a63557ca1f7c1d438550b98da55200d81177903129b",
+    ("sample", 2, "1,0,0,0", "json"): "e18d7eba76d723f8d0707ce822de610b5bf396009a5f6d423b72b219f318921d",
+    ("sample", 2, "1,0,0,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("sample", 2, "1,0,0,0", "text"): "6cab92ff68697418362ed9fbd7e8559f8b92bb0aeea1345ebb0a5e6f56954f01",
+    ("sample", 2, "0,1,0,0", "json"): "63d71bf9e112ac8d273da564f43151c070cd3a4f43e0b9a64a087e04b5732db4",
+    ("sample", 2, "0,1,0,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("sample", 2, "0,1,0,0", "text"): "8891676f2f33cd5da2c09d3531df6c2194ddbb63ae3170b1e0913567e27ede9c",
+    ("sample", 2, "0,0,1,0", "json"): "2408407581ef267cb3b6abff448041801278957dbb130a9bb22232bb9f4562e2",
+    ("sample", 2, "0,0,1,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("sample", 2, "0,0,1,0", "text"): "4f4d2bfca1247df3a700aa955faae6d73e42653ae8813c5e9054eef0b1488b0a",
+    ("sample", 2, "0,0,0,1", "json"): "b4282ffa5461add7d57689cbe23ea31653b178e2c5868872977f859a3f6e2750",
+    ("sample", 2, "0,0,0,1", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("sample", 2, "0,0,0,1", "text"): "f22cb6637b5f4c6757f23d4e7e9a27378e198c11d71fba40e9c93132894106f7",
+    ("sample", 2, "0,0,0,-1j", "json"): "a5c2f1ab62a4494557fc556d7519b2ba2de0a632827573423f20654358fdf013",
+    ("sample", 2, "0,0,0,-1j", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("sample", 2, "0,0,0,-1j", "text"): "455cfa89a22a78faa2ada1d1c612c608afeb04224f3f5fa20956159f4f38d77d",
+    ("sample", 2, "0.5,-0.5,0.5j,-0.5j", "json"): "bb52e2320656d96dc55d78a18799fe6a4fa5f613176c1867253dae0d00c19ac9",
+    ("sample", 2, "0.5,-0.5,0.5j,-0.5j", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
+    ("sample", 2, "0.5,-0.5,0.5j,-0.5j", "text"): "7cfda1d0b886dc16a649fe972e7e5f337cb5925b4e960ad4d093b2e0d4fa1cee",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(_PINNED_COEFFS_DIGESTS), ids=lambda k: "-".join(map(str, k))
+)
+def test_coeffs_reports_unchanged(key):
+    mode, scheme, text, fmt = key
+    coeffs = [complex(t) for t in text.split(",")]
+    cfg = RunConfig(scheme=Scheme(scheme), mode=mode, input_coeffs=coeffs, output_format=fmt)
+    assert hashlib.sha256(emit_report(run(cfg))).hexdigest() == _PINNED_COEFFS_DIGESTS[key]
 
 
 def basis_coeffs(scheme):

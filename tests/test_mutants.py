@@ -14,17 +14,27 @@ branch maps and never compares them against the listed ones.
 
 Each constant is mutated in its one home, ``exact``: ``derive`` and
 ``verify`` read it through the exact certificate, ``enumerate`` and
-``sample`` through the float maps and repair matrices of ``protocol``.
-Under every constant mutant the exact certificate must still accept what
-the einsum reference accepts.
+``sample`` through the repaired maps of ``exact.repaired_map``.  Under
+every constant mutant the exact certificate must still accept what the
+einsum reference accepts.
+
+A sign-flip mutant negates any subset of the nonzero entries of the
+channel's or the Bell basis's sign table at once.  Negating a whole ket (the
+channel, or one Bell state) is a global phase, which no repair can notice;
+every other pattern must fail ``verify`` in at least one scheme.
 """
+
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import einsum_certificate
 from clusterport import BELL_OUTCOMES, CorrectionOp, RunConfig, Scheme, exact, harness, run
-from clusterport.exact import PAULI_NAMES, branch_maps, certified_repairs, table_lookup
+from clusterport.exact import (
+    PAULI_NAMES, branch_maps, certified_repairs, repaired_map, table_lookup,
+)
 from test_corrections import z_twin
 
 CELLS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
@@ -123,6 +133,7 @@ def clear_caches():
     """Drop what ``exact`` built from the constants, so they are read again."""
     branch_maps.cache_clear()
     certified_repairs.cache_clear()
+    repaired_map.cache_clear()
 
 
 def certificates_agree():
@@ -176,3 +187,57 @@ def test_constant_mutants(monkeypatch, name, scheme):
     assert branch_maps() is not maps and branch_maps() == maps
     assert certificates_agree()
     assert failing_modes(scheme) == set()
+
+
+# (patterns, global-phase patterns, failed runs per (mode, scheme)) for
+# every sign pattern of each table's nonzero entries, the identity included
+SIGN_FLIP_FAILURES = {
+    "CLUSTER_SIGNS": (16, 2, {
+        ("derive", Scheme.SPECIAL): 0, ("verify", Scheme.SPECIAL): 12,
+        ("derive", Scheme.ARBITRARY): 8, ("verify", Scheme.ARBITRARY): 14,
+    }),
+    "BELL_SIGNS": (256, 16, {
+        ("derive", Scheme.SPECIAL): 0, ("verify", Scheme.SPECIAL): 224,
+        ("derive", Scheme.ARBITRARY): 0, ("verify", Scheme.ARBITRARY): 240,
+    }),
+}
+
+
+def sign_flip_mutants(name):
+    """(table, global_phase): the ``exact`` constant ``name`` with each
+    sign pattern on its nonzero entries, and whether the pattern flips every
+    ket alike (the channel, or each Bell state ``BELL_SIGNS[k]``)."""
+    table = getattr(exact, name)
+    signs = np.array(table)
+    nonzero = [tuple(i) for i in np.argwhere(signs).tolist()]
+    for flips in itertools.product((1, -1), repeat=len(nonzero)):
+        mutated, kets = table, {}
+        for index, flip in zip(nonzero, flips):
+            mutated = replaced(mutated, index, flip * int(signs[index]))
+            kets.setdefault(index[0] if name == "BELL_SIGNS" else None, set()).add(flip)
+        yield mutated, all(len(ket) == 1 for ket in kets.values())
+
+
+@pytest.mark.parametrize("name", list(SIGN_FLIP_FAILURES))
+def test_sign_flip_mutants(monkeypatch, name):
+    failures, passing_verify, global_phases = Counter(), [], []
+    try:
+        for table, global_phase in sign_flip_mutants(name):
+            with monkeypatch.context() as mp:
+                mp.setattr(exact, name, table)
+                clear_caches()
+                failed = {
+                    (mode, scheme) for mode in ("derive", "verify") for scheme in Scheme
+                    if not run(RunConfig(scheme=scheme, mode=mode)).passed
+                }
+            failures.update(failed)
+            passing_verify.append(all(mode != "verify" for mode, _ in failed))
+            global_phases.append(global_phase)
+    finally:
+        clear_caches()  # after the restore: rebuild from the real tables
+    patterns, phases, expected = SIGN_FLIP_FAILURES[name]
+    assert (len(global_phases), sum(global_phases)) == (patterns, phases)
+    assert global_phases[0]  # the identity pattern comes first
+    # exactly the global-phase patterns pass verify in both schemes
+    assert passing_verify == global_phases
+    assert {key: failures[key] for key in expected} == expected

@@ -13,12 +13,7 @@ from clusterport import (
 )
 from clusterport.gates import apply_cz
 from clusterport.harness import MAX_RANDOM_INPUTS, run_enumeration
-from clusterport.floatpath import (
-    branch_maps,
-    check_coeffs,
-    random_inputs,
-    repair_matrices,
-)
+from clusterport.floatpath import check_coeffs, random_inputs
 from clusterport.protocol import (
     apply_correction,
     assemble_total,
@@ -29,6 +24,7 @@ from clusterport.protocol import (
     target_state,
 )
 from clusterport.statevec import StateVector, fidelity, format_state
+from einsum_certificate import branch_maps, repair_matrices
 
 PHI_P = BellOutcome.PHI_PLUS
 PHI_M = BellOutcome.PHI_MINUS

@@ -47,13 +47,12 @@ MODULE_NAMES = {
         "PAULI_PAIRS",
         "branch_maps",
         "certified_repairs",
+        "repaired_map",
     ],
     "floatpath": [
         "DISPLAY_TOL",
         "INPUT_BLOCK",
-        "PAULIS",
         "SAMPLE_BLOCK",
-        "branch_maps",
         "cell_thresholds",
         "check_coeffs",
         "display_rotation",
@@ -63,11 +62,10 @@ MODULE_NAMES = {
         "outcome_cells",
         "random_inputs",
         "repair_branches",
-        "repair_matrices",
         "sample_outcome_pairs",
     ],
     "statevec": ["fidelity", "format_state", "relabel", "tensor"],
-    "gates": ["apply_cz"],
+    "gates": ["PAULIS", "apply_cz"],
     "measurement": ["ProjectionResult", "draw_index", "project_bell", "sample_bell"],
     "protocol": [
         "CHANNEL_LABELS",

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from clusterport.floatpath import DISPLAY_TOL, PAULIS, display_rotation, format_states
-from clusterport.gates import apply_single
+from clusterport.floatpath import DISPLAY_TOL, display_rotation, format_states
+from clusterport.gates import PAULIS, apply_single
 from clusterport.statevec import StateVector, fidelity, format_state, relabel, tensor
 from conftest import basis_ket, random_state
 from dense_oracle import ket_text
@@ -174,7 +174,8 @@ class TestFormatStates:
         assert format_states(v) == ket_text(v) == format_state(StateVector((4, 5), v))
 
     def test_repeated_vectors_keep_their_places(self, rng):
-        # the distinct vectors are formatted once and scattered back
+        # the first of each run of equal vectors is formatted once, and each
+        # text is scattered back over its run
         distinct = gaussian(rng, (3, 4))
         order = [2, 0, 0, 1, 2, 2, 1, 0]
         texts = format_states(distinct[order].reshape(2, 4, 4))
