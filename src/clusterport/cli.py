@@ -1,133 +1,146 @@
 """Command-line front end.
 
+Each mode reads its options from one table, ``MODES[mode][1]``, which
+maps a flag to the ``RunConfig`` field it sets (``out`` and
+``renormalize`` are read here instead, and ``--help`` sets nothing), the
+function that converts its value (None for a flag that takes no value),
+its metavar and its help line.  An option reads ``--opt value`` or
+``--opt=value``; a unique prefix of its name (``--ran 5``) stands for the
+name, and ``-h`` for ``--help``.  A value written apart may start with '-'
+only when it reads as a number or a list of numbers (``--seed -1``,
+``--coeffs -0.6,0.8``): any other word that starts with '-' is taken for
+the next option.  When an option repeats, the last one wins.  No option
+has a default, so the ``RunConfig`` defaults apply, and ``RunConfig``
+checks every value but the choices of ``--scheme`` and ``--format``.
+
 Exit codes: 0 when every configured check passes, 1 when a check fails,
 2 for unusable arguments or configuration, or a report that cannot be
-written.
+written.  An argument that cannot be read raises SystemExit(2) after a
+``usage:`` line and a ``clusterport: error:`` line on stderr; help raises
+SystemExit(0).
 """
 
-from __future__ import annotations
-
 import _thread
-import argparse
-import functools
 import os
-import re
 import stat
 import sys
 
-from .harness import FORMATS, MAX_RANDOM_INPUTS, RunConfig, report_pieces, run
-from .exact import InputState, Scheme
+from .harness import FORMATS, MAX_RANDOM_INPUTS, InputState, RunConfig, report_pieces, run
 
 
 def _parse_coeffs(text: str) -> tuple[complex, ...]:
-    tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+    tokens = text.replace(",", " ").split()
     if not tokens:
-        raise argparse.ArgumentTypeError("empty coefficient list")
+        raise ValueError("empty coefficient list")
     try:
         return tuple(complex(t) for t in tokens)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"could not parse {text!r}; expected complex values like 0.6,0.8j"
-        ) from None
+        raise ValueError(f"could not parse {text!r}; expected complex values like 0.6,0.8j") from None
 
 
-def _joins_negative_coeffs(args: list[str]) -> list[str]:
-    """``args`` with each ``--coeffs LIST`` whose LIST starts with '-' and
-    parses written as ``--coeffs=LIST``: argparse would read such a LIST as
-    an option, not as the value.  An option name after ``--coeffs`` stays
-    apart, so argparse still rejects it as a missing value."""
-    out = []
+# flag: (field, converter, metavar, help)
+_COMMON = {
+    "--help": (None, None, "", "show this help message and exit (also -h)"),
+    "--scheme": ("scheme", int, "{1,2}", "1 teleports alpha|00>+delta|11>, 2 any two-qubit state"),
+    "--seed": ("seed", int, "SEED", "base seed for all randomness"),
+    "--format": ("output_format", str, "{" + ",".join(FORMATS) + "}", "report format"),
+    "--out": ("out", str, "OUT", "write the report here instead of stdout"),
+}
+_INPUT = {
+    "--coeffs": ("input_coeffs", _parse_coeffs, "LIST", "input coefficients, comma separated complex "
+                 "values ('0.6,0.8j'); a leading minus sign is part of the list"),
+    "--renormalize": ("renormalize", None, "", "scale --coeffs to unit norm instead of rejecting them"),
+    "--tol": ("fidelity_tol", float, "TOL", "fidelity check tolerance"),
+}
+# mode: (help, options)
+MODES = {
+    "enumerate": ("run all 16 branches deterministically", {**_COMMON, **_INPUT, "--random-inputs": (
+        "random_inputs", int, "N", f"seeded random inputs when --coeffs is absent (at most "
+        f"{MAX_RANDOM_INPUTS}; the report streams to its sink, while the results it is made from "
+        "take about 3 KB per input)")}),
+    "sample": ("Monte Carlo over the measurement outcomes", {**_COMMON, **_INPUT, "--trials": (
+        "trials", int, "N", "Monte Carlo trials (unbounded: time grows, memory stays flat); a "
+        "correct sampler fails the chi-square gate at rate 1e-9 asymptotically, but at about "
+        "1.5e-5 with 5 trials and 2.2e-7 to 6.3e-6 with 6 to 30 (none below 5)")}),
+    "derive": ("derive the correction table from the branch maps", _COMMON),
+    "verify": ("check the built-in table against the derivation", _COMMON),
+}
+# the values the parser admits for these fields; RunConfig checks the rest
+_CHOICES = {"scheme": (1, 2), "output_format": FORMATS}
+
+
+def _usage(mode: str) -> str:
+    return f"usage: clusterport {mode or '{' + ','.join(MODES) + '}'} [-h] --scheme {{1,2}} [options]"
+
+
+def _help(mode: str):
+    """Write the help of ``mode``, or the top-level help for "", and exit 0."""
+    import textwrap
+
+    head, rows = MODES.get(mode) or ("Simulate two-qubit teleportation over a four-qubit cluster "
+                                     "channel.", {m: (0, 0, "", t) for m, (t, _) in MODES.items()})
+    sys.stdout.write(f"{_usage(mode)}\n\n{head}\n\n" + "".join(
+        f"  {flag} {meta}".rstrip() + "\n" + textwrap.indent(textwrap.fill(text, 70), " " * 8) + "\n"
+        for flag, (_, _, meta, text) in rows.items()))
+    raise SystemExit(0)
+
+
+def _fail(mode: str, message: str):
+    sys.stderr.write(f"{_usage(mode)}\nclusterport: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv) -> tuple[RunConfig, str | None]:
+    """The RunConfig that ``argv``, the arguments after the program name,
+    asks for, and its ``--out`` path (None for stdout).  Raises SystemExit(0)
+    after writing help to stdout, SystemExit(2) after writing the usage and
+    the error of an unusable argument to stderr, and ValueError for a value
+    that RunConfig or the renormalization rejects."""
+    mode, *args = [*argv] or [""]
+    if mode in ("-h", "--help"):
+        _help("")
+    if mode not in MODES:
+        _fail("", f"argument mode: invalid choice: {mode!r} (choose from {', '.join(map(repr, MODES))})"
+              if mode else "the following arguments are required: mode")
+    options, values, args = MODES[mode][1], {}, iter(args)
     for arg in args:
-        if out and len(out[-1]) > 2 and "--coeffs".startswith(out[-1]) and arg.startswith("-"):
+        flag, eq, value = ("--help", "", "") if arg == "-h" else arg.partition("=")
+        # the flags ``flag`` starts, when it is '--' and more: no flag starts
+        # another, so a whole flag is its own one match
+        matches = [f for f in options if f.startswith(flag)] if flag[:2] == "--" and flag[2:] else []
+        if len(matches) != 1:
+            _fail(mode, f"ambiguous option: {flag} could match {', '.join(matches)}" if matches
+                  else f"unrecognized argument: {arg}")
+        flag = matches[0]
+        name, convert = options[flag][:2]
+        if convert is None:
+            if eq:
+                _fail(mode, f"argument {flag}: ignored explicit argument {value!r}")
+            if name is None:
+                _help(mode)
+            values[name] = True
+            continue
+        if not eq:
+            # the next word, unless it starts with '-' and reads as no numbers:
+            # then it is the next option (with no word left, "-" fails the same way)
+            value = next(args, "-")
             try:
-                _parse_coeffs(arg)
-            except argparse.ArgumentTypeError:
-                pass
-            else:
-                out[-1] = f"{out[-1]}={arg}"
-                continue
-        out.append(arg)
-    return out
-
-
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that takes a negative ``--coeffs`` list as its
-    value, written apart or with '='."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        args = sys.argv[1:] if args is None else args
-        return super().parse_known_args(_joins_negative_coeffs(list(args)), namespace)
-
-
-def _add_common(p: argparse.ArgumentParser, with_input: bool) -> None:
-    p.add_argument(
-        "--scheme", type=int, choices=(1, 2), required=True,
-        help="1 teleports alpha|00>+delta|11>, 2 teleports any two-qubit state",
-    )
-    p.add_argument("--seed", type=int, help="base seed for all randomness")
-    p.add_argument("--format", choices=FORMATS, dest="output_format")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    if with_input:
-        p.add_argument(
-            "--coeffs", type=_parse_coeffs, dest="input_coeffs", metavar="LIST",
-            help="input coefficients, comma separated complex values ('0.6,0.8j'); "
-            "a leading minus sign is part of the list, with or without '='",
-        )
-        p.add_argument(
-            "--renormalize", action="store_true",
-            help="scale --coeffs to unit norm instead of rejecting them",
-        )
-        p.add_argument("--tol", type=float, dest="fidelity_tol", metavar="TOL",
-                       help="fidelity check tolerance")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parsing leaves it unchanged)."""
-    parser = _Parser(
-        prog="clusterport",
-        description="Simulate two-qubit teleportation over a four-qubit cluster channel.",
-    )
-    # each mode parses what the top level has already rewritten
-    sub = parser.add_subparsers(dest="mode", required=True, parser_class=argparse.ArgumentParser)
-    # An option left out sets nothing, so the RunConfig default applies.
-    add_mode = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
-
-    p_enum = add_mode("enumerate", help="run all 16 branches deterministically")
-    _add_common(p_enum, with_input=True)
-    p_enum.add_argument(
-        "--random-inputs", type=int,
-        help=f"seeded random inputs when --coeffs is absent (at most {MAX_RANDOM_INPUTS}; "
-        "the report streams to its sink, while the results it is made from take about "
-        "3 KB per input)",
-    )
-
-    p_sample = add_mode("sample", help="Monte Carlo over the measurement outcomes")
-    _add_common(p_sample, with_input=True)
-    p_sample.add_argument(
-        "--trials", type=int,
-        help="Monte Carlo trials (unbounded: time grows, memory stays flat); a correct "
-        "sampler fails the chi-square gate at rate 1e-9 asymptotically, but at about "
-        "1.5e-5 with 5 trials and 2.2e-7 to 6.3e-6 with 6 to 30 (none below 5)",
-    )
-
-    p_derive = add_mode("derive", help="derive the correction table from the branch maps")
-    _add_common(p_derive, with_input=False)
-
-    p_verify = add_mode("verify", help="check the built-in table against the derivation")
-    _add_common(p_verify, with_input=False)
-
-    return parser
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    """The run's config: every parsed option but ``--out``, each stored under
-    the name of the RunConfig field it sets."""
-    fields = {key: value for key, value in vars(args).items() if key != "out"}
-    if fields.pop("renormalize", False) and "input_coeffs" in fields:
-        scheme = Scheme(fields["scheme"])
-        fields["input_coeffs"] = InputState.renormalized(scheme, fields["input_coeffs"]).coeffs
-    return RunConfig(**fields)
+                if value.startswith("-"):
+                    _parse_coeffs(value)
+            except ValueError:
+                _fail(mode, f"argument {flag}: expected one argument")
+        try:
+            values[name] = convert(value)
+            if name in _CHOICES and values[name] not in _CHOICES[name]:
+                raise ValueError(f"must be one of {_CHOICES[name]}, got {values[name]!r}")
+        except ValueError as exc:
+            _fail(mode, f"argument {flag}: {exc}")
+    if "scheme" not in values:
+        _fail(mode, "the following arguments are required: --scheme")
+    out = values.pop("out", None)
+    if values.pop("renormalize", False) and "input_coeffs" in values:
+        values["input_coeffs"] = InputState.renormalized(values["scheme"], values["input_coeffs"]).coeffs
+    return RunConfig(mode=mode, **values), out
 
 
 # Characters of report text joined into each write: large enough that the
@@ -200,14 +213,12 @@ def _write_report(path: str | None, runs) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
+        cfg, out = parse_args(sys.argv[1:] if argv is None else argv)
     except ValueError as exc:
         print(f"clusterport: {exc}", file=sys.stderr)
         return 2
     report = run(cfg)
-    out = getattr(args, "out", None)
     try:
         _write_report(out, _runs(report_pieces(report)))
     except (OSError, ValueError) as exc:

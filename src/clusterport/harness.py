@@ -285,12 +285,12 @@ def run_derivation(cfg: RunConfig) -> Report:
     derived_table = certified_repairs(cfg.scheme is Scheme.ARBITRARY, cfg.scheme)
     rows = [
         {
-            "outcome13": o13.value,
-            "outcome26": o26.value,
+            "outcome13": name13,
+            "outcome26": name26,
             "derived": [str(op) for op in derived],
             "listed": [str(op) for op in table_lookup(cfg.scheme, o13, o26)],
         }
-        for (o13, o26), derived in zip(_ALL_PAIRS, derived_table)
+        for (o13, o26), (name13, name26), derived in zip(_ALL_PAIRS, _PAIR_NAMES, derived_table)
     ]
     sizes = [len(row["derived"]) for row in rows]
     aggregates = {
@@ -320,7 +320,8 @@ def run_verification(cfg: RunConfig) -> Report:
     # span alone, scheme-1 repairs on every input
     others = certified_repairs(True, Scheme.SPECIAL if cz else Scheme.ARBITRARY)
     rows = []
-    for (o13, o26), derived, other in zip(_ALL_PAIRS, certified_repairs(cz, cfg.scheme), others):
+    cells = zip(_ALL_PAIRS, _PAIR_NAMES, certified_repairs(cz, cfg.scheme), others)
+    for (o13, o26), (name13, name26), derived, other in cells:
         listed = table_lookup(cfg.scheme, o13, o26)
         other_pairs = {(op.p4, op.p5) for op in other}
         holds = [(op.p4, op.p5) in other_pairs for op in listed]
@@ -331,8 +332,8 @@ def run_verification(cfg: RunConfig) -> Report:
         else:
             verdict = "mismatch"
         rows.append({
-            "outcome13": o13.value,
-            "outcome26": o26.value,
+            "outcome13": name13,
+            "outcome26": name26,
             "verdict": verdict,
             "derived": [str(op) for op in derived],
             "listed": [str(op) for op in listed],

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import errno
 import io
@@ -12,7 +11,7 @@ import tracemalloc
 import pytest
 
 from clusterport import BellOutcome, CorrectionOp, Scheme, cli, exact, harness
-from clusterport.cli import _config_from, _parse_coeffs, build_parser, main
+from clusterport.cli import _parse_coeffs, main, parse_args
 from clusterport.harness import FORMATS, MAX_RANDOM_INPUTS, MODES, RunConfig, emit_report
 from test_corrections import reject_everything
 from test_harness import wrong_table
@@ -32,70 +31,125 @@ class TestCoeffParsing:
         assert _parse_coeffs(" 0.5, 0.5 0.5j,-0.5j ") == (0.5, 0.5, 0.5j, -0.5j)
 
     def test_garbage_rejected(self):
-        with pytest.raises(argparse.ArgumentTypeError):
+        with pytest.raises(ValueError, match="could not parse '0.6,spam'"):
             _parse_coeffs("0.6,spam")
-        with pytest.raises(argparse.ArgumentTypeError):
+        with pytest.raises(ValueError, match="empty coefficient list"):
             _parse_coeffs("  ,  ")
 
 
+def parse_exit(capsys, argv):
+    """The exit code, stdout and stderr of a ``parse_args`` call that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
 class TestParser:
-    def test_mode_required(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([])
-        assert exc.value.code == 2
+    def test_mode_required(self, capsys):
+        code, out, err = parse_exit(capsys, [])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: clusterport ")
+        assert err.endswith("clusterport: error: the following arguments are required: mode\n")
 
-    def test_scheme_required(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["enumerate"])
-        assert exc.value.code == 2
+    def test_scheme_required(self, capsys):
+        code, _, err = parse_exit(capsys, ["enumerate"])
+        assert code == 2
+        assert err.endswith("clusterport: error: the following arguments are required: --scheme\n")
 
-    def test_scheme_choices(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["enumerate", "--scheme", "3"])
-        assert exc.value.code == 2
+    def test_scheme_choices(self, capsys):
+        code, _, err = parse_exit(capsys, ["enumerate", "--scheme", "3"])
+        assert code == 2
+        assert "argument --scheme: must be one of (1, 2), got 3" in err
+        # converted with int first, so a leading zero still names scheme 1
+        assert parse_args(["enumerate", "--scheme", "01"])[0].scheme is Scheme.SPECIAL
 
     def test_defaults(self):
-        cfg = _config_from(build_parser().parse_args(["sample", "--scheme", "2"]))
+        cfg, out = parse_args(["sample", "--scheme", "2"])
         assert cfg.trials == 16000
         assert cfg.seed == 0
         assert cfg.output_format == "text"
         assert cfg.fidelity_tol == 1e-10
+        assert out is None
 
     def test_random_inputs_default(self):
-        cfg = _config_from(build_parser().parse_args(["enumerate", "--scheme", "1"]))
+        cfg, _ = parse_args(["enumerate", "--scheme", "1"])
         assert cfg.random_inputs == 100
 
     @pytest.mark.parametrize("mode", MODES)
     def test_every_option_sets_a_config_field(self, mode):
-        # a stray dest would make RunConfig(**fields) raise TypeError, a
-        # traceback instead of exit 2; a parser default would shadow RunConfig's
-        sub = build_parser()._subparsers._group_actions[0].choices[mode]
-        fields = set(RunConfig._fields)
-        assert {a.dest for a in sub._actions} - {"help", "out", "renormalize"} <= fields
-        assert all(a.default is argparse.SUPPRESS for a in sub._actions)
+        # a stray field would make RunConfig(**values) raise TypeError, a
+        # traceback instead of exit 2; the table holds no defaults to shadow
+        # RunConfig's, and no flag starts another, so a whole flag is never
+        # taken for an ambiguous prefix
+        assert tuple(cli.MODES) == MODES
+        options = cli.MODES[mode][1]
+        fields = {name for name, *_ in options.values()}
+        assert fields - {None, "out", "renormalize"} <= set(RunConfig._fields)
+        assert all(len(entry) == 4 for entry in options.values())
+        assert not [(a, b) for a in options for b in options if a != b and b.startswith(a)]
 
     @pytest.mark.parametrize("scheme", [1, 2])
     @pytest.mark.parametrize("mode", MODES)
     def test_only_scheme_builds_the_default_config(self, mode, scheme):
-        args = build_parser().parse_args([mode, "--scheme", str(scheme)])
-        assert _config_from(args) == RunConfig(Scheme(scheme), mode)
+        assert parse_args([mode, "--scheme", str(scheme)]) == (RunConfig(Scheme(scheme), mode), None)
 
     def test_random_inputs_help_states_the_cap(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["enumerate", "--help"])
-        assert exc.value.code == 0
-        assert f"at most {MAX_RANDOM_INPUTS}" in " ".join(capsys.readouterr().out.split())
+        code, out, err = parse_exit(capsys, ["enumerate", "--help"])
+        assert (code, err) == (0, "")
+        assert f"at most {MAX_RANDOM_INPUTS}" in " ".join(out.split())
 
-    def test_negative_coeffs_are_rewritten_once_per_parse(self, capsys, monkeypatch):
-        # the mode parsers parse what the top level has already rewritten
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["derive", "-h"], ["verify", "--he"],
+                                      ["sample", "--scheme", "1", "-h", "--bogus"]])
+    def test_help_exits_0(self, capsys, argv):
+        code, out, err = parse_exit(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: clusterport ") and "--scheme" in out
+
+    def test_the_last_repeat_wins(self):
+        argv = ["enumerate", "--scheme", "2", "--seed", "3", "--sch=1", "--se=4", "--format", "csv"]
+        assert parse_args(argv) == (RunConfig(Scheme(1), "enumerate", seed=4, output_format="csv"), None)
+
+    def test_a_negative_number_is_a_value(self, capsys):
+        # so RunConfig, not the parser, rejects it
+        code, out, err = run_main(capsys, "derive", "--scheme", "1", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "clusterport: seed must be a 64-bit unsigned integer, got -1\n"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["bogus"], "argument mode: invalid choice: 'bogus'"),
+        (["enumerate", "--scheme", "x"], "argument --scheme: invalid literal for int()"),
+        (["enumerate", "--scheme", "1", "--format", "xml"], "argument --format: must be one of"),
+        (["enumerate", "--scheme", "1", "--renormalize=x"],
+         "argument --renormalize: ignored explicit argument 'x'"),
+        (["enumerate", "--scheme", "1", "--r", "3"],
+         "ambiguous option: --r could match --renormalize, --random-inputs"),
+        (["enumerate", "--scheme", "1", "--seed"], "argument --seed: expected one argument"),
+        (["enumerate", "--scheme", "1", "--seed", "-x"], "argument --seed: expected one argument"),
+        (["enumerate", "--scheme", "1", "--out", "-"], "argument --out: expected one argument"),
+        (["enumerate", "--scheme", "1", "--coeffs="], "argument --coeffs: empty coefficient list"),
+        (["derive", "--scheme", "1", "--coeffs", "1,0"], "unrecognized argument: --coeffs"),
+        (["derive", "--scheme", "1", "extra"], "unrecognized argument: extra"),
+        (["derive", "--scheme", "1", "-s", "2"], "unrecognized argument: -s"),
+    ])
+    def test_unusable_arguments_exit_2_after_the_usage(self, capsys, argv, error):
+        code, out, err = parse_exit(capsys, argv)
+        assert (code, out) == (2, "")
+        usage, line = err.split("\n", 1)
+        assert usage.startswith(f"usage: clusterport {argv[0] if argv[0] in MODES else '{'}")
+        assert line.startswith(f"clusterport: error: {error}") and line.endswith("\n")
+
+    def test_negative_coeffs_are_parsed_once_per_call(self, capsys, monkeypatch):
+        # main reads its arguments in one parse_args call, which keeps a
+        # leading minus sign as part of the list
         calls = []
-        rewrite = cli._joins_negative_coeffs
-        monkeypatch.setattr(cli, "_joins_negative_coeffs",
-                            lambda args: calls.append(args) or rewrite(args))
+        parse = cli.parse_args
+        monkeypatch.setattr(cli, "parse_args", lambda argv: calls.append(parse(argv)) or calls[-1])
         code, _, err = run_main(
             capsys, "enumerate", "--scheme", "1", "--coeffs", "-0.6,0.8", "--format", "csv",
         )
         assert (code, err, len(calls)) == (0, "", 1)
+        assert calls[0][0].input_coeffs == (-0.6, 0.8)
 
 
 class TestNegativeCoeffs:
@@ -114,8 +168,7 @@ class TestNegativeCoeffs:
         apart = run_main(capsys, *args, "--coeffs", coeffs)
         assert joined[0] == 0 and joined[2] == ""
         assert apart == joined
-        assert _config_from(build_parser().parse_args([*args, "--coeffs", coeffs])) == \
-            _config_from(build_parser().parse_args([*args, f"--coeffs={coeffs}"]))
+        assert parse_args([*args, "--coeffs", coeffs]) == parse_args([*args, f"--coeffs={coeffs}"])
 
     def test_apart_then_renormalize(self, capsys):
         args = ["enumerate", "--scheme", "1", "--format", "json"]
@@ -131,9 +184,9 @@ class TestNegativeCoeffs:
         assert out == "" and "argument --coeffs: expected one argument" in err
 
     def test_help_says_so(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sample", "--help"])
-        assert "a leading minus sign is part of the list" in " ".join(capsys.readouterr().out.split())
+        code, out, _ = parse_exit(capsys, ["sample", "--help"])
+        assert code == 0
+        assert "a leading minus sign is part of the list" in " ".join(out.split())
 
 
 class TestMain:
@@ -259,7 +312,7 @@ class TestMain:
             code = main(argv)
         assert code == main([*argv, "--out", str(tmp_path / "report")])
         assert code == (1 if table is not None and mode != "derive" else 0)
-        report = harness.run(_config_from(build_parser().parse_args(argv)))
+        report = harness.run(parse_args(argv)[0])
         assert stream.getvalue() == emit_report(report).decode()
         assert capsys.readouterr() == ("", "")
 
@@ -420,14 +473,14 @@ class TestMain:
         assert main([*argv, "--out", str(dest)]) == 0
         assert capsysbinary.readouterr() == (b"", b"")
         assert printed.err == b"" and dest.read_bytes() == printed.out
-        assert printed.out == emit_report(harness.run(_config_from(build_parser().parse_args(argv))))
+        assert printed.out == emit_report(harness.run(parse_args(argv)[0]))
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_a_report_of_many_write_runs_is_emit_report(self, capsysbinary, tmp_path, fmt):
         # the sinks write a long report a run at a time; the runs join to
         # the bytes emit_report makes at once
         argv = ["enumerate", "--scheme", "2", "--random-inputs", "300", "--format", fmt]
-        expected = emit_report(harness.run(_config_from(build_parser().parse_args(argv))))
+        expected = emit_report(harness.run(parse_args(argv)[0]))
         assert len(expected) > 2 * cli.WRITE_RUN
         assert main(argv) == 0
         assert capsysbinary.readouterr() == (expected, b"")
@@ -499,7 +552,7 @@ class TestMain:
             whole = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        report = harness.run(_config_from(build_parser().parse_args(cap)))
+        report = harness.run(parse_args(cap)[0])
         tracemalloc.start()
         try:
             cli._write_report(dest, cli._runs(harness.report_pieces(report)))

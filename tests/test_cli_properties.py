@@ -1,4 +1,5 @@
-"""Property tests of the --coeffs parser and of inputs at extreme magnitudes."""
+"""Property tests of the command-line parser, the --coeffs lists and
+inputs at extreme magnitudes."""
 
 import contextlib
 import io
@@ -14,9 +15,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from clusterport import Scheme  # noqa: E402
-from clusterport.cli import _parse_coeffs, main  # noqa: E402
-from clusterport.harness import format_complex  # noqa: E402
+from clusterport import RunConfig, Scheme, cli  # noqa: E402
+from clusterport.cli import _parse_coeffs, main, parse_args  # noqa: E402
+from clusterport.harness import FORMATS, MAX_RANDOM_INPUTS, format_complex  # noqa: E402
 from clusterport.exact import COEFF_TOL  # noqa: E402
 from clusterport.statevec import StateVector, format_state  # noqa: E402
 from test_harness import no_repair_table, repaired_outputs  # noqa: E402
@@ -173,3 +174,93 @@ def test_json_state_is_format_state_of_each_output(scheme, data, unrepaired, tin
         unit = repaired_outputs(Scheme(scheme), inputs)
     expected = [format_state(StateVector((4, 5), v)) for row in unit for v in row]
     assert [b["state"] for b in doc["branches"]] == expected
+
+
+def option_value(flag, scheme):
+    """A value ``flag`` accepts, as the text on the command line, and the
+    value it gives its field."""
+    if flag == "--coeffs":
+        return unit_vectors(coeff_count(scheme)).map(
+            lambda c: (",".join(format_complex(x) for x in c), tuple(complex(x) for x in c))
+        )
+    if flag == "--tol":
+        return st.floats(0.0, 1.0, exclude_max=True).map(lambda t: (repr(t), t))
+    ints = {"--scheme": st.just(scheme), "--seed": st.integers(0, 2 ** 64 - 1),
+            "--random-inputs": st.integers(1, MAX_RANDOM_INPUTS), "--trials": st.integers(1, 10 ** 9)}
+    if flag in ints:
+        return ints[flag].map(lambda n: (str(n), n))
+    if flag == "--format":
+        return st.sampled_from(FORMATS).map(lambda f: (f, f))
+    assert flag == "--out", flag
+    return st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+        lambda t: not t.startswith("-")).map(lambda t: (t, t))
+
+
+def unique_prefixes(flag, flags):
+    """Every prefix of ``flag`` that starts no other of ``flags``, ``flag`` itself included."""
+    return [flag[:k] for k in range(3, len(flag) + 1)
+            if not any(f.startswith(flag[:k]) for f in flags if f != flag)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(list(cli.MODES)), st.sampled_from([1, 2]), st.data())
+def test_each_option_reads_the_same_written_any_way(mode, scheme, data):
+    # --opt v, --opt=v and --prefix v set the option's field, and only it
+    options = cli.MODES[mode][1]
+    flag = data.draw(st.sampled_from([f for f in options if f != "--help"]))
+    name = options[flag][0]
+    head = [mode] if flag == "--scheme" else [mode, "--scheme", str(scheme)]
+    prefix = data.draw(st.sampled_from(unique_prefixes(flag, options)))
+    if flag == "--renormalize":
+        coeffs = ["--coeffs", "3,4j" if scheme == 1 else "1,1,1,1"]
+        forms = [[*head, *coeffs, f] for f in (flag, prefix)]
+        expected = (RunConfig(scheme, mode, (0.6, 0.8j) if scheme == 1 else (0.5,) * 4), None)
+    else:
+        text, value = data.draw(option_value(flag, scheme))
+        forms = [[*head, flag, text], [*head, f"{flag}={text}"], [*head, prefix, text],
+                 [*head, f"{prefix}={text}"]]
+        if name == "out":
+            expected = (RunConfig(scheme, mode), value)
+        else:
+            expected = (RunConfig(**{"scheme": scheme, "mode": mode, name: value}), None)
+    for argv in forms:
+        assert parse_args(argv) == expected, argv
+
+
+FLAGS = sorted({flag for _, options in cli.MODES.values() for flag in options})
+junk = st.text(max_size=3)
+values = st.sampled_from(
+    ["1", "2", "0", "01", "-1", "3", "json", "csv", "xml", "0.6,0.8", "-0.6,0.8", "0.6,spam",
+     "1,0,0,0", "nan,0", "1e-3", "-1e-3", "", "-", "--", "-x", "=", "-h"]
+) | junk
+words = (
+    st.sampled_from(FLAGS)
+    | st.sampled_from(FLAGS).flatmap(lambda f: st.integers(2, len(f)).map(lambda k: f[:k]))
+    | st.tuples(st.sampled_from(FLAGS), values).map(lambda fv: f"{fv[0]}={fv[1]}")
+    | values
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from([*cli.MODES, "bogus", "", "-h"]), st.lists(words, max_size=8))
+def test_any_arguments_exit_0_1_or_2_without_traceback(mode, args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([mode, *args, "--out", os.devnull])
+            exited = False
+        except SystemExit as exc:
+            code, exited = exc.code, True
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if exited and code == 2:
+        usage, error = err.getvalue().split("\n", 1)
+        assert usage.startswith("usage: clusterport ")
+        assert error.startswith("clusterport: error: ")
+    elif exited:
+        assert code == 0 and err.getvalue() == ""
+        assert out.getvalue().startswith("usage: clusterport ")
+    elif code == 2:
+        assert err.getvalue().startswith("clusterport: ")
+    else:
+        assert err.getvalue() == out.getvalue() == ""
