@@ -4,7 +4,8 @@ the application of the repaired maps, the sampler and the display forms.
 Every branch is a fixed 4x4 map K from the input on (1, 2) to the output on
 (4, 5).  ``repair_branches`` takes the repaired map R 4K of each cell from
 ``exact.repaired_map``, the one place a repair's action on a map is formed,
-as one stack over 4, and applies it to every input with ``map_inputs``.
+as one stack over 4 (converted once per distinct set of maps), and applies
+it to every input with ``map_inputs``.
 ``random_inputs`` draws the seeded inputs of a run in one
 ``standard_normal`` call on the run's one stream ``default_rng([seed,
 0])``: one array of coefficient rows, normed and checked (``check_coeffs``)
@@ -36,6 +37,7 @@ dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 
@@ -99,23 +101,17 @@ def random_inputs(scheme: Scheme, seed: int, count: int) -> np.ndarray:
     return check_coeffs(_unit_coeffs(x))
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    """Re and Im of <a|b> over the last axis, rounding every product on its
-    own (a complex multiply may fuse one product into its sum)."""
-    re = (a.real * b.real + a.imag * b.imag).sum(axis=-1)
-    im = (a.real * b.imag - a.imag * b.real).sum(axis=-1)
-    return re, im
-
-
 def _blocks(count: int):
     """Slices of ``count`` inputs, INPUT_BLOCK at a time."""
     return (slice(start, start + INPUT_BLOCK) for start in range(0, count, INPUT_BLOCK))
 
 
-def _norm2(a: np.ndarray) -> np.ndarray:
-    """<a|a> over the last axis: the real part of ``_dot(a, a)``, to the
-    same bits, without its imaginary part."""
-    return (a.real * a.real + a.imag * a.imag).sum(axis=-1)
+def _sum4(t: np.ndarray) -> np.ndarray:
+    """((t0 + t1) + t2) + t3 over the last axis of ``t``, four long."""
+    s = t[..., 0] + t[..., 1]
+    s += t[..., 2]
+    s += t[..., 3]
+    return s
 
 
 def map_inputs(maps: np.ndarray, inputs):
@@ -125,18 +121,43 @@ def map_inputs(maps: np.ndarray, inputs):
     three sums are taken alike, so a certified repair (w = c v / 4) reads
     exactly 1.  Inputs are taken INPUT_BLOCK at a time into the result
     arrays, and each row is computed on its own, so no temporary spans the
-    whole stack and a row does not depend on the block it falls in."""
-    v = np.asarray(inputs, dtype=np.complex128)
+    whole stack and a row does not depend on the block it falls in.
+
+    The sums run on float64 views of the complex arrays.  Each of the four
+    terms, such as Re v Re w + Im v Im w, is rounded on its own, and the
+    terms are added left to right, ((t0 + t1) + t2) + t3 (``_sum4``): the
+    order ``.sum(axis=-1)`` takes on a four-long axis, so ``prob`` and
+    ``fid`` keep the bits of that formulation (its sum starts from +0.0, so
+    four -0.0 terms of <v|w> sum to +0.0 there and -0.0 here, which squares
+    alike).  Written out, the bits no longer depend on how numpy reduces,
+    and no reduction runs over a four-long axis, which numpy does one output
+    at a time."""
+    v = np.ascontiguousarray(inputs, dtype=np.complex128)  # its rows viewed as floats
     if v.ndim != 2 or v.shape[0] == 0 or v.shape[1] != 4:
         raise ValueError("inputs must be a non-empty list of 4-amplitude vectors")
     out = np.empty((len(v), len(maps), 4), dtype=np.complex128)
     prob, fid = np.empty(out.shape[:2]), np.empty(out.shape[:2])
     for b in _blocks(len(v)):
         np.einsum("pij,nj->npi", maps, v[b], out=out[b])
-        re, im = _dot(v[b, None, :], out[b])
-        prob[b] = _norm2(out[b])
-        fid[b] = (re * re + im * im) / (_norm2(v[b])[:, None] * prob[b])
+        # each amplitude's Re and Im side by side: Re at 0::2, Im at 1::2
+        w, x = out[b].view(np.float64), v[b].view(np.float64)[:, None, :]
+        wr, wi, xr, xi = w[..., 0::2], w[..., 1::2], x[..., 0::2], x[..., 1::2]
+        prob[b] = _sum4(wr * wr + wi * wi)
+        re = _sum4(xr * wr + xi * wi)
+        im = _sum4(xr * wi - xi * wr)
+        fid[b] = (re * re + im * im) / (_sum4(xr * xr + xi * xi) * prob[b])
     return out, prob, fid
+
+
+@functools.lru_cache(maxsize=4)
+def _repaired_stack(maps) -> np.ndarray:
+    """The repaired maps ``maps`` (``exact.repaired_map``) over 4, as one
+    read-only complex stack: built once per distinct set of maps, and keyed
+    on their values, so a changed table or constant gets a stack of its
+    own."""
+    stack = np.array(maps, dtype=np.complex128) / 4
+    stack.setflags(write=False)
+    return stack
 
 
 def repair_branches(ops, scheme: Scheme, coeffs):
@@ -149,9 +170,7 @@ def repair_branches(ops, scheme: Scheme, coeffs):
     c = np.asarray(coeffs, dtype=np.complex128)
     amps = np.zeros((len(c), 4), dtype=np.complex128)
     amps[:, exact._BASIS_INPUTS[Scheme(scheme)]] = c
-    repaired = np.array(
-        [exact.repaired_map(op, cell) for cell, op in enumerate(ops)], dtype=np.complex128
-    ) / 4
+    repaired = _repaired_stack(tuple(exact.repaired_map(op, cell) for cell, op in enumerate(ops)))
     out, probs, fids = map_inputs(repaired, amps)
     for b in _blocks(len(out)):
         out[b] /= np.sqrt(probs[b])[..., None]

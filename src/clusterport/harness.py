@@ -32,12 +32,18 @@ probabilities and fidelities as nested lists, indexed [input][cell] in
 their display forms, ``state``, are formatted (by ``format_states``, each
 distinct output of a block once) when first read, which only a JSON report
 does.  ``report_pieces`` writes a report in its config's ``output_format``
-as an iterator of text pieces: a header, each input's branch rows (one
-str.join into the cell rows cut around their fields once per report, each
-distinct float formatted once), each input's summary in JSON and text, and
-a footer.  No piece grows with the input count, so the CLI, which writes
-the pieces as they come, holds one input's rows at a time; ``emit_report``
-joins them into the report's bytes.  A ``derive`` or ``verify`` report
+as an iterator of text pieces: a header, each input's branch rows, each
+input's summary in JSON and text, and a footer.  An input's rows depend on
+its value row (its probability and fidelity rows) alone, but for the JSON
+input index and ``state``: ``_input_rows`` lays them out once per distinct
+value row, in a memo of at most ``_ROW_MEMO`` rows per report, and CSV and
+text write each input's rows, separator included, as one piece, while JSON
+fills the index and ``state`` into its holes.  A listed table repeats a few
+value rows, so most inputs cost a lookup.  Each input's coefficients take
+one ``%`` format, built once per report from ``format_complex``'s own.  No
+piece grows with the input count, so the CLI, which writes the pieces as
+they come, holds one input's rows at a time; ``emit_report`` joins them
+into the report's bytes.  A ``derive`` or ``verify`` report
 writes its rows in one piece.  JSON verdict rows are one json.dumps call; a
 CSV verdict row has a column per row key but ``subspace_only``, joined like
 a branch row: no CSV field needs quoting.
@@ -362,9 +368,14 @@ def run(cfg: RunConfig) -> Report:
     return _RUNNERS[cfg.mode](cfg)
 
 
+# format_complex as a % format of (real, imag), so that a report's input
+# lines and entries take one % per input (``_coeff_formats``)
+_COMPLEX = "%.17g%+.17gj"
+
+
 def format_complex(c: complex) -> str:
     """Round-trip complex format, same syntax the CLI accepts."""
-    return f"{c.real:.17g}{c.imag:+.17g}j"
+    return _COMPLEX % (c.real, c.imag)
 
 
 def _format_float(x: float) -> str:
@@ -432,23 +443,54 @@ def _listed(report: Report, *columns):
     return cells, *columns
 
 
-def _input_rows(pieces: list, columns: tuple, sep: str):
-    """The branch rows of each input as one string, rows joined by ``sep``,
-    yielded an input at a time.
+def _coeff_formats(head: str, sep: str, tail: str) -> _Fragments:
+    """Per coefficient count n, the % format of ``head``, n coefficients as
+    ``format_complex`` writes them joined by ``sep``, and ``tail``; each
+    built once per report, and filled from ``_coeff_parts``."""
+    return _Fragments(lambda n: head + sep.join([_COMPLEX] * n) + tail)
 
-    ``pieces`` holds the text of each listed cell's row, cut where its
-    fields go; ``columns`` holds, for each field, every input's fragments
-    over the listed cells.  The cut rows are laid out once, and each input
-    fills in its fragments by slice and is joined."""
-    slots = [""]
-    for first, *rest in pieces:
-        slots[-1] += (sep if len(slots) > 1 else "") + first
-        for piece in rest:
-            slots += (None, piece)
-    for fields in zip(*columns):
-        for j, fragments in enumerate(fields):
-            slots[2 * j + 1::2 * len(fields)] = fragments
-        yield "".join(slots)
+
+def _coeff_parts(coeffs) -> list:
+    """The real and imaginary parts of each of ``coeffs``, in turn."""
+    return [x for c in coeffs for x in (c.real, c.imag)]
+
+
+# Where a row piece leaves room for a field of its own input: the JSON input
+# index and state.  No report text holds a NUL.
+_HOLE = "\0"
+# Distinct value rows a report keeps the text of.  A listed table repeats
+# a few (8 or 9 over 10 000 drawn inputs); a run whose rows never repeat
+# fills the memo and lays out the rest afresh, so it holds no more.
+_ROW_MEMO = 64
+
+
+def _input_rows(pieces: list, probs, fids, f, sep: str, end: str):
+    """Each input's branch rows as one block, a row per listed cell, joined
+    by ``sep`` and ended by ``end``, yielded an input at a time as a list:
+    the block's text split at each ``_HOLE``, with None between the parts,
+    where the caller puts that input's own fields.  A block with no hole is
+    one string, which str.join hands back as it is.
+
+    ``pieces`` holds each listed cell's row as (head, middle, tail), cut
+    around its probability and fidelity; ``probs`` and ``fids`` hold every
+    input's values over the listed cells, which ``f`` formats.  So a block
+    depends on its input's value row alone, and is laid out once per
+    distinct row: up to ``_ROW_MEMO`` rows are kept by value, never one
+    holding a zero (-0.0 == 0.0 as a key, but it prints with its sign).  A
+    kept block is handed out again, so the caller fills and joins it before
+    taking the next."""
+    memo = {}
+    for p, q in zip(probs, fids):
+        key = (*p, *q)
+        block = memo.get(key)
+        if block is None:
+            rows = (h + f(x) + m + f(y) + t for (h, m, t), x, y in zip(pieces, p, q))
+            parts = (sep.join(rows) + end).split(_HOLE)
+            block = [None] * (2 * len(parts) - 1)
+            block[::2] = parts
+            if len(memo) < _ROW_MEMO and 0.0 not in key:
+                memo[key] = block
+        yield block
 
 
 def _emit_json(report: Report):
@@ -459,28 +501,31 @@ def _emit_json(report: Report):
     trials = report.config.trials
     # no field needs JSON escaping: outcome and repair names, and display forms
     pieces = [
-        ('{"input":', f',"outcome13":"{o13}","outcome26":"{o26}","probability":', ',"fidelity":',
-         f',"correction":"{op}","state":"',
-         '"}' if n is None else f'","count":{n:d},"frequency":{f(n / trials)}}}')
+        (f'{{"input":{_HOLE},"outcome13":"{o13}","outcome26":"{o26}","probability":',
+         ',"fidelity":',
+         f',"correction":"{op}","state":"{_HOLE}'
+         + ('"}' if n is None else f'","count":{n:d},"frequency":{f(n / trials)}}}'))
         for o13, o26, op, n in cells
     ]
-    keys = ([str(k)] * len(cells) for k in range(len(probs)))
     yield (
         f'{{"schema":{report.schema},"config":{{{_json_items(_config_dict(report.config))}}}'
         ',"branches":['
     )
-    rows = _input_rows(
-        pieces, (keys, (map(f, p) for p in probs), (map(f, p) for p in fids), states), ","
-    )
-    for k, chunk in enumerate(rows):
+    blocks = _input_rows(pieces, probs, fids, f, ",", "")
+    for k, (block, row_states) in enumerate(zip(blocks, states)):
+        # each row's holes: its input index, then its state
+        block[1::4] = [str(k)] * len(row_states)
+        block[3::4] = row_states
         if k:
             yield ","
-        yield chunk
+        yield "".join(block)
     yield f'],"aggregates":{{{_json_items(report.aggregates)},"inputs":['
+    entry = _coeff_formats(
+        '%s{"coeffs":["', '","', '"],"total_probability":%s,"min_fidelity":%s}'
+    )
     for k, s in enumerate(report.inputs):
-        yield '%s{"coeffs":["%s"],"total_probability":%s,"min_fidelity":%s}' % (
-            "," if k else "", '","'.join(map(format_complex, s.coeffs)),
-            f(s.total_probability), f(s.min_fidelity),
+        yield entry[len(s.coeffs)] % (
+            "," if k else "", *_coeff_parts(s.coeffs), f(s.total_probability), f(s.min_fidelity)
         )
     yield f']}},"verdicts":{_compact_dumps()(report.verdicts)}}}\n'
 
@@ -500,16 +545,15 @@ def _emit_csv(report: Report):
     f = _Fragments(lambda x: format(x, ".17g")).__getitem__
     pieces = [(f"{o13},{o26},", ",", f",{op}") for o13, o26, op, _ in cells]
     yield ",".join(CSV_COLUMNS) + "\n"
-    for chunk in _input_rows(pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n"):
-        yield chunk
-        yield "\n"
+    yield from map("".join, _input_rows(pieces, probs, fids, f, "\n", "\n"))
 
 
 def _emit_text(report: Report):
     cfg = report.config
     yield f"scheme={int(cfg.scheme)} mode={cfg.mode} seed={cfg.seed} tol={cfg.fidelity_tol:g}\n"
+    line = _coeff_formats("input %d: ", ", ", "\n")
     for k, s in enumerate(report.inputs):
-        yield f"input {k}: {', '.join(map(format_complex, s.coeffs))}\n"
+        yield line[len(s.coeffs)] % (k, *_coeff_parts(s.coeffs))
     cells, probs, fids = _listed(report, report.probability, report.fidelity)
     if cells and probs:
         head = f"{'outcome13':<10}{'outcome26':<10}{'probability':<22}{'fidelity':<22}correction"
@@ -521,11 +565,7 @@ def _emit_text(report: Report):
             (f"{o13:<10}{o26:<10}", "", op if n is None else f"{op}  {n}  {n / cfg.trials:.6g}")
             for o13, o26, op, n in cells
         ]
-        for chunk in _input_rows(
-            pieces, ((map(f, p) for p in probs), (map(f, p) for p in fids)), "\n"
-        ):
-            yield chunk
-            yield "\n"
+        yield from map("".join, _input_rows(pieces, probs, fids, f, "\n", "\n"))
     lines = []
     for row in report.verdicts or ():
         parts = [f"({row['outcome13']}, {row['outcome26']})"]

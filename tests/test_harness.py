@@ -27,6 +27,7 @@ from clusterport import (
     RunConfig,
     Scheme,
     emit_report,
+    exact,
     floatpath,
     harness,
     run,
@@ -47,7 +48,7 @@ from clusterport.harness import (
 from clusterport.floatpath import INPUT_BLOCK, SAMPLE_BLOCK, map_inputs
 from clusterport.measurement import draw_index
 from clusterport.statevec import StateVector, format_state
-from einsum_certificate import branch_maps, repair_matrices
+from einsum_certificate import branch_maps, repair_matrices, repair_stack
 
 
 def wrong_table(scheme, o13, o26):
@@ -261,6 +262,88 @@ class TestInputBlocks:
         default = emit_report(run(cfg))
         monkeypatch.setattr(floatpath, "INPUT_BLOCK", 3)
         assert emit_report(run(cfg)) == default
+
+
+def summed_map_inputs(maps, inputs):
+    """``map_inputs`` as written with ``.sum(axis=-1)`` over the complex
+    parts, block by block: the reference its written-out float-view sums
+    must match bit for bit."""
+    v = np.asarray(inputs, dtype=np.complex128)
+    out = np.empty((len(v), len(maps), 4), dtype=np.complex128)
+    prob, fid = np.empty(out.shape[:2]), np.empty(out.shape[:2])
+    for start in range(0, len(v), INPUT_BLOCK):
+        b = slice(start, start + INPUT_BLOCK)
+        np.einsum("pij,nj->npi", maps, v[b], out=out[b])
+        a, w = v[b, None, :], out[b]
+        re = (a.real * w.real + a.imag * w.imag).sum(axis=-1)
+        im = (a.real * w.imag - a.imag * w.real).sum(axis=-1)
+        prob[b] = (w.real * w.real + w.imag * w.imag).sum(axis=-1)
+        norm = (v[b].real * v[b].real + v[b].imag * v[b].imag).sum(axis=-1)
+        fid[b] = (re * re + im * im) / (norm[:, None] * prob[b])
+    return out, prob, fid
+
+
+def listed_stack(scheme):
+    ops = [table_lookup(scheme, o13, o26)[0] for o13, o26 in harness._ALL_PAIRS]
+    return np.array([exact.repaired_map(op, cell) for cell, op in enumerate(ops)]) / 4 + 0j
+
+
+def complex_rows(rng, count, scale):
+    return (rng.standard_normal((count, 4)) + 1j * rng.standard_normal((count, 4))) * scale
+
+
+class TestMapInputsSums:
+    """``map_inputs`` takes its sums on float views, written out left to
+    right; every output bit equals the ``.sum(axis=-1)`` formulation's."""
+
+    MAPS = {
+        "listed-1": lambda rng: listed_stack(Scheme.SPECIAL),
+        "listed-2": lambda rng: listed_stack(Scheme.ARBITRARY),
+        "random": lambda rng: complex_rows(rng, 64, 1.0).reshape(16, 4, 4),
+        "branch-maps": lambda rng: branch_maps().reshape(16, 4, 4),
+        "einsum-repairs": lambda rng: repair_stack(True).reshape(256, 4, 4) / 4,
+        "einsum-listed": lambda rng: repair_matrices(
+            [table_lookup(Scheme.ARBITRARY, o13, o26)[0] for o13, o26 in harness._ALL_PAIRS]
+        ) @ branch_maps().reshape(16, 4, 4),
+    }
+    INPUTS = {
+        # every magnitude from 1e-150 to 1e150 in one row: some products
+        # overflow or vanish, and a fidelity reads inf / inf
+        "mixed": lambda rng, n: complex_rows(rng, n, 10.0 ** rng.integers(-150, 151, (n, 4))),
+        "subnormal": lambda rng, n: complex_rows(
+            rng, n, rng.choice([5e-324, 1e-310, 1e-300, 1.0], (n, 4))
+        ),
+        "signed-zeros": lambda rng, n: rng.choice(
+            np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 0.6, -0.8j]), (n, 4)
+        ),
+        "basis": lambda rng, n: np.eye(4)[rng.integers(0, 4, n)] * rng.choice(
+            [1, -1, 1j, -1j], (n, 1)
+        ),
+    }
+
+    @pytest.mark.parametrize("count", [1, INPUT_BLOCK, INPUT_BLOCK + 1])
+    @pytest.mark.parametrize("inputs", INPUTS)
+    @pytest.mark.parametrize("maps", MAPS)
+    def test_bits_equal_the_summed_formulation(self, maps, inputs, count):
+        rng = np.random.default_rng([count, len(maps), len(inputs)])
+        stack, v = self.MAPS[maps](rng), self.INPUTS[inputs](rng, count)
+        with np.errstate(all="ignore"):
+            got, want = map_inputs(stack, v), summed_map_inputs(stack, v)
+        for name, a, b in zip(("out", "prob", "fid"), got, want):
+            assert a.shape == b.shape, name
+            assert a.view(np.uint64).tobytes() == b.view(np.uint64).tobytes(), name
+
+    def test_inputs_need_not_be_contiguous(self):
+        # the float views need contiguous rows; a strided input is copied
+        rng = np.random.default_rng(2)
+        v = complex_rows(rng, 10, 1.0)
+        stack = listed_stack(Scheme.ARBITRARY)
+        got, want = map_inputs(stack, v[::2]), summed_map_inputs(stack, v[::2])
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        got = map_inputs(stack, np.asfortranarray(v))
+        for a, b in zip(got, summed_map_inputs(stack, v)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestMonteCarlo:
@@ -583,6 +666,165 @@ class TestRowTemplates:
             finally:
                 tracemalloc.stop()
             assert peak <= 2.5 * size, (fmt, peak / size)
+
+
+def fstring_report(report) -> bytes:
+    """An ``enumerate`` or ``sample`` report as plain per-row f-strings write
+    it, with no memo, template or cut rows: the reference for the emitters'
+    bytes.  The JSON config and aggregate items come from the harness."""
+    cfg, counts = report.config, report.count or [None] * 16
+    listed = [b for b in range(16) if counts[b] != 0]
+    rows = [
+        (k, b, *harness._PAIR_NAMES[b], report.probability[k][b], report.fidelity[k][b],
+         str(report.corrections[b]), counts[b])
+        for k in range(len(report.probability)) for b in listed
+    ]
+
+    def coeffs(s, sep):
+        return sep.join(f"{c.real:.17g}{c.imag:+.17g}j" for c in s.coeffs)
+
+    def jf(x):
+        text = f"{x:.17g}"
+        return text if any(ch in text for ch in ".eE") else text + ".0"
+
+    if cfg.output_format == "csv":
+        lines = [",".join(CSV_COLUMNS)]
+        lines += [f"{o13},{o26},{p:.17g},{q:.17g},{op}" for _, _, o13, o26, p, q, op, _ in rows]
+        return ("\n".join(lines) + "\n").encode()
+    if cfg.output_format == "text":
+        lines = [
+            f"scheme={int(cfg.scheme)} mode={cfg.mode} seed={cfg.seed} tol={cfg.fidelity_tol:g}"
+        ]
+        lines += [f"input {k}: {coeffs(s, ', ')}" for k, s in enumerate(report.inputs)]
+        head = f"{'outcome13':<10}{'outcome26':<10}{'probability':<22}{'fidelity':<22}correction"
+        lines.append(head if report.count is None else head + "  count  frequency")
+        lines += [
+            f"{o13:<10}{o26:<10}{p:<22.12g}{q:<22.12g}{op}"
+            + ("" if n is None else f"  {n}  {n / cfg.trials:.6g}")
+            for _, _, o13, o26, p, q, op, n in rows
+        ]
+        lines.append(" ".join(
+            f"{key}={v:.12g}" if isinstance(v, float) else f"{key}={v}"
+            for key, v in report.aggregates.items() if key != "pass"
+        ))
+        lines.append("result: " + ("PASS" if report.passed else "FAIL"))
+        return ("\n".join(lines) + "\n").encode()
+    branches = ",".join(
+        f'{{"input":{k},"outcome13":"{o13}","outcome26":"{o26}","probability":{jf(p)},'
+        f'"fidelity":{jf(q)},"correction":"{op}","state":"{report.state[k][b]}"'
+        + ("}" if n is None else f',"count":{n},"frequency":{jf(n / cfg.trials)}}}')
+        for k, b, o13, o26, p, q, op, n in rows
+    )
+    quoted = '","'
+    inputs = ",".join(
+        f'{{"coeffs":["{coeffs(s, quoted)}"],'
+        f'"total_probability":{jf(s.total_probability)},"min_fidelity":{jf(s.min_fidelity)}}}'
+        for s in report.inputs
+    )
+    return (
+        f'{{"schema":{report.schema},"config":{{{harness._json_items(harness._config_dict(cfg))}}},'
+        f'"branches":[{branches}],"aggregates":{{{harness._json_items(report.aggregates)},'
+        f'"inputs":[{inputs}]}},"verdicts":null}}\n'
+    ).encode()
+
+
+def repeating_rows_report(fmt):
+    """An ``enumerate`` report of 3 * ``_ROW_MEMO`` distinct value rows, taken
+    twice over: of each three rows, two differ from the first only in one
+    value, 0.0 in one and -0.0 in the other.  The coefficients are signed
+    zeros, subnormals and extremes."""
+    n = 3 * harness._ROW_MEMO
+    probs, fids = [], []
+    for k in range(n):
+        row = [1 / 16 + (k // 3 + b) * 2.0 ** -56 for b in range(16)]
+        if k % 3:
+            row[k // 3 % 16] = 0.0 if k % 3 == 1 else -0.0
+        probs.append(row)
+        fids.append(row[::-1])
+    probs, fids = probs * 2, fids * 2
+    parts = [0.0, -0.0, 5e-324, -1e-310, 1e300, -0.6]
+    inputs = tuple(
+        InputSummary(tuple(complex(parts[(k + i) % 6], parts[(k + 2 * i) % 6]) for i in range(4)),
+                     sum(p), min(f))
+        for k, (p, f) in enumerate(zip(probs, fids))
+    )
+    rng = np.random.default_rng(9)
+    return Report(
+        enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=2 * n, output_format=fmt), inputs,
+        {"num_inputs": 2 * n, "min_fidelity": -0.0, "pass": False},
+        corrections=tuple(table_lookup(Scheme.ARBITRARY, *pair)[0] for pair in harness._ALL_PAIRS),
+        probability=probs, fidelity=fids,
+        outputs=complex_rows(rng, 2 * n * 16, 1.0).reshape(-1, 16, 4),
+    )
+
+
+class TestRowMemo:
+    """Each report's emitter lays out each distinct value row once; its bytes
+    are those of per-row f-strings whatever repeats, in every format."""
+
+    CONFIGS = {
+        "enumerate-1": dict(mode="enumerate", scheme=Scheme.SPECIAL, random_inputs=300, seed=5),
+        "enumerate-2": dict(mode="enumerate", scheme=Scheme.ARBITRARY, random_inputs=300,
+                            seed=2**64 - 1),
+        "sample-2": dict(mode="sample", scheme=Scheme.ARBITRARY, seed=7),
+        # 5 trials leave at least 11 of the 16 cells undrawn
+        "sample-undrawn": dict(mode="sample", scheme=Scheme.SPECIAL, trials=5, seed=3),
+    }
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "table", [None, wrong_table, no_repair_table], ids=["listed", "wrong", "no-repair"]
+    )
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_bytes_equal_per_row_fstrings(self, monkeypatch, config, table, fmt):
+        # a listed table repeats a few value rows; a wrong table's rows hold
+        # fidelity 0 (scheme 1) or differ per input, more than the memo keeps
+        if table is not None:
+            monkeypatch.setattr(harness, "table_lookup", table)
+        report = run(RunConfig(**self.CONFIGS[config], output_format=fmt))
+        if report.config.mode == "enumerate" and table is None:
+            assert len({(*p, *q) for p, q in zip(report.probability, report.fidelity)}) < 20
+        assert emit_report(report) == fstring_report(report)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_repeated_rows_and_zeros(self, fmt):
+        report = repeating_rows_report(fmt)
+        assert emit_report(report) == fstring_report(report)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_interleaved_reports_give_their_own_bytes(self, monkeypatch, fmt):
+        # the first two reports share every value row but not their repairs;
+        # each report's pieces, taken in turn, must come from its own memo
+        listed = run(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=40, output_format=fmt))
+        relabelled = listed._replace(corrections=(CorrectionOp("X", "Y"),) * 16)
+        monkeypatch.setattr(harness, "table_lookup", wrong_table)
+        wrong = run(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=40, output_format=fmt))
+        reports = (listed, relabelled, wrong, repeating_rows_report(fmt))
+        streams = [harness.report_pieces(r) for r in reports]
+        texts = [[] for _ in reports]
+        for pieces in itertools.zip_longest(*streams):
+            for text, piece in zip(texts, pieces):
+                if piece is not None:
+                    text.append(piece)
+        assert ["".join(t).encode() for t in texts] == [fstring_report(r) for r in reports]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rows_that_never_repeat_keep_memory_flat(self, monkeypatch, tmp_path, fmt):
+        # a wrong table's rows differ per input, and the memo stops at
+        # _ROW_MEMO rows: the run peaks within 1 MiB of a listed-table run
+        argv = ["enumerate", "--scheme", "2", "--seed", "7", "--format", fmt,
+                "--out", str(tmp_path / "report")]
+        peaks = []
+        for table in (table_lookup, wrong_table):
+            monkeypatch.setattr(harness, "table_lookup", table)
+            main(argv)  # imports and caches outside the trace
+            tracemalloc.start()
+            try:
+                main([*argv, "--random-inputs", str(MAX_RANDOM_INPUTS)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20, [peak / 2**20 for peak in peaks]
 
 
 class TestChiSquareTail:
