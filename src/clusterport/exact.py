@@ -196,11 +196,15 @@ _TABLE2 = {
 
 
 # The tables as repairs, built once: table_lookup hands out fresh lists of
-# these shared (frozen) ops.
+# these shared (frozen) ops.  A cell is keyed by its outcomes' values, so a
+# lookup hashes two strings, not two members (an enum's hash is a Python
+# method).
 _TABLE_REPAIRS = {
     scheme: {
-        cell: tuple(CorrectionOp(p4, p5, cz_first=scheme is Scheme.ARBITRARY) for p4, p5 in pairs)
-        for cell, pairs in table.items()
+        (o13.value, o26.value): tuple(
+            CorrectionOp(p4, p5, cz_first=scheme is Scheme.ARBITRARY) for p4, p5 in pairs
+        )
+        for (o13, o26), pairs in table.items()
     }
     for scheme, table in ((Scheme.SPECIAL, _TABLE1), (Scheme.ARBITRARY, _TABLE2))
 }
@@ -208,7 +212,11 @@ _TABLE_REPAIRS = {
 
 def table_lookup(scheme: Scheme, o13: BellOutcome, o26: BellOutcome) -> list[CorrectionOp]:
     """The built-in correction(s) for one branch, first entry preferred."""
-    return list(_TABLE_REPAIRS[Scheme(scheme)][(o13, o26)])
+    try:
+        table = _TABLE_REPAIRS[scheme]  # a Scheme or its int value, with no conversion
+    except (KeyError, TypeError):
+        table = _TABLE_REPAIRS[Scheme(scheme)]  # which raises for no scheme
+    return list(table[o13._value_, o26._value_])
 
 
 @functools.cache

@@ -13,15 +13,17 @@ at once, whose first N rows are the inputs of a run with N.  Both read the
 basis states a scheme's input spans from ``exact._BASIS_INPUTS``.
 
 The sampler draws an index from cumulative weights as
-``measurement.draw_index`` does: the first index whose cumulative weight b
-satisfies b <= u * total, rounded, except that no b at the total counts.
-For a fixed total the rounded product u * total never decreases as u grows,
-so each b counts for every uniform from one least double up: its threshold,
-found once per row from b / total by a few ``math.nextafter`` steps checked
-with that same rounded multiply (by bisection where a subnormal total
-rounds coarsely).  The index a uniform draws is then the number of
-thresholds at or below it, the same bits with no per-uniform multiply,
-which is how ``sample_outcome_pairs`` draws its trials.
+``measurement.draw_index`` does: the first index whose cumulative weight
+exceeds u * total, rounded, so the number of cumulative weights b with
+b <= u * total, except that no b at the total counts.  For a fixed total
+the rounded product u * total never decreases as u grows, so each b counts
+for every uniform from one least double up: its threshold, found from
+b / total by a few ``math.nextafter`` steps checked with that same rounded
+multiply (by bisection where a subnormal total rounds coarsely).  The index
+a uniform draws is then the number of thresholds at or below it, the same
+bits with no per-uniform multiply, which is how ``sample_outcome_pairs``
+draws its trials.  A row's thresholds are found once per process: they are
+kept by the row's bits in a small LRU (``_row_thresholds``).
 
 ``map_inputs`` and ``format_states`` work through a stack INPUT_BLOCK
 inputs at a time, computing each row on its own, so their temporaries stay
@@ -48,11 +50,14 @@ from .exact import COEFF_TOL, Scheme
 
 # Display forms leave out amplitudes of modulus at or below this.
 DISPLAY_TOL = 1e-9
-# Trials sample_outcome_pairs draws at once.  A block's uniforms (16 bytes a
-# trial), its gathered thresholds (8) and its cell indices (1 each) hold
-# about 0.5 MB, so memory stays flat at any trial count, while the fixed
-# cost of each block's numpy calls is spread over many trials.
-SAMPLE_BLOCK = 16384
+# Trials sample_outcome_pairs draws at once.  A block's uniforms take 16
+# bytes a trial, 128 000 bytes in all, and each buffer of outcome_cells at
+# most 8 a trial: every buffer stays below glibc's 128 KiB mmap threshold,
+# so the heap hands the same pages to each block and each call, where a
+# mapped buffer would be faulted in afresh.  Memory stays flat at any trial
+# count, while the fixed cost of a block's numpy calls is spread over many
+# trials.
+SAMPLE_BLOCK = 8000
 # Inputs map_inputs, repair_branches and format_states take at once.  A
 # block's (inputs, 16, 4) outputs hold 1 MiB and each of its temporaries at
 # most that, so no temporary grows with the input count, while the fixed
@@ -232,17 +237,45 @@ def cell_thresholds(probs):
     return first, second.T.copy()
 
 
+# 16 cell weights as their bits: the key of _row_thresholds
+_CELL_ROW = struct.Struct("<16d")
+
+
+@functools.lru_cache(maxsize=32)
+def _row_thresholds(row: bytes):
+    """``cell_thresholds`` of the 16 cell weights packed in ``row``
+    (``_CELL_ROW``), as two read-only arrays.  Kept by the weights' bits, so
+    a row is searched once per process and shares its entry only with rows
+    of the same bits (-0.0 and 0.0 differ there), whose thresholds are the
+    same bits.  Rows repeat: 500 ``sample`` calls of drawn and given inputs
+    gave 8."""
+    first, second = cell_thresholds(_CELL_ROW.unpack(row))
+    first = np.array(first)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
 def outcome_cells(u: np.ndarray, first, second: np.ndarray) -> np.ndarray:
     """The cell 4i + j each row (u0, u1) of ``u`` draws from the thresholds
     ``cell_thresholds`` gives: i counts those of the marginal at or below
-    u0, and j those of row i at or below u1."""
-    u0, u1 = u[:, 0], u[:, 1]
-    i = np.zeros(len(u), dtype=np.uint8)  # one byte a trial: each pass stays small
+    u0, and j those of row i at or below u1.
+
+    The columns are compared as contiguous copies, one byte a trial for each
+    mask, added through its uint8 view; row i gathers its thresholds with
+    one intp index."""
+    u0, u1 = u[:, 0].copy(), u[:, 1].copy()
+    mask = np.empty(len(u), dtype=bool)
+    bit = mask.view(np.uint8)
+    i = np.zeros(len(u), dtype=np.uint8)
     for t in first:
-        i += u0 >= t
-    cells = i << 2
+        np.greater_equal(u0, t, out=mask)
+        i += bit
+    rows = i.astype(np.intp)
+    cells = i * 4
     for row_thresholds in second:
-        cells += u1 >= row_thresholds.take(i)
+        np.greater_equal(u1, row_thresholds.take(rows), out=mask)
+        cells += bit
     return cells
 
 
@@ -254,13 +287,13 @@ def sample_outcome_pairs(probs, trials: int, seed) -> list[int]:
     doubles 2t and 2t+1: the first picks the outcome i on (1, 3) from its
     marginal, the second the outcome on (2, 6) from row i, each as
     ``draw_index`` picks from the cumulative weights.  Those weights are
-    turned into thresholds once per call (``cell_thresholds``), exact
-    because the rounded u * total never decreases in u, so a trial costs
-    comparisons only (``outcome_cells``).  Trials are drawn SAMPLE_BLOCK at
-    a time; counts depend on neither the block size nor, for the first N
-    trials, the trial count.
+    turned into thresholds once per distinct row (``_row_thresholds``),
+    exact because the rounded u * total never decreases in u, so a trial
+    costs comparisons only (``outcome_cells``).  Trials are drawn
+    SAMPLE_BLOCK at a time; counts depend on neither the block size nor,
+    for the first N trials, the trial count.
     """
-    first, second = cell_thresholds(probs)
+    first, second = _row_thresholds(_CELL_ROW.pack(*probs))
     rng = np.random.default_rng(seed)
     counts = np.zeros(16, dtype=np.int64)
     u = np.empty((min(SAMPLE_BLOCK, trials), 2))
@@ -282,27 +315,40 @@ def display_rotation(amps):
     as inside any stack.
     """
     amps = np.asarray(amps, dtype=np.complex128)
-    mod = np.hypot(amps.real, amps.imag)
+    re, im = amps.real, amps.imag
+    mod = np.hypot(re, im)
     above = mod > DISPLAY_TOL
-    first = above.argmax(axis=-1)[..., None]
-    lead = np.take_along_axis(amps, first, axis=-1)
-    live = above.any(axis=-1, keepdims=True)
-    r = np.where(live, np.take_along_axis(mod, first, axis=-1), 1.0)
+    # each vector's first amplitude above it, as one index into the flat
+    # stack: its first amplitude, not above either, when none is
+    n = amps.shape[-1]
+    first = above.argmax(axis=-1, keepdims=True)
+    first += np.arange(0, mod.size, n).reshape(first.shape)
+    lead, r = amps.reshape(-1).take(first), mod.reshape(-1).take(first)
+    live = r > DISPLAY_TOL
+    r = np.where(live, r, 1.0)
     # multiply by conj(lead) / |lead|; a vector with no lead by 1
     c = np.where(live, lead.real / r, 1.0)
     s = np.where(live, -lead.imag / r, 0.0)
     shown = np.empty(amps.shape, dtype=np.complex128)
-    shown.real = amps.real * c - amps.imag * s
-    shown.imag = amps.real * s + amps.imag * c
+    shown.real = re * c - im * s
+    shown.imag = re * s + im * c
     return shown, above
 
 
-def _ket(vals, mask, labels) -> str:
-    """The ket expansion of one rotated vector: a term for each amplitude
-    where ``mask`` holds, at 6 significant digits, or ``0`` if none."""
+@functools.cache
+def _labels(n: int) -> tuple[str, ...]:
+    """The basis labels of an ``n``-amplitude vector, as bit strings."""
+    n_qubits = n.bit_length() - 1
+    return tuple(format(i, f"0{n_qubits}b") if n_qubits else "" for i in range(n))
+
+
+def _ket(vals, labels) -> str:
+    """The ket expansion of one rotated vector, its left-out amplitudes
+    zeroed: a term for each other amplitude, at 6 significant digits, or
+    ``0`` if none."""
     terms = []
-    for c, shown, bits in zip(vals, mask, labels):
-        if not shown:
+    for c, bits in zip(vals, labels):
+        if not c:
             continue
         if abs(c.imag) <= DISPLAY_TOL:
             coeff = f"{c.real:.6g}"
@@ -342,19 +388,17 @@ def _format_block(amps):
     the first of each run of equal rotated vectors is formatted once, its
     text standing for the whole run.  The left-out amplitudes are zeroed
     first, so vectors that differ only there (a sign bit, rounding dust)
-    share one key."""
+    share one key, and the zeros alone tell ``_ket`` what to leave out: an
+    amplitude above DISPLAY_TOL is not 0 after the rotation."""
     shown, above = display_rotation(amps)
     n = shown.shape[-1]
-    rows, masks = shown.reshape(-1, n), above.reshape(-1, n)
-    np.putmask(rows, ~masks, 0)  # in place: rows is a view of our own array
-    # an amplitude above DISPLAY_TOL is not 0, so the zeroed row is its key;
+    rows = shown.reshape(-1, n)
+    np.putmask(rows, ~above.reshape(-1, n), 0)  # in place: rows is a view of our own array
     # a repaired stack repeats each input's row along its cells
     words = rows.view(np.uint64)
-    head = np.ones(len(rows), dtype=bool)
-    head[1:] = (words[1:] != words[:-1]).any(axis=1)
-    n_qubits = n.bit_length() - 1
-    labels = [format(i, f"0{n_qubits}b") if n_qubits else "" for i in range(n)]
-    texts = [
-        _ket(vals, mask, labels) for vals, mask in zip(rows[head].tolist(), masks[head].tolist())
-    ]
+    head = np.empty(len(rows), dtype=bool)
+    head[:1] = True
+    np.any(words[1:] != words[:-1], axis=1, out=head[1:])
+    labels = _labels(n)
+    texts = [_ket(vals, labels) for vals in rows[head].tolist()]
     return np.array(texts, dtype=object)[head.cumsum() - 1].reshape(shown.shape[:-1]).tolist()

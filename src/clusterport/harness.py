@@ -191,7 +191,7 @@ def _repaired_inputs(cfg: RunConfig):
     if cfg.input_coeffs is None:
         count = 1 if cfg.mode == "sample" else cfg.random_inputs
         coeffs = floatpath.random_inputs(cfg.scheme, cfg.seed, count)
-    ops = tuple(table_lookup(cfg.scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS)
+    ops = tuple([table_lookup(cfg.scheme, o13, o26)[0] for o13, o26 in _ALL_PAIRS])
     return (ops, *floatpath.repair_branches(ops, cfg.scheme, coeffs))
 
 
@@ -382,27 +382,42 @@ def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"non-finite value in report: {x!r}")
     s = format(float(x), ".17g")
-    if not any(ch in s for ch in ".eE"):
+    if "." not in s and "e" not in s:  # .17g writes no "E"
         s += ".0"
     return s
 
 
 @functools.cache
 def _compact_dumps():
-    """Compact json.dumps, its encoder built on the first JSON report."""
+    """Compact json.dumps, its encoder built on the first value a JSON
+    report hands it (``_json_value``)."""
     import json  # here, so a CSV or text run never loads it
 
     return json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _json_value(v) -> str:
+    """One config, aggregates or verdicts value as compact json.dumps writes
+    it, but a float as ``_format_float`` does.  None, bools, ints and floats
+    are written here, a bool tested before an int, which it also is; only
+    strings, lists and the verdict rows go to the encoder."""
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, float):
+        return _format_float(v)
+    if isinstance(v, int):
+        return int.__repr__(v)  # as the encoder writes an int, subclasses too
+    return _compact_dumps()(v)
+
+
 def _json_items(values: dict) -> str:
-    """The members of a flat JSON object: floats as ``_format_float``
-    writes them, everything else as compact json.dumps does."""
-    dumps = _compact_dumps()
-    return ",".join(
-        f'"{key}":{_format_float(v) if isinstance(v, float) else dumps(v)}'
-        for key, v in values.items()
-    )
+    """The members of a flat JSON object, each value as ``_json_value``
+    writes it."""
+    return ",".join([f'"{key}":{_json_value(v)}' for key, v in values.items()])
 
 
 def _config_dict(cfg: RunConfig) -> dict:
@@ -504,7 +519,8 @@ def _emit_json(report: Report):
         (f'{{"input":{_HOLE},"outcome13":"{o13}","outcome26":"{o26}","probability":',
          ',"fidelity":',
          f',"correction":"{op}","state":"{_HOLE}'
-         + ('"}' if n is None else f'","count":{n:d},"frequency":{f(n / trials)}}}'))
+         # a frequency seldom repeats, so it is formatted as it comes, not kept
+         + ('"}' if n is None else f'","count":{n:d},"frequency":{_format_float(n / trials)}}}'))
         for o13, o26, op, n in cells
     ]
     yield (
@@ -527,7 +543,7 @@ def _emit_json(report: Report):
         yield entry[len(s.coeffs)] % (
             "," if k else "", *_coeff_parts(s.coeffs), f(s.total_probability), f(s.min_fidelity)
         )
-    yield f']}},"verdicts":{_compact_dumps()(report.verdicts)}}}\n'
+    yield f']}},"verdicts":{_json_value(report.verdicts)}}}\n'
 
 
 def _emit_csv(report: Report):

@@ -7,10 +7,12 @@ the surviving qubits carry the whole post-measurement state.  Surviving
 labels keep their original relative order.
 
 Drawing an index from cumulative weights (``draw_index``) takes the first
-index whose cumulative weight b satisfies b <= u * total, rounded, except
-that no b at the total counts.  It is the scalar rule of ``sample_bell``,
-and the one ``floatpath.sample_outcome_pairs`` draws its trials by, through
-thresholds; the tests compare the two.
+index whose cumulative weight exceeds u * total, rounded, so the number of
+cumulative weights b with b <= u * total, except that no b at the total
+counts: with cumulative weights 0.25, 0.5, 0.75 and 1 and u = 0.6, index 2.
+It is the scalar rule of ``sample_bell``, and the one
+``floatpath.sample_outcome_pairs`` draws its trials by, through thresholds;
+the tests compare the two.
 """
 
 from __future__ import annotations

@@ -98,6 +98,19 @@ class TestTableLookup:
             for op in table_lookup(Scheme.ARBITRARY, o13, o26)
         )
 
+    def test_a_scheme_reads_as_its_member_or_its_value(self):
+        for o13, o26 in ALL_PAIRS:
+            for scheme in Scheme:
+                assert table_lookup(int(scheme), o13, o26) == table_lookup(scheme, o13, o26)
+        for bad in (0, 3, "2", [2], None):
+            with pytest.raises(ValueError):
+                table_lookup(bad, PHI_P, PHI_P)
+
+    def test_each_lookup_is_a_fresh_list(self):
+        ops = table_lookup(Scheme.SPECIAL, PHI_P, PHI_P)
+        ops[0] = ops.pop()
+        assert [str(op) for op in table_lookup(Scheme.SPECIAL, PHI_P, PHI_P)] == ["IZ", "ZI"]
+
     def test_scheme1_has_eight_dual_cells(self):
         dual = [
             (o13, o26)

@@ -966,6 +966,54 @@ class TestJsonFormat:
         assert doc["aggregates"]["unique_per_cell"] is True
 
 
+class TestJsonValues:
+    """``_json_items`` writes None, bools and ints itself and sends strings
+    and lists to the encoder: every value a config or aggregates dict holds
+    comes out as compact json.dumps writes it, floats as ``_format_float``
+    writes them."""
+
+    ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+    class Count(int):
+        """An int that prints otherwise: the encoder writes its digits."""
+
+        def __str__(self):
+            return "count"
+
+        __repr__ = __str__
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, 0, 1, 15, -3, 2**64 - 1, Scheme.ARBITRARY, Count(7), None, "sample",
+         "a\"b\\c\u00e9", [], ["0.59999999999999998+0j", "-0.80000000000000004j"]],
+        ids=repr,
+    )
+    def test_values_as_the_encoder_writes_them(self, value):
+        assert harness._json_items({"key": value}) == '"key":' + self.ENCODE(value)
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [(-0.0, "-0.0"), (1e16, "10000000000000000.0"), (5e-324, "4.9406564584124654e-324"),
+         (0.0625, "0.0625"), (1.0, "1.0"), (3e-17, "3.0000000000000001e-17")],
+    )
+    def test_floats_through_format_float(self, value, text):
+        assert harness._format_float(value) == text
+        assert harness._json_items({"key": value}) == f'"key":{text}'
+        assert json.loads("{" + harness._json_items({"key": value}) + "}")["key"] == value
+
+    def test_a_whole_dict_joins_its_members(self):
+        values = {"trials": 8000, "pass": True, "coeffs": None, "chi2": 12.5, "mode": "sample"}
+        want = ",".join(f'"{k}":' + (
+            harness._format_float(v) if isinstance(v, float) else self.ENCODE(v)
+        ) for k, v in values.items())
+        assert harness._json_items(values) == want
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_floats_raise(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            harness._json_items({"key": value})
+
+
 class TestCsvAndText:
     def test_enumerate_csv_shape(self):
         out = emit_as(run(enum_cfg(input_coeffs=(0.6, 0.8))), "csv")

@@ -1,11 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from clusterport import BELL_OUTCOMES, BellOutcome, InputState, Scheme
+from clusterport import (
+    BELL_OUTCOMES, BellOutcome, InputState, RunConfig, Scheme, exact, floatpath, run,
+)
 from clusterport.exact import BELL_SIGNS
-from clusterport.floatpath import cell_thresholds, index_thresholds, outcome_cells
+from clusterport.floatpath import SAMPLE_BLOCK, cell_thresholds, index_thresholds, outcome_cells
 from clusterport.measurement import draw_index, project_bell, sample_bell
 from clusterport.protocol import assemble_total, cluster_state
 from clusterport.statevec import StateVector, fidelity, tensor
@@ -329,6 +332,9 @@ class TestThresholds:
         "all-NaN row": np.concatenate([np.full(8, 1 / 16), np.full(4, math.nan), np.full(4, 1 / 16)]),
         "subnormal cells": np.array([TINY, 4 * TINY, 0.0, TINY] * 4),
         "uniform": np.full(16, 1 / 16),
+        # every row its own: a kernel that reads row i's thresholds from
+        # another row draws other cells
+        "distinct rows": np.arange(1, 17) / 136,
     }
 
     @pytest.mark.parametrize("name", list(CELL_WEIGHTS))
@@ -345,3 +351,165 @@ class TestThresholds:
             i = int(draw_index(cum_marginal, u0))
             expected.append(4 * i + int(draw_index(cum_rows[i], u1)))
         assert outcome_cells(pairs, first, second).tolist() == expected
+
+
+def strided_outcome_cells(u, first, second):
+    """``outcome_cells`` as written before it copied its columns: strided
+    compares, bool masks added into uint8 counts, and each gather indexed
+    by the uint8 row counts.  The reference the kernel must match bit for
+    bit."""
+    u0, u1 = u[:, 0], u[:, 1]
+    i = np.zeros(len(u), dtype=np.uint8)
+    for t in first:
+        i += u0 >= t
+    cells = i << 2
+    for row_thresholds in second:
+        cells += u1 >= row_thresholds.take(i)
+    return cells
+
+
+def uniform_blocks(count, edges, seed):
+    """``count`` rows of uniforms: the pairs of ``edges`` in turn, then
+    draws, so every block holds edge pairs however short it is."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((count, 2))
+    pairs = np.array([(a, b) for a in edges for b in edges])[:count]
+    u[: len(pairs)] = pairs
+    return u
+
+
+class TestOutcomeKernel:
+    """``outcome_cells`` compares contiguous copies of the columns; its
+    cells equal the strided reference's, in dtype and bits, for any layout
+    of the uniforms and any block length."""
+
+    @pytest.mark.parametrize("name", list(TestThresholds.CELL_WEIGHTS))
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_edge_uniforms_match_the_reference(self, name, layout):
+        first, second = cell_thresholds(TestThresholds.CELL_WEIGHTS[name])
+        edges = sorted({u for t in (first, *second.T) for u in edge_uniforms(t)})
+        u = np.array([(a, b) for a in edges for b in edges])
+        if layout == "F":
+            u = np.asfortranarray(u)
+        elif layout == "strided":
+            wide = np.zeros((len(u), 5))
+            wide[:, 1::2] = u
+            u = wide[:, 1::2]
+        assert u.flags.c_contiguous is (layout == "C")
+        got, want = outcome_cells(u, first, second), strided_outcome_cells(u, first, second)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1])
+    @pytest.mark.parametrize("name", list(TestThresholds.CELL_WEIGHTS))
+    def test_blocks_match_the_reference(self, name, count):
+        first, second = cell_thresholds(TestThresholds.CELL_WEIGHTS[name])
+        edges = sorted({u for t in (first, *second.T) for u in edge_uniforms(t)})
+        u = uniform_blocks(count, edges, count)
+        for block in (u, np.asfortranarray(u), u[::-1]):
+            got, want = outcome_cells(block, first, second), strided_outcome_cells(block, first, second)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def reference_counts(probs, trials, seed):
+    """``sample_outcome_pairs`` with the thresholds searched afresh by
+    ``cell_thresholds`` and the strided reference kernel, in one block."""
+    first, second = cell_thresholds(probs)
+    u = np.random.default_rng(seed).random((trials, 2))
+    return np.bincount(strided_outcome_cells(u, first, second), minlength=16).tolist()
+
+
+def row_key(probs):
+    return struct.pack("<16d", *probs)
+
+
+@pytest.fixture
+def fresh_thresholds():
+    """The threshold cache, emptied before and after the test."""
+    floatpath._row_thresholds.cache_clear()
+    yield floatpath._row_thresholds
+    floatpath._row_thresholds.cache_clear()
+
+
+class TestRowThresholds:
+    """``sample_outcome_pairs`` searches each distinct probability row once
+    per process (``_row_thresholds``, kept by the row's bits); what a row
+    draws is what ``cell_thresholds`` of that row draws."""
+
+    UNIFORM = [1 / 16] * 16
+
+    def test_equal_rows_share_one_entry(self, fresh_thresholds):
+        rows = [list(self.UNIFORM), np.array(self.UNIFORM), tuple(self.UNIFORM)]
+        counts = [floatpath.sample_outcome_pairs(row, 300, [4, 1]) for row in rows]
+        info = fresh_thresholds.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert counts == [reference_counts(self.UNIFORM, 300, [4, 1])] * 3
+        key = row_key(self.UNIFORM)
+        assert fresh_thresholds(key) is fresh_thresholds(key)
+
+    def test_thresholds_equal_a_fresh_search(self, fresh_thresholds):
+        for probs in TestThresholds.CELL_WEIGHTS.values():
+            first, second = fresh_thresholds(row_key(probs))
+            want_first, want_second = cell_thresholds(probs)
+            assert np.array(want_first).tobytes() == first.tobytes()
+            assert want_second.tobytes() == second.tobytes()
+
+    def test_cached_arrays_refuse_writes(self, fresh_thresholds):
+        first, second = fresh_thresholds(row_key(self.UNIFORM))
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        with pytest.raises(ValueError):
+            second[0, 0] = 0.0
+
+    ROWS = {
+        "ulp apart": [UNIFORM, [math.nextafter(1 / 16, 1.0)] + UNIFORM[1:]],
+        "zero cells": [
+            TestThresholds.CELL_WEIGHTS["zero cells"].tolist(),
+            TestThresholds.CELL_WEIGHTS["all-zero row"].tolist(),
+        ],
+        # a NaN row shares an entry only with a row of the same bits
+        "NaN": [
+            TestThresholds.CELL_WEIGHTS["all-NaN row"].tolist(),
+            [math.nan] * 16,
+            [-math.nan] + UNIFORM[1:],
+        ],
+        "signed zeros": [[0.0] + UNIFORM[1:], [-0.0] + UNIFORM[1:]],
+    }
+
+    @pytest.mark.parametrize("name", list(ROWS))
+    def test_each_row_draws_its_own(self, fresh_thresholds, name):
+        rows = self.ROWS[name]
+        for trials in (1, 200, SAMPLE_BLOCK + 1):
+            for probs in rows:
+                counts = floatpath.sample_outcome_pairs(probs, trials, [trials, 1])
+                assert counts == reference_counts(probs, trials, [trials, 1]), (probs, trials)
+        # rows of different bits never share an entry
+        assert fresh_thresholds.cache_info().currsize == len(rows)
+
+    def test_signed_zeros_keep_their_thresholds(self, fresh_thresholds):
+        plus, minus = self.ROWS["signed zeros"]
+        assert plus == minus  # equal as values: only the bits tell them apart
+        for probs in (plus, minus):
+            got = fresh_thresholds(row_key(probs))
+            want = cell_thresholds(probs)
+            assert got[0].tobytes() == np.array(want[0]).tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        assert fresh_thresholds.cache_info().currsize == 2
+
+    def test_a_sign_table_mutant_samples_from_its_own_row(self, fresh_thresholds, monkeypatch):
+        from test_mutants import clear_caches, replaced
+
+        cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", trials=4000, seed=6)
+        real = run(cfg)
+        try:
+            with monkeypatch.context() as mp:
+                # one channel sign zeroed: the cells no longer weigh 1/16 each
+                mp.setattr(exact, "CLUSTER_SIGNS", replaced(exact.CLUSTER_SIGNS, (1, 1, 1, 1), 0))
+                clear_caches()
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    mutant = run(cfg)
+        finally:
+            clear_caches()
+        assert mutant.probability[0] != real.probability[0]
+        for report in (real, mutant, run(cfg)):
+            assert report.count == reference_counts(report.probability[0], 4000, [6, 1])
+        assert fresh_thresholds.cache_info().currsize == 2
