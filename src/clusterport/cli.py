@@ -50,7 +50,6 @@ _INPUT = {
     "--coeffs": ("input_coeffs", _parse_coeffs, "LIST", "input coefficients, comma separated complex "
                  "values ('0.6,0.8j'); a leading minus sign is part of the list"),
     "--renormalize": ("renormalize", None, "", "scale --coeffs to unit norm instead of rejecting them"),
-    "--tol": ("fidelity_tol", float, "TOL", "fidelity check tolerance"),
 }
 # mode: (help, options)
 MODES = {

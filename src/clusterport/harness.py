@@ -23,7 +23,9 @@ nowhere else, and ``verify`` passes only when every cell is exact.
 repaired maps (``exact.repaired_map``) and the sampler from ``floatpath``,
 which their runners import on first use, and numpy with it; the top level
 of this module loads only ``exact`` and the standard library, and ``json``
-waits for the JSON emitter.
+waits for the JSON emitter.  Their fidelity check has no tolerance: they
+pass only when every fidelity they read is exactly 1, which a certified
+repair gives (``floatpath.map_inputs``).
 
 ``enumerate`` works in whole columns: ``floatpath.random_inputs`` draws the
 inputs as one array, kept to the summaries.  A report keeps the
@@ -88,7 +90,7 @@ CHI2_ALPHA = 1e-9
 
 class RunConfig(_record(
     "RunConfig",
-    "scheme mode input_coeffs random_inputs trials seed fidelity_tol output_format",
+    "scheme mode input_coeffs random_inputs trials seed output_format",
 )):
     """Everything a run needs; reports depend on nothing else."""
 
@@ -96,8 +98,7 @@ class RunConfig(_record(
 
     def __new__(
         cls, scheme: Scheme, mode: str, input_coeffs=None, random_inputs: int = 100,
-        trials: int = 16000, seed: int = 0, fidelity_tol: float = 1e-10,
-        output_format: str = "text",
+        trials: int = 16000, seed: int = 0, output_format: str = "text",
     ) -> "RunConfig":
         scheme = Scheme(scheme)
         if mode not in MODES:
@@ -118,11 +119,8 @@ class RunConfig(_record(
             )
         if type(seed) is not int or not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        fidelity_tol = float(fidelity_tol)
-        if not 0.0 <= fidelity_tol < 1.0:
-            raise ValueError(f"fidelity tolerance must lie in [0, 1), got {fidelity_tol!r}")
         return tuple.__new__(cls, (
-            scheme, mode, input_coeffs, random_inputs, trials, seed, fidelity_tol, output_format,
+            scheme, mode, input_coeffs, random_inputs, trials, seed, output_format,
         ))
 
 
@@ -144,7 +142,7 @@ class Report(_record(
     equal."""
 
     # no __slots__: the instance dict holds the cached ``state``
-    schema = 5  # a class constant, not a field
+    schema = 6  # a class constant, not a field
 
     def __new__(
         cls, config: RunConfig, inputs: tuple, aggregates: dict, verdicts=None,
@@ -213,8 +211,7 @@ def run_enumeration(cfg: RunConfig) -> Report:
         "total_probability_worst": worst_total,
         "branch_probability_min": float(probs.min()),
         "branch_probability_max": float(probs.max()),
-        "pass": (min_fid >= 1.0 - cfg.fidelity_tol)
-        and (abs(worst_total - 1.0) <= TOTAL_PROB_TOL),
+        "pass": min_fid >= 1.0 and abs(worst_total - 1.0) <= TOTAL_PROB_TOL,
     }
     return Report(
         cfg, summaries, aggregates,
@@ -270,11 +267,10 @@ def run_montecarlo(cfg: RunConfig) -> Report:
         "frequency_sigma": sigma,
         "three_sigma": 3.0 * sigma,
         "max_frequency_deviation": max_dev,
-        "within_three_sigma": max_dev <= 3.0 * sigma,
         "chi2": chi2,
         "chi2_dof": 15,
         "chi2_p_value": chi2_p,
-        "pass": min_fid >= 1.0 - cfg.fidelity_tol and chi2_p >= CHI2_ALPHA,
+        "pass": min_fid >= 1.0 and chi2_p >= CHI2_ALPHA,
     }
     return Report(
         cfg, (summary,), aggregates,
@@ -425,7 +421,7 @@ def _config_dict(cfg: RunConfig) -> dict:
     return {
         "scheme": int(cfg.scheme), "mode": cfg.mode, "coeffs": coeffs,
         "random_inputs": cfg.random_inputs, "trials": cfg.trials, "seed": cfg.seed,
-        "fidelity_tol": cfg.fidelity_tol, "output_format": cfg.output_format,
+        "output_format": cfg.output_format,
     }
 
 
@@ -566,7 +562,7 @@ def _emit_csv(report: Report):
 
 def _emit_text(report: Report):
     cfg = report.config
-    yield f"scheme={int(cfg.scheme)} mode={cfg.mode} seed={cfg.seed} tol={cfg.fidelity_tol:g}\n"
+    yield f"scheme={int(cfg.scheme)} mode={cfg.mode} seed={cfg.seed} schema={report.schema}\n"
     line = _coeff_formats("input %d: ", ", ", "\n")
     for k, s in enumerate(report.inputs):
         yield line[len(s.coeffs)] % (k, *_coeff_parts(s.coeffs))

@@ -66,10 +66,10 @@ class TestParser:
 
     def test_defaults(self):
         cfg, out = parse_args(["sample", "--scheme", "2"])
-        assert cfg.trials == 16000
-        assert cfg.seed == 0
-        assert cfg.output_format == "text"
-        assert cfg.fidelity_tol == 1e-10
+        assert cfg._asdict() == {
+            "scheme": Scheme.ARBITRARY, "mode": "sample", "input_coeffs": None,
+            "random_inputs": 100, "trials": 16000, "seed": 0, "output_format": "text",
+        }
         assert out is None
 
     def test_random_inputs_default(self):
@@ -93,6 +93,20 @@ class TestParser:
     @pytest.mark.parametrize("mode", MODES)
     def test_only_scheme_builds_the_default_config(self, mode, scheme):
         assert parse_args([mode, "--scheme", str(scheme)]) == (RunConfig(Scheme(scheme), mode), None)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_tolerance_option(self, capsys, mode):
+        # every enumerate and sample run requires fidelity exactly 1
+        code, out, err = parse_exit(capsys, [mode, "--scheme", "1", "--tol", "0"])
+        assert (code, out) == (2, "")
+        assert err.endswith("clusterport: error: unrecognized argument: --tol\n")
+        code, out, err = parse_exit(capsys, [mode, "--help"])
+        assert (code, err) == (0, "") and "--tol" not in out
+        assert len(cli.MODES[mode][1]) == (8 if mode in ("enumerate", "sample") else 5)
+
+    def test_t_is_a_prefix_of_trials_alone(self):
+        cfg, _ = parse_args(["sample", "--scheme", "2", "--t", "5"])
+        assert cfg == RunConfig(Scheme.ARBITRARY, "sample", trials=5)
 
     def test_random_inputs_help_states_the_cap(self, capsys):
         code, out, err = parse_exit(capsys, ["enumerate", "--help"])
@@ -317,12 +331,10 @@ class TestMain:
         assert capsys.readouterr() == ("", "")
 
     def test_zero_tolerance_exit_0(self, capsys):
-        # every repaired fidelity is exactly 1, so a zero tolerance passes
+        # every repaired fidelity is exactly 1, which every run requires
         for mode in ("enumerate", "sample"):
             for scheme in ("1", "2"):
-                code, out, _ = run_main(
-                    capsys, mode, "--scheme", scheme, "--seed", "0", "--tol", "0",
-                )
+                code, out, _ = run_main(capsys, mode, "--scheme", scheme, "--seed", "0")
                 assert code == 0
                 assert out.endswith("result: PASS\n")
 
@@ -460,7 +472,7 @@ class TestMain:
         assert code == 0
         assert out == ""
         doc = json.loads(dest.read_text())
-        assert doc["schema"] == 5
+        assert doc["schema"] == 6
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     @pytest.mark.parametrize("scheme", ["1", "2"])

@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from clusterport import RunConfig, Scheme, cli  # noqa: E402
+from clusterport import RunConfig, Scheme, cli, harness  # noqa: E402
 from clusterport.cli import _parse_coeffs, main, parse_args  # noqa: E402
 from clusterport.harness import FORMATS, MAX_RANDOM_INPUTS, format_complex  # noqa: E402
 from clusterport.exact import COEFF_TOL  # noqa: E402
@@ -111,7 +111,7 @@ def test_extreme_magnitudes_exit_cleanly(scheme, mode, data):
     if code == 2:
         assert "not normalized" in err
     # scaled to unit norm, any such input teleports exactly
-    assert run_cli(mode, scheme, coeffs, "--renormalize", "--tol", "0")[0] == 0
+    assert run_cli(mode, scheme, coeffs, "--renormalize")[0] == 0
 
 
 @settings(deadline=None, max_examples=60)
@@ -121,13 +121,13 @@ def test_norm_near_coeff_tol(scheme, mode, data, excess):
     # then the fidelity is still exactly 1
     unit = data.draw(unit_vectors(coeff_count(scheme)))
     coeffs = [c * math.sqrt(1.0 + excess) for c in unit]
-    code, _ = run_cli(mode, scheme, coeffs, "--tol", "0")
+    code, _ = run_cli(mode, scheme, coeffs)
     assert code in (0, 2)
     if abs(excess) < 0.99 * COEFF_TOL:
         assert code == 0
     elif abs(excess) > 1.01 * COEFF_TOL:
         assert code == 2
-    assert run_cli(mode, scheme, coeffs, "--renormalize", "--tol", "0")[0] == 0
+    assert run_cli(mode, scheme, coeffs, "--renormalize")[0] == 0
 
 
 @settings(deadline=None, max_examples=60)
@@ -141,7 +141,48 @@ def test_near_degenerate_inputs(scheme, mode, data, tiny, phase, renormalize):
     coeffs = [c * scale for c in rest]
     coeffs.insert(at, tiny * phase)
     extra = ["--renormalize"] if renormalize else []
-    assert run_cli(mode, scheme, coeffs, "--tol", "0", *extra)[0] == 0
+    assert run_cli(mode, scheme, coeffs, *extra)[0] == 0
+
+
+def signed_parts(top):
+    """Reals of either sign with magnitudes from 1e-330 (zero once rounded)
+    up to ``top``, subnormals and the least normal included, or a signed
+    zero."""
+    edges = st.sampled_from([5e-324, 2.2250738585072014e-308])
+    magnitudes = st.floats(-330, math.log10(top)).map(lambda e: 10.0 ** e) | edges
+    return (st.tuples(magnitudes, st.sampled_from([1.0, -1.0])).map(lambda ms: ms[0] * ms[1])
+            | st.sampled_from([0.0, -0.0]))
+
+
+def adversarial_coeffs(k, top):
+    """``k`` coefficients whose parts are ``signed_parts(top)``: purely real,
+    purely imaginary, signed zeros or both parts set."""
+    parts = signed_parts(top)
+    return st.lists(st.builds(complex, parts, parts), min_size=k, max_size=k)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([1, 2]), modes, st.booleans(), st.data())
+def test_every_fidelity_is_exactly_one(scheme, mode, renormalize, data):
+    # a certified repair returns the input times a phase and 1/4, and the
+    # fidelity's sums are taken alike, so every branch reads exactly 1 and
+    # the run, which requires that, passes: scaled by --renormalize, or as
+    # given, a unit coefficient beside parts too small to move the norm
+    k = coeff_count(scheme)
+    if renormalize:
+        coeffs = data.draw(adversarial_coeffs(k, 1.0).filter(any))
+    else:
+        coeffs = data.draw(adversarial_coeffs(k, 1e-5))
+        coeffs[data.draw(st.integers(0, k - 1))] = data.draw(signs)
+    text = ",".join(format_complex(c) for c in coeffs)
+    argv = [mode, "--scheme", str(scheme), f"--coeffs={text}"]
+    if renormalize:
+        argv.append("--renormalize")
+    if mode == "sample":
+        argv += ["--trials", "500"]
+    report = harness.run(parse_args(argv)[0])
+    assert [f for row in report.fidelity for f in row] == [1.0] * 16
+    assert report.passed
 
 
 @settings(deadline=None, max_examples=40)
@@ -183,8 +224,6 @@ def option_value(flag, scheme):
         return unit_vectors(coeff_count(scheme)).map(
             lambda c: (",".join(format_complex(x) for x in c), tuple(complex(x) for x in c))
         )
-    if flag == "--tol":
-        return st.floats(0.0, 1.0, exclude_max=True).map(lambda t: (repr(t), t))
     ints = {"--scheme": st.just(scheme), "--seed": st.integers(0, 2 ** 64 - 1),
             "--random-inputs": st.integers(1, MAX_RANDOM_INPUTS), "--trials": st.integers(1, 10 ** 9)}
     if flag in ints:

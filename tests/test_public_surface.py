@@ -54,7 +54,6 @@ MODULE_NAMES = {
         "INPUT_BLOCK",
         "SAMPLE_BLOCK",
         "cell_thresholds",
-        "check_coeffs",
         "display_rotation",
         "format_states",
         "index_thresholds",
