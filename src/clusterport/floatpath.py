@@ -29,8 +29,11 @@ kept by the row's bits in a small LRU (``_row_thresholds``).
 inputs at a time, computing each row on its own, so their temporaries stay
 the size of a block at any input count and no row depends on the count.
 ``format_states`` rotates each block in one array pass and formats the
-first of each run of equal vectors in it once.  Only the ``state`` of a
-report calls it, when first read.
+first of each run of equal vectors in it once, the whole block's kets in
+one ``%``: each such vector adds its pattern's format (which amplitudes
+print, and whether each is real, imaginary or both, built once per width
+and pattern) and the parts it prints.  Only the ``state`` of a report
+calls it, when first read.
 
 This module imports numpy, the standard library and ``exact`` only, so the
 dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
@@ -326,22 +329,43 @@ def _labels(n: int) -> tuple[str, ...]:
     return tuple(format(i, f"0{n_qubits}b") if n_qubits else "" for i in range(n))
 
 
-def _ket(vals, labels) -> str:
-    """The ket expansion of one rotated vector, its left-out amplitudes
-    zeroed: a term for each other amplitude, at 6 significant digits, or
-    ``0`` if none."""
-    terms = []
-    for c, bits in zip(vals, labels):
+@functools.lru_cache(maxsize=1024)
+def _ket_format(n: int, pattern: int) -> str:
+    """The % format of the ket of an ``n``-amplitude vector whose amplitudes
+    print as ``pattern`` says, two bits each, the first amplitude highest: 0
+    left out, 1 its real part, 2 its imaginary part, 3 both; each part at 6
+    significant digits, and ``0`` if nothing prints.  Built once per width
+    and pattern (every pattern of 4 amplitudes fits)."""
+    codes = [(pattern >> 2 * (n - 1 - i)) & 3 for i in range(n)]
+    terms = [
+        ("%.6g", "%.6gi", "(%.6g%+.6gi)")[code - 1] + f"|{bits}>"
+        for bits, code in zip(_labels(n), codes)
+        if code
+    ]
+    return " + ".join(terms) or "0"
+
+
+def _ket(vals, parts: list) -> str:
+    """The ``_ket_format`` of one rotated vector, its left-out amplitudes
+    zeroed, with the parts it prints appended to ``parts``.  An amplitude
+    that is 0 is left out; one that is not prints its real part alone when
+    its imaginary part is at most DISPLAY_TOL, else its imaginary part alone
+    when its real part is, else both."""
+    pattern = 0
+    for c in vals:
+        pattern <<= 2
         if not c:
             continue
         if abs(c.imag) <= DISPLAY_TOL:
-            coeff = f"{c.real:.6g}"
+            pattern += 1
+            parts.append(c.real)
         elif abs(c.real) <= DISPLAY_TOL:
-            coeff = f"{c.imag:.6g}i"
+            pattern += 2
+            parts.append(c.imag)
         else:
-            coeff = f"({c.real:.6g}{c.imag:+.6g}i)"
-        terms.append(f"{coeff}|{bits}>")
-    return " + ".join(terms) or "0"
+            pattern += 3
+            parts += (c.real, c.imag)
+    return _ket_format(len(vals), pattern)
 
 
 def format_states(amps):
@@ -354,9 +378,9 @@ def format_states(amps):
     equivalent states print identically; amplitudes at or below it are left
     out, and a vector with none above it prints as ``0``.  A stack is
     formatted INPUT_BLOCK entries of its first axis at a time
-    (``_format_block``), so no temporary spans the whole stack; equal bytes
-    give equal strings, so an entry depends neither on the stack around it
-    nor on the block it falls in.
+    (``_format_block``), so no temporary spans the whole stack; each text
+    is a function of its rotated vector's bytes alone, so an entry depends
+    neither on the stack around it nor on the block it falls in.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim < 2:
@@ -373,7 +397,9 @@ def _format_block(amps):
     text standing for the whole run.  The left-out amplitudes are zeroed
     first, so vectors that differ only there (a sign bit, rounding dust)
     share one key, and the zeros alone tell ``_ket`` what to leave out: an
-    amplitude above DISPLAY_TOL is not 0 after the rotation."""
+    amplitude above DISPLAY_TOL is not 0 after the rotation.  ``_ket`` gives
+    each such vector's format and parts, and one ``%`` fills them all, the
+    kets joined by a NUL, which no ket holds, and split apart again."""
     shown, above = display_rotation(amps)
     n = shown.shape[-1]
     rows = shown.reshape(-1, n)
@@ -383,6 +409,7 @@ def _format_block(amps):
     head = np.empty(len(rows), dtype=bool)
     head[:1] = True
     np.any(words[1:] != words[:-1], axis=1, out=head[1:])
-    labels = _labels(n)
-    texts = [_ket(vals, labels) for vals in rows[head].tolist()]
+    parts = []
+    kets = [_ket(vals, parts) for vals in rows[head].tolist()]
+    texts = ("\0".join(kets) % tuple(parts)).split("\0")
     return np.array(texts, dtype=object)[head.cumsum() - 1].reshape(shown.shape[:-1]).tolist()

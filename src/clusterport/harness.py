@@ -34,21 +34,22 @@ probabilities and fidelities as nested lists, indexed [input][cell] in
 their display forms, ``state``, are formatted (by ``format_states``, each
 distinct output of a block once) when first read, which only a JSON report
 does.  ``report_pieces`` writes a report in its config's ``output_format``
-as an iterator of text pieces: a header, each input's branch rows, each
-input's summary in JSON and text, and a footer.  An input's rows depend on
-its value row (its probability and fidelity rows) alone, but for the JSON
-input index and ``state``: ``_input_rows`` lays them out once per distinct
-value row, in a memo of at most ``_ROW_MEMO`` rows per report, and CSV and
-text write each input's rows, separator included, as one piece, while JSON
-fills the index and ``state`` into its holes.  A listed table repeats a few
-value rows, so most inputs cost a lookup.  Each input's coefficients take
-one ``%`` format, built once per report from ``format_complex``'s own.  No
-piece grows with the input count, so the CLI, which writes the pieces as
-they come, holds one input's rows at a time; ``emit_report`` joins them
-into the report's bytes.  A ``derive`` or ``verify`` report
-writes its rows in one piece.  JSON verdict rows are one json.dumps call; a
-CSV verdict row has a column per row key but ``subspace_only``, joined like
-a branch row: no CSV field needs quoting.
+as an iterator of text pieces: a header, each input's branch rows, the
+inputs' summaries in JSON and text, and a footer.  An input's rows depend
+on its value row (its probability and fidelity rows) alone, but for the
+JSON input index and ``state``: ``_input_rows`` lays them out once per
+distinct value row, in a memo of at most ``_ROW_MEMO`` rows per report
+keyed by the row's bits, and CSV and text write each input's rows,
+separator included, as one piece, while JSON fills the index and ``state``
+into its holes.  A listed table repeats a few value rows, so most inputs
+cost a lookup.  The summaries of up to ``_SUMMARY_BLOCK`` inputs take one
+``%`` format and make one piece, the format built once per report from
+``format_complex``'s own.  No piece grows with the input count, so the
+CLI, which writes the pieces as they come, holds one input's rows at a
+time; ``emit_report`` joins them into the report's bytes.  A ``derive`` or
+``verify`` report writes its rows in one piece.  JSON verdict rows are one
+json.dumps call; a CSV verdict row has a column per row key but
+``subspace_only``, joined like a branch row: no CSV field needs quoting.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7, output_format="json")
     report = run(cfg)
@@ -60,6 +61,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from itertools import chain, repeat
+from operator import attrgetter
 
 from .exact import (
     BELL_OUTCOMES, CorrectionOp, InputState, Scheme, _record, certified_repairs, table_lookup,
@@ -200,9 +203,12 @@ def run_enumeration(cfg: RunConfig) -> Report:
     ops, coeffs, probs, fids, outputs = _repaired_inputs(cfg)
     totals = probs.cumsum(axis=1)[:, -1]  # left to right, as sum() of Python 3.11 adds
     worst_fids = fids.min(axis=1)
-    summaries = tuple(
-        map(InputSummary, map(tuple, coeffs.tolist()), totals.tolist(), worst_fids.tolist())
-    )
+    # tuple.__new__ makes each summary with no Python call, as
+    # InputSummary() would make one per input
+    summaries = tuple(map(
+        tuple.__new__, repeat(InputSummary),
+        zip(map(tuple, coeffs.tolist()), totals.tolist(), worst_fids.tolist()),
+    ))
     min_fid = float(worst_fids.min())
     worst_total = float(totals[abs(totals - 1.0).argmax()])  # the first, as max() takes
     aggregates = {
@@ -461,9 +467,32 @@ def _coeff_formats(head: str, sep: str, tail: str) -> _Fragments:
     return _Fragments(lambda n: head + sep.join([_COMPLEX] * n) + tail)
 
 
-def _coeff_parts(coeffs) -> list:
-    """The real and imaginary parts of each of ``coeffs``, in turn."""
-    return [x for c in coeffs for x in (c.real, c.imag)]
+# Inputs whose lines (text) or entries (JSON) take one % together: a piece
+# of at most 16 KB in scheme 2
+_SUMMARY_BLOCK = 64
+_COEFFS, _PARTS = attrgetter("coeffs"), attrgetter("real", "imag")
+_TOTAL, _WORST = attrgetter("total_probability"), attrgetter("min_fidelity")
+
+
+def _summary_blocks(inputs):
+    """The ``inputs`` as (index of the first, block, n): runs of at most
+    _SUMMARY_BLOCK consecutive inputs with n coefficients each.  A report's
+    inputs all have its scheme's count, so each block but the last is full;
+    a block whose counts differ is handed out an input at a time."""
+    for start in range(0, len(inputs), _SUMMARY_BLOCK):
+        block = inputs[start:start + _SUMMARY_BLOCK]
+        counts = list(map(len, map(_COEFFS, block)))
+        if counts.count(counts[0]) == len(counts):
+            yield start, block, counts[0]
+        else:
+            yield from ((start + i, block[i:i + 1], n) for i, n in enumerate(counts))
+
+
+def _coeff_parts(block, n: int) -> list:
+    """One iterator over the real and imaginary parts of every coefficient
+    of ``block``, its inputs n coefficients each, listed 2n times: zipped,
+    it gives each input's 2n parts in turn, with no Python step per input."""
+    return [chain.from_iterable(map(_PARTS, chain.from_iterable(map(_COEFFS, block))))] * (2 * n)
 
 
 # Where a row piece leaves room for a field of its own input: the JSON input
@@ -486,20 +515,23 @@ def _input_rows(pieces: list, probs, fids, f, sep: str, end: str):
     around its probability and fidelity; ``probs`` and ``fids`` hold every
     input's values over the listed cells, which ``f`` formats.  So a block
     depends on its input's value row alone, and is laid out once per
-    distinct row: up to ``_ROW_MEMO`` rows are kept by value, never one
-    holding a zero (-0.0 == 0.0 as a key, but it prints with its sign).  A
+    distinct row: up to ``_ROW_MEMO`` rows are kept by their values' bits,
+    packed as doubles, so -0.0 and 0.0, which print apart, key apart.  A
     kept block is handed out again, so the caller fills and joins it before
     taking the next."""
+    import struct  # here, so that no other mode loads it
+
+    pack = struct.Struct(f"{2 * len(pieces)}d").pack
     memo = {}
     for p, q in zip(probs, fids):
-        key = (*p, *q)
+        key = pack(*p, *q)
         block = memo.get(key)
         if block is None:
             rows = (h + f(x) + m + f(y) + t for (h, m, t), x, y in zip(pieces, p, q))
             parts = (sep.join(rows) + end).split(_HOLE)
             block = [None] * (2 * len(parts) - 1)
             block[::2] = parts
-            if len(memo) < _ROW_MEMO and 0.0 not in key:
+            if len(memo) < _ROW_MEMO:
                 memo[key] = block
         yield block
 
@@ -532,13 +564,12 @@ def _emit_json(report: Report):
             yield ","
         yield "".join(block)
     yield f'],"aggregates":{{{_json_items(report.aggregates)},"inputs":['
-    entry = _coeff_formats(
-        '%s{"coeffs":["', '","', '"],"total_probability":%s,"min_fidelity":%s}'
-    )
-    for k, s in enumerate(report.inputs):
-        yield entry[len(s.coeffs)] % (
-            "," if k else "", *_coeff_parts(s.coeffs), f(s.total_probability), f(s.min_fidelity)
-        )
+    # each entry led by a comma, which the first entry of a report drops
+    entry = _coeff_formats(',{"coeffs":["', '","', '"],"total_probability":%s,"min_fidelity":%s}')
+    for start, block, n in _summary_blocks(report.inputs):
+        rows = zip(*_coeff_parts(block, n), map(f, map(_TOTAL, block)), map(f, map(_WORST, block)))
+        text = entry[n] * len(block)
+        yield (text if start else text[1:]) % tuple(chain.from_iterable(rows))
     yield f']}},"verdicts":{_json_value(report.verdicts)}}}\n'
 
 
@@ -564,8 +595,9 @@ def _emit_text(report: Report):
     cfg = report.config
     yield f"scheme={int(cfg.scheme)} mode={cfg.mode} seed={cfg.seed} schema={report.schema}\n"
     line = _coeff_formats("input %d: ", ", ", "\n")
-    for k, s in enumerate(report.inputs):
-        yield line[len(s.coeffs)] % (k, *_coeff_parts(s.coeffs))
+    for start, block, n in _summary_blocks(report.inputs):
+        rows = zip(range(start, start + len(block)), *_coeff_parts(block, n))
+        yield (line[n] * len(block)) % tuple(chain.from_iterable(rows))
     cells, probs, fids = _listed(report, report.probability, report.fidelity)
     if cells and probs:
         head = f"{'outcome13':<10}{'outcome26':<10}{'probability':<22}{'fidelity':<22}correction"
@@ -603,7 +635,8 @@ _EMITTERS = {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}
 def report_pieces(report: Report):
     """The report's text in its config's ``output_format``, as an iterator
     of str pieces: a header, each input's branch rows (and, in JSON and
-    text, each input's summary line) as pieces of their own, and a footer.
+    text, the summaries of each ``_SUMMARY_BLOCK`` inputs) as pieces of
+    their own, and a footer.
     No piece grows with the input count, so a caller that writes the
     pieces as they come holds one input's rows at a time."""
     return _EMITTERS[report.config.output_format](report)

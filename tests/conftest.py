@@ -28,7 +28,9 @@ def rng():
 
 @pytest.fixture
 def ket_calls(monkeypatch):
-    """The vectors ``format_states`` formats, one entry per ``_ket`` call."""
+    """The vectors ``format_states`` formats, one entry per ``_ket`` call:
+    ``_ket`` gives each distinct rotated vector of a block its format and
+    parts, and one ``%`` per block fills them."""
     calls = []
     ket = floatpath._ket
     monkeypatch.setattr(floatpath, "_ket", lambda *args: calls.append(args) or ket(*args))

@@ -766,6 +766,55 @@ class TestRowMemo:
         assert emit_report(report) == fstring_report(report)
 
     @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("table", [wrong_table, no_repair_table], ids=["wrong", "no-repair"])
+    def test_signed_zero_rows_are_laid_out_once_each(self, monkeypatch, table, fmt):
+        # a scheme-1 run of these tables reads fidelity 0.0 in some cells;
+        # its value rows, the same rows with each zero made -0.0, and the
+        # rows again: each distinct row (by its bits) is laid out once, and
+        # each zero prints with its own sign
+        monkeypatch.setattr(harness, "table_lookup", table)
+        base = run(enum_cfg(scheme=Scheme.SPECIAL, random_inputs=3, output_format=fmt))
+        assert all(0.0 in row for row in base.fidelity)
+        negated = [[-0.0 if x == 0 else x for x in row] for row in base.fidelity]
+        report = base._replace(
+            inputs=base.inputs * 3, probability=base.probability * 3,
+            fidelity=base.fidelity + negated + base.fidelity,
+            outputs=np.concatenate([base.outputs] * 3),
+        )
+        # a row is laid out by formatting its values, a probability and a
+        # fidelity for each cell in turn
+        formatted = []
+        input_rows = harness._input_rows
+        monkeypatch.setattr(
+            harness, "_input_rows", lambda pieces, probs, fids, f, *rest: input_rows(
+                pieces, probs, fids, lambda x: formatted.append(x) or f(x), *rest
+            )
+        )
+        assert emit_report(report) == fstring_report(report)
+
+        def bits(report):
+            return [tuple(map(float.hex, p + q)) for p, q in zip(report.probability, report.fidelity)]
+
+        rows = list(dict.fromkeys(bits(report)))
+        laid_out = [tuple(map(float.hex, formatted[k:k + 32:2] + formatted[k + 1:k + 32:2]))
+                    for k in range(0, len(formatted), 32)]
+        assert laid_out == rows
+        assert len(rows) == 2 * len(set(bits(base)))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("count", [1, harness._SUMMARY_BLOCK, 2 * harness._SUMMARY_BLOCK + 1])
+    def test_summaries_of_any_coefficient_counts(self, fmt, count):
+        # input lines and entries take one % a block: blocks end at their
+        # size and wherever the coefficient count changes
+        base = run(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=count, output_format=fmt))
+        assert emit_report(base) == fstring_report(base)
+        widths = [4, 2, 1, 4, 3, 2, 4]  # a width for each run of 10 inputs
+        cut = tuple(s._replace(coeffs=s.coeffs[: widths[k // 10 % 7]])
+                    for k, s in enumerate(base.inputs))
+        report = base._replace(inputs=cut)
+        assert emit_report(report) == fstring_report(report)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
     def test_interleaved_reports_give_their_own_bytes(self, monkeypatch, fmt):
         # the first two reports share every value row but not their repairs;
         # each report's pieces, taken in turn, must come from its own memo

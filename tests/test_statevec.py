@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from clusterport.floatpath import DISPLAY_TOL, display_rotation, format_states
+from clusterport.floatpath import DISPLAY_TOL, INPUT_BLOCK, display_rotation, format_states
 from clusterport.gates import PAULIS, apply_single
 from clusterport.statevec import StateVector, fidelity, format_state, relabel, tensor
 from conftest import basis_ket, random_state
@@ -237,6 +237,69 @@ class TestFormatStates:
         amps = np.asfortranarray(gaussian(rng, (6, 4)))
         assert format_states(amps) == per_vector(amps)
         assert format_states(amps[::2]) == per_vector(amps[::2])
+
+    def test_all_zero_vectors(self):
+        amps = np.zeros((3, 16, 4), dtype=np.complex128)
+        amps[1, 2:5] = complex(-0.0, -0.0)
+        assert format_states(amps) == per_vector(amps) == [["0"] * 16] * 3
+
+    def test_parts_one_ulp_from_the_tolerance(self):
+        # after a real positive lead the parts keep their bits, so each part
+        # below, at and above DISPLAY_TOL shows or hides as the reference says
+        below, above = np.nextafter(DISPLAY_TOL, 0), np.nextafter(DISPLAY_TOL, 1)
+        near = [below, DISPLAY_TOL, above, -below, -DISPLAY_TOL, -above]
+        rows = [
+            [0.6, complex(x, y), complex(y, x), 0.8]
+            for x in near for y in [*near, 0.0, -0.0, 0.3, -0.3]
+        ]
+        rows += [[x, 0, 0.6j, y] for x in near for y in near]
+        amps = np.array(rows)
+        texts = format_states(amps)
+        assert texts == per_vector(amps)
+        # every kind of term occurs: real alone, imaginary alone, and both
+        terms = {t for text in texts for t in text.split(" + ")}
+        assert {"1e-09|01>", "-0.3i|01>", "(1e-09-1e-09i)|01>"} <= terms
+        assert format_states([above, 0, 0, 0]) == "1e-09|00>"
+        assert format_states([DISPLAY_TOL, 0, 0, 0]) == format_states([below, 0, 0, 0]) == "0"
+
+    def test_signed_zeros_subnormals_and_non_finite_parts(self):
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.nan, np.inf, -np.inf, 0.25]
+        rows = [[0.6, complex(x, y), complex(-y, x), 0.8j] for x in specials for y in specials]
+        rows += [[complex(x, y), 0.6, -0.8j, complex(y, x)] for x in specials for y in specials]
+        amps = np.array(rows)
+        with np.errstate(all="ignore"):  # inf * 0 and the like make NaN
+            texts = format_states(amps)
+            assert texts == per_vector(amps)
+        assert any("nan" in text for text in texts) and any("inf" in text for text in texts)
+
+    def test_every_width_has_its_own_labels(self, rng):
+        # a pattern of shown parts can read alike at two widths (here, the
+        # last amplitude alone, which the rotation makes real): each width
+        # must keep its own labels
+        for n in (1, 2, 4, 8, 4, 2, 1):
+            last = np.zeros(n, dtype=np.complex128)
+            last[-1] = -0.5j
+            assert format_states(last) == ket_text(last)
+            amps = gaussian(rng, (3, n))
+            amps[:, : n // 2] = 0
+            assert format_states(amps) == per_vector(amps)
+            assert format_states(amps[0]) == ket_text(amps[0])
+
+    @pytest.mark.parametrize("count", [INPUT_BLOCK - 1, INPUT_BLOCK, INPUT_BLOCK + 1])
+    def test_stacks_around_the_block(self, rng, count):
+        # runs of three equal vectors, some across a block's edge, every
+        # other one turned by -i, which the rotation undoes
+        distinct = gaussian(rng, (5, 4))
+        order = np.arange(2 * count) // 3 % 5
+        amps = distinct[order] * np.resize([1, -1j], 2 * count)[:, None]
+        amps = amps.reshape(count, 2, 4)
+        assert format_states(amps) == per_vector(amps)
+
+    def test_many_distinct_vectors(self, rng):
+        amps = gaussian(rng, (100, 16, 4))
+        texts = format_states(amps)
+        assert texts == per_vector(amps)
+        assert len({t for row in texts for t in row}) == 1600
 
     def test_rotation_makes_the_lead_real_and_positive(self, rng):
         amps = gaussian(rng, (5, 4))
