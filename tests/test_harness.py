@@ -1,6 +1,5 @@
 import csv
 import functools
-import hashlib
 import io
 import itertools
 import json
@@ -17,6 +16,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
+import repin
 from clusterport import (
     BELL_OUTCOMES,
     BellOutcome,
@@ -33,7 +33,7 @@ from clusterport import (
     run,
     table_lookup,
 )
-from clusterport.cli import main
+from clusterport.cli import main, parse_args
 from clusterport.harness import (
     CHI2_ALPHA,
     CSV_COLUMNS,
@@ -1185,237 +1185,28 @@ class TestRecords:
         assert cz_iz not in {iz: "listed"}
 
 
-def pinned_digest(cfg, schema: int = 4) -> str:
-    """SHA-256 of the report of ``cfg`` as schema 5 wrote it, a JSON
-    report's leading schema token written as ``schema``: most pins below
-    were taken at schema 4, and outside drawn enumerate inputs schema 5
-    moved only that token.
-
-    Schema 6 moved these bytes alone, which are undone here: the schema
-    token; the config's ``"fidelity_tol"`` member (JSON) and ``tol=`` header
-    token (text, where ``schema=`` stands now), at the only tolerance the
-    pins were taken with, 1e-10; and a ``sample`` report's
-    ``within_three_sigma``, recomputed from its aggregates.  CSV reports
-    hold none of them, so their bytes go through as they are."""
-    report = run(cfg)
-    data = emit_report(report)
-    agg, fmt = report.aggregates, cfg.output_format
-    within = agg["max_frequency_deviation"] <= agg["three_sigma"] if cfg.mode == "sample" else None
-    if fmt == "json":
-        edits = [('{"schema":6,', f'{{"schema":{schema},'),
-                 (',"output_format":', ',"fidelity_tol":1e-10,"output_format":')]
-        if within is not None:
-            edits.append((',"chi2":', f',"within_three_sigma":{json.dumps(within)},"chi2":'))
-    elif fmt == "text":
-        edits = [(f" seed={cfg.seed} schema=6\n", f" seed={cfg.seed} tol=1e-10\n")]
-        if within is not None:
-            edits.append((" chi2=", f" within_three_sigma={within} chi2="))
-    else:
-        edits = []
-    for old, new in edits:
-        old, new = old.encode(), new.encode()
-        assert data.count(old) == 1, old
-        data = data.replace(old, new)
-    return hashlib.sha256(data).hexdigest()
+# SHA-256 of the report bytes of each pinned config, keyed by its command
+# line: derive and verify, enumerate and sample at seeds 0, 7 and 2**32 + 15,
+# and --coeffs inputs where the zero entries of the repaired maps, whose
+# signs are free, meet zero amplitudes.  Every byte must stay until a
+# deliberate schema bump runs tests/repin.py
+REPORT_DIGESTS = repin.load()
 
 
-# SHA-256 of derive/verify reports as the probe-based derivation wrote them
-# (JSON with its "schema" token replaced by "schema":4); the exact
-# derivation must reproduce every byte
-_PINNED_DIGESTS = {
-    ("derive", 1, "json", 0): "d050080639322babded68bc1bd62d00210e80f2d53707067eb69a24ec2d908cd",
-    ("derive", 1, "json", 7): "005013df61e40e1928326b7532c3eb6c4c7d3c93182aaaaf6aeec0d00ac91e3d",
-    ("derive", 1, "csv", 0): "eddbf167dfb14810d4ec74f3a57b98824924b3e6e3f334cc367c40329b281705",
-    ("derive", 1, "csv", 7): "eddbf167dfb14810d4ec74f3a57b98824924b3e6e3f334cc367c40329b281705",
-    ("derive", 1, "text", 0): "030cb82d96cfd2f79e18a7e828735872953cede1874e249595e0a0f4bbd0d796",
-    ("derive", 1, "text", 7): "6b56ec93ee508b454b08f1f0c2cab202b45a7d7be6d53fafd6032f2b29caeb25",
-    ("derive", 2, "json", 0): "77402c15e271c56d396574c0829e87f63a8f7de6a035d4527fa87ec5e3255746",
-    ("derive", 2, "json", 7): "071aeba4d68257222fa91e287a23ff0f46d17cb8ab0e8f8c47204e6b3dfd470f",
-    ("derive", 2, "csv", 0): "546cbfb6d0b53225222030d599ab02a1b5cab71728cf5562731edf2ea279d64a",
-    ("derive", 2, "csv", 7): "546cbfb6d0b53225222030d599ab02a1b5cab71728cf5562731edf2ea279d64a",
-    ("derive", 2, "text", 0): "881295041728f5b62b2ce0bbb7b2d4419e47018180d56b88e56577452dd7206b",
-    ("derive", 2, "text", 7): "ffac94b82e3dea6f2c10b7294a9f5b0f5838e9f1a2cb0cea72900a70896b2465",
-    ("verify", 1, "json", 0): "e82fc2b6004ac838b1ef49e170c9857d8ee0cb648ee2c6e88d5024feee38e86d",
-    ("verify", 1, "json", 7): "c43e4123ac5b2a0c90e7bb4e940acd1eacf8f482a431ba20b502ba4ff2ec8af1",
-    ("verify", 1, "csv", 0): "58e910938ba634d2205f85374882673fb78d91b03476496c38e3d6aaf4c28ad8",
-    ("verify", 1, "csv", 7): "58e910938ba634d2205f85374882673fb78d91b03476496c38e3d6aaf4c28ad8",
-    ("verify", 1, "text", 0): "99037e73a2256827a938072c7ade7e31d39a76be49ac176fd8cf17218dbbe0e1",
-    ("verify", 1, "text", 7): "6f3a85adab133480da45dd6d583ca6b7db3f4389102227edd58010c92798b6a6",
-    ("verify", 2, "json", 0): "177529e9e8effb6500858bd86b46cbd27081fd6761fef8462c2ca6ae75966057",
-    ("verify", 2, "json", 7): "f98021e59fb4f8a661d3281fe9cc80738a40aa64fb8c84d5ec96ec38ea803fa7",
-    ("verify", 2, "csv", 0): "3612859f45dfb03a01faaa44ea84e36bb886a24f0a034fb8d0405763ffc1df27",
-    ("verify", 2, "csv", 7): "3612859f45dfb03a01faaa44ea84e36bb886a24f0a034fb8d0405763ffc1df27",
-    ("verify", 2, "text", 0): "559da2dfe663f5d7e0637a02124c841d7c369fd1e9021036388bf634ac8c5504",
-    ("verify", 2, "text", 7): "32cc4c707df646550ab35171eb00c7151d91b7c32770d9c5fb70e6cbbb9e5137",
-}
+@pytest.mark.parametrize("key", sorted(REPORT_DIGESTS))
+def test_report_bytes_pinned(key):
+    assert repin.digest(key) == REPORT_DIGESTS[key]
 
 
-class TestPinnedReportDigests:
-    @pytest.mark.parametrize("key", sorted(_PINNED_DIGESTS), ids=lambda k: "-".join(map(str, k)))
-    def test_derive_verify_bytes_unchanged(self, key):
-        mode, scheme, fmt, seed = key
-        cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed, output_format=fmt)
-        assert pinned_digest(cfg) == _PINNED_DIGESTS[key]
-
-
-# SHA-256 of enumerate/sample text reports (default inputs and trials).  The
-# enumerate pins are as schema 5 first wrote them, every input drawn from
-# the one [seed, 0] stream; the sample pins are as the single [seed, 1]
-# stream (schema 3) first wrote them
-_PINNED_TEXT_DIGESTS = {
-    ("enumerate", 1, 0): "a6c2059feeed6f814029a21fc054a78243b56ea3e33240477d2ab925795ee744",
-    ("enumerate", 1, 7): "5b000a895de3e98f36b22ffba1cf1c9b7053610d8b6007a2b96c59400ec4a07c",
-    ("enumerate", 2, 0): "ce14d08876201e80f3f286c6a915c9dfe744bbd70eddd453c4e801f362aa4921",
-    ("enumerate", 2, 7): "077238f9e79ae3ef28377d6960815de247abbdc9839acb8ed5c83d8537051d35",
-    ("sample", 1, 0): "75da4dbd271cc977f45e56496cc20cda822ae898498b02955a97a5a32f87025c",
-    ("sample", 1, 7): "453d69d7e96366a305aa9680413e436154e0e77499be8b67a224588de222a21d",
-    ("sample", 2, 0): "920e890f41c614e851d5a370cc3a4fb52f2e6d8ea6cac26a7aa8a09a0d928907",
-    ("sample", 2, 7): "2bcd149c638e29dbd99dc58ff7ad0654992a1aa6eeaa9d04baac01284ca35192",
-}
-
-
-@pytest.mark.parametrize(
-    "key", sorted(_PINNED_TEXT_DIGESTS), ids=lambda k: "-".join(map(str, k))
-)
-def test_enumerate_sample_text_unchanged(key):
-    mode, scheme, seed = key
-    cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed)
-    assert pinned_digest(cfg) == _PINNED_TEXT_DIGESTS[key]
-
-
-# SHA-256 of enumerate/sample JSON and CSV reports (default inputs and
-# trials).  The sample pins are as schema 4 wrote them with one format_state
-# call per branch and one json.dumps per key; the enumerate pins are as
-# schema 5 first wrote them, from the one [seed, 0] stream.  JSON is the
-# only format that carries ``state``
-_PINNED_JSON_CSV_DIGESTS = {
-    ("enumerate", 1, "json", 0): "4cce0a106f6e48f7cc84e3c05efdca2028f64b3c6965f86df4492fc61f144919",
-    ("enumerate", 1, "json", 7): "02421d4006f8eb60a952950ec2d7f04ecfecd2e0d01987eaf1d89b69614a2ba9",
-    ("enumerate", 1, "csv", 0): "552525200a90779df55c1a679e64cf734a278da02e6a3e22ae3dba9c7a96122a",
-    ("enumerate", 1, "csv", 7): "7f8f46864d415b59559cab0c9bbf62559f670f7ede5d3891337a24eb128695a2",
-    ("enumerate", 2, "json", 0): "0427690859cb89470218e5f69a2ccce776f4e9023f608f623820214a3e6d0350",
-    ("enumerate", 2, "json", 7): "1bebd3fe0f363cbf48a3215c122bfdddbf637c1009106dd4f991bd5c8f4df853",
-    ("enumerate", 2, "csv", 0): "a457896dd87d602ae9817d7a135e7fac87a3fb551b5224c6a7f0cbfbc21ff42d",
-    ("enumerate", 2, "csv", 7): "ae4140dd8be07b616e763aa4658caefabbcdcf5575408a0fa16cc7b4131f0647",
-    ("sample", 1, "json", 0): "afded15065d9dcc0edd9b052a6411b5f6956d14694abf3528da8e4297fc9fa1b",
-    ("sample", 1, "json", 7): "38ad05301820c3388b0d41024ead0413286e5c908a7e0b2781d9fda6648a9fc8",
-    ("sample", 1, "csv", 0): "d83463c1325f7380855cdeae46f8f109396f26aff04d9ec233054ed7103ad88b",
-    ("sample", 1, "csv", 7): "d83463c1325f7380855cdeae46f8f109396f26aff04d9ec233054ed7103ad88b",
-    ("sample", 2, "json", 0): "bfa4a567173bb7df11abfac5a9e28bc8987f3dc6a9445f050011844cb5cab470",
-    ("sample", 2, "json", 7): "48bed2867e103173e5487177c89f67ab890364e0f70e648dfe9171a940105e6a",
-    ("sample", 2, "csv", 0): "4696d04cc815300e31b9d756236791e2acfbace5af82accabc86d647933e0106",
-    ("sample", 2, "csv", 7): "4696d04cc815300e31b9d756236791e2acfbace5af82accabc86d647933e0106",
-}
-
-
-@pytest.mark.parametrize(
-    "key", sorted(_PINNED_JSON_CSV_DIGESTS), ids=lambda k: "-".join(map(str, k))
-)
-def test_enumerate_sample_json_csv_unchanged(key):
-    mode, scheme, fmt, seed = key
-    cfg = RunConfig(scheme=Scheme(scheme), mode=mode, seed=seed, output_format=fmt)
-    assert pinned_digest(cfg) == _PINNED_JSON_CSV_DIGESTS[key]
-
-
-# SHA-256 of enumerate reports at a seed above 2**32 - 1 (two SeedSequence
-# entropy words), as schema 5 first wrote them, from the one [seed, 0] stream
-_PINNED_WIDE_SEED_DIGESTS = {
-    (1, "json"): "f0a3f26b21b384c4ef7b46bc8a269c3bf7855ddbd21038b47ffa1b82ce73ad4a",
-    (1, "csv"): "8106ec32688cd979ea6c34f840b31175e0ff1424893618c343852f095d7876a9",
-    (1, "text"): "5c25df53f5a74c0e26013e036cf381be9cf84d3c835434537b8be93ec6ccd672",
-    (2, "json"): "92f3a6f4c26400eb5b3a63f20b2152ebbed88dbd455674526ad970d6ed7c286b",
-    (2, "csv"): "680b1bf7e6331ed378adb72c4d29c0a4838cd94d3a7c96d014019c0d8a5a7d45",
-    (2, "text"): "510b2ea69c884a4a54772f9a9cbb6d3a55471d51219ba0edb464339102192819",
-}
-
-
-@pytest.mark.parametrize(
-    "key", sorted(_PINNED_WIDE_SEED_DIGESTS), ids=lambda k: "-".join(map(str, k))
-)
-def test_enumerate_wide_seed_unchanged(key):
-    scheme, fmt = key
-    cfg = RunConfig(scheme=Scheme(scheme), mode="enumerate", seed=2**32 + 15, output_format=fmt)
-    assert pinned_digest(cfg) == _PINNED_WIDE_SEED_DIGESTS[key]
-
-
-# SHA-256 of enumerate/sample reports of --coeffs inputs (seed 0, default
-# trials): every basis input of each scheme and a few signed or imaginary
-# ones, where the zero entries of the repaired maps, whose signs are free,
-# meet zero amplitudes.  As schema 5 wrote them (``pinned_digest`` with its
-# token at 5), with the repaired maps taken as float matrix products; every
-# byte must stay
-_PINNED_COEFFS_DIGESTS = {
-    ("enumerate", 1, "1,0", "json"): "d661e02247a5b69e702aaf3f5b5cbd413d47585ad0c7082e0c83cee1d91d287d",
-    ("enumerate", 1, "1,0", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
-    ("enumerate", 1, "1,0", "text"): "dafddb9da9d7167c38c55032d0630226199246034d6daf0436bd4e0516acf0f8",
-    ("enumerate", 1, "0,1", "json"): "f168df88cc702e7ba1c0f1237d8dd83a68e8b9f70312b2dba4c178cfb1f05422",
-    ("enumerate", 1, "0,1", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
-    ("enumerate", 1, "0,1", "text"): "5d9dece8884732db71356b5f92e2c67c9e323719e900d65e6cdd1dfcf40c7959",
-    ("enumerate", 1, "0,-1j", "json"): "d4805f8f20a6566729e0d8895ec92a71d2a8e9c7cb96d076acfdc71443227187",
-    ("enumerate", 1, "0,-1j", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
-    ("enumerate", 1, "0,-1j", "text"): "1e8cd5108caccdef604345ccf576d4ed8e9ab3fc3d101e16b53c7dcea0b1e990",
-    ("enumerate", 1, "-0.6,0.8", "json"): "058c7395a8ecac93d2c2620a054c6480a9e1a87c199c3e42b1c6ed0bd783d626",
-    ("enumerate", 1, "-0.6,0.8", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
-    ("enumerate", 1, "-0.6,0.8", "text"): "7f8554b4e309bb0658227a91042e3d364b95fcc3f2293d4feb6dc07123b3ce97",
-    ("enumerate", 2, "1,0,0,0", "json"): "7bc6834101c429ccccae2b6c133e6e0da24260979e0139e6b5a45c691123d002",
-    ("enumerate", 2, "1,0,0,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("enumerate", 2, "1,0,0,0", "text"): "ebd57a41bc81b01f78d5710ef178229b3720e63696ba5713df5044d3f8492f8a",
-    ("enumerate", 2, "0,1,0,0", "json"): "6995cdb881b26d75e362a8ba0e6691d6cba1df76b1bf6b8baef7c91e20108ac1",
-    ("enumerate", 2, "0,1,0,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("enumerate", 2, "0,1,0,0", "text"): "c5a7c21b4edbf201de3bbae6b2df5b6b4c4829db44aafb43efa5f9e34dc2908b",
-    ("enumerate", 2, "0,0,1,0", "json"): "bab5143d9397350e82cd8f80e508f5e30d405a38a284ee3551e64f84d920521b",
-    ("enumerate", 2, "0,0,1,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("enumerate", 2, "0,0,1,0", "text"): "ced2cf3fa3719986c42610e5473c311d989830898088ee10dfba18813662661e",
-    ("enumerate", 2, "0,0,0,1", "json"): "e735386b773385276efae357678f5a605663308762146dbab348f9b99fbfebe7",
-    ("enumerate", 2, "0,0,0,1", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("enumerate", 2, "0,0,0,1", "text"): "950781f734843496d13da73603be5b47e3ac7f03a197eed9f33d6b067502114c",
-    ("enumerate", 2, "0,0,0,-1j", "json"): "45cc2e863c8f012408ee7ce3813cb7143d2c5c930819d0e15590a992a8d5d58b",
-    ("enumerate", 2, "0,0,0,-1j", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("enumerate", 2, "0,0,0,-1j", "text"): "dfb33fffbbbd6377252ed4ced24097a46ef6ce405ac08849ec86c4fb40656cd0",
-    ("enumerate", 2, "0.5,-0.5,0.5j,-0.5j", "json"): "8cce7ed7efff7ac4339fdd0e925c0832bac34fd61f3bb82bf942e24a180c07c0",
-    ("enumerate", 2, "0.5,-0.5,0.5j,-0.5j", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("enumerate", 2, "0.5,-0.5,0.5j,-0.5j", "text"): "5cb92e46502afa607cfe7160d2e2c2a0edd88cd0314a7512244da7207b74ff68",
-    ("sample", 1, "1,0", "json"): "87ecce7e43b1147b32c974cd461bfc20bc4fd6046a350ff737602998d360203f",
-    ("sample", 1, "1,0", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
-    ("sample", 1, "1,0", "text"): "f2306cba8a7375c12fd598cd62b9057010beb8546111cfafb53ef94364970db5",
-    ("sample", 1, "0,1", "json"): "f6b3f8c124d99c1ad7621c013c7122582cf4bbce99ffda1ed9311b067f4f2eb9",
-    ("sample", 1, "0,1", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
-    ("sample", 1, "0,1", "text"): "135f4f496f055ceb1591d108201c5d6954d27daef6f4c671a09f78d644fec78f",
-    ("sample", 1, "0,-1j", "json"): "a27b0859fd1321efc117078ac629732eb5a925ee19aaa6b591d46a55d3b7cef3",
-    ("sample", 1, "0,-1j", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
-    ("sample", 1, "0,-1j", "text"): "f59ba39aa0314d0ee5d09dba24607ce9fed6b294b2fb91821a379fd7966cf982",
-    ("sample", 1, "-0.6,0.8", "json"): "a6fc850181e61e512aced55a9eede54cde86156c37af3ecc7ecd53a6325a4b80",
-    ("sample", 1, "-0.6,0.8", "csv"): "8347ccf568ef6b0fdc4db3985e8e7b48c4003cb52016e55aa5643912d5de38e5",
-    ("sample", 1, "-0.6,0.8", "text"): "d83bf42b643a5029d1797a63557ca1f7c1d438550b98da55200d81177903129b",
-    ("sample", 2, "1,0,0,0", "json"): "e18d7eba76d723f8d0707ce822de610b5bf396009a5f6d423b72b219f318921d",
-    ("sample", 2, "1,0,0,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("sample", 2, "1,0,0,0", "text"): "6cab92ff68697418362ed9fbd7e8559f8b92bb0aeea1345ebb0a5e6f56954f01",
-    ("sample", 2, "0,1,0,0", "json"): "63d71bf9e112ac8d273da564f43151c070cd3a4f43e0b9a64a087e04b5732db4",
-    ("sample", 2, "0,1,0,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("sample", 2, "0,1,0,0", "text"): "8891676f2f33cd5da2c09d3531df6c2194ddbb63ae3170b1e0913567e27ede9c",
-    ("sample", 2, "0,0,1,0", "json"): "2408407581ef267cb3b6abff448041801278957dbb130a9bb22232bb9f4562e2",
-    ("sample", 2, "0,0,1,0", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("sample", 2, "0,0,1,0", "text"): "4f4d2bfca1247df3a700aa955faae6d73e42653ae8813c5e9054eef0b1488b0a",
-    ("sample", 2, "0,0,0,1", "json"): "b4282ffa5461add7d57689cbe23ea31653b178e2c5868872977f859a3f6e2750",
-    ("sample", 2, "0,0,0,1", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("sample", 2, "0,0,0,1", "text"): "f22cb6637b5f4c6757f23d4e7e9a27378e198c11d71fba40e9c93132894106f7",
-    ("sample", 2, "0,0,0,-1j", "json"): "a5c2f1ab62a4494557fc556d7519b2ba2de0a632827573423f20654358fdf013",
-    ("sample", 2, "0,0,0,-1j", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("sample", 2, "0,0,0,-1j", "text"): "455cfa89a22a78faa2ada1d1c612c608afeb04224f3f5fa20956159f4f38d77d",
-    ("sample", 2, "0.5,-0.5,0.5j,-0.5j", "json"): "bb52e2320656d96dc55d78a18799fe6a4fa5f613176c1867253dae0d00c19ac9",
-    ("sample", 2, "0.5,-0.5,0.5j,-0.5j", "csv"): "cc37ce7ed0804b00b4fc47b3b09940818b77d3a00142b969cecf74aa215b9801",
-    ("sample", 2, "0.5,-0.5,0.5j,-0.5j", "text"): "7cfda1d0b886dc16a649fe972e7e5f337cb5925b4e960ad4d093b2e0d4fa1cee",
-}
-
-
-@pytest.mark.parametrize(
-    "key", sorted(_PINNED_COEFFS_DIGESTS), ids=lambda k: "-".join(map(str, k))
-)
-def test_coeffs_reports_unchanged(key):
-    mode, scheme, text, fmt = key
-    coeffs = [complex(t) for t in text.split(",")]
-    cfg = RunConfig(scheme=Scheme(scheme), mode=mode, input_coeffs=coeffs, output_format=fmt)
-    assert pinned_digest(cfg, schema=5) == _PINNED_COEFFS_DIGESTS[key]
+def test_report_digest_table_is_canonical_and_covers_every_family():
+    with open(repin.PATH, "rb") as f:
+        data = f.read()
+    assert data == repin.table_bytes(json.loads(data))
+    families = set()
+    for key in json.loads(data):
+        cfg, _ = parse_args(key.split())
+        families.add((cfg.mode, cfg.scheme, cfg.output_format))
+    assert families == set(itertools.product(harness.MODES, Scheme, FORMATS))
 
 
 def basis_coeffs(scheme):
