@@ -6,10 +6,12 @@ controlled-phase for scheme 2) is monomial with phases in {1, -1, i, -i}:
 Clifford/Pauli structure (Gottesman, quant-ph/9807006).  So deriving and
 verifying the tables needs Python integers only, and a ``derive`` or
 ``verify`` run never loads numpy.  A repair's action is defined here alone
-(``_pair_action`` and ``_CZ_DIAG``): ``repaired_map`` is the one place R 4K
-is formed, the Gaussian-integer map that ``floatpath`` applies in
-``enumerate`` and ``sample``, and ``certified_repairs`` checks the same
-monomials.
+(``_pair_action`` and ``_CZ_DIAG``): ``repaired_map`` forms R 4K as the
+Gaussian-integer map that ``floatpath`` applies in ``enumerate`` and
+``sample``, and ``certified_repairs`` forms the same entries inline, for
+every Pauli pair of every cell, stopping at a pair's first wrong entry: a
+cold ``derive`` pays for 256 candidates, where building each whole map
+through ``repaired_map``'s cache cost about ten times as much.
 
 The records here and in ``harness`` are named tuples that validate in
 ``__new__``, ``_replace`` included (``_record``).  They load nothing beyond

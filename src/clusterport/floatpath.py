@@ -17,13 +17,12 @@ The sampler draws an index from cumulative weights as
 exceeds u * total, rounded, so the number of cumulative weights b with
 b <= u * total, except that no b at the total counts.  For a fixed total
 the rounded product u * total never decreases as u grows, so each b counts
-for every uniform from one least double up: its threshold, found from
-b / total by a few ``math.nextafter`` steps checked with that same rounded
-multiply (by bisection where a subnormal total rounds coarsely).  The index
-a uniform draws is then the number of thresholds at or below it, the same
-bits with no per-uniform multiply, which is how ``sample_outcome_pairs``
-draws its trials.  A row's thresholds are found once per process: they are
-kept by the row's bits in a small LRU (``_row_thresholds``).
+for every uniform from one least double up: its threshold, found by
+bisection with that same rounded multiply.  The index a uniform draws is
+then the number of thresholds at or below it, the same bits with no
+per-uniform multiply, which is how ``sample_outcome_pairs`` draws its
+trials.  A row's thresholds are found once per process: they are kept by
+the row's bits in a small LRU (``_row_thresholds``).
 
 ``map_inputs`` and ``format_states`` work through a stack INPUT_BLOCK
 inputs at a time, computing each row on its own, so their temporaries stay
@@ -43,7 +42,6 @@ dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
 from __future__ import annotations
 
 import functools
-import math
 import struct
 
 import numpy as np
@@ -170,35 +168,18 @@ def repair_branches(ops, scheme: Scheme, coeffs):
     return c, probs, fids, out
 
 
-_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
-
-
-def _bits(x: float) -> int:
-    """A double's bit pattern, which orders the doubles >= 0 as they compare."""
-    return _INT64.unpack(_DOUBLE.pack(x))[0]
-
-
-def _double(bits: int) -> float:
-    return _DOUBLE.unpack(_INT64.pack(bits))[0]
-
-
 def _threshold(b: float, total: float) -> float:
     """The least double u in [0, 1) at which ``draw_index`` counts the
     cumulative weight ``b`` of a row with total ``total``: b <= u * total,
-    rounded, and b < total.  1.0, which no uniform reaches, where none does."""
+    rounded, and b < total.  1.0, which no uniform reaches, where none does.
+    Found by bisection, since the rounded product never decreases in u."""
     if not b < total:  # at the total, or NaN
         return 1.0
-    q = b / total
-    lo, hi = -1.0, 1.0  # b counts at hi (1.0: never) but not at lo (-1.0: none)
-    for u in (math.nextafter(q, 0.0), q, math.nextafter(q, 1.0)):
-        if lo < u < hi:
-            if b <= u * total:
-                hi = u
-            else:
-                lo = u
-    # q is a step or two off unless the total is subnormal; then bisect
-    while hi > 0.0 and math.nextafter(hi, 0.0) != lo:
-        mid = _double(((_bits(lo) if lo >= 0.0 else -1) + _bits(hi)) // 2)
+    if b <= 0.0 * total:  # counts at u = 0; b = 0 under an infinite total does not (NaN)
+        return 0.0
+    lo, hi = 0.0, 1.0  # b counts at hi (1.0: never) but not at lo
+    # the midpoint rounds to lo or hi once no double lies between them
+    while lo < (mid := (lo + hi) / 2) < hi:
         if b <= mid * total:
             hi = mid
         else:
@@ -214,30 +195,23 @@ def index_thresholds(cum) -> list[float]:
     return [_threshold(b, cum[-1]) for b in cum[:-1]]
 
 
-def cell_thresholds(probs):
-    """``(first, second)``, the thresholds of the 16 cell weights ``probs``,
-    the (1, 3) outcome major: ``first`` those of the (1, 3) marginal, and
-    ``second[c, i]`` that of boundary c in row i."""
-    joint = np.reshape(probs, (4, 4))
-    first = index_thresholds(joint.sum(axis=1).cumsum().tolist())
-    second = np.array([index_thresholds(row) for row in joint.cumsum(axis=1).tolist()])
-    return first, second.T.copy()
-
-
 # 16 cell weights as their bits: the key of _row_thresholds
 _CELL_ROW = struct.Struct("<16d")
 
 
 @functools.lru_cache(maxsize=32)
 def _row_thresholds(row: bytes):
-    """``cell_thresholds`` of the 16 cell weights packed in ``row``
-    (``_CELL_ROW``), as two read-only arrays.  Kept by the weights' bits, so
-    a row is searched once per process and shares its entry only with rows
-    of the same bits (-0.0 and 0.0 differ there), whose thresholds are the
-    same bits.  Rows repeat: 500 ``sample`` calls of drawn and given inputs
-    gave 8."""
-    first, second = cell_thresholds(_CELL_ROW.unpack(row))
-    first = np.array(first)
+    """``(first, second)``, the thresholds of the 16 cell weights packed in
+    ``row`` (``_CELL_ROW``), the (1, 3) outcome major, as two read-only
+    arrays: ``first`` those of the (1, 3) marginal, and ``second[c, i]``
+    that of boundary c in row i.  Kept by the weights' bits, so a row is
+    searched once per process and shares its entry only with rows of the
+    same bits (-0.0 and 0.0 differ there), whose thresholds are the same
+    bits.  Rows repeat: 500 ``sample`` calls of drawn and given inputs gave
+    8."""
+    joint = np.reshape(_CELL_ROW.unpack(row), (4, 4))
+    first = np.array(index_thresholds(joint.sum(axis=1).cumsum().tolist()))
+    second = np.array([index_thresholds(r) for r in joint.cumsum(axis=1).tolist()]).T.copy()
     first.setflags(write=False)
     second.setflags(write=False)
     return first, second
@@ -245,7 +219,7 @@ def _row_thresholds(row: bytes):
 
 def outcome_cells(u: np.ndarray, first, second: np.ndarray) -> np.ndarray:
     """The cell 4i + j each row (u0, u1) of ``u`` draws from the thresholds
-    ``cell_thresholds`` gives: i counts those of the marginal at or below
+    ``_row_thresholds`` gives: i counts those of the marginal at or below
     u0, and j those of row i at or below u1.
 
     The columns are compared as contiguous copies, one byte a trial for each
@@ -322,13 +296,6 @@ def display_rotation(amps):
     return shown, above
 
 
-@functools.cache
-def _labels(n: int) -> tuple[str, ...]:
-    """The basis labels of an ``n``-amplitude vector, as bit strings."""
-    n_qubits = n.bit_length() - 1
-    return tuple(format(i, f"0{n_qubits}b") if n_qubits else "" for i in range(n))
-
-
 @functools.lru_cache(maxsize=1024)
 def _ket_format(n: int, pattern: int) -> str:
     """The % format of the ket of an ``n``-amplitude vector whose amplitudes
@@ -336,10 +303,12 @@ def _ket_format(n: int, pattern: int) -> str:
     left out, 1 its real part, 2 its imaginary part, 3 both; each part at 6
     significant digits, and ``0`` if nothing prints.  Built once per width
     and pattern (every pattern of 4 amplitudes fits)."""
+    n_qubits = n.bit_length() - 1
+    labels = [format(i, f"0{n_qubits}b") if n_qubits else "" for i in range(n)]
     codes = [(pattern >> 2 * (n - 1 - i)) & 3 for i in range(n)]
     terms = [
         ("%.6g", "%.6gi", "(%.6g%+.6gi)")[code - 1] + f"|{bits}>"
-        for bits, code in zip(_labels(n), codes)
+        for bits, code in zip(labels, codes)
         if code
     ]
     return " + ".join(terms) or "0"

@@ -8,7 +8,7 @@ from clusterport import (
     BELL_OUTCOMES, BellOutcome, InputState, RunConfig, Scheme, exact, floatpath, run,
 )
 from clusterport.exact import BELL_SIGNS
-from clusterport.floatpath import SAMPLE_BLOCK, cell_thresholds, index_thresholds, outcome_cells
+from clusterport.floatpath import SAMPLE_BLOCK, index_thresholds, outcome_cells
 from clusterport.measurement import draw_index, project_bell, sample_bell
 from clusterport.protocol import assemble_total, cluster_state
 from clusterport.statevec import StateVector, fidelity, tensor
@@ -285,6 +285,10 @@ ROW_WEIGHTS = {
     "subnormal": [0.0, 3 * TINY, 0.0, 0.0],
     "subnormal total": [TINY, 4 * TINY, 0.0, TINY],
     "1/16 + 1e-17": [1 / 16 + 1e-17] * 4,
+    # 0 * inf is NaN, so b = 0 counts only from the least subnormal
+    "infinite total": [-0.0, math.inf, 0.0, 0.0],
+    # the longest bisection: b = TINY under a total of 1
+    "least subnormal": [TINY, 0.25, 0.25, 0.5],
 }
 
 
@@ -309,7 +313,9 @@ class TestThresholds:
         thresholds = index_thresholds(cum.tolist())
         assert len(thresholds) == 3
         for u in edge_uniforms(thresholds):
-            assert sum(u >= t for t in thresholds) == int(draw_index(cum, u)), u
+            with np.errstate(invalid="ignore"):  # u * inf at u = 0
+                drawn = int(draw_index(cum, u))
+            assert sum(u >= t for t in thresholds) == drawn, u
 
     def test_uncounted_boundaries_never_count(self):
         # at the total (the cap), or NaN: 1.0, past every uniform
@@ -342,7 +348,7 @@ class TestThresholds:
         probs = self.CELL_WEIGHTS[name]
         joint = probs.reshape(4, 4)
         cum_marginal, cum_rows = joint.sum(axis=1).cumsum(), joint.cumsum(axis=1)
-        first, second = cell_thresholds(probs)
+        first, second = fresh_search(probs)
         u0s = edge_uniforms(first)
         u1s = sorted({u for row in second.T for u in edge_uniforms(row)})
         pairs = np.array([(u0, u1) for u0 in u0s for u1 in u1s])
@@ -386,7 +392,7 @@ class TestOutcomeKernel:
     @pytest.mark.parametrize("name", list(TestThresholds.CELL_WEIGHTS))
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_edge_uniforms_match_the_reference(self, name, layout):
-        first, second = cell_thresholds(TestThresholds.CELL_WEIGHTS[name])
+        first, second = fresh_search(TestThresholds.CELL_WEIGHTS[name])
         edges = sorted({u for t in (first, *second.T) for u in edge_uniforms(t)})
         u = np.array([(a, b) for a in edges for b in edges])
         if layout == "F":
@@ -402,7 +408,7 @@ class TestOutcomeKernel:
     @pytest.mark.parametrize("count", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1])
     @pytest.mark.parametrize("name", list(TestThresholds.CELL_WEIGHTS))
     def test_blocks_match_the_reference(self, name, count):
-        first, second = cell_thresholds(TestThresholds.CELL_WEIGHTS[name])
+        first, second = fresh_search(TestThresholds.CELL_WEIGHTS[name])
         edges = sorted({u for t in (first, *second.T) for u in edge_uniforms(t)})
         u = uniform_blocks(count, edges, count)
         for block in (u, np.asfortranarray(u), u[::-1]):
@@ -411,15 +417,21 @@ class TestOutcomeKernel:
 
 
 def reference_counts(probs, trials, seed):
-    """``sample_outcome_pairs`` with the thresholds searched afresh by
-    ``cell_thresholds`` and the strided reference kernel, in one block."""
-    first, second = cell_thresholds(probs)
+    """``sample_outcome_pairs`` with the thresholds searched afresh
+    (``fresh_search``) and the strided reference kernel, in one block."""
+    first, second = fresh_search(probs)
     u = np.random.default_rng(seed).random((trials, 2))
     return np.bincount(strided_outcome_cells(u, first, second), minlength=16).tolist()
 
 
 def row_key(probs):
     return struct.pack("<16d", *probs)
+
+
+def fresh_search(probs):
+    """The thresholds of the 16 cell weights ``probs``, searched afresh past
+    the cache: ``(first, second)`` as ``_row_thresholds`` gives them."""
+    return floatpath._row_thresholds.__wrapped__(row_key(probs))
 
 
 @pytest.fixture
@@ -433,7 +445,7 @@ def fresh_thresholds():
 class TestRowThresholds:
     """``sample_outcome_pairs`` searches each distinct probability row once
     per process (``_row_thresholds``, kept by the row's bits); what a row
-    draws is what ``cell_thresholds`` of that row draws."""
+    draws is what a fresh search of that row draws."""
 
     UNIFORM = [1 / 16] * 16
 
@@ -449,7 +461,7 @@ class TestRowThresholds:
     def test_thresholds_equal_a_fresh_search(self, fresh_thresholds):
         for probs in TestThresholds.CELL_WEIGHTS.values():
             first, second = fresh_thresholds(row_key(probs))
-            want_first, want_second = cell_thresholds(probs)
+            want_first, want_second = fresh_search(probs)
             assert np.array(want_first).tobytes() == first.tobytes()
             assert want_second.tobytes() == second.tobytes()
 
@@ -490,7 +502,7 @@ class TestRowThresholds:
         assert plus == minus  # equal as values: only the bits tell them apart
         for probs in (plus, minus):
             got = fresh_thresholds(row_key(probs))
-            want = cell_thresholds(probs)
+            want = fresh_search(probs)
             assert got[0].tobytes() == np.array(want[0]).tobytes()
             assert got[1].tobytes() == want[1].tobytes()
         assert fresh_thresholds.cache_info().currsize == 2

@@ -53,7 +53,6 @@ MODULE_NAMES = {
         "DISPLAY_TOL",
         "INPUT_BLOCK",
         "SAMPLE_BLOCK",
-        "cell_thresholds",
         "display_rotation",
         "format_states",
         "index_thresholds",
