@@ -8,10 +8,12 @@ verifying the tables needs Python integers only, and a ``derive`` or
 ``verify`` run never loads numpy.  A repair's action is defined here alone
 (``_pair_action`` and ``_CZ_DIAG``): ``repaired_map`` forms R 4K as the
 Gaussian-integer map that ``floatpath`` applies in ``enumerate`` and
-``sample``, and ``certified_repairs`` forms the same entries inline, for
-every Pauli pair of every cell, stopping at a pair's first wrong entry: a
-cold ``derive`` pays for 256 candidates, where building each whole map
-through ``repaired_map``'s cache cost about ten times as much.
+``sample``, once per class of maps equal up to a unit phase on the
+scheme's inputs (``_phase_classes``), and ``certified_repairs`` forms the
+same entries inline, for every Pauli pair of every cell, stopping at a
+pair's first wrong entry: a cold ``derive`` pays for 256 candidates, where
+building each whole map through ``repaired_map``'s cache cost about ten
+times as much.
 
 The records here and in ``harness`` are named tuples that validate in
 ``__new__``, ``_replace`` included (``_record``).  They load nothing beyond
@@ -269,6 +271,26 @@ def repaired_map(op: CorrectionOp, cell: int) -> tuple[tuple[complex, ...], ...]
     return tuple(
         tuple(phases[x] * diag[x] * v for v in k[x]) for x in (y ^ flip for y in range(4))
     )
+
+
+def _phase_classes(maps, cols):
+    """Sort the repaired maps ``maps`` (``repaired_map``) into classes: two
+    share one when, restricted to the columns ``cols``, they differ only by
+    a unit phase in {1, -1, i, -i}.  ``(classes, index, phases)``: each
+    class's map, zero outside ``cols`` and times the unit u that puts its
+    first nonzero entry on ``cols`` in the quarter-plane re > 0, im >= 0 (u
+    = 1 for a map zero there), classes in order of first appearance; then
+    the class of each map, and its phase 1/u: each map is its phase times
+    its class's on ``cols``.  Exact: Gaussian integers, compared for
+    equality, read from the maps alone, so a changed table or constant
+    shows in the classes and no certificate is trusted."""
+    classes, cells = {}, []
+    for m in maps:
+        lead = next((row[j] for row in m for j in cols if row[j]), 1)
+        u = next(u for u in (1, 1j, -1, -1j) if (z := lead * u).real > 0 and z.imag >= 0)
+        key = tuple(tuple(x * u if j in cols else 0 for j, x in enumerate(row)) for row in m)
+        cells.append((classes.setdefault(key, len(classes)), u.conjugate()))
+    return list(classes), *zip(*cells)
 
 
 @functools.cache

@@ -3,9 +3,11 @@ the application of the repaired maps, the sampler and the display forms.
 
 Every branch is a fixed 4x4 map K from the input on (1, 2) to the output on
 (4, 5).  ``repair_branches`` takes the repaired map R 4K of each cell from
-``exact.repaired_map``, the one place a repair's action on a map is formed,
-as one stack over 4 (converted once per distinct set of maps), and applies
-it to every input with ``map_inputs``.
+``exact.repaired_map``, sorts the 16 into classes that agree on the scheme's
+inputs up to a unit phase (``exact._phase_classes``: one class under the
+listed tables), and applies one map per class, over 4, to every input with
+``map_inputs``; each cell takes its class's values, times its phase.  The
+classes are found and converted once per distinct set of maps.
 ``random_inputs`` draws the seeded inputs of a run in one
 ``standard_normal`` call on the run's one stream ``default_rng([seed,
 0])``: one array of coefficient rows, normed at once, whose first N rows
@@ -32,7 +34,9 @@ first of each run of equal vectors in it once, the whole block's kets in
 one ``%``: each such vector adds its pattern's format (which amplitudes
 print, and whether each is real, imaginary or both, built once per width
 and pattern) and the parts it prints.  Only the ``state`` of a report
-calls it, when first read.
+calls it, when first read, on the class outputs of a run: a cell's phase
+is rotated away in display, so each class output is formatted once per
+input and its cells take its text.
 
 This module imports numpy, the standard library and ``exact`` only, so the
 dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
@@ -60,9 +64,10 @@ DISPLAY_TOL = 1e-9
 # trials.
 SAMPLE_BLOCK = 8000
 # Inputs map_inputs, repair_branches and format_states take at once.  A
-# block's (inputs, 16, 4) outputs hold 1 MiB and each of its temporaries at
-# most that, so no temporary grows with the input count, while the fixed
-# cost of each block's numpy calls is spread over 16384 branches.
+# block's (inputs, classes, 4) outputs hold 64 KiB a class, at most 1 MiB,
+# and each of its temporaries at most that, so no temporary grows with the
+# input count, while the fixed cost of each block's numpy calls is spread
+# over 1024 inputs.
 INPUT_BLOCK = 1024
 
 
@@ -140,32 +145,50 @@ def map_inputs(maps: np.ndarray, inputs):
 
 
 @functools.lru_cache(maxsize=4)
-def _repaired_stack(maps) -> np.ndarray:
-    """The repaired maps ``maps`` (``exact.repaired_map``) over 4, as one
-    read-only complex stack: built once per distinct set of maps, and keyed
-    on their values, so a changed table or constant gets a stack of its
-    own."""
-    stack = np.array(maps, dtype=np.complex128) / 4
-    stack.setflags(write=False)
-    return stack
+def _repaired_stack(maps, cols):
+    """The repaired maps ``maps`` (``exact.repaired_map``) in their classes
+    on the basis columns ``cols`` (``exact._phase_classes``): ``(stack,
+    index, phases)``, one complex map over 4 per class, zero outside
+    ``cols``, the class of each cell, and the phase of each cell as a
+    (cells, 1) array, all read-only.  Built once per distinct set of maps
+    and columns, and keyed on the maps' values, so a changed table or
+    constant gets classes of its own."""
+    classes, index, phases = exact._phase_classes(maps, cols)
+    arrays = np.array(classes, dtype=np.complex128) / 4, np.array(index), np.array(phases)[:, None]
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def repair_branches(ops, scheme: Scheme, coeffs):
     """Every branch of every input, the coefficient rows ``coeffs`` of
     ``scheme`` (one column per basis input, ``exact._BASIS_INPUTS``), after
-    the repair ``ops`` lists for it, in cell order: the inputs, then the
-    probabilities and fidelities, indexed [input][cell], and the repaired
-    outputs scaled to unit norm, a read-only (inputs, 16, 4) stack that
-    ``format_states`` turns into display forms."""
+    the repair ``ops`` lists for it, in cell order: ``(inputs, probs, fids,
+    outputs, shown)``.
+
+    ``map_inputs`` applies one map per class of the repaired maps
+    (``_repaired_stack``) to each input, and each cell takes its class's
+    probability and fidelity, indexed [input][cell].  They are the bits its
+    own map would give: its output is its class's times a unit phase, which
+    swaps or negates real and imaginary parts exactly, and a sum of two
+    squares does not see that.  ``outputs`` holds each cell's repaired
+    output scaled to unit norm, its class's times its phase, as a read-only
+    (inputs, 16, 4) stack: the values its own map gives, but that a zero
+    part's sign may differ.  ``shown`` is ``(class outputs, index)``, each
+    class's unit output in an (inputs, classes, 4) stack and the class of
+    each cell: what ``Report.state`` hands ``format_states``."""
     c = np.asarray(coeffs, dtype=np.complex128)
+    cols = exact._BASIS_INPUTS[Scheme(scheme)]
     amps = np.zeros((len(c), 4), dtype=np.complex128)
-    amps[:, exact._BASIS_INPUTS[Scheme(scheme)]] = c
-    repaired = _repaired_stack(tuple(exact.repaired_map(op, cell) for cell, op in enumerate(ops)))
-    out, probs, fids = map_inputs(repaired, amps)
-    for b in _blocks(len(out)):
-        out[b] /= np.sqrt(probs[b])[..., None]
+    amps[:, cols] = c
+    stack, index, phases = _repaired_stack(tuple(map(exact.repaired_map, ops, range(16))), cols)
+    shown, probs, fids = map_inputs(stack, amps)
+    for b in _blocks(len(shown)):
+        shown[b] /= np.sqrt(probs[b])[..., None]
+    out = shown.take(index, axis=1)
+    out *= phases
     out.setflags(write=False)
-    return c, probs, fids, out
+    return c, probs.take(index, axis=1), fids.take(index, axis=1), out, (shown, index)
 
 
 def _threshold(b: float, total: float) -> float:
@@ -337,7 +360,7 @@ def _ket(vals, parts: list) -> str:
     return _ket_format(len(vals), pattern)
 
 
-def format_states(amps):
+def format_states(amps, cells=None):
     """The readable ket expansion of every vector along the last axis of
     ``amps``, as nested lists shaped like the leading axes (a string for
     one vector).
@@ -350,17 +373,22 @@ def format_states(amps):
     (``_format_block``), so no temporary spans the whole stack; each text
     is a function of its rotated vector's bytes alone, so an entry depends
     neither on the stack around it nor on the block it falls in.
+
+    With ``cells``, indices into the stack's last axis but one, entry [n][p]
+    is the text of vector ``cells[p]`` of entry n: each vector is formatted
+    once, however many cells take its text (``Report.state`` formats a
+    class output once per input for all its cells).
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim < 2:
         return _format_block(amps)
     texts = []
     for b in _blocks(len(amps)):
-        texts += _format_block(amps[b])
+        texts += _format_block(amps[b], cells)
     return texts
 
 
-def _format_block(amps):
+def _format_block(amps, cells=None):
     """``format_states`` of one block: the block is rotated at once, and
     the first of each run of equal rotated vectors is formatted once, its
     text standing for the whole run.  The left-out amplitudes are zeroed
@@ -373,7 +401,8 @@ def _format_block(amps):
     n = shown.shape[-1]
     rows = shown.reshape(-1, n)
     np.putmask(rows, ~above.reshape(-1, n), 0)  # in place: rows is a view of our own array
-    # a repaired stack repeats each input's row along its cells
+    # runs: a report's 16 outputs an input, formatted without their classes,
+    # repeat an input's row along its cells
     words = rows.view(np.uint64)
     head = np.empty(len(rows), dtype=bool)
     head[:1] = True
@@ -381,4 +410,5 @@ def _format_block(amps):
     parts = []
     kets = [_ket(vals, parts) for vals in rows[head].tolist()]
     texts = ("\0".join(kets) % tuple(parts)).split("\0")
-    return np.array(texts, dtype=object)[head.cumsum() - 1].reshape(shown.shape[:-1]).tolist()
+    texts = np.array(texts, dtype=object)[head.cumsum() - 1].reshape(shown.shape[:-1])
+    return (texts if cells is None else texts.take(cells, axis=-1)).tolist()

@@ -31,25 +31,27 @@ repair gives (``floatpath.map_inputs``).
 inputs as one array, kept to the summaries.  A report keeps the
 probabilities and fidelities as nested lists, indexed [input][cell] in
 ``_ALL_PAIRS`` cell order, and the repaired outputs as one read-only array;
-their display forms, ``state``, are formatted (by ``format_states``, each
-distinct output of a block once) when first read, which only a JSON report
-does.  ``report_pieces`` writes a report in its config's ``output_format``
-as an iterator of text pieces: a header, each input's branch rows, the
-inputs' summaries in JSON and text, and a footer.  An input's rows depend
-on its value row (its probability and fidelity rows) alone, but for the
-JSON input index and ``state``: ``_input_rows`` lays them out once per
-distinct value row, in a memo of at most ``_ROW_MEMO`` rows per report
-keyed by the row's bits, and CSV and text write each input's rows,
-separator included, as one piece, while JSON fills the index and ``state``
-into its holes.  A listed table repeats a few value rows, so most inputs
-cost a lookup.  The summaries of up to ``_SUMMARY_BLOCK`` inputs take one
-``%`` format and make one piece, the format built once per report from
-``format_complex``'s own.  No piece grows with the input count, so the
-CLI, which writes the pieces as they come, holds one input's rows at a
-time; ``emit_report`` joins them into the report's bytes.  A ``derive`` or
-``verify`` report writes its rows in one piece.  JSON verdict rows are one
-json.dumps call; a CSV verdict row has a column per row key but
-``subspace_only``, joined like a branch row: no CSV field needs quoting.
+their display forms, ``state``, are formatted when first read, which only
+a JSON report does: ``format_states`` formats each class output of
+``floatpath.repair_branches`` once per input, and each cell takes its
+class's text, as display rotates a cell's phase away.  ``report_pieces``
+writes a report in its config's ``output_format`` as an iterator of text
+pieces: a header, each input's branch rows, the inputs' summaries in JSON
+and text, and a footer.  An input's rows depend on its value row (its
+probability and fidelity rows) alone, but for the JSON input index and
+``state``: ``_input_rows`` lays them out once per distinct value row, in a
+memo of at most ``_ROW_MEMO`` rows per report keyed by the row's bits, and
+CSV and text write each input's rows, separator included, as one piece,
+while JSON fills the index and ``state`` into its holes.  A listed table
+repeats a few value rows, so most inputs cost a lookup.  The summaries of
+up to ``_SUMMARY_BLOCK`` inputs take one ``%`` format and make one piece,
+the format built once per report from ``format_complex``'s own.  No piece
+grows with the input count, so the CLI, which writes the pieces as they
+come, holds one input's rows at a time; ``emit_report`` joins them into
+the report's bytes.  A ``derive`` or ``verify`` report writes its rows in
+one piece.  JSON verdict rows are one json.dumps call; a CSV verdict row
+has a column per row key but ``subspace_only``, joined like a branch row:
+no CSV field needs quoting.
 
     cfg = RunConfig(scheme=Scheme.ARBITRARY, mode="sample", seed=7, output_format="json")
     report = run(cfg)
@@ -74,10 +76,11 @@ FORMATS = ("json", "csv", "text")
 TOTAL_PROB_TOL = 1e-9
 # Cap on drawn enumerate inputs.  A report streams to its sink, so memory
 # grows only with what a run keeps: per input its 16 probabilities and
-# fidelities, its 1 KiB of repaired outputs and its summary, and in a JSON
-# report the cached ``state`` strings.  At the cap an enumerate peaks near
-# 30 MiB under tracemalloc in any format (about 3 KB per input), and the
-# cap bounds a run there instead of letting it grow until it is killed.
+# fidelities, its 1 KiB of repaired outputs, 64 B a class of class outputs
+# and its summary, and in a JSON report the cached ``state`` strings.  At
+# the cap an enumerate peaks near 30 MiB under tracemalloc in any format
+# (about 3 KB per input), and the cap bounds a run there instead of letting
+# it grow until it is killed.
 MAX_RANDOM_INPUTS = 10_000
 CSV_COLUMNS = ("outcome13", "outcome26", "probability", "fidelity", "correction")
 
@@ -139,24 +142,28 @@ class Report(_record(
     outcome major: ``corrections`` holds the repair applied in each cell,
     ``probability`` and ``fidelity`` are nested lists indexed [input][cell],
     ``outputs`` is the read-only (inputs, 16, 4) array of repaired unit
-    outputs on (4, 5), and ``count`` holds the 16 cell counts of a
-    ``sample`` run.  ``derive`` and ``verify`` reports carry ``verdicts``
-    and no branch results.  Reports that differ only in ``outputs`` are
-    equal."""
+    outputs on (4, 5), each cell's own (its class's output times its phase:
+    ``floatpath.repair_branches``), and ``count`` holds the 16 cell counts
+    of a ``sample`` run.  ``derive`` and ``verify`` reports carry
+    ``verdicts`` and no branch results.  Reports that differ only in
+    ``outputs`` are equal."""
 
-    # no __slots__: the instance dict holds the cached ``state``
+    # no __slots__: the instance dict holds ``_shown`` and the cached ``state``
     schema = 6  # a class constant, not a field
 
     def __new__(
         cls, config: RunConfig, inputs: tuple, aggregates: dict, verdicts=None,
         corrections: tuple = (), probability=None, fidelity=None, outputs=None, count=None,
+        shown=None,
     ) -> "Report":
         # a derive or verify report gets lists of its own, no shared default
-        return tuple.__new__(cls, (
+        report = tuple.__new__(cls, (
             config, inputs, aggregates, verdicts, corrections,
             [] if probability is None else probability, [] if fidelity is None else fidelity,
             outputs, count,
         ))
+        report._shown = shown  # not a field: _replace, which may change outputs, drops it
+        return report
 
     def __eq__(self, other):
         if not isinstance(other, Report):
@@ -173,12 +180,16 @@ class Report(_record(
     @functools.cached_property
     def state(self) -> list[list[str]]:
         """The display form of each output, indexed [input][cell]
-        (``floatpath.format_states``), formatted on first read."""
+        (``floatpath.format_states``), formatted on first read.  A run's
+        report formats each class output of ``floatpath.repair_branches``
+        once per input, and each cell takes its class's text, the text of
+        its own output; a report built by hand or by ``_replace`` formats
+        every output."""
         if self.outputs is None:
             return []
         from . import floatpath  # loaded already: a run that made outputs used it
 
-        return floatpath.format_states(self.outputs)
+        return floatpath.format_states(*self._shown or (self.outputs,))
 
 
 def _repaired_inputs(cfg: RunConfig):
@@ -200,7 +211,7 @@ def run_enumeration(cfg: RunConfig) -> Report:
     """Evaluate all 16 branches for every input."""
     if cfg.mode != "enumerate":
         raise ValueError(f"run_enumeration needs mode 'enumerate', got {cfg.mode!r}")
-    ops, coeffs, probs, fids, outputs = _repaired_inputs(cfg)
+    ops, coeffs, probs, fids, outputs, shown = _repaired_inputs(cfg)
     totals = probs.cumsum(axis=1)[:, -1]  # left to right, as sum() of Python 3.11 adds
     worst_fids = fids.min(axis=1)
     # tuple.__new__ makes each summary with no Python call, as
@@ -222,6 +233,7 @@ def run_enumeration(cfg: RunConfig) -> Report:
     return Report(
         cfg, summaries, aggregates,
         corrections=ops, probability=probs.tolist(), fidelity=fids.tolist(), outputs=outputs,
+        shown=shown,
     )
 
 
@@ -252,7 +264,7 @@ def run_montecarlo(cfg: RunConfig) -> Report:
         raise ValueError(f"run_montecarlo needs mode 'sample', got {cfg.mode!r}")
     from . import floatpath
 
-    ops, coeffs, probs, fids, outputs = _repaired_inputs(cfg)
+    ops, coeffs, probs, fids, outputs, shown = _repaired_inputs(cfg)
     probs, fids = probs.tolist(), fids.tolist()
     counts = floatpath.sample_outcome_pairs(probs[0], cfg.trials, [cfg.seed, 1])
     drawn = [b for b in range(16) if counts[b]]
@@ -281,6 +293,7 @@ def run_montecarlo(cfg: RunConfig) -> Report:
     return Report(
         cfg, (summary,), aggregates,
         corrections=ops, probability=probs, fidelity=fids, outputs=outputs, count=counts,
+        shown=shown,
     )
 
 

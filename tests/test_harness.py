@@ -1209,6 +1209,63 @@ def test_report_digest_table_is_canonical_and_covers_every_family():
     assert families == set(itertools.product(harness.MODES, Scheme, FORMATS))
 
 
+def sixteen_map_repair_branches(ops, scheme, coeffs):
+    """``floatpath.repair_branches`` as it was before it mapped each input
+    once per class of repaired maps: each cell's own map applied to every
+    input, and no class outputs, so ``Report.state`` formats all 16 outputs
+    of an input.  The reference the class path must match."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    amps = np.zeros((len(c), 4), dtype=np.complex128)
+    amps[:, exact._BASIS_INPUTS[Scheme(scheme)]] = c
+    maps = np.array([exact.repaired_map(op, cell) for cell, op in enumerate(ops)], dtype=complex)
+    out, probs, fids = map_inputs(maps / 4, amps)
+    out /= np.sqrt(probs)[..., None]
+    out.setflags(write=False)
+    return c, probs, fids, out, None
+
+
+def reference_run(monkeypatch, cfg):
+    """``run(cfg)`` through ``sixteen_map_repair_branches``."""
+    with monkeypatch.context() as mp:
+        mp.setattr(floatpath, "repair_branches", sixteen_map_repair_branches)
+        return run(cfg)
+
+
+def assert_same_branches(report, reference):
+    """The probabilities and fidelities of ``report`` are the reference's
+    bit for bit, its outputs are the reference's values, and its display
+    forms and bytes are the reference's."""
+    values = operator.attrgetter("probability", "fidelity")
+    assert np.array(values(report)).tobytes() == np.array(values(reference)).tobytes()
+    # a cell's output is its class's times a unit phase: the same values,
+    # with a zero part's sign free, which == on the float parts allows
+    parts, want = report.outputs.view(np.float64), reference.outputs.view(np.float64)
+    assert report.outputs.shape == reference.outputs.shape and np.array_equal(parts, want)
+    assert report.state == reference.state
+    assert emit_report(report) == emit_report(reference)
+
+
+class TestOneMapPerClass:
+    """``repair_branches`` maps each input once per class of repaired maps,
+    and ``Report.state`` formats each class output once per input; every
+    value, text and byte is the 16-map reference's, drawn and given inputs
+    alike (the --coeffs inputs of the pin table, where zero amplitudes meet
+    the maps' zero entries)."""
+
+    GIVEN = sorted({key.rsplit(" --format", 1)[0] for key in REPORT_DIGESTS if "--coeffs" in key})
+    DRAWN = [
+        f"{mode} --scheme {scheme} --seed {seed}"
+        for mode in ("enumerate --random-inputs 1000", "sample")
+        for scheme in (1, 2) for seed in (0, 7, 2**64 - 1)
+    ]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("args", DRAWN + GIVEN)
+    def test_reports_equal_the_sixteen_map_reference(self, monkeypatch, args, fmt):
+        cfg, _ = parse_args([*args.split(), "--format", fmt])
+        assert_same_branches(run(cfg), reference_run(monkeypatch, cfg))
+
+
 def basis_coeffs(scheme):
     k = 2 if scheme is Scheme.SPECIAL else 4
     return [",".join("1" if i == j else "0" for j in range(k)) for i in range(k)]

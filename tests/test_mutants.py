@@ -22,6 +22,11 @@ A sign-flip mutant negates any subset of the nonzero entries of the
 channel's or the Bell basis's sign table at once.  Negating a whole ket (the
 channel, or one Bell state) is a global phase, which no repair can notice;
 every other pattern must fail ``verify`` in at least one scheme.
+
+``enumerate`` and ``sample`` map each input once per class of the listed
+repairs' maps (``floatpath.repair_branches``): one class under the real
+tables, more under most sign-flip patterns, where every report must still
+equal the 16-map reference's byte for byte.
 """
 
 import itertools
@@ -36,6 +41,7 @@ from clusterport.exact import (
     PAULI_NAMES, branch_maps, certified_repairs, repaired_map, table_lookup,
 )
 from test_corrections import z_twin
+from test_harness import assert_same_branches, reference_run
 
 CELLS = [(a, b) for a in BELL_OUTCOMES for b in BELL_OUTCOMES]
 PAIRS = [(p4, p5) for p4 in PAULI_NAMES for p5 in PAULI_NAMES]
@@ -241,3 +247,56 @@ def test_sign_flip_mutants(monkeypatch, name):
     # exactly the global-phase patterns pass verify in both schemes
     assert passing_verify == global_phases
     assert {key: failures[key] for key in expected} == expected
+
+
+# the classes of the listed repairs' maps per scheme under a sign-flip
+# pattern, and how many patterns of each table give each count
+CLASS_COUNTS = {
+    "CLUSTER_SIGNS": {(1, 1): 8, (2, 4): 8},
+    "BELL_SIGNS": {(1, 1): 32, (2, 4): 224},
+}
+# a pattern of each table that splits the classes, by its place in
+# sign_flip_mutants, and its class count per scheme
+SPLIT_PATTERN = {"CLUSTER_SIGNS": 1, "BELL_SIGNS": 1}
+SPLIT_CLASSES = {Scheme.SPECIAL: 2, Scheme.ARBITRARY: 4}
+
+
+def class_count(scheme):
+    """The classes a run of ``scheme`` maps its input through, under the
+    constants as they are now."""
+    return run(RunConfig(scheme=scheme, mode="sample", trials=1))._shown[0].shape[1]
+
+
+@pytest.mark.parametrize("name", list(CLASS_COUNTS))
+def test_sign_flips_split_the_classes(monkeypatch, name):
+    # the classes are keyed on the repaired maps' values, so clear_caches,
+    # which rebuilds the maps, is all a changed constant needs
+    counts = Counter()
+    try:
+        for table, _ in sign_flip_mutants(name):
+            with monkeypatch.context() as mp:
+                mp.setattr(exact, name, table)
+                clear_caches()
+                counts[tuple(map(class_count, Scheme))] += 1
+    finally:
+        clear_caches()
+    assert counts == CLASS_COUNTS[name]
+    assert [class_count(scheme) for scheme in Scheme] == [1, 1]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("name", list(SPLIT_PATTERN))
+def test_split_classes_report_the_reference_bytes(monkeypatch, name, scheme):
+    table, _ = next(itertools.islice(sign_flip_mutants(name), SPLIT_PATTERN[name], None))
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(exact, name, table)
+            clear_caches()
+            assert class_count(scheme) == SPLIT_CLASSES[scheme]
+            for mode, fmt in itertools.product(("enumerate", "sample"), harness.FORMATS):
+                cfg = RunConfig(scheme=scheme, mode=mode, seed=7, output_format=fmt)
+                report = run(cfg)
+                assert not report.passed
+                assert_same_branches(report, reference_run(monkeypatch, cfg))
+    finally:
+        clear_caches()
