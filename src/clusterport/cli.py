@@ -56,7 +56,7 @@ MODES = {
     "enumerate": ("run all 16 branches deterministically", {**_COMMON, **_INPUT, "--random-inputs": (
         "random_inputs", int, "N", f"seeded random inputs when --coeffs is absent (at most "
         f"{MAX_RANDOM_INPUTS}; the report streams to its sink, while the results it is made from "
-        "take about 3 KB per input)")}),
+        "take about 1 KB per input)")}),
     "sample": ("Monte Carlo over the measurement outcomes", {**_COMMON, **_INPUT, "--trials": (
         "trials", int, "N", "Monte Carlo trials (unbounded: time grows, memory stays flat); a "
         "correct sampler fails the chi-square gate at rate 1e-9 asymptotically, but at about "

@@ -6,8 +6,10 @@ Every branch is a fixed 4x4 map K from the input on (1, 2) to the output on
 ``exact.repaired_map``, sorts the 16 into classes that agree on the scheme's
 inputs up to a unit phase (``exact._phase_classes``: one class under the
 listed tables), and applies one map per class, over 4, to every input with
-``map_inputs``; each cell takes its class's values, times its phase.  The
-classes are found and converted once per distinct set of maps.
+``map_inputs``; each cell takes its class's probability and fidelity, and
+its output is its class's times its phase, which the caller derives when
+it needs it: no (inputs, 16, 4) stack is built.  The classes are found and
+converted once per distinct set of maps.
 ``random_inputs`` draws the seeded inputs of a run in one
 ``standard_normal`` call on the run's one stream ``default_rng([seed,
 0])``: one array of coefficient rows, normed at once, whose first N rows
@@ -31,12 +33,13 @@ inputs at a time, computing each row on its own, so their temporaries stay
 the size of a block at any input count and no row depends on the count.
 ``format_states`` rotates each block in one array pass and formats the
 first of each run of equal vectors in it once, the whole block's kets in
-one ``%``: each such vector adds its pattern's format (which amplitudes
-print, and whether each is real, imaginary or both, built once per width
-and pattern) and the parts it prints.  Only the ``state`` of a report
-calls it, when first read, on the class outputs of a run: a cell's phase
-is rotated away in display, so each class output is formatted once per
-input and its cells take its text.
+one ``%``: one more array pass (``_kets``) gives each such vector its
+pattern (which amplitudes print, and whether each is real, imaginary or
+both), whose format ``_ket_format`` builds once per width and pattern, and
+the parts it prints.  Only the ``state`` of a report calls it, when first
+read, on the class outputs of a run: a cell's phase is rotated away in
+display, so each class output is formatted once per input and its cells
+take its text.
 
 This module imports numpy, the standard library and ``exact`` only, so the
 dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
@@ -63,11 +66,11 @@ DISPLAY_TOL = 1e-9
 # count, while the fixed cost of a block's numpy calls is spread over many
 # trials.
 SAMPLE_BLOCK = 8000
-# Inputs map_inputs, repair_branches and format_states take at once.  A
-# block's (inputs, classes, 4) outputs hold 64 KiB a class, at most 1 MiB,
-# and each of its temporaries at most that, so no temporary grows with the
-# input count, while the fixed cost of each block's numpy calls is spread
-# over 1024 inputs.
+# Inputs map_inputs and format_states take at once.  A block's (inputs,
+# classes, 4) outputs hold 64 KiB a class, at most 1 MiB, and each of its
+# temporaries at most that (a formatted block's masks and part arrays
+# included), so no temporary grows with the input count, while the fixed
+# cost of each block's numpy calls is spread over 1024 inputs.
 INPUT_BLOCK = 1024
 
 
@@ -149,12 +152,12 @@ def _repaired_stack(maps, cols):
     """The repaired maps ``maps`` (``exact.repaired_map``) in their classes
     on the basis columns ``cols`` (``exact._phase_classes``): ``(stack,
     index, phases)``, one complex map over 4 per class, zero outside
-    ``cols``, the class of each cell, and the phase of each cell as a
-    (cells, 1) array, all read-only.  Built once per distinct set of maps
-    and columns, and keyed on the maps' values, so a changed table or
-    constant gets classes of its own."""
+    ``cols``, the class of each cell, and the phase of each cell, all
+    read-only.  Built once per distinct set of maps and columns, and keyed
+    on the maps' values, so a changed table or constant gets classes of its
+    own."""
     classes, index, phases = exact._phase_classes(maps, cols)
-    arrays = np.array(classes, dtype=np.complex128) / 4, np.array(index), np.array(phases)[:, None]
+    arrays = np.array(classes, dtype=np.complex128) / 4, np.array(index), np.array(phases)
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -164,31 +167,31 @@ def repair_branches(ops, scheme: Scheme, coeffs):
     """Every branch of every input, the coefficient rows ``coeffs`` of
     ``scheme`` (one column per basis input, ``exact._BASIS_INPUTS``), after
     the repair ``ops`` lists for it, in cell order: ``(inputs, probs, fids,
-    outputs, shown)``.
+    outputs, index, phases)``.
 
     ``map_inputs`` applies one map per class of the repaired maps
     (``_repaired_stack``) to each input, and each cell takes its class's
-    probability and fidelity, indexed [input][cell].  They are the bits its
-    own map would give: its output is its class's times a unit phase, which
-    swaps or negates real and imaginary parts exactly, and a sum of two
-    squares does not see that.  ``outputs`` holds each cell's repaired
-    output scaled to unit norm, its class's times its phase, as a read-only
-    (inputs, 16, 4) stack: the values its own map gives, but that a zero
-    part's sign may differ.  ``shown`` is ``(class outputs, index)``, each
-    class's unit output in an (inputs, classes, 4) stack and the class of
-    each cell: what ``Report.state`` hands ``format_states``."""
+    probability and fidelity, as read-only (inputs, 16) arrays indexed
+    [input][cell].  They are the bits its own map would give: its output is
+    its class's times a unit phase, which swaps or negates real and
+    imaginary parts exactly, and a sum of two squares does not see that.
+    ``outputs`` holds each class's repaired output scaled to unit norm, as a
+    read-only (inputs, classes, 4) stack; ``index`` is the class of each
+    cell and ``phases`` its phase, so cell p's output is ``outputs[:,
+    index[p]] * phases[p]``: the values its own map gives, but that a zero
+    part's sign may differ.  ``Report.state`` hands ``outputs`` and
+    ``index`` to ``format_states``."""
     c = np.asarray(coeffs, dtype=np.complex128)
     cols = exact._BASIS_INPUTS[Scheme(scheme)]
     amps = np.zeros((len(c), 4), dtype=np.complex128)
     amps[:, cols] = c
     stack, index, phases = _repaired_stack(tuple(map(exact.repaired_map, ops, range(16))), cols)
-    shown, probs, fids = map_inputs(stack, amps)
-    for b in _blocks(len(shown)):
-        shown[b] /= np.sqrt(probs[b])[..., None]
-    out = shown.take(index, axis=1)
-    out *= phases
-    out.setflags(write=False)
-    return c, probs.take(index, axis=1), fids.take(index, axis=1), out, (shown, index)
+    out, probs, fids = map_inputs(stack, amps)
+    out /= np.sqrt(probs)[..., None]  # a temporary of 8 B an output, against its 64
+    probs, fids = probs.take(index, axis=1), fids.take(index, axis=1)
+    for a in (out, probs, fids):
+        a.setflags(write=False)
+    return c, probs, fids, out, index, phases
 
 
 def _threshold(b: float, total: float) -> float:
@@ -337,27 +340,30 @@ def _ket_format(n: int, pattern: int) -> str:
     return " + ".join(terms) or "0"
 
 
-def _ket(vals, parts: list) -> str:
-    """The ``_ket_format`` of one rotated vector, its left-out amplitudes
-    zeroed, with the parts it prints appended to ``parts``.  An amplitude
-    that is 0 is left out; one that is not prints its real part alone when
-    its imaginary part is at most DISPLAY_TOL, else its imaginary part alone
-    when its real part is, else both."""
-    pattern = 0
-    for c in vals:
-        pattern <<= 2
-        if not c:
-            continue
-        if abs(c.imag) <= DISPLAY_TOL:
-            pattern += 1
-            parts.append(c.real)
-        elif abs(c.real) <= DISPLAY_TOL:
-            pattern += 2
-            parts.append(c.imag)
-        else:
-            pattern += 3
-            parts += (c.real, c.imag)
-    return _ket_format(len(vals), pattern)
+@functools.cache
+def _pattern_weights(n: int) -> np.ndarray:
+    """What each printed part of a flat row of ``n`` amplitudes adds to its
+    ``_ket_format`` pattern, two bits an amplitude, the first amplitude
+    highest: part k (Re at even k, Im at odd) adds 2 ** (2n - 1 - (k ^ 1))."""
+    return 1 << 2 * n - 1 - (np.arange(2 * n) ^ 1)
+
+
+def _kets(rows: np.ndarray):
+    """``(formats, parts)``: the ``_ket_format`` of each rotated vector of
+    ``rows``, its left-out amplitudes zeroed, and the parts they print, in
+    order, from one pass over the whole array.  An amplitude that is 0 is
+    left out; one that is not prints its real part alone when its imaginary
+    part is at most DISPLAY_TOL, else its imaginary part alone when its real
+    part is, else both.  A NaN part is never at most DISPLAY_TOL, as in a
+    comparison of one amplitude's parts."""
+    n = rows.shape[-1]
+    parts = rows.view(np.float64).reshape(len(rows), n, 2)  # Re, Im of each amplitude
+    small = np.abs(parts) <= DISPLAY_TOL
+    printed = ~small  # an imaginary part prints unless small
+    printed[..., 0] |= small[..., 1]  # a real part unless small while the imaginary one is not
+    printed[..., 0] &= rows != 0
+    patterns = printed.reshape(len(rows), 2 * n) @ _pattern_weights(n)
+    return [_ket_format(n, p) for p in patterns.tolist()], parts[printed].tolist()
 
 
 def format_states(amps, cells=None):
@@ -393,10 +399,10 @@ def _format_block(amps, cells=None):
     the first of each run of equal rotated vectors is formatted once, its
     text standing for the whole run.  The left-out amplitudes are zeroed
     first, so vectors that differ only there (a sign bit, rounding dust)
-    share one key, and the zeros alone tell ``_ket`` what to leave out: an
-    amplitude above DISPLAY_TOL is not 0 after the rotation.  ``_ket`` gives
-    each such vector's format and parts, and one ``%`` fills them all, the
-    kets joined by a NUL, which no ket holds, and split apart again."""
+    share one key, and the zeros alone tell ``_kets`` what to leave out: an
+    amplitude above DISPLAY_TOL is not 0 after the rotation.  ``_kets``
+    gives those vectors' formats and parts, and one ``%`` fills them all,
+    the kets joined by a NUL, which no ket holds, and split apart again."""
     shown, above = display_rotation(amps)
     n = shown.shape[-1]
     rows = shown.reshape(-1, n)
@@ -407,8 +413,7 @@ def _format_block(amps, cells=None):
     head = np.empty(len(rows), dtype=bool)
     head[:1] = True
     np.any(words[1:] != words[:-1], axis=1, out=head[1:])
-    parts = []
-    kets = [_ket(vals, parts) for vals in rows[head].tolist()]
+    kets, parts = _kets(rows[head])
     texts = ("\0".join(kets) % tuple(parts)).split("\0")
     texts = np.array(texts, dtype=object)[head.cumsum() - 1].reshape(shown.shape[:-1])
     return (texts if cells is None else texts.take(cells, axis=-1)).tolist()

@@ -28,22 +28,24 @@ pass only when every fidelity they read is exactly 1, which a certified
 repair gives (``floatpath.map_inputs``).
 
 ``enumerate`` works in whole columns: ``floatpath.random_inputs`` draws the
-inputs as one array, kept to the summaries.  A report keeps the
-probabilities and fidelities as nested lists, indexed [input][cell] in
-``_ALL_PAIRS`` cell order, and the repaired outputs as one read-only array;
-their display forms, ``state``, are formatted when first read, which only
-a JSON report does: ``format_states`` formats each class output of
-``floatpath.repair_branches`` once per input, and each cell takes its
-class's text, as display rotates a cell's phase away.  ``report_pieces``
-writes a report in its config's ``output_format`` as an iterator of text
-pieces: a header, each input's branch rows, the inputs' summaries in JSON
-and text, and a footer.  An input's rows depend on its value row (its
-probability and fidelity rows) alone, but for the JSON input index and
-``state``: ``_input_rows`` lays them out once per distinct value row, in a
-memo of at most ``_ROW_MEMO`` rows per report keyed by the row's bits, and
-CSV and text write each input's rows, separator included, as one piece,
-while JSON fills the index and ``state`` into its holes.  A listed table
-repeats a few value rows, so most inputs cost a lookup.  The summaries of
+inputs as one array, kept to the summaries.  A report keeps the arrays the
+run made, to the report text: the probabilities and fidelities as
+read-only (inputs, 16) arrays, indexed [input][cell] in ``_ALL_PAIRS`` cell
+order, and each class's repaired output with the class and phase of each
+cell (``floatpath.repair_branches``).  Their display forms, ``state``, are
+formatted when first read, which only a JSON report does:
+``format_states`` formats each class output once per input, and each cell
+takes its class's text, as display rotates a cell's phase away.
+``report_pieces`` writes a report in its config's ``output_format`` as an
+iterator of text pieces: a header, each input's branch rows, the inputs'
+summaries in JSON and text, and a footer.  An input's rows depend on its
+value row (its probability and fidelity rows) alone, but for the JSON
+input index and ``state``: ``_input_rows`` lays them out once per distinct
+value row, in a memo of at most ``_ROW_MEMO`` rows per report keyed by the
+row's bytes, and CSV and text write each input's rows, separator included,
+as one piece, while JSON fills the index and ``state`` into its holes.  A
+listed table repeats a few value rows, so most inputs cost a lookup, and
+only a row that is laid out becomes Python floats.  The summaries of
 up to ``_SUMMARY_BLOCK`` inputs take one ``%`` format and make one piece,
 the format built once per report from ``format_complex``'s own.  No piece
 grows with the input count, so the CLI, which writes the pieces as they
@@ -76,11 +78,11 @@ FORMATS = ("json", "csv", "text")
 TOTAL_PROB_TOL = 1e-9
 # Cap on drawn enumerate inputs.  A report streams to its sink, so memory
 # grows only with what a run keeps: per input its 16 probabilities and
-# fidelities, its 1 KiB of repaired outputs, 64 B a class of class outputs
-# and its summary, and in a JSON report the cached ``state`` strings.  At
-# the cap an enumerate peaks near 30 MiB under tracemalloc in any format
-# (about 3 KB per input), and the cap bounds a run there instead of letting
-# it grow until it is killed.
+# fidelities (256 B of float64 arrays), 64 B a class of class outputs and
+# its summary, and in a JSON report the cached ``state`` strings.  At the
+# cap an enumerate peaks near 10 MiB under tracemalloc in any format (about
+# 1 KB per input), and the cap bounds a run there instead of letting it
+# grow until it is killed.
 MAX_RANDOM_INPUTS = 10_000
 CSV_COLUMNS = ("outcome13", "outcome26", "probability", "fidelity", "correction")
 
@@ -135,40 +137,45 @@ InputSummary = namedtuple("InputSummary", "coeffs total_probability min_fidelity
 
 class Report(_record(
     "Report",
-    "config inputs aggregates verdicts corrections probability fidelity outputs count",
+    "config inputs aggregates verdicts corrections probability fidelity outputs classes phases"
+    " count",
 )):
     """Outcome of one run.  ``enumerate`` and ``sample`` reports keep their
     branch results over 16 cells in ``BELL_OUTCOMES`` order, the (1, 3)
     outcome major: ``corrections`` holds the repair applied in each cell,
-    ``probability`` and ``fidelity`` are nested lists indexed [input][cell],
-    ``outputs`` is the read-only (inputs, 16, 4) array of repaired unit
-    outputs on (4, 5), each cell's own (its class's output times its phase:
-    ``floatpath.repair_branches``), and ``count`` holds the 16 cell counts
-    of a ``sample`` run.  ``derive`` and ``verify`` reports carry
-    ``verdicts`` and no branch results.  Reports that differ only in
-    ``outputs`` are equal."""
+    ``probability`` and ``fidelity`` are read-only float64 arrays of shape
+    (inputs, 16), indexed [input][cell] (nested lists of floats, in a report
+    built by hand, emit the same bytes), and ``count`` holds the 16 cell
+    counts of a ``sample`` run.  ``outputs`` is the read-only (inputs,
+    classes, 4) array of the repaired unit outputs on (4, 5) of each class
+    of repaired maps, ``classes`` the class of each cell and ``phases`` its
+    unit phase, so cell p's output is ``outputs[:, classes[p]] * phases[p]``
+    (``floatpath.repair_branches``); with no ``classes``, ``outputs`` holds
+    each cell's own, (inputs, 16, 4).  ``derive`` and ``verify`` reports
+    carry ``verdicts`` and no branch results.  Reports that differ only in
+    ``outputs``, ``classes`` and ``phases`` are equal; ``probability`` and
+    ``fidelity`` compare as their lists do."""
 
-    # no __slots__: the instance dict holds ``_shown`` and the cached ``state``
+    # no __slots__: the instance dict holds the cached ``state``
     schema = 6  # a class constant, not a field
 
     def __new__(
         cls, config: RunConfig, inputs: tuple, aggregates: dict, verdicts=None,
-        corrections: tuple = (), probability=None, fidelity=None, outputs=None, count=None,
-        shown=None,
+        corrections: tuple = (), probability=None, fidelity=None, outputs=None, classes=None,
+        phases=None, count=None,
     ) -> "Report":
         # a derive or verify report gets lists of its own, no shared default
-        report = tuple.__new__(cls, (
+        return tuple.__new__(cls, (
             config, inputs, aggregates, verdicts, corrections,
             [] if probability is None else probability, [] if fidelity is None else fidelity,
-            outputs, count,
+            outputs, classes, phases, count,
         ))
-        report._shown = shown  # not a field: _replace, which may change outputs, drops it
-        return report
 
     def __eq__(self, other):
         if not isinstance(other, Report):
             return NotImplemented
-        return self[:7] == other[:7] and self[8:] == other[8:]  # all but outputs
+        values = [v.tolist() if hasattr(v, "tolist") else v for v in (*self[5:7], *other[5:7])]
+        return self[:5] == other[:5] and self.count == other.count and values[:2] == values[2:]
 
     def __ne__(self, other):
         return not self == other
@@ -179,17 +186,17 @@ class Report(_record(
 
     @functools.cached_property
     def state(self) -> list[list[str]]:
-        """The display form of each output, indexed [input][cell]
-        (``floatpath.format_states``), formatted on first read.  A run's
-        report formats each class output of ``floatpath.repair_branches``
-        once per input, and each cell takes its class's text, the text of
-        its own output; a report built by hand or by ``_replace`` formats
-        every output."""
+        """The display form of each cell's output, indexed [input][cell]
+        (``floatpath.format_states``), formatted on first read.  Each of
+        ``outputs`` is formatted once per input, and each cell takes its
+        class's text, the text of its own output, as display rotates its
+        phase away; with no ``classes``, each cell's own output is
+        formatted."""
         if self.outputs is None:
             return []
         from . import floatpath  # loaded already: a run that made outputs used it
 
-        return floatpath.format_states(*self._shown or (self.outputs,))
+        return floatpath.format_states(self.outputs, self.classes)
 
 
 def _repaired_inputs(cfg: RunConfig):
@@ -211,7 +218,7 @@ def run_enumeration(cfg: RunConfig) -> Report:
     """Evaluate all 16 branches for every input."""
     if cfg.mode != "enumerate":
         raise ValueError(f"run_enumeration needs mode 'enumerate', got {cfg.mode!r}")
-    ops, coeffs, probs, fids, outputs, shown = _repaired_inputs(cfg)
+    ops, coeffs, probs, fids, outputs, classes, phases = _repaired_inputs(cfg)
     totals = probs.cumsum(axis=1)[:, -1]  # left to right, as sum() of Python 3.11 adds
     worst_fids = fids.min(axis=1)
     # tuple.__new__ makes each summary with no Python call, as
@@ -231,9 +238,8 @@ def run_enumeration(cfg: RunConfig) -> Report:
         "pass": min_fid >= 1.0 and abs(worst_total - 1.0) <= TOTAL_PROB_TOL,
     }
     return Report(
-        cfg, summaries, aggregates,
-        corrections=ops, probability=probs.tolist(), fidelity=fids.tolist(), outputs=outputs,
-        shown=shown,
+        cfg, summaries, aggregates, corrections=ops, probability=probs, fidelity=fids,
+        outputs=outputs, classes=classes, phases=phases,
     )
 
 
@@ -264,18 +270,18 @@ def run_montecarlo(cfg: RunConfig) -> Report:
         raise ValueError(f"run_montecarlo needs mode 'sample', got {cfg.mode!r}")
     from . import floatpath
 
-    ops, coeffs, probs, fids, outputs, shown = _repaired_inputs(cfg)
-    probs, fids = probs.tolist(), fids.tolist()
-    counts = floatpath.sample_outcome_pairs(probs[0], cfg.trials, [cfg.seed, 1])
+    ops, coeffs, probs, fids, outputs, classes, phases = _repaired_inputs(cfg)
+    row, fid_row = probs[0].tolist(), fids[0].tolist()
+    counts = floatpath.sample_outcome_pairs(row, cfg.trials, [cfg.seed, 1])
     drawn = [b for b in range(16) if counts[b]]
-    min_fid = min(fids[0][b] for b in drawn)
+    min_fid = min(fid_row[b] for b in drawn)
     p = 1.0 / 16.0
     sigma = math.sqrt(p * (1.0 - p) / cfg.trials)
     max_dev = max(abs(n / cfg.trials - p) for n in counts)
     expected = cfg.trials * p
     chi2 = _sum_in_order((n - expected) ** 2 / expected for n in counts)
     chi2_p = chi2_sf(chi2, 15)
-    total = _sum_in_order(probs[0][b] for b in drawn)
+    total = _sum_in_order(row[b] for b in drawn)
     summary = InputSummary(tuple(coeffs.tolist()[0]), total, min_fid)
     aggregates = {
         "trials": cfg.trials,
@@ -291,9 +297,8 @@ def run_montecarlo(cfg: RunConfig) -> Report:
         "pass": min_fid >= 1.0 and chi2_p >= CHI2_ALPHA,
     }
     return Report(
-        cfg, (summary,), aggregates,
-        corrections=ops, probability=probs, fidelity=fids, outputs=outputs, count=counts,
-        shown=shown,
+        cfg, (summary,), aggregates, corrections=ops, probability=probs, fidelity=fids,
+        outputs=outputs, classes=classes, phases=phases, count=counts,
     )
 
 
@@ -445,16 +450,18 @@ def _config_dict(cfg: RunConfig) -> dict:
 
 
 class _Fragments(dict):
-    """Formatted fragments by value, each value formatted once per report.
-    A zero is formatted every time: -0.0 == 0.0 as a key, but it prints
-    with its sign."""
+    """Formatted fragments by value, each value formatted once per report,
+    up to as many values as ``_ROW_MEMO`` rows of 16 cells hold: values that
+    never repeat are formatted afresh, so the dict does not grow with the
+    input count.  A zero is formatted every time: -0.0 == 0.0 as a key, but
+    it prints with its sign."""
 
     def __init__(self, fmt):
         self._fmt = fmt
 
     def __missing__(self, value):
         text = self._fmt(value)
-        if value != 0:
+        if value != 0 and len(self) < 32 * _ROW_MEMO:
             self[value] = text
         return text
 
@@ -515,6 +522,21 @@ _HOLE = "\0"
 # a few (8 or 9 over 10 000 drawn inputs); a run whose rows never repeat
 # fills the memo and lays out the rest afresh, so it holds no more.
 _ROW_MEMO = 64
+# Inputs whose value rows _input_rows takes as bytes at once: 128 KiB a
+# column at most, so no copy grows with the input count
+_KEY_BLOCK = 1024
+
+
+def _value_bytes(values) -> bytes:
+    """The [input][cell] ``values`` as their rows' float64 bytes in turn: a
+    float64 array's own, or a nested list's, packed by ``array``."""
+    if hasattr(values, "tobytes"):
+        return values.tobytes()
+    if not values:  # derive and verify: no rows, and no import
+        return b""
+    from array import array
+
+    return array("d", chain.from_iterable(values)).tobytes()
 
 
 def _input_rows(pieces: list, probs, fids, f, sep: str, end: str):
@@ -529,24 +551,30 @@ def _input_rows(pieces: list, probs, fids, f, sep: str, end: str):
     input's values over the listed cells, which ``f`` formats.  So a block
     depends on its input's value row alone, and is laid out once per
     distinct row: up to ``_ROW_MEMO`` rows are kept by their values' bits,
-    packed as doubles, so -0.0 and 0.0, which print apart, key apart.  A
-    kept block is handed out again, so the caller fills and joins it before
-    taking the next."""
-    import struct  # here, so that no other mode loads it
-
-    pack = struct.Struct(f"{2 * len(pieces)}d").pack
+    the input's slice of each column's bytes (``_value_bytes``, taken
+    ``_KEY_BLOCK`` inputs at a time), so -0.0 and 0.0, which print apart,
+    key apart.  A row's values become floats, read back from those bits,
+    only when its block is laid out.  A kept block is handed out again, so
+    the caller fills and joins it before taking the next."""
+    width = 8 * len(pieces)
     memo = {}
-    for p, q in zip(probs, fids):
-        key = pack(*p, *q)
-        block = memo.get(key)
-        if block is None:
-            rows = (h + f(x) + m + f(y) + t for (h, m, t), x, y in zip(pieces, p, q))
-            parts = (sep.join(rows) + end).split(_HOLE)
-            block = [None] * (2 * len(parts) - 1)
-            block[::2] = parts
-            if len(memo) < _ROW_MEMO:
-                memo[key] = block
-        yield block
+    for start in range(0, len(probs), _KEY_BLOCK):
+        inputs = slice(start, start + _KEY_BLOCK)
+        prob_bytes, fid_bytes = _value_bytes(probs[inputs]), _value_bytes(fids[inputs])
+        for k in range(len(probs[inputs])):
+            cut = slice(k * width, (k + 1) * width)
+            key = prob_bytes[cut] + fid_bytes[cut]
+            block = memo.get(key)
+            if block is None:
+                values = memoryview(key).cast("d").tolist()
+                rows = (h + f(x) + m + f(y) + t
+                        for (h, m, t), x, y in zip(pieces, values, values[len(pieces):]))
+                parts = (sep.join(rows) + end).split(_HOLE)
+                block = [None] * (2 * len(parts) - 1)
+                block[::2] = parts
+                if len(memo) < _ROW_MEMO:
+                    memo[key] = block
+            yield block
 
 
 def _emit_json(report: Report):
@@ -612,7 +640,7 @@ def _emit_text(report: Report):
         rows = zip(range(start, start + len(block)), *_coeff_parts(block, n))
         yield (line[n] * len(block)) % tuple(chain.from_iterable(rows))
     cells, probs, fids = _listed(report, report.probability, report.fidelity)
-    if cells and probs:
+    if cells and len(probs):
         head = f"{'outcome13':<10}{'outcome26':<10}{'probability':<22}{'fidelity':<22}correction"
         if report.count is not None:
             head += "  count  frequency"

@@ -26,12 +26,41 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def loop_ket(vals, parts: list) -> str:
+    """``floatpath._kets`` of one rotated vector, an amplitude at a time, as
+    the formatter classified them before it took a block in one array pass:
+    the ``_ket_format`` of ``vals``, with the parts it prints appended to
+    ``parts``.  The reference the array classifier must match."""
+    pattern = 0
+    for c in vals:
+        pattern <<= 2
+        if not c:
+            continue
+        if abs(c.imag) <= floatpath.DISPLAY_TOL:
+            pattern += 1
+            parts.append(c.real)
+        elif abs(c.real) <= floatpath.DISPLAY_TOL:
+            pattern += 2
+            parts.append(c.imag)
+        else:
+            pattern += 3
+            parts += (c.real, c.imag)
+    return floatpath._ket_format(len(vals), pattern)
+
+
+def loop_kets(rows):
+    """``floatpath._kets`` through ``loop_ket``, a vector at a time."""
+    parts = []
+    return [loop_ket(vals, parts) for vals in rows.tolist()], parts
+
+
 @pytest.fixture
 def ket_calls(monkeypatch):
-    """The vectors ``format_states`` formats, one entry per ``_ket`` call:
-    ``_ket`` gives each distinct rotated vector of a block its format and
-    parts, and one ``%`` per block fills them."""
+    """The vectors ``format_states`` formats, one entry per vector handed to
+    ``_kets``: ``_kets`` gives each distinct rotated vector of a block its
+    format and parts in one array pass, and one ``%`` per block fills
+    them."""
     calls = []
-    ket = floatpath._ket
-    monkeypatch.setattr(floatpath, "_ket", lambda *args: calls.append(args) or ket(*args))
+    kets = floatpath._kets
+    monkeypatch.setattr(floatpath, "_kets", lambda rows: calls.extend(rows.tolist()) or kets(rows))
     return calls

@@ -546,8 +546,10 @@ class TestMain:
         assert code == 2
         assert list(tmp_path.iterdir()) == []
 
+    # whole: the measured peaks (10.0, 9.2 and 9.0 MiB on Python 3.11 with
+    # numpy 2.4) plus 2 MiB for other interpreter and numpy versions
     @pytest.mark.parametrize("fmt,whole_mib,written_mib", [
-        ("json", 40, 16), ("csv", 30, 2), ("text", 32, 2),
+        ("json", 12, 16), ("csv", 11, 2), ("text", 11, 2),
     ])
     def test_memory_at_the_cap_does_not_hold_the_report(
         self, capsys, tmp_path, fmt, whole_mib, written_mib

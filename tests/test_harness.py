@@ -208,8 +208,7 @@ class TestEnumeration:
 
 
 class TestInputBlocks:
-    # around the number of inputs map_inputs, repair_branches and
-    # format_states take at once
+    # around the number of inputs map_inputs and format_states take at once
     SIZES = [INPUT_BLOCK - 1, INPUT_BLOCK, INPUT_BLOCK + 1, 2 * INPUT_BLOCK + 3]
 
     @pytest.mark.parametrize("table", [None, no_repair_table])
@@ -228,8 +227,8 @@ class TestInputBlocks:
         for n, report in zip(self.SIZES, reports):
             each = alone[:n]
             assert report.inputs == tuple(a.inputs[0] for a in each)
-            assert report.probability == [a.probability[0] for a in each]
-            assert report.fidelity == [a.fidelity[0] for a in each]
+            assert report.probability.tolist() == [a.probability[0].tolist() for a in each]
+            assert report.fidelity.tolist() == [a.fidelity[0].tolist() for a in each]
             assert report.state == [a.state[0] for a in each]
             totals = [a.inputs[0].total_probability for a in each]
             assert report.aggregates == {
@@ -530,7 +529,7 @@ class TestStateStrings:
 
     def test_concurrent_first_reads_agree(self):
         report = run_enumeration(enum_cfg(scheme=Scheme.ARBITRARY, random_inputs=50))
-        expected = floatpath.format_states(report.outputs)
+        expected = floatpath.format_states(cell_outputs(report))
         seen = []
         threads = [threading.Thread(target=lambda: seen.append(report.state)) for _ in range(6)]
         interval = sys.getswitchinterval()
@@ -775,10 +774,10 @@ class TestRowMemo:
         monkeypatch.setattr(harness, "table_lookup", table)
         base = run(enum_cfg(scheme=Scheme.SPECIAL, random_inputs=3, output_format=fmt))
         assert all(0.0 in row for row in base.fidelity)
-        negated = [[-0.0 if x == 0 else x for x in row] for row in base.fidelity]
+        negated = np.where(base.fidelity == 0, -0.0, base.fidelity)
         report = base._replace(
-            inputs=base.inputs * 3, probability=base.probability * 3,
-            fidelity=base.fidelity + negated + base.fidelity,
+            inputs=base.inputs * 3, probability=np.concatenate([base.probability] * 3),
+            fidelity=np.concatenate([base.fidelity, negated, base.fidelity]),
             outputs=np.concatenate([base.outputs] * 3),
         )
         # a row is laid out by formatting its values, a probability and a
@@ -793,7 +792,8 @@ class TestRowMemo:
         assert emit_report(report) == fstring_report(report)
 
         def bits(report):
-            return [tuple(map(float.hex, p + q)) for p, q in zip(report.probability, report.fidelity)]
+            rows = zip(report.probability.tolist(), report.fidelity.tolist())
+            return [tuple(map(float.hex, p + q)) for p, q in rows]
 
         rows = list(dict.fromkeys(bits(report)))
         laid_out = [tuple(map(float.hex, formatted[k:k + 32:2] + formatted[k + 1:k + 32:2]))
@@ -1172,7 +1172,9 @@ class TestRecords:
 
     def test_reports_differing_only_in_outputs_are_equal(self):
         report = RECORDS["Report"]()
-        other = report._replace(outputs=np.zeros_like(report.outputs))
+        other = report._replace(
+            outputs=np.zeros_like(report.outputs), classes=None, phases=np.zeros(16),
+        )
         assert report == other and not report != other
         assert report != report._replace(count=[1] * 16)
         assert report != report._replace(fidelity=[])
@@ -1212,8 +1214,8 @@ def test_report_digest_table_is_canonical_and_covers_every_family():
 def sixteen_map_repair_branches(ops, scheme, coeffs):
     """``floatpath.repair_branches`` as it was before it mapped each input
     once per class of repaired maps: each cell's own map applied to every
-    input, and no class outputs, so ``Report.state`` formats all 16 outputs
-    of an input.  The reference the class path must match."""
+    input, and no classes, so ``Report.state`` formats all 16 outputs of an
+    input.  The reference the class path must match."""
     c = np.asarray(coeffs, dtype=np.complex128)
     amps = np.zeros((len(c), 4), dtype=np.complex128)
     amps[:, exact._BASIS_INPUTS[Scheme(scheme)]] = c
@@ -1221,7 +1223,7 @@ def sixteen_map_repair_branches(ops, scheme, coeffs):
     out, probs, fids = map_inputs(maps / 4, amps)
     out /= np.sqrt(probs)[..., None]
     out.setflags(write=False)
-    return c, probs, fids, out, None
+    return c, probs, fids, out, None, None
 
 
 def reference_run(monkeypatch, cfg):
@@ -1231,16 +1233,25 @@ def reference_run(monkeypatch, cfg):
         return run(cfg)
 
 
+def cell_outputs(report):
+    """Each cell's own unit output, (inputs, 16, 4): its class's output
+    times its phase, or ``outputs`` itself in a report with no classes."""
+    if report.classes is None:
+        return report.outputs
+    return report.outputs.take(report.classes, axis=1) * report.phases[:, None]
+
+
 def assert_same_branches(report, reference):
     """The probabilities and fidelities of ``report`` are the reference's
-    bit for bit, its outputs are the reference's values, and its display
-    forms and bytes are the reference's."""
+    bit for bit, its cells' outputs are the reference's values, and its
+    display forms and bytes are the reference's."""
     values = operator.attrgetter("probability", "fidelity")
     assert np.array(values(report)).tobytes() == np.array(values(reference)).tobytes()
     # a cell's output is its class's times a unit phase: the same values,
     # with a zero part's sign free, which == on the float parts allows
-    parts, want = report.outputs.view(np.float64), reference.outputs.view(np.float64)
-    assert report.outputs.shape == reference.outputs.shape and np.array_equal(parts, want)
+    got, want = cell_outputs(report), cell_outputs(reference)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
     assert report.state == reference.state
     assert emit_report(report) == emit_report(reference)
 
@@ -1264,6 +1275,37 @@ class TestOneMapPerClass:
     def test_reports_equal_the_sixteen_map_reference(self, monkeypatch, args, fmt):
         cfg, _ = parse_args([*args.split(), "--format", fmt])
         assert_same_branches(run(cfg), reference_run(monkeypatch, cfg))
+
+
+class TestValueArrays:
+    """A run keeps its probabilities and fidelities as the arrays it made
+    them in, to the report text; a report with nested lists there instead
+    emits the same bytes."""
+
+    @pytest.mark.parametrize("args", TestOneMapPerClass.DRAWN)
+    def test_values_are_read_only_arrays_of_the_reference_bits(self, monkeypatch, args):
+        cfg, _ = parse_args(args.split())
+        report, reference = run(cfg), reference_run(monkeypatch, cfg)
+        for got, want in zip((report.probability, report.fidelity),
+                             (reference.probability, reference.fidelity)):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == (len(report.inputs), 16) and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("args", [
+        "enumerate --scheme 1", "enumerate --scheme 2", "sample --scheme 1", "sample --scheme 2",
+        "sample --scheme 2 --trials 5",  # most cells undrawn
+    ])
+    def test_nested_list_copies_emit_the_same_bytes(self, args, seed, fmt):
+        cfg, _ = parse_args([*args.split(), "--seed", str(seed), "--format", fmt])
+        report = run(cfg)
+        lists = report._replace(
+            probability=report.probability.tolist(), fidelity=report.fidelity.tolist(),
+        )
+        assert lists == report
+        assert emit_report(lists) == emit_report(report)
 
 
 def basis_coeffs(scheme):

@@ -521,7 +521,7 @@ class TestRowThresholds:
                     mutant = run(cfg)
         finally:
             clear_caches()
-        assert mutant.probability[0] != real.probability[0]
+        assert mutant.probability[0].tolist() != real.probability[0].tolist()
         for report in (real, mutant, run(cfg)):
             assert report.count == reference_counts(report.probability[0], 4000, [6, 1])
         assert fresh_thresholds.cache_info().currsize == 2

@@ -264,7 +264,7 @@ SPLIT_CLASSES = {Scheme.SPECIAL: 2, Scheme.ARBITRARY: 4}
 def class_count(scheme):
     """The classes a run of ``scheme`` maps its input through, under the
     constants as they are now."""
-    return run(RunConfig(scheme=scheme, mode="sample", trials=1))._shown[0].shape[1]
+    return run(RunConfig(scheme=scheme, mode="sample", trials=1)).outputs.shape[1]
 
 
 @pytest.mark.parametrize("name", list(CLASS_COUNTS))

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from clusterport import floatpath
 from clusterport.floatpath import DISPLAY_TOL, INPUT_BLOCK, display_rotation, format_states
 from clusterport.gates import PAULIS, apply_single
 from clusterport.statevec import StateVector, fidelity, format_state, relabel, tensor
-from conftest import basis_ket, random_state
+from conftest import basis_ket, loop_kets, random_state
 from dense_oracle import ket_text
 
 
@@ -311,3 +312,55 @@ class TestFormatStates:
         assert np.all(np.abs(lead.imag) <= 1e-15 * lead.real)
         np.testing.assert_allclose(np.abs(shown), np.abs(amps), rtol=1e-15)
         assert not above[2, 0]
+
+
+# parts a classified amplitude may hold: exact and signed zeros, parts at,
+# one ulp below and one ulp above DISPLAY_TOL, dust, NaN and plain values
+SPECIAL_PARTS = np.array([
+    0.0, -0.0, DISPLAY_TOL, -DISPLAY_TOL, np.nextafter(DISPLAY_TOL, 0),
+    -np.nextafter(DISPLAY_TOL, 0), np.nextafter(DISPLAY_TOL, 1), -np.nextafter(DISPLAY_TOL, 1),
+    1e-13, 5e-324, np.nan, 0.3, -0.7,
+])
+
+
+def special_rows(rng, count, n):
+    """``count`` vectors of ``n`` amplitudes, each part drawn from
+    ``SPECIAL_PARTS``."""
+    parts = rng.choice(SPECIAL_PARTS, size=(count, n, 2))
+    return parts.view(np.complex128).reshape(count, n)
+
+
+class TestKetClassifier:
+    """``_kets`` classifies a block's amplitudes in one array pass: each
+    vector's format and parts are those of the per-amplitude loop it
+    replaced (``conftest.loop_kets``), NaN parts included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_formats_and_parts_equal_the_loop(self, seed, n):
+        rows = special_rows(np.random.default_rng(seed), 500, n)
+        kets, parts = floatpath._kets(rows)
+        want_kets, want_parts = loop_kets(rows)
+        assert kets == want_kets
+        # NaN parts compare by their bits
+        assert np.array(parts).tobytes() == np.array(want_parts).tobytes()
+        assert len(set(kets)) > 2 ** n  # many patterns, not a few
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_format_states_text_equals_the_loop(self, monkeypatch, seed, n):
+        # gaussian stacks, scaled so that some parts fall at or below the
+        # tolerance, with special parts mixed in; an infinite amplitude
+        # makes NaN parts after the rotation, which print
+        rng = np.random.default_rng(seed)
+        amps = gaussian(rng, (300, 3, n)) * 10.0 ** rng.integers(-12, 1, (300, 3, 1))
+        mixed = rng.random((300, 3, n)) < 0.3
+        amps[mixed] = special_rows(rng, int(mixed.sum()), 1)[:, 0]
+        amps[rng.random((300, 3, n)) < 0.02] = complex(np.inf, 0.5)
+        with np.errstate(all="ignore"):
+            texts = format_states(amps)
+            monkeypatch.setattr(floatpath, "_kets", loop_kets)
+            assert texts == format_states(amps)
+        # some amplitudes print NaN parts, and some are left out
+        assert any("nan" in t for row in texts for t in row)
+        assert any(t.count("|") < n for row in texts for t in row)
