@@ -15,8 +15,9 @@ pair's first wrong entry: a cold ``derive`` pays for 256 candidates, where
 building each whole map through ``repaired_map``'s cache cost about ten
 times as much.
 
-The records here and in ``harness`` are named tuples that validate in
-``__new__``, ``_replace`` included (``_record``).  They load nothing beyond
+The records here and in ``harness`` are named tuples (``_record``): those
+with a ``__new__`` validate there, ``_replace`` included, and ``Report``
+takes its defaults from its record.  They load nothing beyond
 ``collections``, where dataclasses would load ``inspect``, ``ast`` and ``dis``.
 
 Particle numbering and the channel are described in ``protocol``.  A
@@ -77,11 +78,12 @@ _PAULI_ACTIONS = {"I": (0, (1, 1)), "X": (1, (1, 1)), "Y": (1, (1j, -1j)), "Z": 
 _BASIS_INPUTS = {Scheme.SPECIAL: (0, 3), Scheme.ARBITRARY: (0, 1, 2, 3)}
 
 
-def _record(typename: str, field_names: str) -> type:
+def _record(typename: str, field_names: str, defaults=None) -> type:
     """A named-tuple class whose ``_make``, and so ``_replace``, builds
     through the subclass's ``__new__``: a record validates however it is
-    built."""
-    base = namedtuple(typename, field_names)
+    built.  ``defaults`` are those of the last fields, as ``namedtuple``
+    takes them, for a record with no ``__new__`` of its own."""
+    base = namedtuple(typename, field_names, defaults=defaults)
     base._make = classmethod(lambda cls, values: cls(*values))
     return base
 

@@ -31,15 +31,14 @@ the row's bits in a small LRU (``_row_thresholds``).
 ``map_inputs`` and ``format_states`` work through a stack INPUT_BLOCK
 inputs at a time, computing each row on its own, so their temporaries stay
 the size of a block at any input count and no row depends on the count.
-``format_states`` rotates each block in one array pass and formats the
-first of each run of equal vectors in it once, the whole block's kets in
-one ``%``: one more array pass (``_kets``) gives each such vector its
-pattern (which amplitudes print, and whether each is real, imaginary or
-both), whose format ``_ket_format`` builds once per width and pattern, and
-the parts it prints.  Only the ``state`` of a report calls it, when first
-read, on the class outputs of a run: a cell's phase is rotated away in
-display, so each class output is formatted once per input and its cells
-take its text.
+``format_states`` rotates each block in one array pass and formats each
+vector in it once, the whole block's kets in one ``%``: one more array
+pass (``_kets``) gives each vector its pattern (which amplitudes print,
+and whether each is real, imaginary or both), whose format ``_ket_format``
+builds once per width and pattern, and the parts it prints.  Only the
+``state`` of a report calls it, when first read, on the class outputs of a
+run: a cell's phase is rotated away in display, so each class output is
+formatted once per input and its cells take its text.
 
 This module imports numpy, the standard library and ``exact`` only, so the
 dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
@@ -395,25 +394,17 @@ def format_states(amps, cells=None):
 
 
 def _format_block(amps, cells=None):
-    """``format_states`` of one block: the block is rotated at once, and
-    the first of each run of equal rotated vectors is formatted once, its
-    text standing for the whole run.  The left-out amplitudes are zeroed
-    first, so vectors that differ only there (a sign bit, rounding dust)
-    share one key, and the zeros alone tell ``_kets`` what to leave out: an
-    amplitude above DISPLAY_TOL is not 0 after the rotation.  ``_kets``
-    gives those vectors' formats and parts, and one ``%`` fills them all,
-    the kets joined by a NUL, which no ket holds, and split apart again."""
+    """``format_states`` of one block: the block is rotated at once and its
+    left-out amplitudes zeroed, so the zeros alone tell ``_kets`` what to
+    leave out (an amplitude above DISPLAY_TOL is not 0 after the rotation).
+    ``_kets`` gives every vector's format and parts, and one ``%`` fills
+    them all, the kets joined by a NUL, which no ket holds, and split apart
+    again."""
     shown, above = display_rotation(amps)
     n = shown.shape[-1]
     rows = shown.reshape(-1, n)
     np.putmask(rows, ~above.reshape(-1, n), 0)  # in place: rows is a view of our own array
-    # runs: a report's 16 outputs an input, formatted without their classes,
-    # repeat an input's row along its cells
-    words = rows.view(np.uint64)
-    head = np.empty(len(rows), dtype=bool)
-    head[:1] = True
-    np.any(words[1:] != words[:-1], axis=1, out=head[1:])
-    kets, parts = _kets(rows[head])
-    texts = ("\0".join(kets) % tuple(parts)).split("\0")
-    texts = np.array(texts, dtype=object)[head.cumsum() - 1].reshape(shown.shape[:-1])
+    kets, parts = _kets(rows)
+    texts = ("\0".join(kets) % tuple(parts)).split("\0")[: len(rows)]  # no rows split to [""]
+    texts = np.array(texts, dtype=object).reshape(shown.shape[:-1])
     return (texts if cells is None else texts.take(cells, axis=-1)).tolist()

@@ -139,6 +139,7 @@ class Report(_record(
     "Report",
     "config inputs aggregates verdicts corrections probability fidelity outputs classes phases"
     " count",
+    defaults=(None, (), (), (), None, None, None, None),
 )):
     """Outcome of one run.  ``enumerate`` and ``sample`` reports keep their
     branch results over 16 cells in ``BELL_OUTCOMES`` order, the (1, 3)
@@ -152,24 +153,15 @@ class Report(_record(
     unit phase, so cell p's output is ``outputs[:, classes[p]] * phases[p]``
     (``floatpath.repair_branches``); with no ``classes``, ``outputs`` holds
     each cell's own, (inputs, 16, 4).  ``derive`` and ``verify`` reports
-    carry ``verdicts`` and no branch results.  Reports that differ only in
-    ``outputs``, ``classes`` and ``phases`` are equal; ``probability`` and
-    ``fidelity`` compare as their lists do."""
+    carry ``verdicts`` and no branch results: every field after
+    ``aggregates`` but ``verdicts`` keeps the record's default, ``()`` for
+    ``corrections``, ``probability`` and ``fidelity`` and None for the
+    rest.  Reports that differ only in ``outputs``, ``classes`` and
+    ``phases`` are equal; ``probability`` and ``fidelity`` compare as their
+    lists do."""
 
     # no __slots__: the instance dict holds the cached ``state``
     schema = 6  # a class constant, not a field
-
-    def __new__(
-        cls, config: RunConfig, inputs: tuple, aggregates: dict, verdicts=None,
-        corrections: tuple = (), probability=None, fidelity=None, outputs=None, classes=None,
-        phases=None, count=None,
-    ) -> "Report":
-        # a derive or verify report gets lists of its own, no shared default
-        return tuple.__new__(cls, (
-            config, inputs, aggregates, verdicts, corrections,
-            [] if probability is None else probability, [] if fidelity is None else fidelity,
-            outputs, classes, phases, count,
-        ))
 
     def __eq__(self, other):
         if not isinstance(other, Report):
@@ -532,8 +524,6 @@ def _value_bytes(values) -> bytes:
     float64 array's own, or a nested list's, packed by ``array``."""
     if hasattr(values, "tobytes"):
         return values.tobytes()
-    if not values:  # derive and verify: no rows, and no import
-        return b""
     from array import array
 
     return array("d", chain.from_iterable(values)).tobytes()

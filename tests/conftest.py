@@ -57,9 +57,9 @@ def loop_kets(rows):
 @pytest.fixture
 def ket_calls(monkeypatch):
     """The vectors ``format_states`` formats, one entry per vector handed to
-    ``_kets``: ``_kets`` gives each distinct rotated vector of a block its
-    format and parts in one array pass, and one ``%`` per block fills
-    them."""
+    ``_kets``: ``_kets`` gives every rotated vector of a block, its left-out
+    amplitudes zeroed, its format and parts in one array pass, and one
+    ``%`` per block fills them."""
     calls = []
     kets = floatpath._kets
     monkeypatch.setattr(floatpath, "_kets", lambda rows: calls.extend(rows.tolist()) or kets(rows))

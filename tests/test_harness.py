@@ -495,8 +495,7 @@ class TestStateStrings:
     @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
     def test_each_shown_state_is_formatted_once(self, ket_calls, scheme):
         # every repaired branch shows its input, so 100 inputs are 100
-        # strings; scheme 1's hidden slots differ in sign bits and rounding
-        # dust from branch to branch, and must not make more keys
+        # strings, each formatted once from its input's one class output
         report = run_enumeration(enum_cfg(scheme=scheme, random_inputs=100))
         assert len({text for row in report.state for text in row}) == 100
         assert len(ket_calls) == 100
@@ -1132,6 +1131,21 @@ class TestReportObject:
     def test_passed_defaults_false_without_aggregate(self):
         r = Report(enum_cfg(), (), {})
         assert not r.passed
+
+    @pytest.mark.parametrize("mode", ["derive", "verify"])
+    @pytest.mark.parametrize("scheme", [Scheme.SPECIAL, Scheme.ARBITRARY])
+    def test_fields_after_aggregates_take_the_record_defaults(self, scheme, mode):
+        report = run(RunConfig(scheme, mode))
+        assert report.probability == () and report.fidelity == ()
+        bare = Report(report.config, (), {})
+        assert tuple(Report._field_defaults) == Report._fields[3:]
+        for name, default in Report._field_defaults.items():
+            assert type(getattr(bare, name)) is type(default) and getattr(bare, name) == default
+        # a derive or verify report sets verdicts alone of those fields
+        assert report[4:] == bare[4:] and report.verdicts
+        copy, changed = Report._make(report), report._replace(count=[1] * 16)
+        assert type(copy) is type(changed) is Report
+        assert copy == report and changed[:10] == report[:10]
 
 
 RECORDS = {

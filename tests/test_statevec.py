@@ -165,7 +165,9 @@ class TestFormatStates:
     """The stack formatter must give, entry for entry, the string the plain
     per-vector reference gives for that vector alone."""
 
-    @pytest.mark.parametrize("shape", [(7, 16, 4), (5, 2), (3, 8), (1, 1, 4), (4, 1), (500, 4)])
+    @pytest.mark.parametrize(
+        "shape", [(7, 16, 4), (5, 2), (3, 8), (1, 1, 4), (4, 1), (500, 4), (2, 0, 4)]
+    )
     def test_random_stacks(self, rng, shape):
         amps = gaussian(rng, shape)
         assert format_states(amps) == per_vector(amps)
@@ -175,8 +177,8 @@ class TestFormatStates:
         assert format_states(v) == ket_text(v) == format_state(StateVector((4, 5), v))
 
     def test_repeated_vectors_keep_their_places(self, rng):
-        # the first of each run of equal vectors is formatted once, and each
-        # text is scattered back over its run
+        # equal vectors, adjacent or apart, each take their own text in
+        # their own place
         distinct = gaussian(rng, (3, 4))
         order = [2, 0, 0, 1, 2, 2, 1, 0]
         texts = format_states(distinct[order].reshape(2, 4, 4))
@@ -198,9 +200,10 @@ class TestFormatStates:
         assert texts[1] == "0"
         assert texts == per_vector(amps)
 
-    def test_hidden_amplitudes_share_one_key(self, ket_calls):
+    def test_hidden_amplitudes_format_alike_each_vector_once(self, ket_calls):
         # amplitudes at or below DISPLAY_TOL are left out of the text, so
-        # vectors that differ only there format to one string, once
+        # vectors that differ only there format to one string; _kets gets
+        # each vector once, in stack order, its left-out amplitudes zeroed
         base = np.array([0.6, 0, 0.8j, 0])
         amps = np.stack([base] * 4 + [np.zeros(4)] * 2)
         amps[1, 1] = complex(-0.0, -0.0)
@@ -209,7 +212,7 @@ class TestFormatStates:
         amps[5] = [complex(-0.0, 0.0), 1e-13, 0, -1e-10j]  # nothing shown
         texts = format_states(amps)
         assert texts == [ket_text(base)] * 4 + ["0"] * 2 == per_vector(amps)
-        assert len(ket_calls) == 2
+        assert ket_calls == [list(base)] * 4 + [[0] * 4] * 2
 
     @pytest.mark.parametrize("scale", [1 + 1e-6, 1 - 1e-6])
     def test_amplitudes_at_the_tolerance(self, scale):
@@ -288,7 +291,7 @@ class TestFormatStates:
 
     @pytest.mark.parametrize("count", [INPUT_BLOCK - 1, INPUT_BLOCK, INPUT_BLOCK + 1])
     def test_stacks_around_the_block(self, rng, count):
-        # runs of three equal vectors, some across a block's edge, every
+        # three equal vectors in a row, some across a block's edge, every
         # other one turned by -i, which the rotation undoes
         distinct = gaussian(rng, (5, 4))
         order = np.arange(2 * count) // 3 % 5
