@@ -5,11 +5,11 @@ Every branch is a fixed 4x4 map K from the input on (1, 2) to the output on
 (4, 5).  ``repair_branches`` takes the repaired map R 4K of each cell from
 ``exact.repaired_map``, sorts the 16 into classes that agree on the scheme's
 inputs up to a unit phase (``exact._phase_classes``: one class under the
-listed tables), and applies one map per class, over 4, to every input with
-``map_inputs``; each cell takes its class's probability and fidelity, and
-its output is its class's times its phase, which the caller derives when
-it needs it: no (inputs, 16, 4) stack is built.  The classes are found and
-converted once per distinct set of maps.
+listed tables), and applies one map per class, over 4, to every input;
+each cell takes its class's probability and fidelity, and its output is
+its class's times its phase, which the caller derives when it needs it: no
+(inputs, 16, 4) stack is built.  The classes are found and converted once
+per distinct set of maps.
 ``random_inputs`` draws the seeded inputs of a run in one
 ``standard_normal`` call on the run's one stream ``default_rng([seed,
 0])``: one array of coefficient rows, normed at once, whose first N rows
@@ -28,17 +28,27 @@ per-uniform multiply, which is how ``sample_outcome_pairs`` draws its
 trials.  A row's thresholds are found once per process: they are kept by
 the row's bits in a small LRU (``_row_thresholds``).
 
-``map_inputs`` and ``format_states`` work through a stack INPUT_BLOCK
-inputs at a time, computing each row on its own, so their temporaries stay
-the size of a block at any input count and no row depends on the count.
+The input count picks one of two paths, which give the same bits.  Two
+or more inputs go through numpy in blocks: ``map_inputs`` and
+``format_states`` work through a stack INPUT_BLOCK inputs at a time,
+computing each row on its own, so their temporaries stay the size of a
+block at any input count and no row depends on the count.
 ``format_states`` rotates each block in one array pass and formats each
 vector in it once, the whole block's kets in one ``%``: one more array
 pass (``_kets``) gives each vector its pattern (which amplitudes print,
 and whether each is real, imaginary or both), whose format ``_ket_format``
-builds once per width and pattern, and the parts it prints.  Only the
-``state`` of a report calls it, when first read, on the class outputs of a
-run: a cell's phase is rotated away in display, so each class output is
-formatted once per input and its cells take its text.
+builds once per width and pattern, and the parts it prints.  One input
+(every ``sample`` run, and an ``enumerate`` of given coefficients or of
+one drawn input) is computed and displayed in Python floats and complex
+numbers instead (``_map_one``, ``_ket``), where numpy's fixed cost per call
+would outweigh the arithmetic of one row: each step is the operation the
+block path performs, in its order, so each probability, fidelity, output
+and text has the block path's bits (the moduli by complex ``abs``, which
+calls the C library's hypot as ``np.hypot`` does).  The block path does the
+same work for 100 inputs several times faster than Python would.  Only
+the ``state`` of a report calls ``format_states``, when first read, on the
+class outputs of a run: a cell's phase is rotated away in display, so each
+class output is formatted once per input and its cells take its text.
 
 This module imports numpy, the standard library and ``exact`` only, so the
 dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
@@ -48,6 +58,7 @@ dense six-qubit reference (``statevec``, ``gates``, ``measurement`` and
 from __future__ import annotations
 
 import functools
+import math
 import struct
 
 import numpy as np
@@ -150,16 +161,56 @@ def map_inputs(maps: np.ndarray, inputs):
 def _repaired_stack(maps, cols):
     """The repaired maps ``maps`` (``exact.repaired_map``) in their classes
     on the basis columns ``cols`` (``exact._phase_classes``): ``(stack,
-    index, phases)``, one complex map over 4 per class, zero outside
-    ``cols``, the class of each cell, and the phase of each cell, all
-    read-only.  Built once per distinct set of maps and columns, and keyed
-    on the maps' values, so a changed table or constant gets classes of its
-    own."""
+    index, phases, rows, cells)``, one complex map over 4 per class, zero
+    outside ``cols``, the class of each cell, and the phase of each cell,
+    all read-only; then the stack and the index in Python's form for
+    ``_map_one``: ``rows``, a list of rows of complex numbers per class,
+    and ``cells``, a tuple.  Built once per distinct set of maps and
+    columns, and keyed on the maps' values, so a changed table or constant
+    gets classes of its own."""
     classes, index, phases = exact._phase_classes(maps, cols)
     arrays = np.array(classes, dtype=np.complex128) / 4, np.array(index), np.array(phases)
     for a in arrays:
         a.setflags(write=False)
-    return arrays
+    return (*arrays, arrays[0].tolist(), index)
+
+
+def _dot(u, v):
+    """u0 v0 + u1 v1 + u2 v2 + u3 v3 for two 4-lists of Python complex
+    numbers, added left to right.  With u the conjugates of a vector x, it
+    is <x|v> with the bits of ``map_inputs``' sums: the product of a - ib
+    and c + id is (ac - (-b)d, ad + (-b)c), which is (ac + bd, ad - bc) to
+    the bit, each term rounded once, and the terms are added in
+    ``_sum4``'s order."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return ((u0 * v0 + u1 * v1) + u2 * v2) + u3 * v3
+
+
+def _map_one(rows, v):
+    """``map_inputs`` of the one input ``v``, 4 Python complex numbers,
+    through the class maps ``rows``, with each output scaled to unit norm:
+    ``(outputs, probs, fids)``, a list per class in Python floats and
+    complex numbers, the bits of the block path, as each step is its
+    operation: an amplitude 0 + ((m0 v0 + m1 v1) + m2 v2) + m3 v3, einsum's
+    order and its start; the three sums by ``_dot``; and the scaling as
+    numpy divides a complex by a real r, ((re + im 0) s, (im - re 0) s) with
+    s = 1 / r.  Where r is 0, and Python would raise, s is inf, which gives
+    numpy's quotients by 0, and so does a product by inf for a fidelity's."""
+    cv = [z.conjugate() for z in v]
+    nv = _dot(cv, v).real
+    outputs, probs, fids = [], [], []
+    for m in rows:
+        w = [0j + _dot(row, v) for row in m]
+        prob = _dot([z.conjugate() for z in w], w).real
+        vw = _dot(cv, w)
+        q, d = vw.real * vw.real + vw.imag * vw.imag, nv * prob
+        s = 1 / math.sqrt(prob) if prob else math.inf
+        outputs.append([complex((z.real + z.imag * 0.0) * s, (z.imag - z.real * 0.0) * s)
+                        for z in w])
+        probs.append(prob)
+        fids.append(q / d if d else q * math.inf)
+    return outputs, probs, fids
 
 
 def repair_branches(ops, scheme: Scheme, coeffs):
@@ -168,26 +219,41 @@ def repair_branches(ops, scheme: Scheme, coeffs):
     the repair ``ops`` lists for it, in cell order: ``(inputs, probs, fids,
     outputs, index, phases)``.
 
-    ``map_inputs`` applies one map per class of the repaired maps
-    (``_repaired_stack``) to each input, and each cell takes its class's
-    probability and fidelity, as read-only (inputs, 16) arrays indexed
-    [input][cell].  They are the bits its own map would give: its output is
-    its class's times a unit phase, which swaps or negates real and
-    imaginary parts exactly, and a sum of two squares does not see that.
-    ``outputs`` holds each class's repaired output scaled to unit norm, as a
-    read-only (inputs, classes, 4) stack; ``index`` is the class of each
-    cell and ``phases`` its phase, so cell p's output is ``outputs[:,
-    index[p]] * phases[p]``: the values its own map gives, but that a zero
-    part's sign may differ.  ``Report.state`` hands ``outputs`` and
-    ``index`` to ``format_states``."""
+    One map per class of the repaired maps (``_repaired_stack``) is applied
+    to each input, and each cell takes its class's probability and
+    fidelity, as read-only (inputs, 16) arrays indexed [input][cell].  They
+    are the bits its own map would give: its output is its class's times a
+    unit phase, which swaps or negates real and imaginary parts exactly,
+    and a sum of two squares does not see that.  ``outputs`` holds each
+    class's repaired output scaled to unit norm, as a read-only (inputs,
+    classes, 4) stack; ``index`` is the class of each cell and ``phases``
+    its phase, so cell p's output is ``outputs[:, index[p]] * phases[p]``:
+    the values its own map gives, but that a zero part's sign may differ.
+    ``Report.state`` hands ``outputs`` and ``index`` to ``format_states``.
+
+    The input count picks the path, with the same bits on both: a run of
+    one input (every ``sample``, and ``enumerate`` with given coefficients
+    or one drawn input) is computed in Python floats by ``_map_one``, which
+    costs a few microseconds where numpy's fixed cost per call is larger;
+    more inputs go through ``map_inputs`` as blocks."""
     c = np.asarray(coeffs, dtype=np.complex128)
     cols = exact._BASIS_INPUTS[Scheme(scheme)]
-    amps = np.zeros((len(c), 4), dtype=np.complex128)
-    amps[:, cols] = c
-    stack, index, phases = _repaired_stack(tuple(map(exact.repaired_map, ops, range(16))), cols)
-    out, probs, fids = map_inputs(stack, amps)
-    out /= np.sqrt(probs)[..., None]  # a temporary of 8 B an output, against its 64
-    probs, fids = probs.take(index, axis=1), fids.take(index, axis=1)
+    stack, index, phases, rows, cells = _repaired_stack(
+        tuple(map(exact.repaired_map, ops, range(16))), cols
+    )
+    if len(c) == 1:
+        v = [0j] * 4
+        for j, z in zip(cols, c[0].tolist()):
+            v[j] = z
+        outputs, probs, fids = _map_one(rows, v)
+        out = np.array([outputs], dtype=np.complex128)
+        probs, fids = np.array([[probs[k] for k in cells]]), np.array([[fids[k] for k in cells]])
+    else:
+        amps = np.zeros((len(c), 4), dtype=np.complex128)
+        amps[:, cols] = c
+        out, probs, fids = map_inputs(stack, amps)
+        out /= np.sqrt(probs)[..., None]  # a temporary of 8 B an output, against its 64
+        probs, fids = probs.take(index, axis=1), fids.take(index, axis=1)
     for a in (out, probs, fids):
         a.setflags(write=False)
     return c, probs, fids, out, index, phases
@@ -373,24 +439,74 @@ def format_states(amps, cells=None):
     Display only: each vector is rotated so that its first amplitude above
     ``DISPLAY_TOL`` is real and positive (``display_rotation``), so
     equivalent states print identically; amplitudes at or below it are left
-    out, and a vector with none above it prints as ``0``.  A stack is
-    formatted INPUT_BLOCK entries of its first axis at a time
-    (``_format_block``), so no temporary spans the whole stack; each text
-    is a function of its rotated vector's bytes alone, so an entry depends
-    neither on the stack around it nor on the block it falls in.
+    out, and a vector with none above it prints as ``0``.  Each text is a
+    function of its vector's bytes alone, so an entry depends neither on
+    the stack around it nor on the path that formats it.
 
     With ``cells``, indices into the stack's last axis but one, entry [n][p]
     is the text of vector ``cells[p]`` of entry n: each vector is formatted
     once, however many cells take its text (``Report.state`` formats a
     class output once per input for all its cells).
+
+    The input count picks the path, with the same text on both: one
+    vector, or a stack of one input's vectors, (1, classes, n), is
+    formatted a vector at a time in Python floats (``_ket``), where a
+    stack goes through numpy's array passes INPUT_BLOCK entries of its
+    first axis at a time (``_format_block``), so no temporary spans the
+    whole stack.
     """
     amps = np.asarray(amps, dtype=np.complex128)
     if amps.ndim < 2:
-        return _format_block(amps)
+        return _ket(amps.tolist())
+    if amps.ndim == 3 and len(amps) == 1:
+        texts = list(map(_ket, amps[0].tolist()))
+        return [texts if cells is None else [texts[p] for p in cells]]
     texts = []
     for b in _blocks(len(amps)):
         texts += _format_block(amps[b], cells)
     return texts
+
+
+def _modulus(z: complex) -> float:
+    """|z| as ``np.hypot`` gives it: complex ``abs`` calls the C library's
+    hypot, as numpy does (``math.hypot`` rounds otherwise), but raises
+    where the modulus overflows, and np.hypot returns inf there."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _ket(vals) -> str:
+    """The text ``_format_block`` gives the one vector ``vals``, a list of
+    Python complex numbers, computed in Python floats with the same
+    operations: the rotation of ``display_rotation`` (a vector with no
+    modulus above DISPLAY_TOL prints ``0``), each amplitude at or below it
+    left out, and each other one's parts classified as ``_kets`` does, then
+    one ``%`` of its ``_ket_format``."""
+    mods = list(map(_modulus, vals))
+    lead = next((k for k, r in enumerate(mods) if r > DISPLAY_TOL), None)
+    if lead is None:
+        return "0"
+    c, s = vals[lead].real / mods[lead], -vals[lead].imag / mods[lead]
+    pattern, parts = 0, []
+    for z, r in zip(vals, mods):
+        pattern <<= 2
+        if not r > DISPLAY_TOL:
+            continue
+        re, im = z.real * c - z.imag * s, z.real * s + z.imag * c
+        if not (re or im):  # 0 is left out; a NaN part is not 0
+            continue
+        if abs(im) <= DISPLAY_TOL:
+            pattern += 1
+            parts.append(re)
+        elif abs(re) <= DISPLAY_TOL:
+            pattern += 2
+            parts.append(im)
+        else:
+            pattern += 3
+            parts += (re, im)
+    return _ket_format(len(vals), pattern) % tuple(parts)
 
 
 def _format_block(amps, cells=None):

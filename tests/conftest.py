@@ -56,11 +56,13 @@ def loop_kets(rows):
 
 @pytest.fixture
 def ket_calls(monkeypatch):
-    """The vectors ``format_states`` formats, one entry per vector handed to
-    ``_kets``: ``_kets`` gives every rotated vector of a block, its left-out
-    amplitudes zeroed, its format and parts in one array pass, and one
-    ``%`` per block fills them."""
+    """The vectors ``format_states`` formats, one entry per vector: each
+    vector a block hands ``_kets`` (rotated, its left-out amplitudes
+    zeroed: ``_kets`` gives every vector of a block its format and parts in
+    one array pass, and one ``%`` per block fills them), and each vector of
+    one input that ``_ket`` formats in Python floats."""
     calls = []
-    kets = floatpath._kets
+    kets, ket = floatpath._kets, floatpath._ket
     monkeypatch.setattr(floatpath, "_kets", lambda rows: calls.extend(rows.tolist()) or kets(rows))
+    monkeypatch.setattr(floatpath, "_ket", lambda vals: calls.append(vals) or ket(vals))
     return calls

@@ -27,7 +27,10 @@ for scheme in 1 2; do
     PYTHONPATH=src python -m clusterport verify --scheme "$scheme" --format "$fmt" > /dev/null
   done
 done
-for args in "enumerate --scheme 2 --seed 7" "sample --scheme 2 --seed 7" "verify --scheme 1" "derive --scheme 2"; do
+# (the --coeffs runs are one-input runs, computed and formatted in Python floats)
+for args in "enumerate --scheme 2 --seed 7" "sample --scheme 2 --seed 7" "verify --scheme 1" \
+    "derive --scheme 2" "enumerate --scheme 2 --coeffs=0.5,-0.5,0.5j,-0.5j" \
+    "sample --scheme 1 --coeffs -0.6,0.8"; do
   for fmt in json csv text; do
     for run in 1 2; do
       PYTHONPATH=src python -m clusterport $args --format "$fmt" --out "$out/run$run.$fmt"
@@ -72,6 +75,15 @@ PYTHONPATH=src python -m clusterport enumerate --scheme 2 --random-inputs 3 --se
 PYTHONPATH=src python -m clusterport enumerate --scheme 2 --random-inputs 10000 --seed 7 \
   --format csv --out "$out/many.csv"
 head -n 49 "$out/many.csv" | cmp - "$out/three.csv"
+# one drawn input is computed in Python floats, two or more in numpy blocks:
+# the same rows either way (a header and 16 rows)
+for scheme in 1 2; do
+  for count in 1 2; do
+    PYTHONPATH=src python -m clusterport enumerate --scheme "$scheme" --random-inputs "$count" \
+      --seed 7 --format csv --out "$out/inputs$count.csv"
+  done
+  head -n 17 "$out/inputs2.csv" | cmp "$out/inputs1.csv" -
+done
 PYTHONPATH=src python -m clusterport sample --scheme 2 --seed 7 --out "$out/sample.txt"
 PYTHONPATH=src python -m clusterport enumerate --scheme 2 --seed 7 --out "$out/enumerate.txt"
 test "$(grep '^input 0:' "$out/sample.txt")" = "$(grep '^input 0:' "$out/enumerate.txt")"
